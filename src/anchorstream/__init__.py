@@ -57,6 +57,7 @@ from .session import (
     SyntheticSource,
     decode_session,
     encode_session,
+    iter_decode,
     state_checksum,
 )
 from .synth import (

@@ -20,8 +20,9 @@ from .session import (
     FrameMetrics,
     StaticSource,
     SyntheticSource,
-    decode_session,
     encode_session,
+    iter_decode,
+    state_checksum,
 )
 from .synth import generate_scene, load_scene_spec
 from .types import CompositionMode, GaussianSet, Quantization, StreamConfig
@@ -145,38 +146,19 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     stream = Path(args.stream).read_bytes()
     base, _ = _load_input(Path(args.frame0), frames=2, seed=None)
-    result = decode_session(
-        base, stream,
-        level_ratio=args.level_ratio,
-        composition_mode=CompositionMode[args.mode],
-    )
-    out_dir = Path(args.output_dir) if args.output_dir else None
-    if out_dir is not None and args.export_every > 0:
+    out_dir = Path(args.output_dir) if args.output_dir and args.export_every > 0 else None
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        # replay again for export snapshots only when asked; cheap at desk scale
-        replay = decode_session(base, stream, level_ratio=args.level_ratio,
-                                composition_mode=CompositionMode[args.mode], keep_frames=True)
-        from .session import SceneState, _advance_state  # local: not public API
-        from .hierarchy import build_hierarchy, rehierarchize
-
-        config = StreamConfig(
-            levels=replay.header.levels,
-            finest_fraction=replay.header.finest_fraction,
-            level_ratio=args.level_ratio,
-            reconfig_period=replay.header.reconfig_period,
-            quantization=replay.header.quantization,
-            composition_mode=CompositionMode[args.mode],
-        )
-        state = SceneState(base.copy(), build_hierarchy(base, config), 0)
-        for payload in replay.frames:
-            if payload.reconfig:
-                state.hierarchy, _ = rehierarchize(state, config)
-            state = _advance_state(state, payload.deltas, config, payload.frame_index)
-            if payload.frame_index % args.export_every == 0:
-                path = out_dir / f"frame_{payload.frame_index:04d}.ply"
-                path.write_bytes(write_gaussian_ply(state.gaussians))
-    print(f"decoded {len(result.metrics)} frames, {len(result.state.gaussians)} gaussians")
-    print(f"final checksum: {result.metrics[-1].checksum}")
+    decoded = 0
+    for payload, state in iter_decode(base, stream, args.level_ratio, CompositionMode[args.mode]):
+        decoded += 1
+        if out_dir is not None and payload.frame_index % args.export_every == 0:
+            path = out_dir / f"frame_{payload.frame_index:04d}.ply"
+            path.write_bytes(write_gaussian_ply(state.gaussians))
+    if not decoded:
+        raise StreamFormatError(f"{args.stream}: stream holds a header but no frames")
+    print(f"decoded {decoded} frames, {len(state.gaussians)} gaussians")
+    print(f"final checksum: {state_checksum(state)}")
     return EXIT_OK
 
 

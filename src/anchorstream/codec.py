@@ -249,11 +249,11 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     _need(buf, offset, 4 * header.levels)
     counts = struct.unpack_from(f"<{header.levels}I", buf, offset)
     offset += 4 * header.levels
-    per_level = []
+    blocks = []
     for count in counts:
         trans, offset = _decode_block(buf, offset, count, 3, header.quantization)
         rot, offset = _decode_block(buf, offset, count, 4, header.quantization)
-        per_level.append(AnchorDeltaSet(trans, rot))
+        blocks.append((trans, rot))
     _need(buf, offset, 4)
     (added_count,) = struct.unpack_from("<I", buf, offset)
     offset += 4
@@ -278,7 +278,10 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     _need(buf, offset, 1)
     (flag,) = struct.unpack_from("<B", buf, offset)
     offset += 1
-    deltas = FrameDeformation(per_level, added, pruned)
+    try:  # well-framed bytes can still hold values no encoder writes
+        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], added, pruned)
+    except ValueError as exc:
+        raise StreamFormatError(f"frame {frame_index}: {exc}") from exc
     return FramePayload(frame_index, tuple(int(c) for c in counts), deltas, bool(flag)), offset
 
 

@@ -21,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError, NumericalError
+from .errors import NumericalError
 from .hierarchy import AnchorHierarchy
 from .kernels import sum_by_index
-from .motion import AnchorDeltaSet, FrameDeformation
+from .motion import AnchorDeltaSet, FrameDeformation, level_unit_quats
 from .types import CompositionMode, GaussianSet
 
-_DEGENERATE_NORM = 1e-8
 _DIVERGENCE_FACTOR = 1e6
 
 
@@ -35,11 +34,11 @@ _DIVERGENCE_FACTOR = 1e6
 class FitConfig:
     """Optimizer knobs for the per-frame deformation fit.
 
-    With ``preconditioned`` (the default) each anchor's gradient block is
-    scaled by the inverse of its cluster's correspondence count, i.e. the
-    inverse diagonal of the translation Hessian. Without it, anchors with few
-    members take steps proportional to their share of the mean loss and
-    effectively stall, so convergence would depend on cluster size.
+    The fit always preconditions: each anchor's gradient block is scaled by
+    the inverse of its cluster's correspondence count, i.e. the inverse
+    diagonal of the translation Hessian. Without it, anchors with few members
+    take steps proportional to their share of the mean loss and effectively
+    stall, so convergence would depend on cluster size.
     """
 
     steps_phase1: int = 100
@@ -47,9 +46,7 @@ class FitConfig:
     momentum: float = 0.9
     steps_phase2: int = 100
     densify_threshold: float = 0.05
-    prune_opacity: float = 0.0  # reserved; pruning stays inactive without photometric supervision
     coarse_to_fine: bool = False
-    preconditioned: bool = True
 
     def __post_init__(self):
         if self.steps_phase1 < 0 or self.steps_phase2 < 0:
@@ -91,16 +88,6 @@ def _level_arrays(deltas: FrameDeformation) -> list[tuple[np.ndarray, np.ndarray
     ]
 
 
-def _unit_quats_and_norms(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = rot.copy()
-    y[:, 0] += 1.0
-    norms = np.linalg.norm(y, axis=1)
-    if (norms < _DEGENERATE_NORM).any():
-        bad = int(np.argmax(norms < _DEGENERATE_NORM))
-        raise DegenerateQuaternionError(f"pivot increment for anchor {bad} has norm {norms[bad]:.3g}")
-    return y / norms[:, None], norms
-
-
 def _rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """R(q) u for unit quaternions, via the vector form of the rotation."""
     w = q[:, :1]
@@ -133,7 +120,7 @@ def _forward_positions(base: np.ndarray, level_arrays, assign, pivots, mode):
     pos = base.copy()
     ctx = []
     for (trans, rot), al, piv in zip(level_arrays, assign, pivots):
-        unit, norms = _unit_quats_and_norms(rot)
+        unit, norms = level_unit_quats(rot)
         member_q = unit[al]
         centers = piv[al]
         u = pos - centers
@@ -254,10 +241,14 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     gradient step; if that still raises the loss, the step is skipped. The
     state itself is never touched - only the returned deltas.
 
-    With ``coarse_to_fine`` the step budget is split into stages that
-    progressively unlock finer levels (coarse levels first).
+    With ``coarse_to_fine`` the step budget is split into equal stages, one
+    per level; stage k moves only the k coarsest levels, and the finer ones
+    keep their ``init`` values until their stage starts.
     """
     counts = [lvl.anchor_count for lvl in hierarchy.levels]
+    # offset of each level's block in the packed vector, plus the total
+    level_ends = np.cumsum([0] + [7 * a for a in counts])
+    stage_steps = max(1, config.steps_phase1 // hierarchy.level_count)
 
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grads = loss_and_gradient(
@@ -266,20 +257,16 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
         return loss, _pack(grads)
 
     x = _pack(_level_arrays(init))
-    scale = _precondition_scale(hierarchy, corr, counts) if config.preconditioned else None
+    scale = _precondition_scale(hierarchy, corr, counts)
     loss0, grad = evaluate(x)
     loss_cur = loss0
     velocity = np.zeros_like(x)
 
-    if config.coarse_to_fine and hierarchy.level_count > 1:
-        stage_mask = _stage_masks(counts, config.steps_phase1, hierarchy.level_count)
-    else:
-        stage_mask = None
-
     for step in range(config.steps_phase1):
-        eff_grad = grad * scale if scale is not None else grad
-        if stage_mask is not None:
-            eff_grad = eff_grad * stage_mask[step]
+        eff_grad = grad * scale
+        if config.coarse_to_fine:
+            active = min(hierarchy.level_count, step // stage_steps + 1)
+            eff_grad[level_ends[active]:] = 0.0
         velocity = config.momentum * velocity - config.learning_rate * eff_grad
         cand = x + velocity
         loss_cand, grad_cand = evaluate(cand)
@@ -310,24 +297,6 @@ def _precondition_scale(hierarchy: AnchorHierarchy, corr: Correspondences, count
         parts.append(np.repeat(s[:, None], 3, axis=1).ravel())
         parts.append(np.repeat(s[:, None], 4, axis=1).ravel())
     return np.concatenate(parts)
-
-
-def _stage_masks(counts, steps, n_levels):
-    """Per-step gradient masks for the coarse-to-fine schedule."""
-    sizes = [7 * a for a in counts]
-    total = sum(sizes)
-    masks = []
-    per_stage = max(1, steps // n_levels)
-    for step in range(steps):
-        active = min(n_levels, step // per_stage + 1)
-        m = np.zeros(total)
-        off = 0
-        for li, size in enumerate(sizes):
-            if li < active:
-                m[off:off + size] = 1.0
-            off += size
-        masks.append(m)
-    return masks
 
 
 def deformed_positions(gaussians: GaussianSet, hierarchy: AnchorHierarchy,

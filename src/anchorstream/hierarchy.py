@@ -121,7 +121,7 @@ def sample_anchors(positions, n_anchor: int, level: int = 1) -> LevelStructure:
     m = grid_resolution(n_anchor, level)
     pos64 = pos.astype(np.float64)
     bmin, bmax, codes, d2 = _cell_geometry(pos64, m)
-    _, winners = kernels.cell_winners(codes, d2, m**3)
+    _, winners = kernels.cell_winners(codes, d2)
     return LevelStructure(
         level=level,
         grid_resolution=m,

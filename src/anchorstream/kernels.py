@@ -1,64 +1,20 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, one numpy implementation each.
 
-The jitted path is used when numba imports successfully and the environment
-variable ``ANCHORSTREAM_NUMBA`` is unset or not one of ``0/false/off``. Both
-paths accumulate in float64 with identical operation order, so their outputs
-are bit-identical; ``benchmarks/bench_kernels.py`` compares their speed.
+Every kernel fixes its floating-point operation order and its tie-breaks, so
+encoder and decoder replicas that call it on the same inputs get the same
+bits. ``tests/test_kernels.py`` checks each against a plain-loop oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
+def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Index of the L1-nearest anchor for every point, lowest ordinal on ties.
 
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("ANCHORSTREAM_NUMBA", "1").lower() not in ("0", "false", "off")
-
-
-USE_NUMBA = _HAVE_NUMBA and _env_enabled()
-
-
-# ---------------------------------------------------------------------------
-# L1 nearest anchor: for each point the anchor ordinal minimizing the L1
-# distance, ties broken toward the lowest ordinal.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _l1_nearest_nb(points, anchors):
-    n = points.shape[0]
-    a = anchors.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        best = np.inf
-        best_j = 0
-        for j in range(a):
-            d = abs(np.float64(points[i, 0]) - np.float64(anchors[j, 0]))
-            d = d + abs(np.float64(points[i, 1]) - np.float64(anchors[j, 1]))
-            d = d + abs(np.float64(points[i, 2]) - np.float64(anchors[j, 2]))
-            if d < best:
-                best = d
-                best_j = j
-        out[i] = best_j
-    return out
-
-
-def _l1_nearest_np(points, anchors):
+    Distances accumulate in float64 as ``|dx| + |dy| + |dz|``, left to right.
+    """
     pts = points.astype(np.float64)
     anc = anchors.astype(np.float64)
     n = pts.shape[0]
@@ -72,47 +28,14 @@ def _l1_nearest_np(points, anchors):
     return out
 
 
-def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Index of the L1-nearest anchor for every point, lowest ordinal on ties."""
-    if USE_NUMBA:
-        return _l1_nearest_nb(
-            np.ascontiguousarray(points, np.float32), np.ascontiguousarray(anchors, np.float32)
-        )
-    return _l1_nearest_np(points, anchors)
+def cell_winners(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell argmin of ``d2`` keyed by ``codes``; cells returned in code order.
 
-
-# ---------------------------------------------------------------------------
-# Per-cell winner: given a flat cell code and a squared center distance per
-# point, pick for every non-empty cell the point with the smallest distance
-# (lowest original index on ties). Returns (sorted cell codes, point indices).
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _cell_winners_nb(codes, d2, n_cells):
-    best_d = np.full(n_cells, np.inf)
-    best_i = np.full(n_cells, -1, dtype=np.int64)
-    for i in range(codes.shape[0]):
-        c = codes[i]
-        if d2[i] < best_d[c]:  # strict: first point wins exact ties
-            best_d[c] = d2[i]
-            best_i[c] = i
-    count = 0
-    for c in range(n_cells):
-        if best_i[c] >= 0:
-            count += 1
-    out_codes = np.empty(count, dtype=np.int64)
-    out_idx = np.empty(count, dtype=np.int64)
-    k = 0
-    for c in range(n_cells):
-        if best_i[c] >= 0:
-            out_codes[k] = c
-            out_idx[k] = best_i[c]
-            k += 1
-    return out_codes, out_idx
-
-
-def _cell_winners_np(codes, d2, n_cells):
+    Returns (sorted codes of the non-empty cells, winning point indices); on an
+    exact tie the lowest point index wins.
+    """
+    codes = np.ascontiguousarray(codes, np.int64)
+    d2 = np.ascontiguousarray(d2, np.float64)
     n = codes.shape[0]
     order = np.lexsort((np.arange(n), d2, codes))
     sorted_codes = codes[order]
@@ -121,45 +44,18 @@ def _cell_winners_np(codes, d2, n_cells):
     return sorted_codes[first], order[first]
 
 
-def cell_winners(codes: np.ndarray, d2: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell argmin of ``d2`` keyed by ``codes``; cells returned in code order."""
-    codes = np.ascontiguousarray(codes, np.int64)
-    d2 = np.ascontiguousarray(d2, np.float64)
-    if USE_NUMBA:
-        return _cell_winners_nb(codes, d2, n_cells)
-    return _cell_winners_np(codes, d2, n_cells)
+def sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
+    """Sum rows of ``values`` into ``n_out`` buckets given by ``index``.
 
-
-# ---------------------------------------------------------------------------
-# Ordered scatter-add: per-anchor accumulation of per-point rows in ascending
-# point order, which fixes the floating-point reduction order.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _sum_by_index_nb(values, index, n_out):
-    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
-    for i in range(values.shape[0]):
-        j = index[i]
-        for k in range(values.shape[1]):
-            out[j, k] += values[i, k]
-    return out
-
-
-def _sum_by_index_np(values, index, n_out):
+    Rows accumulate in ascending row order, which fixes the floating-point
+    reduction order.
+    """
+    values = np.ascontiguousarray(values, np.float64)
+    index = np.ascontiguousarray(index, np.int64)
     out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
     np.add.at(out, index, values)
     return out
 
 
-def sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
-    """Sum rows of ``values`` into ``n_out`` buckets given by ``index``."""
-    values = np.ascontiguousarray(values, np.float64)
-    index = np.ascontiguousarray(index, np.int64)
-    if USE_NUMBA:
-        return _sum_by_index_nb(values, index, n_out)
-    return _sum_by_index_np(values, index, n_out)
-
-
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

@@ -20,13 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError, NumericalError
+from .errors import DegenerateQuaternionError
 from .hierarchy import AnchorHierarchy
 from .types import CompositionMode, GaussianSet
 
-_EIG_TOL = 1e-12
-_EIG_MAX_ITER = 200
-_JACOBI_MAX_SWEEPS = 50
 _DEGENERATE_NORM = 1e-8
 
 
@@ -77,12 +74,13 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the first nonzero component is positive (deterministic)."""
+    """Flip sign so the first nonzero component is positive (deterministic).
+
+    Works on the last axis, so a stack of vectors is fixed row by row.
+    """
     v = np.asarray(v, np.float64)
-    for comp in v:
-        if comp != 0.0:
-            return -v if comp < 0 else v
-    return v
+    first = np.take_along_axis(v, np.argmax(v != 0.0, axis=-1)[..., None], axis=-1)
+    return np.where(first < 0.0, -v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +186,18 @@ def apply_composed(gaussians: GaussianSet, dmu: np.ndarray, dq: np.ndarray) -> G
     )
 
 
-def _level_unit_quats(rotations: np.ndarray) -> np.ndarray:
-    """Unit quaternion per anchor: normalize((1,0,0,0) + delta)."""
-    q = rotations.astype(np.float64).copy()
+def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot rotation per anchor: normalize((1,0,0,0) + delta), and the norms.
+
+    Float64 results; the norms are what the fit's backward pass divides by.
+    """
+    q = rotations.astype(np.float64)  # always a copy
     q[:, 0] += 1.0
     norms = np.linalg.norm(q, axis=1)
     if (norms < _DEGENERATE_NORM).any():
         bad = int(np.argmax(norms < _DEGENERATE_NORM))
         raise DegenerateQuaternionError(f"pivot increment for anchor {bad} has norm {norms[bad]:.3g}")
-    return q / norms[:, None]
+    return q / norms[:, None], norms
 
 
 def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
@@ -217,7 +218,7 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     base_pos = pos.copy()
     orient = gaussians.orientations.astype(np.float64)
     for lvl, ds in zip(hierarchy.levels, deltas.per_level):
-        unit = _level_unit_quats(ds.rotations)
+        unit, _ = level_unit_quats(ds.rotations)
         member_q = unit[lvl.assignment]
         pivots = base_pos[lvl.anchor_indices][lvl.assignment]
         rot = quat_to_matrix(member_q)
@@ -239,45 +240,11 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_eigen4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps for a symmetric 4x4; returns (values, vectors)."""
-    a = m.astype(np.float64).copy()
-    v = np.eye(4)
-    scale = max(1.0, np.abs(m).max())
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(3):
-            for q in range(p + 1, 4):
-                off = max(off, abs(a[p, q]))
-        if off <= 1e-15 * scale:
-            return np.diag(a).copy(), v
-        for p in range(3):
-            for q in range(p + 1, 4):
-                if abs(a[p, q]) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(4)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    raise NumericalError("jacobi sweep did not converge on 4x4 symmetric matrix")
-
-
 def symmetric4_max_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a symmetric 4x4 via shifted power iteration.
+    """Dominant eigenpair of a symmetric 4x4 matrix (LAPACK ``eigh``).
 
-    The shift by the trace keeps the dominant eigenvalue of the iterated
-    matrix strictly largest in magnitude for PSD input. If the iteration does
-    not reach the residual tolerance (repeated dominant eigenvalue), a full
-    Jacobi sweep takes over. The returned vector has its first nonzero
-    component positive.
+    The returned vector is unit length with its first nonzero component
+    positive.
     """
     m = np.asarray(m, np.float64)
     if m.shape != (4, 4):
@@ -287,47 +254,17 @@ def symmetric4_max_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
     scale = max(1.0, np.abs(m).max())
     if np.abs(m - m.T).max() > 1e-9 * scale:
         raise ValueError("matrix is not symmetric within 1e-9")
-
-    shifted = m + np.trace(m) * np.eye(4)
-    v = np.array([1.0, 0.5, 0.25, 0.125])
-    v /= np.linalg.norm(v)
-    for _ in range(_EIG_MAX_ITER):
-        w = shifted @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break  # m is the zero matrix up to shift; fall through to jacobi
-        v = w / norm
-        lam = float(v @ m @ v)
-        residual = np.linalg.norm(m @ v - lam * v)
-        if residual <= _EIG_TOL * scale:
-            return lam, canonical_sign(v)
-
-    values, vectors = _jacobi_eigen4(m)
-    best = int(np.argmax(values))
-    return float(values[best]), canonical_sign(vectors[:, best])
-
-
-def _eigen_average(quats: list[np.ndarray]) -> np.ndarray:
-    """Chordal mean of quaternions: dominant eigenvector of sum(q q^T).
-
-    Outer products are sign-invariant, and summing them in a canonical order
-    (sign-fixed inputs sorted lexicographically) makes the result exactly
-    invariant under input permutation and sign flips.
-    """
-    canon = sorted((tuple(canonical_sign(q)) for q in quats))
-    m = np.zeros((4, 4))
-    for q in canon:
-        arr = np.asarray(q, np.float64)
-        m += np.outer(arr, arr)
-    _, vec = symmetric4_max_eigenvector(m)
-    return canonical_sign(vec / np.linalg.norm(vec))
+    values, vectors = np.linalg.eigh(m)
+    return float(values[-1]), canonical_sign(vectors[:, -1])
 
 
 def average_quaternions(q1, q2, q3) -> np.ndarray:
     """Average three quaternions as the dominant eigenvector of sum(q q^T).
 
-    The result is a unit 4-vector with canonical sign, invariant under sign
-    flips and permutation of the inputs.
+    The result is a unit 4-vector with canonical sign. Outer products are
+    sign-invariant, and summing them in a canonical order (sign-fixed inputs
+    sorted lexicographically) makes the result exactly invariant under input
+    permutation and sign flips.
     """
     quats = [np.asarray(q, np.float64) for q in (q1, q2, q3)]
     for q in quats:
@@ -337,17 +274,21 @@ def average_quaternions(q1, q2, q3) -> np.ndarray:
             raise ValueError("quaternions must be finite")
         if not q.any():
             raise ValueError("cannot average zero quaternions")
-    return _eigen_average(quats)
+    m = np.zeros((4, 4))
+    for q in sorted(tuple(canonical_sign(q)) for q in quats):
+        arr = np.asarray(q, np.float64)
+        m += np.outer(arr, arr)
+    return symmetric4_max_eigenvector(m)[1]
 
 
 def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> AnchorDeltaSet:
     """Seed a reconfigured level's deltas from its three matched legacy anchors.
 
-    Translations take the arithmetic mean. Rotation increments take the
-    eigenvector average, except that exactly-zero legacy increments are
-    skipped ("no rotation observed"): if all three are zero the inherited
-    increment is zero as well, since the eigenvector of a zero matrix is
-    undefined.
+    Translations take the arithmetic mean. Rotation rows are averaged as
+    quaternions (the dominant eigenvector of sum(q q^T), canonical sign), one
+    batched ``eigh`` over all anchors, except that exactly-zero legacy rows
+    are skipped ("no rotation observed"): if all three are zero the inherited
+    row is zero as well, since the eigenvector of a zero matrix is undefined.
     """
     if len(legacy) == 0:
         raise ValueError("inheritance requires a non-empty legacy level")
@@ -360,10 +301,10 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     trans64 = legacy.translations.astype(np.float64)
     new_trans = (trans64[nbr[:, 0]] + trans64[nbr[:, 1]] + trans64[nbr[:, 2]]) / 3.0
 
-    rot64 = legacy.rotations.astype(np.float64)
-    new_rot = np.zeros((nbr.shape[0], 4))
-    for i in range(nbr.shape[0]):
-        picks = [rot64[j] for j in nbr[i] if rot64[j].any()]
-        if picks:
-            new_rot[i] = _eigen_average(picks)
+    # a zero increment adds a zero outer product, which is the skip rule
+    picks = legacy.rotations.astype(np.float64)[nbr]  # (A, 3, 4)
+    outer = np.einsum("akp,akq->apq", picks, picks)
+    _, vectors = np.linalg.eigh(outer)
+    new_rot = canonical_sign(vectors[:, :, -1])
+    new_rot[~picks.any(axis=(1, 2))] = 0.0
     return AnchorDeltaSet(new_trans.astype(np.float32), new_rot.astype(np.float32))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -27,7 +27,13 @@ from .errors import StreamFormatError
 from .fitting import Correspondences, FitConfig, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import build_hierarchy, rehierarchize
 from .kernels import l1_nearest
-from .motion import FrameDeformation, apply_deformation, inherit_deformation
+from .motion import (
+    AnchorDeltaSet,
+    FrameDeformation,
+    apply_deformation,
+    inherit_deformation,
+    level_unit_quats,
+)
 from .synth import GeneratedScene
 from .types import CompositionMode, GaussianSet, SceneState, StreamConfig
 
@@ -141,6 +147,25 @@ def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
     return state
 
 
+def _inherit_level(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> AnchorDeltaSet:
+    """Inherited fit seed for one reconfigured level.
+
+    ``inherit_deformation`` averages rotation rows as unit quaternions, while
+    an increment d stands for the rotation normalize((1,0,0,0) + d). So each
+    nonzero increment goes to that rotation (w >= 0) and each nonzero average
+    comes back as q - (1,0,0,0). Exact zeros ("no rotation observed") stay
+    zero both ways.
+    """
+    moved = legacy.rotations.any(axis=1)
+    unit, _ = level_unit_quats(legacy.rotations)
+    unit[unit[:, 0] < 0] *= -1.0
+    unit[~moved] = 0.0
+    out = inherit_deformation(AnchorDeltaSet(legacy.translations, unit), neighbor_map)
+    rot = out.rotations.astype(np.float64)
+    rot[rot.any(axis=1), 0] -= 1.0
+    return AnchorDeltaSet(out.translations, rot)
+
+
 def _mean_position_error(state: SceneState, corr: Correspondences) -> float:
     pos = state.gaussians.positions.astype(np.float64)[corr.indices]
     return float(np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1).mean())
@@ -202,7 +227,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
             if prev_deltas is not None:
                 init = FrameDeformation(
                     [
-                        inherit_deformation(legacy, nbr)
+                        _inherit_level(legacy, nbr)
                         for legacy, nbr in zip(prev_deltas.per_level, neighbor_maps)
                     ]
                 )
@@ -256,20 +281,12 @@ class DecodeResult:
     state: SceneState
     metrics: list[FrameMetrics]
     header: StreamHeader
-    frames: list[FramePayload] = field(default_factory=list)
 
 
-def decode_session(base: GaussianSet, stream: bytes,
-                   level_ratio: int = 3,
-                   composition_mode: CompositionMode = CompositionMode.additive,
-                   keep_frames: bool = False) -> DecodeResult:
-    """Replay a stream against the identical frame-0 source.
-
-    ``level_ratio`` and ``composition_mode`` are not part of the wire header
-    and must match the encoding session (both default to the library
-    defaults). Any divergence surfaces as an anchor-count mismatch naming the
-    level, or as a checksum difference.
-    """
+def _start_decode(base: GaussianSet, stream: bytes, level_ratio: int,
+                  composition_mode: CompositionMode
+                  ) -> tuple[StreamHeader, StreamConfig, SceneState]:
+    """Parse the header and build the frame-0 state a decode starts from."""
     header = StreamHeader.unpack(stream)
     if len(base) != header.gaussian_count_initial:
         raise StreamFormatError(
@@ -284,9 +301,12 @@ def decode_session(base: GaussianSet, stream: bytes,
         quantization=header.quantization,
         composition_mode=composition_mode,
     )
-    state = SceneState(base.copy(), build_hierarchy(base, config), 0)
-    metrics: list[FrameMetrics] = []
-    frames: list[FramePayload] = []
+    return header, config, SceneState(base.copy(), build_hierarchy(base, config), 0)
+
+
+def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
+                   state: SceneState) -> Iterator[tuple[FramePayload, SceneState]]:
+    """The decode loop: advance ``state`` frame by frame, yielding each."""
     offset = codec.HEADER_BYTES
     expected = 1
     while offset < len(stream):
@@ -296,15 +316,45 @@ def decode_session(base: GaussianSet, stream: bytes,
                 f"frame index {payload.frame_index} out of order, expected {expected}"
             )
         if payload.reconfig:
-            state.hierarchy, _ = rehierarchize(state, config)
+            # the encoder's rehierarchize builds exactly this; its legacy-anchor
+            # maps only seed the encoder's fit
+            state.hierarchy = build_hierarchy(state.gaussians, config,
+                                              built_at_frame=state.frame_index)
         codec.verify_counts(payload, state.hierarchy)
         state = _advance_state(state, payload.deltas, config, payload.frame_index)
+        yield payload, state
+        expected += 1
+
+
+def iter_decode(base: GaussianSet, stream: bytes, level_ratio: int = 3,
+                composition_mode: CompositionMode = CompositionMode.additive,
+                ) -> Iterator[tuple[FramePayload, SceneState]]:
+    """Replay a stream lazily, yielding each frame's payload and the state after it.
+
+    The yielded state is advanced in place by the next frame; copy what must
+    outlive an iteration. Arguments are as for :func:`decode_session`.
+    """
+    header, config, state = _start_decode(base, stream, level_ratio, composition_mode)
+    yield from _decode_frames(stream, header, config, state)
+
+
+def decode_session(base: GaussianSet, stream: bytes,
+                   level_ratio: int = 3,
+                   composition_mode: CompositionMode = CompositionMode.additive) -> DecodeResult:
+    """Replay a stream against the identical frame-0 source.
+
+    ``level_ratio`` and ``composition_mode`` are not part of the wire header
+    and must match the encoding session (both default to the library
+    defaults). Any divergence surfaces as an anchor-count mismatch naming the
+    level, or as a checksum difference. A stream without frames decodes to the
+    frame-0 state.
+    """
+    header, config, state = _start_decode(base, stream, level_ratio, composition_mode)
+    metrics: list[FrameMetrics] = []
+    for payload, state in _decode_frames(stream, header, config, state):
         metrics.append(
             FrameMetrics(payload.frame_index, math.nan, math.nan, 0,
                          state.hierarchy.anchor_counts(), payload.reconfig,
                          state_checksum(state))
         )
-        if keep_frames:
-            frames.append(payload)
-        expected += 1
-    return DecodeResult(state, metrics, header, frames)
+    return DecodeResult(state, metrics, header)

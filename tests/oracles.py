@@ -64,6 +64,30 @@ def exhaustive_l1_assign(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return out
 
 
+def per_cell_argmin(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted cell codes, winning indices) by one pass over a dictionary of cells.
+
+    A later point replaces the cell's winner only when strictly closer, so the
+    lowest index wins exact ties.
+    """
+    best: dict[int, tuple[float, int]] = {}
+    for i, (code, d) in enumerate(zip(codes.tolist(), d2.tolist())):
+        if code not in best or d < best[code][0]:
+            best[code] = (d, i)
+    keys = sorted(best)
+    return np.array(keys, np.int64), np.array([best[k][1] for k in keys], np.int64)
+
+
+def ordered_sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
+    """Row-by-row accumulation in ascending row order, in Python floats."""
+    width = values.shape[1]
+    out = [[0.0] * width for _ in range(n_out)]
+    for row, j in zip(np.asarray(values, np.float64).tolist(), index.tolist()):
+        for k in range(width):
+            out[j][k] += row[k]
+    return np.array(out, np.float64).reshape(n_out, width)
+
+
 def exhaustive_knn3(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """3 nearest references per query by sorting (squared distance, ordinal)."""
     q = np.asarray(queries, np.float64)

@@ -193,6 +193,26 @@ def test_truncated_payload_rejected(rng):
         decode_frame(payload[:-10], 0, header)
 
 
+def test_infinite_half16_delta_is_a_stream_error(rng):
+    pos, h = small_hierarchy(rng, anchors=6)
+    header = StreamHeader(1, Quantization.half16, 10, 1, 10, 40)
+    payload = bytearray(encode_frame(5, random_deformation(h, rng), h, Quantization.half16))
+    first_value = 8 + 4 * header.levels  # after the frame index and the counts
+    payload[first_value:first_value + 2] = np.float16(np.inf).tobytes()
+    with pytest.raises(StreamFormatError, match="frame 5: anchor deltas must be finite"):
+        decode_frame(bytes(payload), 0, header)
+
+
+def test_unsorted_pruned_indices_are_a_stream_error(rng):
+    pos, h = small_hierarchy(rng, anchors=6)
+    header = StreamHeader(1, Quantization.full32, 10, 1, 10, 40)
+    payload = encode_frame(7, random_deformation(h, rng, pruned=(3, 9)), h, Quantization.full32)
+    tail = len(payload) - 1 - 16  # two u64 indices, then the reconfig flag
+    swapped = payload[:tail] + payload[tail + 8:tail + 16] + payload[tail:tail + 8] + payload[-1:]
+    with pytest.raises(StreamFormatError, match="frame 7: pruned_indices must be strictly"):
+        decode_frame(swapped, 0, header)
+
+
 def test_count_mismatch_names_level(rng):
     pos, h = small_hierarchy(rng, n=100, levels=2, anchors=9)
     header = StreamHeader(2, Quantization.full32, 10, 1, 10, 100)

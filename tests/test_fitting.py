@@ -209,6 +209,21 @@ def test_fit_coarse_to_fine_runs():
     assert loss < loss0
 
 
+@pytest.mark.parametrize("mode", list(CompositionMode))
+def test_fit_coarse_to_fine_holds_locked_levels_at_init(mode):
+    g, h, corr, rng = make_problem(seed=6)
+    init = random_deltas(h, rng, scale=0.02)
+    # three levels with fewer steps than levels: one step per stage, so after
+    # s steps exactly the s coarsest levels have been unlocked
+    for steps in (1, 2):
+        out = fit_frame(g, h, corr, FitConfig(steps_phase1=steps, coarse_to_fine=True),
+                        init, mode)
+        assert not np.array_equal(out.per_level[0].translations, init.per_level[0].translations)
+        for got, want in zip(out.per_level[steps:], init.per_level[steps:]):
+            assert np.array_equal(got.translations, want.translations)
+            assert np.array_equal(got.rotations, want.rotations)
+
+
 # ---------------------------------------------------------------------------
 # densify_residuals
 # ---------------------------------------------------------------------------

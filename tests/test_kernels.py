@@ -1,9 +1,11 @@
-"""Numba and numpy kernel paths must agree bit for bit."""
+"""Kernels against the plain-loop oracles, including inputs with exact ties."""
 
 import numpy as np
 import pytest
 
 from anchorstream import kernels
+
+from oracles import exhaustive_l1_assign, ordered_sum_by_index, per_cell_argmin
 
 
 @pytest.fixture
@@ -11,46 +13,57 @@ def cloud(rng):
     return rng.random((2000, 3), dtype=np.float32), rng.random((60, 3), dtype=np.float32)
 
 
-def test_l1_nearest_paths_match(cloud):
+def grid_snapped(rng, n, step=0.25, cells=8):
+    """Points on a coarse lattice, where equal L1 distances are common."""
+    return (rng.integers(0, cells, (n, 3)) * step).astype(np.float32)
+
+
+def test_l1_nearest_matches_oracle(cloud, rng):
     points, anchors = cloud
-    a = kernels._l1_nearest_np(points, anchors)
-    b = kernels._l1_nearest_nb(points, anchors)
-    assert np.array_equal(a, b)
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
+    points, anchors = grid_snapped(rng, 1500), grid_snapped(rng, 40)
+    d = np.abs(points[:, None, :].astype(np.float64) - anchors[None]).sum(axis=2)
+    ties = ((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
+    assert ties > 100  # the tie-break is actually exercised
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
 
 
 def test_l1_nearest_tie_break_lowest_ordinal():
     points = np.float32([[0.0, 0.0, 0.0]])
     anchors = np.float32([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # both L1 distance 1
-    assert kernels._l1_nearest_np(points, anchors)[0] == 0
-    assert kernels._l1_nearest_nb(points, anchors)[0] == 0
+    assert kernels.l1_nearest(points, anchors)[0] == 0
+    assert exhaustive_l1_assign(points, anchors)[0] == 0
 
 
-def test_cell_winners_paths_match(rng):
+def test_cell_winners_matches_oracle(rng):
     codes = rng.integers(0, 50, size=3000).astype(np.int64)
     d2 = rng.random(3000)
     d2[100] = d2[200]  # force at least one exact tie
     codes[200] = codes[100]
-    a_codes, a_idx = kernels._cell_winners_np(codes, d2, 50)
-    b_codes, b_idx = kernels._cell_winners_nb(codes, d2, 50)
-    assert np.array_equal(a_codes, b_codes)
-    assert np.array_equal(a_idx, b_idx)
+    snapped = rng.integers(0, 4, size=3000) * 0.5  # many exact ties per cell
+    for dist in (d2, snapped):
+        got_codes, got_idx = kernels.cell_winners(codes, dist)
+        want_codes, want_idx = per_cell_argmin(codes, dist)
+        assert np.array_equal(got_codes, want_codes)
+        assert np.array_equal(got_idx, want_idx)
 
 
 def test_cell_winners_tie_prefers_lower_index():
     codes = np.array([7, 7], np.int64)
     d2 = np.array([0.25, 0.25])
-    for impl in (kernels._cell_winners_np, kernels._cell_winners_nb):
-        out_codes, out_idx = impl(codes, d2, 8)
+    for impl in (kernels.cell_winners, per_cell_argmin):
+        out_codes, out_idx = impl(codes, d2)
         assert list(out_codes) == [7]
         assert list(out_idx) == [0]
 
 
-def test_sum_by_index_paths_match(rng):
+def test_sum_by_index_matches_oracle_bit_exact(rng):
     values = rng.standard_normal((5000, 3))
     index = rng.integers(0, 37, size=5000).astype(np.int64)
-    a = kernels._sum_by_index_np(values, index, 37)
-    b = kernels._sum_by_index_nb(values, index, 37)
-    assert np.array_equal(a, b)
+    got = kernels.sum_by_index(values, index, 37)
+    assert got.tobytes() == ordered_sum_by_index(values, index, 37).tobytes()
 
 
 def test_dispatchers_run(cloud):
@@ -58,8 +71,8 @@ def test_dispatchers_run(cloud):
     assert kernels.l1_nearest(points, anchors).shape == (2000,)
     codes = np.zeros(10, np.int64)
     d2 = np.arange(10, dtype=np.float64)
-    cs, idx = kernels.cell_winners(codes, d2, 1)
+    cs, idx = kernels.cell_winners(codes, d2)
     assert list(cs) == [0] and list(idx) == [0]
     out = kernels.sum_by_index(np.ones((4, 2)), np.array([0, 0, 1, 1]), 2)
     assert np.array_equal(out, [[2, 2], [2, 2]])
-    assert kernels.backend_name() in ("numba", "numpy")
+    assert kernels.backend_name() == "numpy"
