@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -59,7 +59,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--finest-fraction", default="1/24",
                    help="finest-level anchor fraction, e.g. 1/24")
     p.add_argument("--level-ratio", type=int, default=3,
-                   help="anchor count ratio between adjacent levels")
+                   help="anchor target ratio between adjacent levels; each level's grid "
+                        "is sized for its own target")
     p.add_argument("--reconfig-period", type=int, default=10,
                    help="rebuild the hierarchy every T frames")
     p.add_argument("--quantization", choices=[q.name for q in Quantization],
@@ -118,14 +119,8 @@ def cmd_encode(args) -> int:
         output_path=Path(args.output),
         metrics_path=Path(args.metrics) if args.metrics else None,
         config=_config_from_args(args),
-        fit=FitConfig(
-            steps_phase1=args.phase1_steps,
-            learning_rate=args.learning_rate,
-            momentum=args.momentum,
-            steps_phase2=args.phase2_steps,
-            densify_threshold=args.densify_threshold,
-            coarse_to_fine=args.coarse_to_fine,
-        ),
+        fit=FitConfig(learning_rate=args.learning_rate, momentum=args.momentum,
+                      coarse_to_fine=args.coarse_to_fine),
         budget=args.budget,
         seed=args.seed,
         frames=args.frames,
@@ -135,8 +130,8 @@ def cmd_encode(args) -> int:
     manifest.output_path.write_bytes(result.stream)
     if manifest.metrics_path is not None:
         _write_metrics(manifest.metrics_path, result.metrics, manifest.config.levels)
-    if result.planned_counts is not None:
-        print(f"planned anchor counts (coarse->fine): {result.planned_counts}")
+    if result.planned_caps is not None:
+        print(f"planned per-level anchor caps (coarse->fine): {result.planned_caps}")
     print(result.report.decomposition())
     print(f"stream: {manifest.output_path} ({len(result.stream)} bytes)")
     print(f"final checksum: {result.metrics[-1].checksum}")
@@ -165,28 +160,20 @@ def cmd_decode(args) -> int:
 def cmd_bench(args) -> int:
     spec = load_scene_spec(Path(args.spec))
     scene = generate_scene(spec)
-    budgets = [int(b) for b in args.budgets.split(",")] if args.budgets else [None]
+    budgets = sorted(int(b) for b in args.budgets.split(",")) if args.budgets else [None]
     level_list = [int(v) for v in args.levels_sweep.split(",")] if args.levels_sweep else [args.levels]
     rows = []
     failures = []
+    fit = FitConfig(learning_rate=args.learning_rate, momentum=args.momentum)
     for levels in level_list:
-        for budget in sorted(b for b in budgets if b is not None) or [None]:
-            cfg_args = argparse.Namespace(**vars(args))
-            cfg_args.levels = levels
-            config = _config_from_args(cfg_args)
-            fit = FitConfig(
-                steps_phase1=args.phase1_steps,
-                learning_rate=args.learning_rate,
-                momentum=args.momentum,
-                steps_phase2=args.phase2_steps,
-                densify_threshold=args.densify_threshold,
-            )
+        config = replace(_config_from_args(args), levels=levels)
+        for budget in budgets:
             source = SyntheticSource(scene)
             try:
                 result = encode_session(source.base_gaussians(), source, config, fit, budget)
             except (BudgetError, NumericalError) as exc:
                 failures.append((levels, budget, str(exc)))
-                break
+                continue
             mean_bytes = result.report.mean_bytes
             mean_err = float(np.mean([m.mean_error for m in result.metrics]))
             rows.append((levels, budget if budget is not None else 0, mean_bytes, mean_err))
@@ -202,7 +189,7 @@ def cmd_bench(args) -> int:
     if failures:
         for levels, budget, msg in failures:
             print(f"FAILED levels={levels} budget={budget}: {msg}", file=sys.stderr)
-        print("sweep aborted; partial results above", file=sys.stderr)
+        print("failed sweep points have no row above", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 
@@ -252,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--input", required=True, help="scene spec (.json) or gaussian PLY")
     enc.add_argument("--output", required=True, help="output .rcgs stream path")
     enc.add_argument("--metrics", help="per-frame metrics CSV path")
-    enc.add_argument("--budget", type=int, help="bytes/frame budget for anchor planning")
+    enc.add_argument("--budget", type=int,
+                     help="bytes/frame cap on anchor deltas plus frame overhead; plans "
+                          "per-level anchor caps that hold at every frame (clones extra)")
     enc.add_argument("--seed", type=int, help="override the scene spec seed")
     enc.add_argument("--frames", type=int, default=10,
                      help="frame count for PLY (static) inputs")

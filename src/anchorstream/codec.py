@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, StreamFormatError
-from .hierarchy import AnchorHierarchy
+from .hierarchy import AnchorHierarchy, level_caps
 from .motion import AnchorDeltaSet, FrameDeformation
 from .types import GaussianSet, Quantization, StreamConfig
 
@@ -262,6 +262,8 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
         _need(buf, offset, nbytes)
         block = np.frombuffer(buf, "<f4", added_count * _RECORD_FLOATS, offset)
         block = block.reshape(added_count, _RECORD_FLOATS).astype(np.float32)
+        if not np.isfinite(block).all():
+            raise StreamFormatError(f"frame {frame_index}: added gaussian records must be finite")
         added = GaussianSet(block[:, 0:3], block[:, 3:6], block[:, 6:10], block[:, 10], block[:, 11:23])
         offset += nbytes
     else:
@@ -326,21 +328,18 @@ def frame_payload_bytes(levels: int, quantization: Quantization, counts,
     )
 
 
-def _counts_for_finest(finest: int, levels: int, ratio: int) -> tuple[int, ...]:
-    counts = [max(1, finest)]
-    for _ in range(levels - 1):
-        counts.append(max(1, math.ceil(Fraction(counts[-1], ratio))))
-    return tuple(reversed(counts))
-
-
 def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
-                overhead: int | None = None) -> tuple[int, ...]:
-    """Largest per-level anchor counts whose deformation payload fits a budget.
+                overhead: int | None = None) -> int:
+    """Largest finest-level anchor target whose deformation payload fits a budget.
 
-    Returns counts coarsest-first. The finest count is capped at
-    ceil(n_gaussians * finest_fraction); coarser levels divide by level_ratio,
-    rounded up, never below one anchor. The returned counts satisfy the byte
-    bound exactly; an infeasible budget raises with the minimum feasible one.
+    Each candidate is priced at the anchor caps the hierarchy can fill with
+    it (:func:`hierarchy.level_caps`), not at its nominal targets, so the
+    budget holds at every frame of a session whose rebuilds all use the
+    returned target, however many gaussians densification appends. The
+    target is capped at ceil(n_gaussians * finest_fraction). ``overhead``
+    defaults to the fixed per-frame bytes, plus the fixed16 block ranges;
+    an infeasible budget raises with the minimum feasible one, the cost at a
+    finest target of one anchor.
     """
     if overhead is None:
         overhead = frame_overhead_bytes(config.levels)
@@ -349,8 +348,7 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
     w = VALUE_BYTES[config.quantization]
 
     def cost(finest: int) -> int:
-        counts = _counts_for_finest(finest, config.levels, config.level_ratio)
-        return sum(counts) * _VALUES_PER_ANCHOR * w + overhead
+        return sum(level_caps(n_gaussians, config, finest)) * _VALUES_PER_ANCHOR * w + overhead
 
     minimum = cost(1)
     if bytes_per_frame < minimum:
@@ -358,15 +356,14 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
             f"budget {bytes_per_frame} B/frame below minimum feasible {minimum} B/frame",
             minimum_bytes=minimum,
         )
-    cap = max(1, math.ceil(n_gaussians * config.finest_fraction))
-    lo, hi = 1, cap
-    while lo < hi:  # cost is monotone in the finest count
+    lo, hi = 1, max(1, math.ceil(n_gaussians * config.finest_fraction))
+    while lo < hi:  # cost is monotone in the finest target
         mid = (lo + hi + 1) // 2
         if cost(mid) <= bytes_per_frame:
             lo = mid
         else:
             hi = mid - 1
-    return _counts_for_finest(lo, config.levels, config.level_ratio)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -39,18 +39,16 @@ class FitConfig:
     diagonal of the translation Hessian. Without it, anchors with few members
     take steps proportional to their share of the mean loss and effectively
     stall, so convergence would depend on cluster size.
+
+    Step counts and the densify threshold are session settings and live on
+    :class:`~anchorstream.types.StreamConfig`.
     """
 
-    steps_phase1: int = 100
     learning_rate: float = 1e-2
     momentum: float = 0.9
-    steps_phase2: int = 100
-    densify_threshold: float = 0.05
     coarse_to_fine: bool = False
 
     def __post_init__(self):
-        if self.steps_phase1 < 0 or self.steps_phase2 < 0:
-            raise ValueError("step counts must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
@@ -232,14 +230,15 @@ def _to_deformation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> FrameDefo
 
 
 def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspondences,
-              config: FitConfig, init: FrameDeformation,
+              config: FitConfig, init: FrameDeformation, steps: int,
               mode: CompositionMode = CompositionMode.additive) -> FrameDeformation:
     """Fit all per-level deltas jointly; returns deltas with loss <= initial.
 
-    Momentum gradient descent with a monotone safeguard: a step that would
-    raise the loss restarts momentum (velocity reset) and retries as a plain
-    gradient step; if that still raises the loss, the step is skipped. The
-    state itself is never touched - only the returned deltas.
+    Momentum gradient descent over ``steps`` steps (zero returns ``init``),
+    with a monotone safeguard: a step that would raise the loss restarts
+    momentum (velocity reset) and retries as a plain gradient step; if that
+    still raises the loss, the step is skipped. The state itself is never
+    touched - only the returned deltas.
 
     With ``coarse_to_fine`` the step budget is split into equal stages, one
     per level; stage k moves only the k coarsest levels, and the finer ones
@@ -248,7 +247,7 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     counts = [lvl.anchor_count for lvl in hierarchy.levels]
     # offset of each level's block in the packed vector, plus the total
     level_ends = np.cumsum([0] + [7 * a for a in counts])
-    stage_steps = max(1, config.steps_phase1 // hierarchy.level_count)
+    stage_steps = max(1, steps // hierarchy.level_count)
 
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grads = loss_and_gradient(
@@ -262,7 +261,7 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     loss_cur = loss0
     velocity = np.zeros_like(x)
 
-    for step in range(config.steps_phase1):
+    for step in range(steps):
         eff_grad = grad * scale
         if config.coarse_to_fine:
             active = min(hierarchy.level_count, step // stage_steps + 1)

@@ -2,16 +2,20 @@
 
 Each level selects anchors by uniform-grid sampling: the scene bounds are
 split into M^3 cells and every non-empty cell contributes the point closest
-to its center. Anchors are kept in lexicographic (i, j, k) cell-key order,
-which is the canonical order the codec relies on: a decoder that rebuilds the
-hierarchy from mirrored state reproduces the exact anchor sequence, so delta
-blocks need no per-anchor indices.
+to its center. :func:`level_targets` is the one rule for how many anchors
+each level aims at: a level's grid edge M is the smallest with M^3 >= its
+target, so M^3 caps the anchors it can realize (:func:`level_caps`).
+
+Anchors are kept in lexicographic (i, j, k) cell-key order, which is the
+canonical order the codec relies on: a decoder that rebuilds the hierarchy
+from mirrored state reproduces the exact anchor sequence, so delta blocks
+need no per-anchor indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -56,21 +60,18 @@ class AnchorHierarchy:
         return tuple(lvl.anchor_count for lvl in self.levels)
 
 
-def grid_resolution(n_anchor: int, level: int) -> int:
-    """Grid edge count for a level: ceil((n_anchor * 3^(level-1))^(1/3)).
+def grid_resolution(n_anchor: int) -> int:
+    """Grid edge count for an anchor target: the smallest m with m^3 >= n_anchor.
 
     Computed with integer arithmetic so perfect cubes are exact despite
     floating-point cube roots.
     """
     if n_anchor < 1:
         raise ValueError(f"n_anchor must be >= 1, got {n_anchor}")
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    target = n_anchor * 3 ** (level - 1)
-    m = max(1, round(target ** (1.0 / 3.0)))
-    while m**3 < target:
+    m = max(1, round(n_anchor ** (1.0 / 3.0)))
+    while m**3 < n_anchor:
         m += 1
-    while m > 1 and (m - 1) ** 3 >= target:
+    while m > 1 and (m - 1) ** 3 >= n_anchor:
         m -= 1
     return m
 
@@ -108,17 +109,18 @@ def _cell_geometry(positions64: np.ndarray, m: int):
 def sample_anchors(positions, n_anchor: int, level: int = 1) -> LevelStructure:
     """Select one anchor per non-empty grid cell, nearest to the cell center.
 
-    ``n_anchor`` is the base (level-1) anchor count; the grid resolution grows
-    with ``level``. Ties on the center distance go to the lowest original
-    index; empty cells contribute nothing, so the realized anchor count is at
-    most M^3. Anchors come back sorted by lexicographic cell key.
+    ``n_anchor`` is this level's anchor target and sets the grid resolution;
+    ``level`` only labels the result. Ties on the center distance go to the
+    lowest original index; empty cells contribute nothing, so the realized
+    anchor count is at most M^3. Anchors come back sorted by lexicographic
+    cell key.
     """
     pos = _as_positions(positions)
     if pos.shape[0] == 0:
         raise ValueError("positions must be non-empty")
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
-    m = grid_resolution(n_anchor, level)
+    m = grid_resolution(n_anchor)
     pos64 = pos.astype(np.float64)
     bmin, bmax, codes, d2 = _cell_geometry(pos64, m)
     _, winners = kernels.cell_winners(codes, d2)
@@ -141,39 +143,44 @@ def assign_clusters(positions, level: LevelStructure) -> np.ndarray:
 
 
 def level_targets(n_gaussians: int, config: StreamConfig, finest_target: int | None = None) -> tuple[int, ...]:
-    """Per-level target anchor counts, coarsest first.
+    """Per-level target anchor counts, coarsest first: base * level_ratio^(l-1).
 
-    The finest level targets ceil(N * finest_fraction) (or an explicit
-    override, e.g. from the budget planner); each coarser level targets
-    1/level_ratio of the next finer one, clamped to at least one anchor.
+    The finest level aims at ceil(N * finest_fraction), or at an explicit
+    override (a session's frame-0 target, or the budget planner's pick),
+    clamped to [1, N]. The base is that count divided by level_ratio^(L-1),
+    rounded up, so the finest target is never below the requested one.
     """
     if finest_target is None:
-        finest = math.ceil(n_gaussians * config.finest_fraction)
-    else:
-        finest = finest_target
-    finest = max(1, min(finest, n_gaussians))
-    targets = [finest]
-    for _ in range(config.levels - 1):
-        targets.append(max(1, math.ceil(Fraction(targets[-1], config.level_ratio))))
-    return tuple(reversed(targets))
+        finest_target = math.ceil(n_gaussians * config.finest_fraction)
+    finest = max(1, min(finest_target, n_gaussians))
+    base = math.ceil(Fraction(finest, config.level_ratio ** (config.levels - 1)))
+    return tuple(base * config.level_ratio**l for l in range(config.levels))
+
+
+def level_caps(n_gaussians: int, config: StreamConfig,
+               finest_target: int | None = None) -> tuple[int, ...]:
+    """Most anchors each level can realize, coarsest first: one per grid cell.
+
+    Arguments are as for :func:`level_targets`. Whatever the positions, a
+    hierarchy built with the same arguments holds at most these counts.
+    """
+    return tuple(grid_resolution(t) ** 3 for t in level_targets(n_gaussians, config, finest_target))
 
 
 def build_hierarchy(gaussians, config: StreamConfig, finest_target: int | None = None,
                     built_at_frame: int = 0) -> AnchorHierarchy:
     """Build all levels over the same positions.
 
-    The coarsest target is the base anchor count; each level l uses grid
-    resolution ceil((base * 3^(l-1))^(1/3)), so finer levels roughly triple
-    the anchor density of their predecessor.
+    Level l samples a grid sized for its own target from :func:`level_targets`,
+    so the anchor density grows by level_ratio per level, up to rounding to
+    whole grid edges.
     """
     pos = _as_positions(gaussians)
     if pos.shape[0] < 1:
         raise ValueError("need at least one gaussian")
-    targets = level_targets(pos.shape[0], config, finest_target)
-    base = targets[0]
     levels = []
-    for l in range(1, config.levels + 1):
-        lvl = sample_anchors(pos, base, l)
+    for l, target in enumerate(level_targets(pos.shape[0], config, finest_target), start=1):
+        lvl = sample_anchors(pos, target, l)
         lvl.assignment = assign_clusters(pos, lvl)
         levels.append(lvl)
     return AnchorHierarchy(levels=levels, built_at_frame=built_at_frame)

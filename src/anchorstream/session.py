@@ -5,6 +5,8 @@ then advances its own state with the *dequantized* deltas - exactly what the
 decoder will apply - so both replicas stay bit-identical at any quantization
 mode. Hierarchy rebuilds happen on a fixed schedule (every ``reconfig_period``
 frames) on both sides; the decoder is told via the frame's reconfig flag.
+Every build of a session sizes its grids for the same frame-0 finest target,
+so the per-level anchor caps never move, however many gaussians are added.
 
 Densified gaussians append to the end of the flat sequence on both sides and
 are assigned to existing anchors by the same deterministic rule, so stream
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Protocol
 
@@ -25,7 +27,7 @@ from . import codec
 from .codec import FramePayload, FrameStats, StorageReport, StreamHeader
 from .errors import StreamFormatError
 from .fitting import Correspondences, FitConfig, densify_residuals, fit_frame, loss_and_gradient
-from .hierarchy import build_hierarchy, rehierarchize
+from .hierarchy import build_hierarchy, level_caps, rehierarchize
 from .kernels import l1_nearest
 from .motion import (
     AnchorDeltaSet,
@@ -106,7 +108,7 @@ class SessionResult:
     state: SceneState
     report: StorageReport
     header: StreamHeader
-    planned_counts: Optional[tuple[int, ...]] = None
+    planned_caps: Optional[tuple[int, ...]] = None
 
 
 def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
@@ -171,29 +173,34 @@ def _mean_position_error(state: SceneState, corr: Correspondences) -> float:
     return float(np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1).mean())
 
 
+def _finest_target(header: StreamHeader) -> int:
+    """The finest-level anchor target of every (re)build in a session.
+
+    Fixed at frame 0 as ceil(n0 * finest_fraction) from the header, so
+    densified clones never raise the per-level anchor caps, and encoder and
+    decoder derive the same value.
+    """
+    return math.ceil(header.gaussian_count_initial * header.finest_fraction)
+
+
 def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig,
                    fit_config: Optional[FitConfig] = None,
                    budget_bytes: Optional[int] = None) -> SessionResult:
     """Run the full encoder pipeline over all frames of a source.
 
-    With a byte budget, per-level anchor counts are planned first and the
-    effective finest fraction written to the header, so the decoder targets
-    the same counts without ever seeing the budget.
+    Step counts and the densify threshold come from ``config``;
+    ``fit_config`` holds the optimizer's remaining knobs. With a byte budget,
+    the finest anchor target is planned first and written to the header as
+    the effective finest fraction, so the decoder builds the same grids
+    without ever seeing the budget. ``planned_caps`` then holds the per-level
+    anchor caps that keep every frame within the budget.
     """
     if fit_config is None:
-        fit_config = FitConfig(
-            steps_phase1=config.phase1_steps,
-            steps_phase2=config.phase2_steps,
-            densify_threshold=config.densify_threshold,
-        )
+        fit_config = FitConfig()
     n0 = len(base)
-    planned = None
     fraction = config.finest_fraction
     if budget_bytes is not None:
-        planned = codec.plan_budget(n0, budget_bytes, config)
-        fraction = Fraction(planned[-1], n0)
-        if fraction > 1:
-            fraction = Fraction(1, 1)
+        fraction = Fraction(codec.plan_budget(n0, budget_bytes, config), n0)
     header = StreamHeader(
         levels=config.levels,
         quantization=config.quantization,
@@ -202,19 +209,11 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         finest_den=fraction.denominator,
         gaussian_count_initial=n0,
     )
-    eff_config = StreamConfig(
-        levels=config.levels,
-        finest_fraction=fraction,
-        level_ratio=config.level_ratio,
-        reconfig_period=config.reconfig_period,
-        quantization=config.quantization,
-        phase1_steps=config.phase1_steps,
-        phase2_steps=config.phase2_steps,
-        densify_threshold=config.densify_threshold,
-        composition_mode=config.composition_mode,
-    )
+    eff_config = replace(config, finest_fraction=fraction)
+    finest_target = _finest_target(header)
+    planned = None if budget_bytes is None else level_caps(n0, eff_config, finest_target)
 
-    state = SceneState(base.copy(), build_hierarchy(base, eff_config), 0)
+    state = SceneState(base.copy(), build_hierarchy(base, eff_config, finest_target), 0)
     chunks = [header.pack()]
     metrics: list[FrameMetrics] = []
     stats: list[FrameStats] = []
@@ -223,7 +222,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     for t in range(1, source.frame_count):
         reconfig = t % eff_config.reconfig_period == 0
         if reconfig:
-            new_hier, neighbor_maps = rehierarchize(state, eff_config)
+            new_hier, neighbor_maps = rehierarchize(state, eff_config, finest_target)
             if prev_deltas is not None:
                 init = FrameDeformation(
                     [
@@ -239,11 +238,11 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
 
         corr = source.correspondences(t)
         fitted = fit_frame(state.gaussians, state.hierarchy, corr, fit_config, init,
-                           eff_config.composition_mode)
-        if fit_config.steps_phase2 > 0:
+                           eff_config.phase1_steps, eff_config.composition_mode)
+        if eff_config.phase2_steps > 0:
             added, pruned_idx = densify_residuals(
                 state.gaussians, state.hierarchy, fitted, corr,
-                fit_config.densify_threshold, eff_config.composition_mode,
+                eff_config.densify_threshold, eff_config.composition_mode,
             )
         else:
             added, pruned_idx = GaussianSet.empty(), np.empty(0, np.int64)
@@ -301,15 +300,18 @@ def _start_decode(base: GaussianSet, stream: bytes, level_ratio: int,
         quantization=header.quantization,
         composition_mode=composition_mode,
     )
-    return header, config, SceneState(base.copy(), build_hierarchy(base, config), 0)
+    state = SceneState(base.copy(), build_hierarchy(base, config, _finest_target(header)), 0)
+    return header, config, state
 
 
 def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
-                   state: SceneState) -> Iterator[tuple[FramePayload, SceneState]]:
-    """The decode loop: advance ``state`` frame by frame, yielding each."""
+                   state: SceneState) -> Iterator[tuple[FramePayload, SceneState, int]]:
+    """The decode loop: advance ``state`` frame by frame, yielding each with its byte span."""
+    finest_target = _finest_target(header)
     offset = codec.HEADER_BYTES
     expected = 1
     while offset < len(stream):
+        start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
         if payload.frame_index != expected:
             raise StreamFormatError(
@@ -318,11 +320,11 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
         if payload.reconfig:
             # the encoder's rehierarchize builds exactly this; its legacy-anchor
             # maps only seed the encoder's fit
-            state.hierarchy = build_hierarchy(state.gaussians, config,
+            state.hierarchy = build_hierarchy(state.gaussians, config, finest_target,
                                               built_at_frame=state.frame_index)
         codec.verify_counts(payload, state.hierarchy)
         state = _advance_state(state, payload.deltas, config, payload.frame_index)
-        yield payload, state
+        yield payload, state, offset - start
         expected += 1
 
 
@@ -335,7 +337,8 @@ def iter_decode(base: GaussianSet, stream: bytes, level_ratio: int = 3,
     outlive an iteration. Arguments are as for :func:`decode_session`.
     """
     header, config, state = _start_decode(base, stream, level_ratio, composition_mode)
-    yield from _decode_frames(stream, header, config, state)
+    for payload, state, _ in _decode_frames(stream, header, config, state):
+        yield payload, state
 
 
 def decode_session(base: GaussianSet, stream: bytes,
@@ -351,9 +354,9 @@ def decode_session(base: GaussianSet, stream: bytes,
     """
     header, config, state = _start_decode(base, stream, level_ratio, composition_mode)
     metrics: list[FrameMetrics] = []
-    for payload, state in _decode_frames(stream, header, config, state):
+    for payload, state, nbytes in _decode_frames(stream, header, config, state):
         metrics.append(
-            FrameMetrics(payload.frame_index, math.nan, math.nan, 0,
+            FrameMetrics(payload.frame_index, math.nan, math.nan, nbytes,
                          state.hierarchy.anchor_counts(), payload.reconfig,
                          state_checksum(state))
         )

@@ -20,10 +20,10 @@ def cube_root_ceil(target: int) -> int:
     return m
 
 
-def brute_force_sample_anchors(positions: np.ndarray, n_anchor: int, level: int) -> np.ndarray:
+def brute_force_sample_anchors(positions: np.ndarray, n_anchor: int) -> np.ndarray:
     """Per-cell argmin by explicit binning with a dictionary of cells."""
     pos = np.asarray(positions, np.float64)
-    m = cube_root_ceil(n_anchor * 3 ** (level - 1))
+    m = cube_root_ceil(n_anchor)
     bmin = pos.min(axis=0)
     bmax = pos.max(axis=0)
     delta = bmax - bmin

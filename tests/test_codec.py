@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,9 @@ from anchorstream.codec import (
     frame_payload_bytes,
     verify_counts,
 )
+from anchorstream.hierarchy import level_caps
+
+from oracles import cube_root_ceil
 
 
 def small_hierarchy(rng, n=40, levels=1, anchors=4):
@@ -213,6 +218,20 @@ def test_unsorted_pruned_indices_are_a_stream_error(rng):
         decode_frame(swapped, 0, header)
 
 
+def test_nonfinite_added_record_is_a_stream_error(rng):
+    pos, h = small_hierarchy(rng, anchors=6)
+    header = StreamHeader(1, Quantization.full32, 10, 1, 10, 40)
+    payload = bytearray(encode_frame(4, random_deformation(h, rng, added=1), h,
+                                     Quantization.full32))
+    # the record's position x follows the frame index, the counts, the delta
+    # blocks and the added count
+    first_record = 8 + 4 * header.levels + delta_block_bytes(h.anchor_counts(),
+                                                             Quantization.full32) + 4
+    payload[first_record:first_record + 4] = np.float32(np.inf).tobytes()
+    with pytest.raises(StreamFormatError, match="frame 4: added gaussian records must be finite"):
+        decode_frame(bytes(payload), 0, header)
+
+
 def test_count_mismatch_names_level(rng):
     pos, h = small_hierarchy(rng, n=100, levels=2, anchors=9)
     header = StreamHeader(2, Quantization.full32, 10, 1, 10, 100)
@@ -256,57 +275,75 @@ def test_nonfinite_delta_rejected(rng):
 
 def test_plan_budget_cap_binds():
     cfg = StreamConfig(levels=3, quantization=Quantization.half16)
-    counts = plan_budget(216, 10_000_000, cfg)
-    assert counts == (1, 3, 9)
+    assert plan_budget(216, 10_000_000, cfg) == 9  # ceil(216 / 24)
 
 
 def test_plan_budget_worked_example():
+    # finest 9 at ratio 3 targets (1, 3, 9): grids 1, 2 and 3 cells a side, so
+    # up to 1 + 8 + 27 = 36 anchors of 7 half16 values each
     cfg = StreamConfig(levels=3, level_ratio=3, quantization=Quantization.half16)
-    counts = plan_budget(100_000, 246, cfg, overhead=64)
-    assert counts == (1, 3, 9)
-    assert sum(counts) * 7 * 2 + 64 == 246
+    assert level_caps(100_000, cfg, 9) == (1, 8, 27)
+    assert plan_budget(100_000, 36 * 7 * 2 + 64, cfg, overhead=64) == 9
+    # finest 10 needs base 2, targets (2, 6, 18) and caps (8, 8, 27); base 2
+    # serves every finest count up to 18
+    assert level_caps(100_000, cfg, 10) == (8, 8, 27)
+    assert plan_budget(100_000, 43 * 7 * 2 + 64 - 1, cfg, overhead=64) == 9
+    assert plan_budget(100_000, 43 * 7 * 2 + 64, cfg, overhead=64) == 18
 
 
 def test_plan_budget_infeasible():
     cfg = StreamConfig(levels=3, quantization=Quantization.half16)
     with pytest.raises(BudgetError) as exc_info:
         plan_budget(1000, 64, cfg, overhead=64)
-    assert exc_info.value.minimum_bytes == 3 * 7 * 2 + 64
+    assert exc_info.value.minimum_bytes == 36 * 7 * 2 + 64
+    # default overhead: the 29 fixed frame bytes on top of caps (1, 8, 27)
+    with pytest.raises(BudgetError) as exc_info:
+        plan_budget(1000, 532, cfg)
+    assert exc_info.value.minimum_bytes == 533 == 36 * 7 * 2 + frame_overhead_bytes(3)
+    assert plan_budget(1000, 533, cfg) == 9
 
 
 def test_plan_budget_exact_bound_and_monotone():
     cfg = StreamConfig(levels=3, quantization=Quantization.half16)
     w = 2
     overhead = 64
+    cap = math.ceil(100_000 * cfg.finest_fraction)
+
+    def cost(finest):
+        return sum(level_caps(100_000, cfg, finest)) * 7 * w + overhead
+
     prev = None
-    for budget in range(150, 4000, 385):
+    for budget in range(150, 40_000, 1385):
         try:
-            counts = plan_budget(100_000, budget, cfg, overhead=overhead)
+            finest = plan_budget(100_000, budget, cfg, overhead=overhead)
         except BudgetError:
             continue
-        assert sum(counts) * 7 * w + overhead <= budget
+        assert cost(finest) <= budget
         # maximality: bumping the finest count must break the bound or the cap
-        bumped = counts[-1] + 1
-        from anchorstream.codec import _counts_for_finest
-        bigger = _counts_for_finest(bumped, cfg.levels, cfg.level_ratio)
-        assert sum(bigger) * 7 * w + overhead > budget or bumped > 100_000 / 24 + 1
+        assert cost(finest + 1) > budget or finest + 1 > cap
         if prev is not None:
-            assert counts >= prev
-        prev = counts
+            assert finest >= prev
+        prev = finest
+    assert prev is not None
 
 
 def test_plan_budget_minimum_verified_brute_force():
     cfg = StreamConfig(levels=2, level_ratio=3, quantization=Quantization.full32)
     overhead = frame_overhead_bytes(2)
-    # brute force the smallest feasible budget over finest counts
-    def cost(finest):
-        from anchorstream.codec import _counts_for_finest
-        return sum(_counts_for_finest(finest, 2, 3)) * 7 * 4 + overhead
+
+    def cost(finest):  # targets (base, 3 * base); each fills up to m^3 cells
+        base = -(-finest // 3)
+        return sum(cube_root_ceil(t) ** 3 for t in (base, 3 * base)) * 7 * 4 + overhead
+
     brute_min = min(cost(f) for f in range(1, 50))
     with pytest.raises(BudgetError) as exc_info:
         plan_budget(1000, brute_min - 1, cfg)
     assert exc_info.value.minimum_bytes == brute_min
-    assert plan_budget(1000, brute_min, cfg) == (1, 1)
+    assert plan_budget(1000, brute_min, cfg) == 3  # base 1 serves finest 1..3
+    for budget in range(brute_min, 20_000, 997):
+        finest = plan_budget(1000, budget, cfg)
+        assert cost(finest) <= budget
+        assert budget < cost(finest + 1) or finest == 42  # ceil(1000 / 24)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_loss_rejects_empty_correspondences():
 def test_fit_already_optimal_stays_near_zero():
     g, h, _, _ = make_problem()
     corr = Correspondences(np.arange(len(g)), g.positions.copy())
-    out = fit_frame(g, h, corr, FitConfig(steps_phase1=20), FrameDeformation.zeros(h))
+    out = fit_frame(g, h, corr, FitConfig(), FrameDeformation.zeros(h), 20)
     loss, _ = loss_and_gradient(g, h, out, corr)
     assert loss < 1e-12
 
@@ -134,7 +134,7 @@ def test_fit_recovers_global_translation():
     h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=1)
     assert h.anchor_counts() == (1,)
     corr = Correspondences(np.arange(150), pos + np.float32([0.1, 0, 0]))
-    out = fit_frame(g, h, corr, FitConfig(steps_phase1=100), FrameDeformation.zeros(h))
+    out = fit_frame(g, h, corr, FitConfig(), FrameDeformation.zeros(h), 100)
     fitted = out.per_level[0].translations[0].astype(np.float64)
     assert np.abs(fitted - [0.1, 0, 0]).max() < 1e-4
 
@@ -148,14 +148,11 @@ def test_fit_loss_monotone_and_never_touches_state():
     corr = Correspondences(np.arange(scene.point_count), scene.targets[1].astype(np.float32))
 
     losses = []
-    cfg = FitConfig(steps_phase1=40, learning_rate=1e-2)
-    deltas = FrameDeformation.zeros(h)
-    current = deltas
+    cfg = FitConfig(learning_rate=1e-2)
+    current = FrameDeformation.zeros(h)
     # re-run the optimizer one step at a time to observe the loss sequence
     for _ in range(40):
-        step_cfg = FitConfig(steps_phase1=1, learning_rate=cfg.learning_rate,
-                             momentum=cfg.momentum)
-        current = fit_frame(g, h, corr, step_cfg, current)
+        current = fit_frame(g, h, corr, cfg, current, 1)
         losses.append(loss_and_gradient(g, h, current, corr)[0])
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
@@ -167,7 +164,7 @@ def test_fit_returns_loss_not_above_initial(rng):
     g, h, corr, rng = make_problem(seed=9)
     init = random_deltas(h, rng, scale=0.2)
     loss0, _ = loss_and_gradient(g, h, init, corr)
-    out = fit_frame(g, h, corr, FitConfig(steps_phase1=30), init)
+    out = fit_frame(g, h, corr, FitConfig(), init, 30)
     loss1, _ = loss_and_gradient(g, h, out, corr)
     assert loss1 <= loss0
 
@@ -179,8 +176,7 @@ def test_fit_two_body_scene_under_error_bound():
     h = build_hierarchy(g, StreamConfig(levels=3))
     idx = np.arange(scene.point_count)
     corr = Correspondences(idx, scene.targets[1].astype(np.float32))
-    out = fit_frame(g, h, corr, FitConfig(steps_phase1=100, learning_rate=0.1),
-                    FrameDeformation.zeros(h))
+    out = fit_frame(g, h, corr, FitConfig(learning_rate=0.1), FrameDeformation.zeros(h), 100)
     pos = deformed_positions(g, h, out, idx)
     err = np.linalg.norm(pos - scene.targets[1], axis=1).mean()
     assert err < 1e-3 * scene.diameter()
@@ -194,16 +190,15 @@ def test_fit_depth_monotone_loss():
     losses = {}
     for levels in (2, 3):
         h = build_hierarchy(g, StreamConfig(levels=levels))
-        out = fit_frame(g, h, corr, FitConfig(steps_phase1=200, learning_rate=0.3),
-                        FrameDeformation.zeros(h))
+        out = fit_frame(g, h, corr, FitConfig(learning_rate=0.3), FrameDeformation.zeros(h),
+                        200)
         losses[levels], _ = loss_and_gradient(g, h, out, corr)
     assert losses[3] <= losses[2] + 1e-9
 
 
 def test_fit_coarse_to_fine_runs():
     g, h, corr, rng = make_problem(seed=5)
-    out = fit_frame(g, h, corr, FitConfig(steps_phase1=30, coarse_to_fine=True),
-                    FrameDeformation.zeros(h))
+    out = fit_frame(g, h, corr, FitConfig(coarse_to_fine=True), FrameDeformation.zeros(h), 30)
     loss, _ = loss_and_gradient(g, h, out, corr)
     loss0, _ = loss_and_gradient(g, h, FrameDeformation.zeros(h), corr)
     assert loss < loss0
@@ -216,8 +211,7 @@ def test_fit_coarse_to_fine_holds_locked_levels_at_init(mode):
     # three levels with fewer steps than levels: one step per stage, so after
     # s steps exactly the s coarsest levels have been unlocked
     for steps in (1, 2):
-        out = fit_frame(g, h, corr, FitConfig(steps_phase1=steps, coarse_to_fine=True),
-                        init, mode)
+        out = fit_frame(g, h, corr, FitConfig(coarse_to_fine=True), init, steps, mode)
         assert not np.array_equal(out.per_level[0].translations, init.per_level[0].translations)
         for got, want in zip(out.per_level[steps:], init.per_level[steps:]):
             assert np.array_equal(got.translations, want.translations)

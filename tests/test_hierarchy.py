@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from anchorstream import (
     rehierarchize,
     sample_anchors,
 )
-from anchorstream.hierarchy import level_targets, nearest_legacy_anchors
+from anchorstream.hierarchy import level_caps, level_targets, nearest_legacy_anchors
 
 from oracles import brute_force_sample_anchors, exhaustive_knn3, exhaustive_l1_assign
 
@@ -22,38 +24,42 @@ from oracles import brute_force_sample_anchors, exhaustive_knn3, exhaustive_l1_a
 
 
 def test_grid_resolution_perfect_cube():
-    assert grid_resolution(1000, 1) == 10
+    assert grid_resolution(1000) == 10
 
 
 def test_grid_resolution_degenerate():
-    assert grid_resolution(1, 1) == 1
+    assert grid_resolution(1) == 1
 
 
 def test_grid_resolution_level_scaling():
-    # smallest m with m^3 >= 3000: 14^3 = 2744 < 3000 <= 15^3 = 3375
-    assert grid_resolution(1000, 2) == 15
+    # base 1000 at ratio 3: level 2 targets 3000, and the smallest m with
+    # m^3 >= 3000 is 15 (14^3 = 2744 < 3000 <= 15^3 = 3375)
+    targets = level_targets(3000, StreamConfig(levels=2, finest_fraction=1))
+    assert targets == (1000, 3000)
+    assert [grid_resolution(t) for t in targets] == [10, 15]
 
 
 def test_grid_resolution_rejects_bad_input():
     with pytest.raises(ValueError):
-        grid_resolution(0, 1)
+        grid_resolution(0)
     with pytest.raises(ValueError):
-        grid_resolution(10, 0)
+        grid_resolution(-5)
 
 
 def test_grid_resolution_monotone():
     prev = 0
     for n in range(1, 200):
-        m = grid_resolution(n, 1)
+        m = grid_resolution(n)
         assert m >= prev
         prev = m
-    for level in range(1, 5):
-        assert grid_resolution(50, level + 1) >= grid_resolution(50, level)
+    targets = level_targets(5000, StreamConfig(levels=4))
+    edges = [grid_resolution(t) for t in targets]
+    assert edges == sorted(edges)
 
 
 def test_grid_resolution_exact_cubes_all_levels():
     for m in range(1, 20):
-        assert grid_resolution(m**3, 1) == m
+        assert grid_resolution(m**3) == m
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +84,7 @@ def test_single_point_many_cells():
 def test_sample_anchors_matches_brute_force(rng):
     pos = rng.random((5000, 3), dtype=np.float32)
     lvl = sample_anchors(pos, 64, 1)
-    oracle = brute_force_sample_anchors(pos, 64, 1)
+    oracle = brute_force_sample_anchors(pos, 64)
     assert np.array_equal(lvl.anchor_indices, oracle)
 
 
@@ -86,7 +92,7 @@ def test_sample_anchors_degenerate_axis(rng):
     pos = rng.random((300, 3), dtype=np.float32)
     pos[:, 2] = 0.5  # coplanar: z axis collapses to one cell
     lvl = sample_anchors(pos, 27, 1)
-    oracle = brute_force_sample_anchors(pos, 27, 1)
+    oracle = brute_force_sample_anchors(pos, 27)
     assert np.array_equal(lvl.anchor_indices, oracle)
 
 
@@ -156,13 +162,28 @@ def test_level_targets_defaults_216():
 
 
 def test_level_targets_single_gaussian():
+    # targets size grids, so they may exceed N; the build still realizes (1, 1, 1)
     cfg = StreamConfig()
-    assert level_targets(1, cfg) == (1, 1, 1)
+    assert level_targets(1, cfg) == (1, 3, 9)
 
 
 def test_level_targets_clamp_small():
+    # the finest request clamps to one anchor, and the base to one
     cfg = StreamConfig()
-    assert level_targets(24, cfg) == (1, 1, 1)
+    assert level_targets(24, cfg) == (1, 3, 9)
+    assert level_caps(24, cfg) == (1, 8, 27)
+
+
+@pytest.mark.parametrize("ratio", [1, 2, 3, 4])
+def test_level_ratio_governs_every_level(rng, ratio):
+    pos = rng.random((3000, 3), dtype=np.float32)
+    cfg = StreamConfig(level_ratio=ratio, finest_fraction=Fraction(1, 10))
+    targets = level_targets(3000, cfg)
+    assert targets[-1] >= 300 > targets[-1] - ratio**2  # base rounds up
+    assert all(fine == coarse * ratio for coarse, fine in zip(targets, targets[1:]))
+    h = build_hierarchy(pos, cfg)
+    assert [lvl.grid_resolution for lvl in h.levels] == [grid_resolution(t) for t in targets]
+    assert all(c <= cap for c, cap in zip(h.anchor_counts(), level_caps(3000, cfg)))
 
 
 def test_build_hierarchy_level_structure(rng):
@@ -172,7 +193,7 @@ def test_build_hierarchy_level_structure(rng):
     assert h.level_count == 3
     for l, lvl in enumerate(h.levels, start=1):
         assert lvl.level == l
-        assert lvl.grid_resolution == grid_resolution(1, l)
+        assert lvl.grid_resolution == grid_resolution(level_targets(216, cfg)[l - 1])
         assert 1 <= lvl.anchor_count <= lvl.grid_resolution**3
         assert lvl.assignment.shape == (216,)
         # canonical order: anchors sorted by cell key means sorted unique codes

@@ -5,7 +5,6 @@ reaches the encoder's state checksum at every frame.
 """
 
 import json
-import math
 from dataclasses import asdict
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 from anchorstream import (
     CompositionMode,
+    FitConfig,
     GaussianSet,
     Quantization,
     StreamConfig,
@@ -67,10 +67,48 @@ def test_decoder_mirrors_encoder_on_budget_path():
     base, source = session_inputs(small_arm())
     config = StreamConfig(reconfig_period=3, phase1_steps=20,
                           composition_mode=CompositionMode.pivot)
-    enc = encode_session(base, source, config, budget_bytes=200)
-    assert enc.planned_counts[-1] < math.ceil(len(base) * config.finest_fraction)  # it binds
+    enc = encode_session(base, source, config, budget_bytes=600)
+    # it binds: finest 9 of a possible 13, whose caps (8, 8, 27) cost 631 B
+    assert enc.header.finest_fraction * len(base) == 9
+    assert enc.planned_caps == (1, 8, 27)
     dec = decode_session(base, enc.stream, config.level_ratio, config.composition_mode)
     assert_mirrored(enc, dec)
+
+
+@pytest.mark.parametrize("budget", [600, 1200])
+@pytest.mark.parametrize("ratio", [2, 3, 4])
+def test_budget_holds_at_every_frame_while_densification_grows_n(ratio, budget):
+    base, source = session_inputs(small_arm(point_scale=0.5))
+    config = StreamConfig(level_ratio=ratio, reconfig_period=3, phase1_steps=20,
+                          densify_threshold=0.01)
+    enc = encode_session(base, source, config, budget_bytes=budget)
+    assert sum(m.reconfig for m in enc.metrics) >= 2
+    assert len(enc.state.gaussians) > 1.3 * len(base)
+    overhead = codec.frame_overhead_bytes(config.levels)
+    for m in enc.metrics:
+        cost = codec.delta_block_bytes(m.anchor_counts, config.quantization) + overhead
+        assert cost <= budget, (m.frame_index, m.anchor_counts)
+        assert all(c <= cap for c, cap in zip(m.anchor_counts, enc.planned_caps))
+    dec = decode_session(base, enc.stream, ratio, config.composition_mode)
+    assert_mirrored(enc, dec)
+
+
+def test_decoder_reports_the_encoders_payload_bytes():
+    base, source = session_inputs(small_arm(point_scale=0.5))
+    config = StreamConfig(reconfig_period=3, phase1_steps=20, densify_threshold=0.01)
+    enc = encode_session(base, source, config)
+    dec = decode_session(base, enc.stream)
+    assert [m.payload_bytes for m in dec.metrics] == [m.payload_bytes for m in enc.metrics]
+    assert sum(m.payload_bytes for m in dec.metrics) == len(enc.stream) - codec.HEADER_BYTES
+
+
+def test_step_counts_come_from_the_stream_config():
+    base, source = session_inputs(small_arm(frames=4))
+    config = StreamConfig(reconfig_period=2, phase1_steps=0)
+    enc = encode_session(base, source, config, FitConfig(learning_rate=0.05))
+    for payload, _ in iter_decode(base, enc.stream):
+        for block in payload.deltas.per_level:  # no fit step moved the zero init
+            assert not block.translations.any() and not block.rotations.any()
 
 
 def test_header_only_stream_decodes_to_frame_zero():
@@ -131,6 +169,36 @@ def test_cli_rejects_a_header_only_stream(tmp_path, capsys):
     stream_path.write_bytes(enc.stream[:codec.HEADER_BYTES])
     assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path)]) == 1
     assert "no frames" in capsys.readouterr().err
+
+
+def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    spec = small_arm(point_scale=0.5)
+    write_spec(spec_path, spec)
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--reconfig-period", "3", "--phase1-steps", "20",
+                 "--densify-threshold", "0.01"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--stream", str(stream_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]  # two header lines, then column names
+    byte_column = [int(row.split()[1]) for row in rows]
+    stream = stream_path.read_bytes()
+    assert sum(byte_column) == len(stream) - codec.HEADER_BYTES
+    dec = decode_session(session_inputs(spec)[0], stream)
+    assert byte_column == [m.payload_bytes for m in dec.metrics]
+    assert len(set(byte_column)) > 1  # clone frames differ in size
+
+
+def test_cli_bench_reports_an_infeasible_budget_and_keeps_the_feasible_one(tmp_path, capsys):
+    spec_path = tmp_path / "arm.json"
+    write_spec(spec_path, small_arm(frames=3))
+    code = main(["bench", "--spec", str(spec_path), "--budgets", "600,532",
+                 "--phase1-steps", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "FAILED levels=3 budget=532" in err and "minimum feasible 533" in err
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["3", "600"]]
 
 
 def test_ply_round_trip(rng):
