@@ -332,14 +332,18 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
                 overhead: int | None = None) -> int:
     """Largest finest-level anchor target whose deformation payload fits a budget.
 
-    Each candidate is priced at the anchor caps the hierarchy can fill with
-    it (:func:`hierarchy.level_caps`), not at its nominal targets, so the
-    budget holds at every frame of a session whose rebuilds all use the
-    returned target, however many gaussians densification appends. The
-    target is capped at ceil(n_gaussians * finest_fraction). ``overhead``
-    defaults to the fixed per-frame bytes, plus the fixed16 block ranges;
-    an infeasible budget raises with the minimum feasible one, the cost at a
-    finest target of one anchor.
+    The budget covers anchor deltas plus frame overhead only. Each candidate
+    is priced at the anchor caps the hierarchy can fill with it
+    (:func:`hierarchy.level_caps`), not at its nominal targets, so deltas
+    plus overhead stay within the budget at every frame of a session whose
+    rebuilds all use the returned target, however many gaussians
+    densification appends. The densified records themselves (23 float32
+    values, 92 B each) are outside the budget, so a frame that densifies can
+    exceed it, and a tighter budget means coarser anchors, larger residuals
+    and often more such records. The target is capped at ceil(n_gaussians *
+    finest_fraction). ``overhead`` defaults to the fixed per-frame bytes,
+    plus the fixed16 block ranges; an infeasible budget raises with the
+    minimum feasible one, the cost at a finest target of one anchor.
     """
     if overhead is None:
         overhead = frame_overhead_bytes(config.levels)

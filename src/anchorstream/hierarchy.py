@@ -191,23 +191,31 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
 
     Euclidean metric, ties broken by the lower ordinal. When fewer than three
     legacy anchors exist, all are recorded and the nearest repeats to fill the
-    triple.
+    triple. Squared distances are taken in chunks of new anchors; every legacy
+    anchor within a row's k-th smallest distance (k = min(3, A_legacy)) is a
+    candidate, and one (row, d2, ordinal) sort of the candidates settles the
+    picks.
     """
     new64 = np.asarray(new_positions, np.float64)
     leg64 = np.asarray(legacy_positions, np.float64)
     a_new, a_leg = new64.shape[0], leg64.shape[0]
     if a_leg == 0:
         raise ValueError("legacy level has no anchors")
+    k = min(3, a_leg)
     out = np.empty((a_new, 3), dtype=np.int64)
-    ordinals = np.arange(a_leg)
-    for i in range(a_new):
-        diff = leg64 - new64[i]
-        d2 = (diff * diff).sum(axis=1)
-        order = np.lexsort((ordinals, d2))
-        picks = list(order[: min(3, a_leg)])
-        while len(picks) < 3:
-            picks.append(picks[0])
-        out[i] = picks
+    # chunk so each (chunk, A_legacy, 3) temporary stays near 2 MB
+    chunk = max(1, int(250_000 / (a_leg * 3)))
+    for start in range(0, a_new, chunk):
+        stop = min(a_new, start + chunk)
+        diff = leg64[None, :, :] - new64[start:stop, None, :]
+        d2 = (diff * diff).sum(axis=2)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(d2 <= kth[:, None])  # rows ascending, at least k each
+        order = np.lexsort((cols, d2[rows, cols], rows))
+        first = np.searchsorted(rows, np.arange(stop - start))
+        picks = cols[order[first[:, None] + np.arange(k)]]
+        out[start:stop, :k] = picks
+        out[start:stop, k:] = picks[:, :1]
     return out
 
 

@@ -193,7 +193,9 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     the finest anchor target is planned first and written to the header as
     the effective finest fraction, so the decoder builds the same grids
     without ever seeing the budget. ``planned_caps`` then holds the per-level
-    anchor caps that keep every frame within the budget.
+    anchor caps that keep every frame's anchor deltas plus overhead within
+    the budget. Densified records (92 B each) come on top of it: see
+    :func:`codec.plan_budget`.
     """
     if fit_config is None:
         fit_config = FitConfig()

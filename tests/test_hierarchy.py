@@ -263,6 +263,21 @@ def test_rehierarchize_matches_exhaustive_knn(rng):
         assert np.array_equal(nbr, oracle)
 
 
+# 1500 legacy anchors span several chunks of new anchors
+@pytest.mark.parametrize("n_new, n_legacy", [(400, 1), (400, 2), (400, 3), (400, 200), (120, 1500)])
+def test_nearest_legacy_anchors_matches_oracle_with_ties(rng, n_new, n_legacy):
+    snap = lambda n: (rng.integers(0, 5, (n, 3)) * 0.5).astype(np.float32)
+    new, legacy = snap(n_new), snap(n_legacy)
+    got = nearest_legacy_anchors(new, legacy)
+    assert np.array_equal(got, exhaustive_knn3(new, legacy))
+    if n_legacy > 3:
+        d2 = ((new[:, None, :].astype(np.float64) - legacy[None]) ** 2).sum(axis=2)
+        third = np.sort(d2, axis=1)[:, 2:4]
+        assert (third[:, 0] == third[:, 1]).sum() > n_new // 4  # the third pick is a tie
+    if n_legacy < 3:
+        assert np.array_equal(got[:, n_legacy:], np.repeat(got[:, :1], 3 - n_legacy, axis=1))
+
+
 def test_rehierarchize_requires_hierarchy(rng):
     state = SceneState(GaussianSet.from_positions(rng.random((10, 3), dtype=np.float32)))
     with pytest.raises(ValueError):

@@ -18,16 +18,77 @@ def grid_snapped(rng, n, step=0.25, cells=8):
     return (rng.integers(0, cells, (n, 3)) * step).astype(np.float32)
 
 
+def l1_ties(points, anchors):
+    """Points with more than one anchor at their minimum L1 distance."""
+    d = np.abs(points[:, None, :].astype(np.float64) - anchors[None]).sum(axis=2)
+    return ((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
+
+
 def test_l1_nearest_matches_oracle(cloud, rng):
     points, anchors = cloud
     assert np.array_equal(kernels.l1_nearest(points, anchors),
                           exhaustive_l1_assign(points, anchors))
     points, anchors = grid_snapped(rng, 1500), grid_snapped(rng, 40)
-    d = np.abs(points[:, None, :].astype(np.float64) - anchors[None]).sum(axis=2)
-    ties = ((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
-    assert ties > 100  # the tie-break is actually exercised
+    assert l1_ties(points, anchors) > 100  # the tie-break is actually exercised
     assert np.array_equal(kernels.l1_nearest(points, anchors),
                           exhaustive_l1_assign(points, anchors))
+
+
+def _pruned_cases():
+    """Inputs above the scan crossover, N * A <= 1e6 each, so the oracle stays fast."""
+    rng = np.random.default_rng(77)
+    unit = lambda n: rng.random((n, 3), dtype=np.float32)
+    cloud = unit(1500)
+    base = unit(120)
+    flat = unit(1500)
+    flat[:, 1] = 0.5
+    top = kernels.SCAN_MAX_ANCHORS
+    return {
+        "random_150": (unit(3000), unit(150)),
+        "random_400": (unit(1000), unit(400)),
+        "anchors_from_points": (cloud, cloud[rng.choice(1500, 300, replace=False)]),
+        "duplicate_anchors": (unit(2000), rng.permutation(np.concatenate([base, base[::2], base[:5]]))),
+        "far_outside": (unit(1000) * 6 + 4, unit(200)),
+        "far_around": ((unit(1500) - 0.5) * 20, unit(200) * 0.1),
+        "zero_extent_axis": (flat, unit(200)),
+        "one_point": (unit(1), unit(300)),
+        "at_crossover": (unit(3000), unit(top)),
+        "above_crossover": (unit(3000), unit(top + 1)),
+    }
+
+
+PRUNED_CASES = _pruned_cases()
+
+
+@pytest.mark.parametrize("case", PRUNED_CASES)
+def test_l1_nearest_pruned_matches_oracle(case):
+    points, anchors = PRUNED_CASES[case]
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
+
+
+def test_l1_nearest_pruned_keeps_every_tie(rng):
+    points, anchors = grid_snapped(rng, 2500), grid_snapped(rng, 250)
+    assert anchors.shape[0] > kernels.SCAN_MAX_ANCHORS
+    assert l1_ties(points, anchors) > 100  # tied minimizers, duplicate anchors among them
+    assert np.unique(anchors, axis=0).shape[0] < anchors.shape[0]
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
+
+
+def test_l1_nearest_switches_to_pruning_above_the_crossover(rng, monkeypatch):
+    """At the crossover one scan sees every anchor; one above, blocks see fewer."""
+    scanned = []
+    scan = kernels._scan
+    monkeypatch.setattr(kernels, "_scan",
+                        lambda pts, anc: scanned.append(anc.shape[0]) or scan(pts, anc))
+    points = rng.random((3000, 3), dtype=np.float32)
+    top = kernels.SCAN_MAX_ANCHORS
+    kernels.l1_nearest(points, rng.random((top, 3), dtype=np.float32))
+    assert scanned == [top]
+    scanned.clear()
+    kernels.l1_nearest(points, rng.random((top + 1, 3), dtype=np.float32))
+    assert len(scanned) > 1 and max(scanned) < top + 1
 
 
 def test_l1_nearest_tie_break_lowest_ordinal():
