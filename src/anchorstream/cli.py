@@ -145,7 +145,7 @@ def cmd_decode(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     decoded = 0
-    for payload, state in iter_decode(base, stream, args.level_ratio, CompositionMode[args.mode]):
+    for payload, state in iter_decode(base, stream):
         decoded += 1
         if out_dir is not None and payload.frame_index % args.export_every == 0:
             path = out_dir / f"frame_{payload.frame_index:04d}.ply"
@@ -214,17 +214,18 @@ def cmd_inspect(args) -> int:
     stream = Path(args.stream).read_bytes()
     header = codec.StreamHeader.unpack(stream)
     print(f"version={header.version} levels={header.levels} "
-          f"quantization={header.quantization.name} reconfig_period={header.reconfig_period}")
+          f"quantization={header.quantization.name} mode={header.composition_mode.name} "
+          f"level_ratio={header.level_ratio} reconfig_period={header.reconfig_period}")
     print(f"finest_fraction={header.finest_num}/{header.finest_den} "
           f"initial_gaussians={header.gaussian_count_initial}")
     offset = codec.HEADER_BYTES
-    print(f"{'frame':>6} {'bytes':>8} {'anchors':>18} {'added':>6} {'pruned':>6} {'reconfig':>8}")
+    print(f"{'frame':>6} {'bytes':>8} {'anchors':>18} {'added':>6} {'reconfig':>8}")
     while offset < len(stream):
         start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
         print(f"{payload.frame_index:>6} {offset - start:>8} "
               f"{str(payload.realized_counts):>18} {len(payload.deltas.added_gaussians):>6} "
-              f"{payload.deltas.pruned_indices.size:>6} {int(payload.reconfig):>8}")
+              f"{int(payload.reconfig):>8}")
     return EXIT_OK
 
 
@@ -251,14 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(enc)
     enc.set_defaults(func=cmd_encode)
 
-    dec = sub.add_parser("decode", help="replay a stream against its frame-0 source")
+    dec = sub.add_parser("decode", help="replay a stream against its frame-0 source; "
+                                         "every session setting comes from its header")
     dec.add_argument("--stream", required=True)
     dec.add_argument("--frame0", required=True, help="identical input the encoder used")
     dec.add_argument("--output-dir", help="export decoded frames as PLY here")
     dec.add_argument("--export-every", type=int, default=0,
                      help="export every k-th frame (0 = none)")
-    dec.add_argument("--level-ratio", type=int, default=3)
-    dec.add_argument("--mode", choices=[m.name for m in CompositionMode], default="additive")
     dec.set_defaults(func=cmd_decode)
 
     ben = sub.add_parser("bench", help="rate-distortion sweep over budgets")

@@ -3,33 +3,42 @@
 One ``.rcgs`` file per session: a fixed header followed by concatenated frame
 payloads. Anchors are never named in the stream; both sides order them by
 grid cell key, so delta blocks are raw value runs. All integers and floats
-are little-endian.
+are little-endian. The header holds every setting a decoder needs; nothing
+about a session travels out of band.
 
-Header (28 bytes):
+Header (33 bytes, format version 2):
     magic           4s   = b"RCGS"
-    version         u16  = 1
-    levels          u8
+    version         u16  = 2
+    levels          u8   (1..4)
     quantization    u8   (0 full32, 1 half16, 2 fixed16)
-    reconfig_period u32
-    finest_num      u32  \\ effective finest-level anchor fraction
+    composition_mode u8  (0 additive, 1 pivot)
+    level_ratio     u32  (>= 1)
+    reconfig_period u32  (>= 1)
+    finest_num      u32  \\ effective finest-level anchor fraction, in (0, 1]
     finest_den      u32  /
     gaussian_count_initial u64
 
 Frame payload:
     frame_index     u64
     realized_anchor_counts  u32 x levels
-    per level: translation block, then rotation block
+    per level: translation block (3 values per anchor), then, in pivot mode
+        only, rotation block (4 values per anchor)
         full32:  f32 runs
         half16:  f16 runs
         fixed16: per component (min f32, max f32), then u16 runs
     added_count     u32, then 23 f32 per added record
                     (position, scale, orientation, opacity, sh)
-    pruned_count    u32, then u64 indices (strictly increasing)
-    reconfig_flag   u8
+    reconfig_flag   u8   (0 or 1)
+
+Additive mode carries no rotation blocks: positions do not depend on the
+rotation increments there, so the fit leaves them at zero and the decoder
+restores them as zeros. Version 1 streams (no mode or ratio in the header,
+rotation blocks and a pruned-index list in every frame) are rejected.
 
 fixed16 maps x to round((x - min) / (max - min) * 65535); max == min encodes
 a constant block. Densified records always serialize at full precision; they
-are few and quality-critical.
+are few and quality-critical. Both sides hold added records to the type
+invariants of :func:`types.validate_state`.
 """
 
 from __future__ import annotations
@@ -41,18 +50,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, StreamFormatError
+from .errors import BudgetError, ConfigError, StreamFormatError
 from .hierarchy import AnchorHierarchy, level_caps
 from .motion import AnchorDeltaSet, FrameDeformation
-from .types import GaussianSet, Quantization, StreamConfig
+from .types import (
+    CompositionMode,
+    GaussianSet,
+    Quantization,
+    SceneState,
+    StreamConfig,
+    validate_state,
+)
 
 MAGIC = b"RCGS"
-VERSION = 1
-_HEADER = struct.Struct("<4sHBBIIIQ")
-HEADER_BYTES = _HEADER.size  # 28
+VERSION = 2
+_PREFIX = struct.Struct("<4sH")  # magic and version, where every version starts
+_HEADER = struct.Struct("<4sHBBBIIIIQ")
+HEADER_BYTES = _HEADER.size  # 33
 
 _RECORD_FLOATS = 23  # position 3 + scale 3 + orientation 4 + opacity 1 + sh 12
-_VALUES_PER_ANCHOR = 7  # translation 3 + rotation 4
 
 VALUE_BYTES = {
     Quantization.full32: 4,
@@ -61,21 +77,53 @@ VALUE_BYTES = {
 }
 
 
+def values_per_anchor(mode: CompositionMode) -> int:
+    """Wire values per anchor: translation 3, plus rotation 4 in pivot mode."""
+    return 7 if mode == CompositionMode.pivot else 3
+
+
 @dataclass
 class StreamHeader:
     """Fixed per-session header; everything a mirror decoder derives from."""
 
     levels: int
     quantization: Quantization
+    composition_mode: CompositionMode
+    level_ratio: int
     reconfig_period: int
     finest_num: int
     finest_den: int
     gaussian_count_initial: int
     version: int = VERSION
 
+    @classmethod
+    def for_session(cls, config: StreamConfig, gaussian_count_initial: int) -> "StreamHeader":
+        """The header of a session run with ``config`` (its effective finest fraction)."""
+        return cls(
+            levels=config.levels,
+            quantization=config.quantization,
+            composition_mode=config.composition_mode,
+            level_ratio=config.level_ratio,
+            reconfig_period=config.reconfig_period,
+            finest_num=config.finest_fraction.numerator,
+            finest_den=config.finest_fraction.denominator,
+            gaussian_count_initial=gaussian_count_initial,
+        )
+
     @property
     def finest_fraction(self) -> Fraction:
         return Fraction(self.finest_num, self.finest_den)
+
+    def stream_config(self) -> StreamConfig:
+        """The settings a decoder needs, as a config; fit knobs keep their defaults."""
+        return StreamConfig(
+            levels=self.levels,
+            finest_fraction=self.finest_fraction,
+            level_ratio=self.level_ratio,
+            reconfig_period=self.reconfig_period,
+            quantization=self.quantization,
+            composition_mode=self.composition_mode,
+        )
 
     def pack(self) -> bytes:
         return _HEADER.pack(
@@ -83,6 +131,8 @@ class StreamHeader:
             self.version,
             self.levels,
             int(self.quantization),
+            int(self.composition_mode),
+            self.level_ratio,
             self.reconfig_period,
             self.finest_num,
             self.finest_den,
@@ -91,16 +141,27 @@ class StreamHeader:
 
     @classmethod
     def unpack(cls, buf: bytes) -> "StreamHeader":
-        if len(buf) < HEADER_BYTES:
+        """Parse and check a header; every bad field is a :class:`StreamFormatError`."""
+        if len(buf) < _PREFIX.size:
             raise StreamFormatError(f"stream shorter than header: {len(buf)} bytes")
-        magic, version, levels, quant, period, num, den, count = _HEADER.unpack_from(buf, 0)
+        magic, version = _PREFIX.unpack_from(buf, 0)
         if magic != MAGIC:
             raise StreamFormatError(f"bad magic {magic!r}")
         if version != VERSION:
-            raise StreamFormatError(f"unsupported stream version {version}")
+            raise StreamFormatError(f"unsupported stream version {version}, expected {VERSION}")
+        if len(buf) < HEADER_BYTES:
+            raise StreamFormatError(f"stream shorter than header: {len(buf)} bytes")
+        (_, _, levels, quant, mode, ratio, period, num, den,
+         count) = _HEADER.unpack_from(buf, 0)
         if den == 0:
-            raise StreamFormatError("finest fraction denominator is zero")
-        return cls(levels, Quantization(quant), period, num, den, count, version)
+            raise StreamFormatError("bad stream header: finest fraction denominator is zero")
+        try:
+            header = cls(levels, Quantization(quant), CompositionMode(mode), ratio, period,
+                         num, den, count, version)
+            header.stream_config()  # the field ranges a config accepts
+        except (ValueError, ConfigError) as exc:
+            raise StreamFormatError(f"bad stream header: {exc}") from exc
+        return header
 
 
 @dataclass
@@ -177,7 +238,6 @@ def quantize_roundtrip(deltas: FrameDeformation, quantization: Quantization) -> 
         return FrameDeformation(
             [AnchorDeltaSet(d.translations.copy(), d.rotations.copy()) for d in deltas.per_level],
             deltas.added_gaussians,
-            deltas.pruned_indices,
         )
     out = []
     for ds in deltas.per_level:
@@ -185,7 +245,7 @@ def quantize_roundtrip(deltas: FrameDeformation, quantization: Quantization) -> 
         t, _ = _decode_block(_encode_block(ds.translations, quantization), 0, count, 3, quantization)
         r, _ = _decode_block(_encode_block(ds.rotations, quantization), 0, count, 4, quantization)
         out.append(AnchorDeltaSet(t, r))
-    return FrameDeformation(out, deltas.added_gaussians, deltas.pruned_indices)
+    return FrameDeformation(out, deltas.added_gaussians)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +260,37 @@ def _need(buf: bytes, offset: int, nbytes: int) -> None:
         )
 
 
+def _record_violation(added: GaussianSet) -> str | None:
+    """The first broken type invariant among added records, or None."""
+    violations = validate_state(SceneState(added))
+    if not violations:
+        return None
+    v = violations[0]
+    return f"added gaussian record {v.index}: {v.message}"
+
+
 def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHierarchy,
-                 quantization: Quantization, reconfig: bool = False) -> bytes:
-    """Serialize one frame. Delta blocks follow the canonical anchor order."""
+                 header: StreamHeader, reconfig: bool = False) -> bytes:
+    """Serialize one frame. Delta blocks follow the canonical anchor order.
+
+    Raises ``ValueError`` for anything the decoder could not restore exactly:
+    a nonzero rotation in additive mode, or an added record that is not
+    finite or breaks a type invariant.
+    """
     counts = hierarchy.anchor_counts()
     if len(deltas.per_level) != len(counts):
         raise ValueError("deformation levels do not match hierarchy")
+    pivot = header.composition_mode == CompositionMode.pivot
     parts = [struct.pack("<Q", frame_index)]
     parts.append(struct.pack(f"<{len(counts)}I", *counts))
     for ds, count in zip(deltas.per_level, counts):
         if len(ds) != count:
             raise ValueError(f"delta block has {len(ds)} anchors, hierarchy has {count}")
-        parts.append(_encode_block(ds.translations, quantization))
-        parts.append(_encode_block(ds.rotations, quantization))
+        parts.append(_encode_block(ds.translations, header.quantization))
+        if pivot:
+            parts.append(_encode_block(ds.rotations, header.quantization))
+        elif ds.rotations.any():
+            raise ValueError("additive frames carry no rotations, but a rotation is nonzero")
     added = deltas.added_gaussians
     parts.append(struct.pack("<I", len(added)))
     if len(added):
@@ -226,12 +304,10 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
             ],
             axis=1,
         )
-        if not np.isfinite(block).all():
-            raise ValueError("added gaussian records must be finite")
+        problem = _record_violation(added)
+        if problem is not None:
+            raise ValueError(problem)
         parts.append(block.astype("<f4").tobytes())
-    parts.append(struct.pack("<I", deltas.pruned_indices.shape[0]))
-    if deltas.pruned_indices.shape[0]:
-        parts.append(deltas.pruned_indices.astype("<u8").tobytes())
     parts.append(struct.pack("<B", 1 if reconfig else 0))
     return b"".join(parts)
 
@@ -242,6 +318,7 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     The payload is self-describing given the header; hierarchy consistency
     (realized counts vs the decoder's rebuilt structure) is checked separately
     by :func:`verify_counts` once the decoder knows whether to reconfigure.
+    In additive mode the rotations come back as zeros.
     """
     _need(buf, offset, 8)
     (frame_index,) = struct.unpack_from("<Q", buf, offset)
@@ -249,10 +326,14 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     _need(buf, offset, 4 * header.levels)
     counts = struct.unpack_from(f"<{header.levels}I", buf, offset)
     offset += 4 * header.levels
+    pivot = header.composition_mode == CompositionMode.pivot
     blocks = []
     for count in counts:
         trans, offset = _decode_block(buf, offset, count, 3, header.quantization)
-        rot, offset = _decode_block(buf, offset, count, 4, header.quantization)
+        if pivot:
+            rot, offset = _decode_block(buf, offset, count, 4, header.quantization)
+        else:
+            rot = np.zeros((count, 4), np.float32)
         blocks.append((trans, rot))
     _need(buf, offset, 4)
     (added_count,) = struct.unpack_from("<I", buf, offset)
@@ -265,23 +346,19 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
         if not np.isfinite(block).all():
             raise StreamFormatError(f"frame {frame_index}: added gaussian records must be finite")
         added = GaussianSet(block[:, 0:3], block[:, 3:6], block[:, 6:10], block[:, 10], block[:, 11:23])
+        problem = _record_violation(added)
+        if problem is not None:
+            raise StreamFormatError(f"frame {frame_index}: {problem}")
         offset += nbytes
     else:
         added = GaussianSet.empty()
-    _need(buf, offset, 4)
-    (pruned_count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if pruned_count:
-        _need(buf, offset, pruned_count * 8)
-        pruned = np.frombuffer(buf, "<u8", pruned_count, offset).astype(np.int64)
-        offset += pruned_count * 8
-    else:
-        pruned = np.empty(0, np.int64)
     _need(buf, offset, 1)
     (flag,) = struct.unpack_from("<B", buf, offset)
     offset += 1
+    if flag > 1:
+        raise StreamFormatError(f"frame {frame_index}: reconfig flag {flag} is not 0 or 1")
     try:  # well-framed bytes can still hold values no encoder writes
-        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], added, pruned)
+        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], added)
     except ValueError as exc:
         raise StreamFormatError(f"frame {frame_index}: {exc}") from exc
     return FramePayload(frame_index, tuple(int(c) for c in counts), deltas, bool(flag)), offset
@@ -303,28 +380,26 @@ def verify_counts(payload: FramePayload, hierarchy: AnchorHierarchy) -> None:
 # ---------------------------------------------------------------------------
 
 
-def delta_block_bytes(counts, quantization: Quantization) -> int:
+def delta_block_bytes(counts, quantization: Quantization, mode: CompositionMode) -> int:
     """Exact byte size of all per-level delta blocks for given anchor counts."""
-    w = VALUE_BYTES[quantization]
-    total = sum(int(c) * _VALUES_PER_ANCHOR * w for c in counts)
+    values = values_per_anchor(mode)
+    total = sum(int(c) * values * VALUE_BYTES[quantization] for c in counts)
     if quantization == Quantization.fixed16:
-        total += len(tuple(counts)) * _VALUES_PER_ANCHOR * 8  # (min, max) f32 per component
+        total += len(tuple(counts)) * values * 8  # (min, max) f32 per component
     return total
 
 
 def frame_overhead_bytes(levels: int) -> int:
-    """Fixed per-frame bytes: index, counts, added/pruned counts, flag."""
-    return 8 + 4 * levels + 4 + 4 + 1
+    """Fixed per-frame bytes: index, counts, added count, flag."""
+    return 8 + 4 * levels + 4 + 1
 
 
-def frame_payload_bytes(levels: int, quantization: Quantization, counts,
-                        added_count: int = 0, pruned_count: int = 0) -> int:
+def frame_payload_bytes(header: StreamHeader, counts, added_count: int = 0) -> int:
     """Total payload size as a pure function of header fields and counts."""
     return (
-        frame_overhead_bytes(levels)
-        + delta_block_bytes(counts, quantization)
+        frame_overhead_bytes(header.levels)
+        + delta_block_bytes(counts, header.quantization, header.composition_mode)
         + added_count * _RECORD_FLOATS * 4
-        + pruned_count * 8
     )
 
 
@@ -334,9 +409,10 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
 
     The budget covers anchor deltas plus frame overhead only. Each candidate
     is priced at the anchor caps the hierarchy can fill with it
-    (:func:`hierarchy.level_caps`), not at its nominal targets, so deltas
-    plus overhead stay within the budget at every frame of a session whose
-    rebuilds all use the returned target, however many gaussians
+    (:func:`hierarchy.level_caps`), not at its nominal targets, and at the
+    values per anchor of the composition mode (3 additive, 7 pivot), so
+    deltas plus overhead stay within the budget at every frame of a session
+    whose rebuilds all use the returned target, however many gaussians
     densification appends. The densified records themselves (23 float32
     values, 92 B each) are outside the budget, so a frame that densifies can
     exceed it, and a tighter budget means coarser anchors, larger residuals
@@ -345,14 +421,15 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
     plus the fixed16 block ranges; an infeasible budget raises with the
     minimum feasible one, the cost at a finest target of one anchor.
     """
+    values = values_per_anchor(config.composition_mode)
     if overhead is None:
         overhead = frame_overhead_bytes(config.levels)
         if config.quantization == Quantization.fixed16:
-            overhead += config.levels * _VALUES_PER_ANCHOR * 8
+            overhead += config.levels * values * 8
     w = VALUE_BYTES[config.quantization]
 
     def cost(finest: int) -> int:
-        return sum(level_caps(n_gaussians, config, finest)) * _VALUES_PER_ANCHOR * w + overhead
+        return sum(level_caps(n_gaussians, config, finest)) * values * w + overhead
 
     minimum = cost(1)
     if bytes_per_frame < minimum:

@@ -318,9 +318,10 @@ def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     """Spawn clones at targets whose residual exceeds the threshold.
 
     Each added gaussian sits exactly at the observed target and inherits the
-    source gaussian's scale, orientation, opacity, and SH. The pruning list is
-    always empty here: opacity never changes without photometric training, so
-    there is no signal to prune on. The stream format still carries the list.
+    source gaussian's scale, orientation, opacity, and SH. Returns the clones
+    and, per clone, the index of the gaussian it copies. Nothing is ever
+    pruned: opacity never changes without photometric training, so there is
+    no signal to prune on.
     """
     pos = deformed_positions(gaussians, hierarchy, deltas, corr.indices, mode)
     residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
@@ -335,4 +336,4 @@ def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
         gaussians.opacities[src],
         gaussians.sh[src],
     )
-    return added, np.empty(0, np.int64)
+    return added, src

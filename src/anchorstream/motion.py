@@ -16,7 +16,6 @@ products, which is the standard chordal quaternion mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -119,12 +118,6 @@ class FrameDeformation:
 
     per_level: list[AnchorDeltaSet]
     added_gaussians: GaussianSet = field(default_factory=GaussianSet.empty)
-    pruned_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-    def __post_init__(self):
-        self.pruned_indices = np.ascontiguousarray(self.pruned_indices, np.int64)
-        if self.pruned_indices.size > 1 and not (np.diff(self.pruned_indices) > 0).all():
-            raise ValueError("pruned_indices must be strictly increasing")
 
     @classmethod
     def zeros(cls, hierarchy: AnchorHierarchy) -> "FrameDeformation":

@@ -5,6 +5,8 @@ then advances its own state with the *dequantized* deltas - exactly what the
 decoder will apply - so both replicas stay bit-identical at any quantization
 mode. Hierarchy rebuilds happen on a fixed schedule (every ``reconfig_period``
 frames) on both sides; the decoder is told via the frame's reconfig flag.
+The stream header carries every session setting the decoder needs, so a
+decode takes nothing but the frame-0 input and the stream.
 Every build of a session sizes its grids for the same frame-0 finest target,
 so the per-level anchor caps never move, however many gaussians are added.
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import codec
 from .codec import FramePayload, FrameStats, StorageReport, StreamHeader
-from .errors import StreamFormatError
+from .errors import ConfigError, NumericalError, StreamFormatError
 from .fitting import Correspondences, FitConfig, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import build_hierarchy, level_caps, rehierarchize
 from .kernels import l1_nearest
@@ -113,30 +115,13 @@ class SessionResult:
 
 def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
                    config: StreamConfig, frame_index: int) -> SceneState:
-    """Apply one frame to a state: deform, prune, append, reassign.
+    """Apply one frame to a state: deform, append, reassign.
 
     Shared verbatim by encoder and decoder - this is the mirror contract.
     """
     gaussians = apply_deformation(
         state.gaussians, state.hierarchy, payload_deltas, config.composition_mode
     )
-    pruned = payload_deltas.pruned_indices
-    if pruned.size:
-        n = len(gaussians)
-        if (pruned < 0).any() or (pruned >= n).any():
-            raise StreamFormatError(f"frame {frame_index}: pruned index out of range")
-        for lvl in state.hierarchy.levels:
-            if np.isin(pruned, lvl.anchor_indices).any():
-                raise StreamFormatError(
-                    f"frame {frame_index}: pruning an anchor gaussian is not supported"
-                )
-        keep = np.ones(n, bool)
-        keep[pruned] = False
-        remap = np.cumsum(keep) - 1
-        gaussians = GaussianSet(*[arr[keep] for arr in gaussians.attribute_arrays()])
-        for lvl in state.hierarchy.levels:
-            lvl.anchor_indices = remap[lvl.anchor_indices]
-            lvl.assignment = lvl.assignment[keep]
     added = payload_deltas.added_gaussians
     if len(added):
         for lvl in state.hierarchy.levels:
@@ -195,23 +180,22 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     without ever seeing the budget. ``planned_caps`` then holds the per-level
     anchor caps that keep every frame's anchor deltas plus overhead within
     the budget. Densified records (92 B each) come on top of it: see
-    :func:`codec.plan_budget`.
+    :func:`codec.plan_budget`. The source needs at least two frames: frame 0
+    and one encoded frame.
     """
+    if source.frame_count < 2:
+        raise ConfigError(
+            f"a session needs at least 2 frames (frame 0 and one to encode), "
+            f"source has {source.frame_count}"
+        )
     if fit_config is None:
         fit_config = FitConfig()
     n0 = len(base)
     fraction = config.finest_fraction
     if budget_bytes is not None:
         fraction = Fraction(codec.plan_budget(n0, budget_bytes, config), n0)
-    header = StreamHeader(
-        levels=config.levels,
-        quantization=config.quantization,
-        reconfig_period=config.reconfig_period,
-        finest_num=fraction.numerator,
-        finest_den=fraction.denominator,
-        gaussian_count_initial=n0,
-    )
     eff_config = replace(config, finest_fraction=fraction)
+    header = StreamHeader.for_session(eff_config, n0)
     finest_target = _finest_target(header)
     planned = None if budget_bytes is None else level_caps(n0, eff_config, finest_target)
 
@@ -242,18 +226,17 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         fitted = fit_frame(state.gaussians, state.hierarchy, corr, fit_config, init,
                            eff_config.phase1_steps, eff_config.composition_mode)
         if eff_config.phase2_steps > 0:
-            added, pruned_idx = densify_residuals(
+            added, _ = densify_residuals(
                 state.gaussians, state.hierarchy, fitted, corr,
                 eff_config.densify_threshold, eff_config.composition_mode,
             )
         else:
-            added, pruned_idx = GaussianSet.empty(), np.empty(0, np.int64)
+            added = GaussianSet.empty()
 
         loss, _ = loss_and_gradient(state.gaussians, state.hierarchy, fitted, corr,
                                     eff_config.composition_mode)
-        frame_def = FrameDeformation(fitted.per_level, added, pruned_idx)
-        payload = codec.encode_frame(t, frame_def, state.hierarchy,
-                                     eff_config.quantization, reconfig)
+        frame_def = FrameDeformation(fitted.per_level, added)
+        payload = codec.encode_frame(t, frame_def, state.hierarchy, header, reconfig)
         chunks.append(payload)
 
         applied = codec.quantize_roundtrip(frame_def, eff_config.quantization)
@@ -262,10 +245,10 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
 
         counts = state.hierarchy.anchor_counts()
         overhead = codec.frame_overhead_bytes(eff_config.levels)
-        delta_bytes = codec.delta_block_bytes(counts, eff_config.quantization)
+        delta_bytes = codec.delta_block_bytes(counts, eff_config.quantization,
+                                              eff_config.composition_mode)
         stats.append(
-            FrameStats(t, len(payload), delta_bytes,
-                       len(payload) - overhead - delta_bytes - pruned_idx.size * 8,
+            FrameStats(t, len(payload), delta_bytes, len(payload) - overhead - delta_bytes,
                        overhead, reconfig)
         )
         metrics.append(
@@ -284,8 +267,7 @@ class DecodeResult:
     header: StreamHeader
 
 
-def _start_decode(base: GaussianSet, stream: bytes, level_ratio: int,
-                  composition_mode: CompositionMode
+def _start_decode(base: GaussianSet, stream: bytes
                   ) -> tuple[StreamHeader, StreamConfig, SceneState]:
     """Parse the header and build the frame-0 state a decode starts from."""
     header = StreamHeader.unpack(stream)
@@ -294,67 +276,79 @@ def _start_decode(base: GaussianSet, stream: bytes, level_ratio: int,
             f"frame-0 source has {len(base)} gaussians, stream expects "
             f"{header.gaussian_count_initial}"
         )
-    config = StreamConfig(
-        levels=header.levels,
-        finest_fraction=header.finest_fraction,
-        level_ratio=level_ratio,
-        reconfig_period=header.reconfig_period,
-        quantization=header.quantization,
-        composition_mode=composition_mode,
-    )
+    config = header.stream_config()
     state = SceneState(base.copy(), build_hierarchy(base, config, _finest_target(header)), 0)
     return header, config, state
 
 
 def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
                    state: SceneState) -> Iterator[tuple[FramePayload, SceneState, int]]:
-    """The decode loop: advance ``state`` frame by frame, yielding each with its byte span."""
+    """The decode loop: advance ``state`` frame by frame, yielding each with its byte span.
+
+    Whatever a well-framed payload makes go wrong while it is applied (a
+    degenerate pivot rotation, deltas that carry positions out of float32
+    range) is a :class:`StreamFormatError` naming the frame.
+    """
     finest_target = _finest_target(header)
     offset = codec.HEADER_BYTES
     expected = 1
     while offset < len(stream):
         start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
-        if payload.frame_index != expected:
-            raise StreamFormatError(
-                f"frame index {payload.frame_index} out of order, expected {expected}"
-            )
+        frame = payload.frame_index
+        if frame != expected:
+            raise StreamFormatError(f"frame index {frame} out of order, expected {expected}")
         if payload.reconfig:
             # the encoder's rehierarchize builds exactly this; its legacy-anchor
             # maps only seed the encoder's fit
             state.hierarchy = build_hierarchy(state.gaussians, config, finest_target,
                                               built_at_frame=state.frame_index)
         codec.verify_counts(payload, state.hierarchy)
-        state = _advance_state(state, payload.deltas, config, payload.frame_index)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                state = _advance_state(state, payload.deltas, config, frame)
+        except NumericalError as exc:
+            raise StreamFormatError(f"frame {frame}: {exc}") from exc
+        g = state.gaussians
+        if not (np.isfinite(g.positions).all() and np.isfinite(g.orientations).all()):
+            raise StreamFormatError(f"frame {frame}: deltas carry gaussians out of float32 range")
         yield payload, state, offset - start
         expected += 1
 
 
-def iter_decode(base: GaussianSet, stream: bytes, level_ratio: int = 3,
-                composition_mode: CompositionMode = CompositionMode.additive,
-                ) -> Iterator[tuple[FramePayload, SceneState]]:
+def iter_decode(base: GaussianSet, stream: bytes) -> Iterator[tuple[FramePayload, SceneState]]:
     """Replay a stream lazily, yielding each frame's payload and the state after it.
 
     The yielded state is advanced in place by the next frame; copy what must
-    outlive an iteration. Arguments are as for :func:`decode_session`.
+    outlive an iteration.
     """
-    header, config, state = _start_decode(base, stream, level_ratio, composition_mode)
+    header, config, state = _start_decode(base, stream)
     for payload, state, _ in _decode_frames(stream, header, config, state):
         yield payload, state
 
 
 def decode_session(base: GaussianSet, stream: bytes,
-                   level_ratio: int = 3,
-                   composition_mode: CompositionMode = CompositionMode.additive) -> DecodeResult:
+                   level_ratio: Optional[int] = None,
+                   composition_mode: Optional[CompositionMode] = None) -> DecodeResult:
     """Replay a stream against the identical frame-0 source.
 
-    ``level_ratio`` and ``composition_mode`` are not part of the wire header
-    and must match the encoding session (both default to the library
-    defaults). Any divergence surfaces as an anchor-count mismatch naming the
-    level, or as a checksum difference. A stream without frames decodes to the
-    frame-0 state.
+    Every setting comes from the stream header. ``level_ratio`` and
+    ``composition_mode`` are optional expectations: when given, each must
+    equal the header's value, or the decode fails before frame 1. Any
+    divergence surfaces as an anchor-count mismatch naming the level, or as
+    a checksum difference. A stream without frames decodes to the frame-0
+    state.
     """
-    header, config, state = _start_decode(base, stream, level_ratio, composition_mode)
+    header, config, state = _start_decode(base, stream)
+    if level_ratio is not None and level_ratio != header.level_ratio:
+        raise StreamFormatError(
+            f"stream has level ratio {header.level_ratio}, caller expects {level_ratio}"
+        )
+    if composition_mode is not None and composition_mode != header.composition_mode:
+        raise StreamFormatError(
+            f"stream has composition mode {header.composition_mode.name}, caller expects "
+            f"{CompositionMode(composition_mode).name}"
+        )
     metrics: list[FrameMetrics] = []
     for payload, state, nbytes in _decode_frames(stream, header, config, state):
         metrics.append(

@@ -1,4 +1,6 @@
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from anchorstream import (
     AnchorDeltaSet,
     BudgetError,
+    CompositionMode,
     FrameDeformation,
     GaussianSet,
     Quantization,
@@ -26,6 +29,7 @@ from anchorstream.codec import (
     delta_block_bytes,
     frame_overhead_bytes,
     frame_payload_bytes,
+    values_per_anchor,
     verify_counts,
 )
 from anchorstream.hierarchy import level_caps
@@ -39,17 +43,23 @@ def small_hierarchy(rng, n=40, levels=1, anchors=4):
     return pos, h
 
 
-def random_deformation(h, rng, scale=0.5, added=0, pruned=()):
+def make_header(levels, quantization, count, mode=CompositionMode.pivot, den=10):
+    return StreamHeader(levels, quantization, mode, 3, 10, 1, den, count)
+
+
+def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
+    """Random deltas; additive ones have zero rotations, as the fit leaves them."""
+    rot_scale = scale if mode == CompositionMode.pivot else 0.0
     per_level = [
         AnchorDeltaSet(
             (rng.standard_normal((lvl.anchor_count, 3)) * scale).astype(np.float32),
-            (rng.standard_normal((lvl.anchor_count, 4)) * scale).astype(np.float32),
+            (rng.standard_normal((lvl.anchor_count, 4)) * rot_scale).astype(np.float32),
         )
         for lvl in h.levels
     ]
     added_set = GaussianSet.from_positions(rng.random((added, 3), dtype=np.float32)) \
         if added else GaussianSet.empty()
-    return FrameDeformation(per_level, added_set, np.array(sorted(pruned), np.int64))
+    return FrameDeformation(per_level, added_set)
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +68,17 @@ def random_deformation(h, rng, scale=0.5, added=0, pruned=()):
 
 
 def test_header_round_trip():
-    h = StreamHeader(3, Quantization.half16, 10, 1, 24, 1000)
-    again = StreamHeader.unpack(h.pack())
-    assert again == h
-    assert len(h.pack()) == HEADER_BYTES == 28
+    for mode in CompositionMode:
+        h = StreamHeader(3, Quantization.half16, mode, 4, 10, 1, 24, 1000)
+        again = StreamHeader.unpack(h.pack())
+        assert again == h
+        assert again.stream_config().composition_mode == mode
+        assert again.stream_config().level_ratio == 4
+    assert len(h.pack()) == HEADER_BYTES == 33
 
 
 def test_header_bad_magic():
-    h = StreamHeader(3, Quantization.full32, 10, 1, 24, 10)
+    h = make_header(3, Quantization.full32, 10, den=24)
     raw = bytearray(h.pack())
     raw[0] = ord("X")
     with pytest.raises(StreamFormatError, match="magic"):
@@ -73,10 +86,60 @@ def test_header_bad_magic():
 
 
 def test_header_bad_version():
-    raw = bytearray(StreamHeader(3, Quantization.full32, 10, 1, 24, 10).pack())
+    raw = bytearray(make_header(3, Quantization.full32, 10, den=24).pack())
     raw[4] = 99
     with pytest.raises(StreamFormatError, match="version"):
         StreamHeader.unpack(bytes(raw))
+
+
+def test_version_1_header_is_rejected():
+    # the 28-byte v1 layout: magic, version, levels, quantization, period,
+    # finest fraction, initial count
+    v1 = struct.pack("<4sHBBIIIQ", b"RCGS", 1, 3, 1, 10, 1, 24, 1000)
+    with pytest.raises(StreamFormatError, match="unsupported stream version 1"):
+        StreamHeader.unpack(v1 + bytes(64))
+    with pytest.raises(StreamFormatError, match="unsupported stream version 1"):
+        StreamHeader.unpack(v1)
+
+
+# byte offsets of the v2 header fields
+_FIELDS = {"levels": ("<B", 6), "quantization": ("<B", 7), "composition_mode": ("<B", 8),
+           "level_ratio": ("<I", 9), "reconfig_period": ("<I", 13), "finest_num": ("<I", 17),
+           "finest_den": ("<I", 21)}
+
+
+def patched_header(**fields):
+    raw = bytearray(make_header(3, Quantization.half16, 1000, den=24).pack())
+    for name, value in fields.items():
+        fmt, offset = _FIELDS[name]
+        struct.pack_into(fmt, raw, offset, value)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("fields", [
+    {"quantization": 9},
+    {"composition_mode": 2},
+    {"levels": 0},
+    {"levels": 5},
+    {"levels": 7},
+    {"level_ratio": 0},
+    {"reconfig_period": 0},
+    {"finest_num": 0},
+    {"finest_num": 625, "finest_den": 3},
+    {"finest_den": 0},
+], ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items()))
+def test_bad_header_field_is_a_stream_error(fields):
+    with pytest.raises(StreamFormatError, match="bad stream header"):
+        StreamHeader.unpack(patched_header(**fields))
+
+
+def test_header_field_offsets_match_the_layout():
+    h = StreamHeader.unpack(patched_header(levels=2, quantization=2, composition_mode=1,
+                                           level_ratio=5, reconfig_period=7, finest_num=2,
+                                           finest_den=9))
+    assert (h.levels, h.quantization, h.composition_mode, h.level_ratio, h.reconfig_period,
+            h.finest_fraction) == (2, Quantization.fixed16, CompositionMode.pivot, 5, 7,
+                                   Fraction(2, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -91,26 +154,30 @@ def test_zero_delta_block_sizes(rng):
     pos[:, :2] += rng.random((40, 2), dtype=np.float32) * 0.05
     h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=4)
     assert h.anchor_counts() == (4,)
-    header = StreamHeader(1, Quantization.full32, 10, 1, 10, 40)
-    zeros = FrameDeformation.zeros(h)
-    payload = encode_frame(1, zeros, h, Quantization.full32)
-    # frame_index + counts + delta block + added_count + pruned_count + flag
-    assert len(payload) == 8 + 4 + 4 * 7 * 4 + 4 + 4 + 1
-    assert delta_block_bytes(h.anchor_counts(), Quantization.full32) == 112
-    assert delta_block_bytes(h.anchor_counts(), Quantization.half16) == 56
-    decoded, end = decode_frame(payload, 0, header)
-    assert end == len(payload)
-    assert decoded.frame_index == 1
-    for ds in decoded.deltas.per_level:
-        assert not ds.translations.any() and not ds.rotations.any()
+    pivot, additive = CompositionMode.pivot, CompositionMode.additive
+    assert delta_block_bytes(h.anchor_counts(), Quantization.full32, pivot) == 112
+    assert delta_block_bytes(h.anchor_counts(), Quantization.half16, pivot) == 56
+    assert delta_block_bytes(h.anchor_counts(), Quantization.full32, additive) == 48
+    assert delta_block_bytes(h.anchor_counts(), Quantization.half16, additive) == 24
+    assert delta_block_bytes(h.anchor_counts(), Quantization.fixed16, additive) == 24 + 3 * 8
+    for mode in CompositionMode:
+        header = make_header(1, Quantization.full32, 40, mode)
+        payload = encode_frame(1, FrameDeformation.zeros(h), h, header)
+        # frame_index + counts + delta block + added_count + flag
+        assert len(payload) == 8 + 4 + 4 * values_per_anchor(mode) * 4 + 4 + 1
+        decoded, end = decode_frame(payload, 0, header)
+        assert end == len(payload)
+        assert decoded.frame_index == 1
+        for ds in decoded.deltas.per_level:
+            assert not ds.translations.any() and not ds.rotations.any()
 
 
 def test_full32_round_trip_bit_exact(rng):
     for levels in (1, 2, 3):
         pos, h = small_hierarchy(rng, n=100, levels=levels, anchors=9)
-        header = StreamHeader(levels, Quantization.full32, 10, 1, 10, 100)
-        deltas = random_deformation(h, rng, added=3, pruned=(2, 5, 50))
-        payload = encode_frame(7, deltas, h, Quantization.full32, reconfig=True)
+        header = make_header(levels, Quantization.full32, 100)
+        deltas = random_deformation(h, rng, added=3)
+        payload = encode_frame(7, deltas, h, header, reconfig=True)
         decoded, _ = decode_frame(payload, 0, header)
         assert decoded.reconfig is True
         assert decoded.frame_index == 7
@@ -118,7 +185,6 @@ def test_full32_round_trip_bit_exact(rng):
         for got, want in zip(decoded.deltas.per_level, deltas.per_level):
             assert np.array_equal(got.translations, want.translations)
             assert np.array_equal(got.rotations, want.rotations)
-        assert np.array_equal(decoded.deltas.pruned_indices, deltas.pruned_indices)
         for got, want in zip(decoded.deltas.added_gaussians.attribute_arrays(),
                              deltas.added_gaussians.attribute_arrays()):
             assert np.array_equal(got, want)
@@ -138,9 +204,9 @@ def test_half16_round_trip_matches_float16(rng):
 def test_fixed16_error_bound():
     rng = np.random.default_rng(5)
     pos, h = small_hierarchy(rng, n=300, levels=2, anchors=20)
-    header = StreamHeader(2, Quantization.fixed16, 10, 1, 10, 300)
+    header = make_header(2, Quantization.fixed16, 300)
     deltas = random_deformation(h, rng, scale=1.7)
-    payload = encode_frame(1, deltas, h, Quantization.fixed16)
+    payload = encode_frame(1, deltas, h, header)
     decoded, _ = decode_frame(payload, 0, header)
     for got, want in zip(decoded.deltas.per_level, deltas.per_level):
         for col in range(3):
@@ -169,73 +235,125 @@ def test_fixed16_constant_block():
 
 def test_quantize_roundtrip_matches_decode(rng):
     for quant in Quantization:
-        pos, h = small_hierarchy(rng, n=200, levels=2, anchors=12)
-        header = StreamHeader(2, quant, 10, 1, 10, 200)
-        deltas = random_deformation(h, rng)
-        payload = encode_frame(1, deltas, h, quant)
-        decoded, _ = decode_frame(payload, 0, header)
-        rt = quantize_roundtrip(deltas, quant)
-        for a, b in zip(decoded.deltas.per_level, rt.per_level):
-            assert np.array_equal(a.translations, b.translations)
-            assert np.array_equal(a.rotations, b.rotations)
+        for mode in CompositionMode:
+            pos, h = small_hierarchy(rng, n=200, levels=2, anchors=12)
+            header = make_header(2, quant, 200, mode)
+            deltas = random_deformation(h, rng, mode=mode)
+            payload = encode_frame(1, deltas, h, header)
+            decoded, _ = decode_frame(payload, 0, header)
+            rt = quantize_roundtrip(deltas, quant)
+            for a, b in zip(decoded.deltas.per_level, rt.per_level):
+                assert np.array_equal(a.translations, b.translations)
+                assert np.array_equal(a.rotations, b.rotations)
 
 
 def test_payload_length_pure_function(rng):
     for quant in Quantization:
-        for added, pruned in ((0, ()), (4, ()), (2, (1, 7))):
-            pos, h = small_hierarchy(rng, n=120, levels=3, anchors=9)
-            deltas = random_deformation(h, rng, added=added, pruned=pruned)
-            payload = encode_frame(3, deltas, h, quant)
-            want = frame_payload_bytes(3, quant, h.anchor_counts(), added, len(pruned))
-            assert len(payload) == want
+        for mode in CompositionMode:
+            for added in (0, 4):
+                pos, h = small_hierarchy(rng, n=120, levels=3, anchors=9)
+                header = make_header(3, quant, 120, mode)
+                deltas = random_deformation(h, rng, added=added, mode=mode)
+                payload = encode_frame(3, deltas, h, header)
+                assert len(payload) == frame_payload_bytes(header, h.anchor_counts(), added)
+
+
+def test_additive_payload_carries_three_values_per_anchor(rng):
+    pos, h = small_hierarchy(rng, n=120, levels=3, anchors=9)
+    counts = h.anchor_counts()
+    for quant in Quantization:
+        header = make_header(3, quant, 120, CompositionMode.additive)
+        payload = encode_frame(2, random_deformation(h, rng, added=1,
+                                                     mode=CompositionMode.additive), h, header)
+        ranges = 3 * 3 * 8 if quant == Quantization.fixed16 else 0  # per level and component
+        assert len(payload) == frame_payload_bytes(header, counts, 1) == (
+            frame_overhead_bytes(3) + sum(counts) * 3 * codec.VALUE_BYTES[quant] + ranges + 92)
+        decoded, _ = decode_frame(payload, 0, header)
+        for ds in decoded.deltas.per_level:
+            assert ds.rotations.shape == (len(ds), 4) and not ds.rotations.any()
+
+
+def test_encode_refuses_a_nonzero_additive_rotation(rng):
+    pos, h = small_hierarchy(rng, anchors=6)
+    deltas = random_deformation(h, rng, mode=CompositionMode.additive)
+    deltas.per_level[0].rotations[2, 1] = 1e-3
+    with pytest.raises(ValueError, match="nonzero"):
+        encode_frame(1, deltas, h, make_header(1, Quantization.half16, 40,
+                                               CompositionMode.additive))
+    encode_frame(1, deltas, h, make_header(1, Quantization.half16, 40, CompositionMode.pivot))
 
 
 def test_truncated_payload_rejected(rng):
     pos, h = small_hierarchy(rng, anchors=6)
-    header = StreamHeader(1, Quantization.full32, 10, 1, 10, 40)
-    payload = encode_frame(1, random_deformation(h, rng), h, Quantization.full32)
+    header = make_header(1, Quantization.full32, 40)
+    payload = encode_frame(1, random_deformation(h, rng), h, header)
     with pytest.raises(StreamFormatError, match="truncated"):
         decode_frame(payload[:-10], 0, header)
 
 
 def test_infinite_half16_delta_is_a_stream_error(rng):
     pos, h = small_hierarchy(rng, anchors=6)
-    header = StreamHeader(1, Quantization.half16, 10, 1, 10, 40)
-    payload = bytearray(encode_frame(5, random_deformation(h, rng), h, Quantization.half16))
+    header = make_header(1, Quantization.half16, 40)
+    payload = bytearray(encode_frame(5, random_deformation(h, rng), h, header))
     first_value = 8 + 4 * header.levels  # after the frame index and the counts
     payload[first_value:first_value + 2] = np.float16(np.inf).tobytes()
     with pytest.raises(StreamFormatError, match="frame 5: anchor deltas must be finite"):
         decode_frame(bytes(payload), 0, header)
 
 
-def test_unsorted_pruned_indices_are_a_stream_error(rng):
-    pos, h = small_hierarchy(rng, anchors=6)
-    header = StreamHeader(1, Quantization.full32, 10, 1, 10, 40)
-    payload = encode_frame(7, random_deformation(h, rng, pruned=(3, 9)), h, Quantization.full32)
-    tail = len(payload) - 1 - 16  # two u64 indices, then the reconfig flag
-    swapped = payload[:tail] + payload[tail + 8:tail + 16] + payload[tail:tail + 8] + payload[-1:]
-    with pytest.raises(StreamFormatError, match="frame 7: pruned_indices must be strictly"):
-        decode_frame(swapped, 0, header)
-
-
 def test_nonfinite_added_record_is_a_stream_error(rng):
     pos, h = small_hierarchy(rng, anchors=6)
-    header = StreamHeader(1, Quantization.full32, 10, 1, 10, 40)
-    payload = bytearray(encode_frame(4, random_deformation(h, rng, added=1), h,
-                                     Quantization.full32))
-    # the record's position x follows the frame index, the counts, the delta
-    # blocks and the added count
-    first_record = 8 + 4 * header.levels + delta_block_bytes(h.anchor_counts(),
-                                                             Quantization.full32) + 4
+    header = make_header(1, Quantization.full32, 40)
+    payload = bytearray(encode_frame(4, random_deformation(h, rng, added=1), h, header))
+    first_record = _first_record_offset(h, header)
     payload[first_record:first_record + 4] = np.float32(np.inf).tobytes()
     with pytest.raises(StreamFormatError, match="frame 4: added gaussian records must be finite"):
         decode_frame(bytes(payload), 0, header)
 
 
+def _first_record_offset(h, header):
+    """The first added record follows the frame index, the counts, the delta
+    blocks and the added count."""
+    return 8 + 4 * header.levels + delta_block_bytes(
+        h.anchor_counts(), header.quantization, header.composition_mode) + 4
+
+
+# float offsets inside a 23-float record, and values that break an invariant
+_BAD_RECORDS = {
+    "orientation zero": (6, [0.0, 0.0, 0.0, 0.0]),
+    "orientation not unit": (6, [1.0, 0.5, 0.0, 0.0]),
+    "scale zero": (3, [0.0]),
+    "scale negative": (4, [-0.1]),
+    "opacity above one": (10, [1.5]),
+    "opacity negative": (10, [-0.25]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_added_record_breaking_an_invariant_fails_on_both_sides(rng, mode, case):
+    pos, h = small_hierarchy(rng, anchors=6)
+    header = make_header(1, Quantization.full32, 40, mode)
+    deltas = random_deformation(h, rng, added=2, mode=mode)
+    payload = bytearray(encode_frame(9, deltas, h, header))
+    start, values = _BAD_RECORDS[case]
+    at = _first_record_offset(h, header) + 4 * (23 + start)  # the second record
+    payload[at:at + 4 * len(values)] = np.float32(values).tobytes()
+    with pytest.raises(StreamFormatError, match="frame 9: added gaussian record 1: "):
+        decode_frame(bytes(payload), 0, header)
+
+    record = np.frombuffer(bytes(payload), "<f4", 46, _first_record_offset(h, header))
+    record = record.reshape(2, 23)
+    bad = GaussianSet(record[:, 0:3], record[:, 3:6], record[:, 6:10], record[:, 10],
+                      record[:, 11:23])
+    with pytest.raises(ValueError, match="added gaussian record 1: "):
+        encode_frame(9, FrameDeformation(deltas.per_level, bad), h, header)
+
+
 def test_count_mismatch_names_level(rng):
     pos, h = small_hierarchy(rng, n=100, levels=2, anchors=9)
-    header = StreamHeader(2, Quantization.full32, 10, 1, 10, 100)
-    payload = encode_frame(1, random_deformation(h, rng), h, Quantization.full32)
+    header = make_header(2, Quantization.full32, 100)
+    payload = encode_frame(1, random_deformation(h, rng), h, header)
     decoded, _ = decode_frame(payload, 0, header)
     other = build_hierarchy(pos * 2 + 5, StreamConfig(levels=2), finest_target=4)
     if other.anchor_counts() != h.anchor_counts():
@@ -264,7 +382,7 @@ def test_nonfinite_delta_rejected(rng):
                 ),
             ),
             h,
-            Quantization.full32,
+            make_header(1, Quantization.full32, 40),
         )
 
 
@@ -280,70 +398,79 @@ def test_plan_budget_cap_binds():
 
 def test_plan_budget_worked_example():
     # finest 9 at ratio 3 targets (1, 3, 9): grids 1, 2 and 3 cells a side, so
-    # up to 1 + 8 + 27 = 36 anchors of 7 half16 values each
-    cfg = StreamConfig(levels=3, level_ratio=3, quantization=Quantization.half16)
-    assert level_caps(100_000, cfg, 9) == (1, 8, 27)
-    assert plan_budget(100_000, 36 * 7 * 2 + 64, cfg, overhead=64) == 9
-    # finest 10 needs base 2, targets (2, 6, 18) and caps (8, 8, 27); base 2
-    # serves every finest count up to 18
-    assert level_caps(100_000, cfg, 10) == (8, 8, 27)
-    assert plan_budget(100_000, 43 * 7 * 2 + 64 - 1, cfg, overhead=64) == 9
-    assert plan_budget(100_000, 43 * 7 * 2 + 64, cfg, overhead=64) == 18
+    # up to 1 + 8 + 27 = 36 anchors of 3 (additive) or 7 (pivot) half16 values
+    for mode, v in ((CompositionMode.additive, 3), (CompositionMode.pivot, 7)):
+        assert values_per_anchor(mode) == v
+        cfg = StreamConfig(levels=3, level_ratio=3, quantization=Quantization.half16,
+                           composition_mode=mode)
+        assert level_caps(100_000, cfg, 9) == (1, 8, 27)
+        assert plan_budget(100_000, 36 * v * 2 + 64, cfg, overhead=64) == 9
+        # finest 10 needs base 2, targets (2, 6, 18) and caps (8, 8, 27); base 2
+        # serves every finest count up to 18
+        assert level_caps(100_000, cfg, 10) == (8, 8, 27)
+        assert plan_budget(100_000, 43 * v * 2 + 64 - 1, cfg, overhead=64) == 9
+        assert plan_budget(100_000, 43 * v * 2 + 64, cfg, overhead=64) == 18
 
 
 def test_plan_budget_infeasible():
-    cfg = StreamConfig(levels=3, quantization=Quantization.half16)
-    with pytest.raises(BudgetError) as exc_info:
-        plan_budget(1000, 64, cfg, overhead=64)
-    assert exc_info.value.minimum_bytes == 36 * 7 * 2 + 64
-    # default overhead: the 29 fixed frame bytes on top of caps (1, 8, 27)
-    with pytest.raises(BudgetError) as exc_info:
-        plan_budget(1000, 532, cfg)
-    assert exc_info.value.minimum_bytes == 533 == 36 * 7 * 2 + frame_overhead_bytes(3)
-    assert plan_budget(1000, 533, cfg) == 9
+    for mode, minimum in ((CompositionMode.additive, 241), (CompositionMode.pivot, 529)):
+        cfg = StreamConfig(levels=3, quantization=Quantization.half16, composition_mode=mode)
+        v = values_per_anchor(mode)
+        with pytest.raises(BudgetError) as exc_info:
+            plan_budget(1000, 64, cfg, overhead=64)
+        assert exc_info.value.minimum_bytes == 36 * v * 2 + 64
+        # default overhead: the 25 fixed frame bytes on top of caps (1, 8, 27)
+        with pytest.raises(BudgetError) as exc_info:
+            plan_budget(1000, minimum - 1, cfg)
+        assert exc_info.value.minimum_bytes == minimum == 36 * v * 2 + frame_overhead_bytes(3)
+        assert plan_budget(1000, minimum, cfg) == 9
 
 
 def test_plan_budget_exact_bound_and_monotone():
-    cfg = StreamConfig(levels=3, quantization=Quantization.half16)
-    w = 2
-    overhead = 64
-    cap = math.ceil(100_000 * cfg.finest_fraction)
+    for mode in CompositionMode:
+        cfg = StreamConfig(levels=3, quantization=Quantization.half16, composition_mode=mode)
+        w = 2
+        overhead = 64
+        cap = math.ceil(100_000 * cfg.finest_fraction)
 
-    def cost(finest):
-        return sum(level_caps(100_000, cfg, finest)) * 7 * w + overhead
+        def cost(finest):
+            return sum(level_caps(100_000, cfg, finest)) * values_per_anchor(mode) * w + overhead
 
-    prev = None
-    for budget in range(150, 40_000, 1385):
-        try:
-            finest = plan_budget(100_000, budget, cfg, overhead=overhead)
-        except BudgetError:
-            continue
-        assert cost(finest) <= budget
-        # maximality: bumping the finest count must break the bound or the cap
-        assert cost(finest + 1) > budget or finest + 1 > cap
-        if prev is not None:
-            assert finest >= prev
-        prev = finest
-    assert prev is not None
+        prev = None
+        for budget in range(150, 40_000, 1385):
+            try:
+                finest = plan_budget(100_000, budget, cfg, overhead=overhead)
+            except BudgetError:
+                continue
+            assert cost(finest) <= budget
+            # maximality: bumping the finest count must break the bound or the cap
+            assert cost(finest + 1) > budget or finest + 1 > cap
+            if prev is not None:
+                assert finest >= prev
+            prev = finest
+        assert prev is not None
 
 
 def test_plan_budget_minimum_verified_brute_force():
-    cfg = StreamConfig(levels=2, level_ratio=3, quantization=Quantization.full32)
     overhead = frame_overhead_bytes(2)
+    for mode in CompositionMode:
+        cfg = StreamConfig(levels=2, level_ratio=3, quantization=Quantization.full32,
+                           composition_mode=mode)
+        v = values_per_anchor(mode)
 
-    def cost(finest):  # targets (base, 3 * base); each fills up to m^3 cells
-        base = -(-finest // 3)
-        return sum(cube_root_ceil(t) ** 3 for t in (base, 3 * base)) * 7 * 4 + overhead
+        def cost(finest):  # targets (base, 3 * base); each fills up to m^3 cells
+            base = -(-finest // 3)
+            return sum(cube_root_ceil(t) ** 3 for t in (base, 3 * base)) * v * 4 + overhead
 
-    brute_min = min(cost(f) for f in range(1, 50))
-    with pytest.raises(BudgetError) as exc_info:
-        plan_budget(1000, brute_min - 1, cfg)
-    assert exc_info.value.minimum_bytes == brute_min
-    assert plan_budget(1000, brute_min, cfg) == 3  # base 1 serves finest 1..3
-    for budget in range(brute_min, 20_000, 997):
-        finest = plan_budget(1000, budget, cfg)
-        assert cost(finest) <= budget
-        assert budget < cost(finest + 1) or finest == 42  # ceil(1000 / 24)
+        brute_min = min(cost(f) for f in range(1, 50))
+        with pytest.raises(BudgetError) as exc_info:
+            plan_budget(1000, brute_min - 1, cfg)
+        assert exc_info.value.minimum_bytes == brute_min
+        assert plan_budget(1000, brute_min, cfg) == 3  # base 1 serves finest 1..3
+        for budget in range(brute_min, 20_000, 997):
+            finest = plan_budget(1000, budget, cfg)
+            assert cost(finest) <= budget
+            assert budget < cost(finest + 1) or finest == 42  # ceil(1000 / 24)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +480,7 @@ def test_plan_budget_minimum_verified_brute_force():
 
 def test_storage_report_single_zero_frame(rng):
     _, h = small_hierarchy(rng, anchors=4)
-    payload = encode_frame(1, FrameDeformation.zeros(h), h, Quantization.full32)
+    payload = encode_frame(1, FrameDeformation.zeros(h), h, make_header(1, Quantization.full32, 40))
     stats = [FrameStats(1, len(payload), 112, 0, frame_overhead_bytes(1), False)]
     report = storage_report(stats)
     assert report.delta_bytes == 112
@@ -379,5 +506,5 @@ def test_deformation_magnitude_at_paper_scale():
     cfg = StreamConfig()
     from anchorstream.hierarchy import level_targets
     counts = level_targets(350_000, cfg)
-    block = delta_block_bytes(counts, Quantization.half16)
+    block = delta_block_bytes(counts, Quantization.half16, CompositionMode.pivot)
     assert abs(block - 295_000) / 295_000 < 0.01  # ~295 KB/frame

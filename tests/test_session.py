@@ -12,10 +12,12 @@ import pytest
 
 from anchorstream import (
     CompositionMode,
+    ConfigError,
     FitConfig,
     GaussianSet,
     Quantization,
     StreamConfig,
+    StreamFormatError,
     codec,
     decode_session,
     encode_session,
@@ -26,7 +28,7 @@ from anchorstream import (
     write_gaussian_ply,
 )
 from anchorstream.cli import main
-from anchorstream.session import SyntheticSource
+from anchorstream.session import StaticSource, SyntheticSource
 
 
 def small_arm(frames=7, point_scale=0.25, seed=11):
@@ -68,7 +70,7 @@ def test_decoder_mirrors_encoder_on_budget_path():
     config = StreamConfig(reconfig_period=3, phase1_steps=20,
                           composition_mode=CompositionMode.pivot)
     enc = encode_session(base, source, config, budget_bytes=600)
-    # it binds: finest 9 of a possible 13, whose caps (8, 8, 27) cost 631 B
+    # it binds: finest 9 of a possible 13, whose caps (8, 8, 27) cost 627 B
     assert enc.header.finest_fraction * len(base) == 9
     assert enc.planned_caps == (1, 8, 27)
     dec = decode_session(base, enc.stream, config.level_ratio, config.composition_mode)
@@ -86,7 +88,8 @@ def test_budget_holds_at_every_frame_while_densification_grows_n(ratio, budget):
     assert len(enc.state.gaussians) > 1.3 * len(base)
     overhead = codec.frame_overhead_bytes(config.levels)
     for m in enc.metrics:
-        cost = codec.delta_block_bytes(m.anchor_counts, config.quantization) + overhead
+        cost = codec.delta_block_bytes(m.anchor_counts, config.quantization,
+                                       config.composition_mode) + overhead
         assert cost <= budget, (m.frame_index, m.anchor_counts)
         assert all(c <= cap for c, cap in zip(m.anchor_counts, enc.planned_caps))
     dec = decode_session(base, enc.stream, ratio, config.composition_mode)
@@ -119,6 +122,79 @@ def test_header_only_stream_decodes_to_frame_zero():
     assert dec.state.gaussians.positions.tobytes() == base.positions.tobytes()
 
 
+def count_decoded_frames(monkeypatch):
+    calls = []
+    decode_frame = codec.decode_frame
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return decode_frame(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "decode_frame", counting)
+    return calls
+
+
+def test_header_settings_that_contradict_the_callers_fail_before_frame_one(monkeypatch):
+    base, source = session_inputs(small_arm(frames=4))
+    config = StreamConfig(level_ratio=2, composition_mode=CompositionMode.pivot,
+                          phase1_steps=5)
+    enc = encode_session(base, source, config)
+    calls = count_decoded_frames(monkeypatch)
+    with pytest.raises(StreamFormatError, match="composition mode pivot, caller expects additive"):
+        decode_session(base, enc.stream, composition_mode=CompositionMode.additive)
+    with pytest.raises(StreamFormatError, match="level ratio 2, caller expects 3"):
+        decode_session(base, enc.stream, 3, CompositionMode.pivot)
+    assert calls == []
+    # matching expectations, or none, decode as the encoder ran
+    assert_mirrored(enc, decode_session(base, enc.stream, 2, CompositionMode.pivot))
+    assert_mirrored(enc, decode_session(base, enc.stream))
+
+
+def first_frame_blocks(stream, mode):
+    """Frame 1's delta blocks per level: (translation offset, anchor count,
+    rotation offset or None)."""
+    levels = codec.StreamHeader.unpack(stream).levels
+    at = codec.HEADER_BYTES + 8
+    counts = np.frombuffer(stream, "<u4", levels, at)
+    at += 4 * levels
+    blocks = []
+    for count in counts:
+        rot = at + 12 * count if mode == CompositionMode.pivot else None
+        blocks.append((at, count, rot))
+        at += 4 * count * codec.values_per_anchor(mode)
+    return blocks
+
+
+def test_decode_names_the_frame_whose_deltas_break_the_state():
+    base, source = session_inputs(small_arm(frames=3))
+    streams = {mode: encode_session(base, source, StreamConfig(
+        quantization=Quantization.full32, composition_mode=mode, phase1_steps=5)).stream
+        for mode in CompositionMode}
+    for mode, stream in streams.items():
+        # every translation of the two coarsest levels moves x by 3e38: the
+        # sum leaves float32 range
+        far = bytearray(stream)
+        for at, count, _ in first_frame_blocks(stream, mode)[:2]:
+            values = np.frombuffer(far, "<f4", 3 * count, at).copy().reshape(count, 3)
+            values[:, 0] = 3e38
+            far[at:at + values.nbytes] = values.tobytes()
+        with pytest.raises(StreamFormatError, match="frame 1: deltas carry gaussians out of"):
+            decode_session(base, bytes(far))
+    # a pivot increment of (-1, 0, 0, 0) leaves no rotation to normalize
+    stream = streams[CompositionMode.pivot]
+    _, _, rot = first_frame_blocks(stream, CompositionMode.pivot)[0]
+    degenerate = bytearray(stream)
+    degenerate[rot:rot + 16] = np.float32([-1, 0, 0, 0]).tobytes()
+    with pytest.raises(StreamFormatError, match="frame 1: pivot increment for anchor 0"):
+        decode_session(base, bytes(degenerate))
+
+
+def test_encode_needs_two_frames():
+    base, _ = session_inputs(small_arm(frames=2))
+    with pytest.raises(ConfigError, match="at least 2 frames"):
+        encode_session(base, StaticSource(base, 1), StreamConfig())
+
+
 def test_pivot_accuracy_holds_across_reconfiguration():
     base, source = session_inputs(two_body_arm_spec(frames=7))
     config = StreamConfig(reconfig_period=3, composition_mode=CompositionMode.pivot)
@@ -139,19 +215,13 @@ def test_cli_round_trip_exports_the_decoded_states(tmp_path, monkeypatch, capsys
     stream = stream_path.read_bytes()
     base = SyntheticSource(generate_scene(small_arm())).base_gaussians()
     expected = {payload.frame_index: write_gaussian_ply(state.gaussians)
-                for payload, state in iter_decode(base, stream, 3, CompositionMode.pivot)}
+                for payload, state in iter_decode(base, stream)}
     capsys.readouterr()
 
-    calls = []
-    decode_frame = codec.decode_frame
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return decode_frame(*args, **kwargs)
-
-    monkeypatch.setattr(codec, "decode_frame", counting)
+    calls = count_decoded_frames(monkeypatch)
+    # the mode and the level ratio come from the stream header
     assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
-                 "--mode", "pivot", "--output-dir", str(out_dir), "--export-every", "2"]) == 0
+                 "--output-dir", str(out_dir), "--export-every", "2"]) == 0
     assert len(calls) == len(expected) == 6
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "frame_0002.ply", "frame_0004.ply", "frame_0006.ply"]
@@ -171,6 +241,27 @@ def test_cli_rejects_a_header_only_stream(tmp_path, capsys):
     assert "no frames" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_bad_header_field_with_exit_1(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "bad.rcgs"
+    spec = small_arm(frames=2)
+    write_spec(spec_path, spec)
+    base, source = session_inputs(spec)
+    stream = bytearray(encode_session(base, source, StreamConfig(phase1_steps=5)).stream)
+    stream[7] = 9  # the quantization byte
+    stream_path.write_bytes(bytes(stream))
+    assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path)]) == 1
+    assert "bad stream header" in capsys.readouterr().err
+
+
+def test_cli_encode_of_one_frame_is_a_config_error(tmp_path, capsys):
+    ply_path, stream_path = tmp_path / "cloud.ply", tmp_path / "out.rcgs"
+    ply_path.write_bytes(write_gaussian_ply(session_inputs(small_arm(frames=2))[0]))
+    assert main(["encode", "--input", str(ply_path), "--output", str(stream_path),
+                 "--frames", "1"]) == 2
+    assert "at least 2 frames" in capsys.readouterr().err
+    assert not stream_path.exists()
+
+
 def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
     spec = small_arm(point_scale=0.5)
@@ -180,7 +271,9 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
                  "--densify-threshold", "0.01"]) == 0
     capsys.readouterr()
     assert main(["inspect", "--stream", str(stream_path)]) == 0
-    rows = capsys.readouterr().out.splitlines()[3:]  # two header lines, then column names
+    lines = capsys.readouterr().out.splitlines()
+    assert "mode=additive level_ratio=3" in lines[0]
+    rows = lines[3:]  # two header lines, then column names
     byte_column = [int(row.split()[1]) for row in rows]
     stream = stream_path.read_bytes()
     assert sum(byte_column) == len(stream) - codec.HEADER_BYTES
@@ -192,11 +285,11 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
 def test_cli_bench_reports_an_infeasible_budget_and_keeps_the_feasible_one(tmp_path, capsys):
     spec_path = tmp_path / "arm.json"
     write_spec(spec_path, small_arm(frames=3))
-    code = main(["bench", "--spec", str(spec_path), "--budgets", "600,532",
+    code = main(["bench", "--spec", str(spec_path), "--budgets", "600,240",
                  "--phase1-steps", "5"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert "FAILED levels=3 budget=532" in err and "minimum feasible 533" in err
+    assert "FAILED levels=3 budget=240" in err and "minimum feasible 241" in err
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [row[:2] for row in rows] == [["3", "600"]]
 
