@@ -219,13 +219,13 @@ def cmd_inspect(args) -> int:
     print(f"finest_fraction={header.finest_num}/{header.finest_den} "
           f"initial_gaussians={header.gaussian_count_initial}")
     offset = codec.HEADER_BYTES
-    print(f"{'frame':>6} {'bytes':>8} {'anchors':>18} {'added':>6} {'reconfig':>8}")
+    print(f"{'frame':>6} {'bytes':>8} {'anchors':>18} {'clones':>6} {'reconfig':>8}")
     while offset < len(stream):
         start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
         print(f"{payload.frame_index:>6} {offset - start:>8} "
-              f"{str(payload.realized_counts):>18} {len(payload.deltas.added_gaussians):>6} "
-              f"{int(payload.reconfig):>8}")
+              f"{str(payload.realized_counts):>18} {len(payload.deltas.clone_sources):>6} "
+              f"{int(header.reconfigures_at(payload.frame_index)):>8}")
     return EXIT_OK
 
 
@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--metrics", help="per-frame metrics CSV path")
     enc.add_argument("--budget", type=int,
                      help="bytes/frame cap on anchor deltas plus frame overhead; plans "
-                          "per-level anchor caps that hold at every frame (clones extra)")
+                          "per-level anchor caps that hold at every frame (clones, 16 B "
+                          "each, extra)")
     enc.add_argument("--seed", type=int, help="override the scene spec seed")
     enc.add_argument("--frames", type=int, default=10,
                      help="frame count for PLY (static) inputs")

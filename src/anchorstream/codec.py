@@ -6,9 +6,9 @@ grid cell key, so delta blocks are raw value runs. All integers and floats
 are little-endian. The header holds every setting a decoder needs; nothing
 about a session travels out of band.
 
-Header (33 bytes, format version 2):
+Header (33 bytes, format version 3):
     magic           4s   = b"RCGS"
-    version         u16  = 2
+    version         u16  = 3
     levels          u8   (1..4)
     quantization    u8   (0 full32, 1 half16, 2 fixed16)
     composition_mode u8  (0 additive, 1 pivot)
@@ -26,26 +26,27 @@ Frame payload:
         full32:  f32 runs
         half16:  f16 runs
         fixed16: per component (min f32, max f32), then u16 runs
-    added_count     u32, then 23 f32 per added record
-                    (position, scale, orientation, opacity, sh)
-    reconfig_flag   u8   (0 or 1)
+    added_count     u32, then added_count u32 source ordinals, then
+                    added_count x 3 f32 positions
 
 Additive mode carries no rotation blocks: positions do not depend on the
 rotation increments there, so the fit leaves them at zero and the decoder
-restores them as zeros. Version 1 streams (no mode or ratio in the header,
-rotation blocks and a pruned-index list in every frame) are rejected.
+restores them as zeros. A clone travels as the ordinal of the gaussian it
+copies, in the state before the frame's deformation, plus its own position
+at full precision; the rest of its record is its source's, which the decoder
+already holds. Hierarchy rebuilds follow the header's schedule
+(:meth:`StreamHeader.reconfigures_at`), so no frame carries a flag for them.
+Streams of versions 1 and 2 are rejected.
 
 fixed16 maps x to round((x - min) / (max - min) * 65535); max == min encodes
-a constant block. Densified records always serialize at full precision; they
-are few and quality-critical. Both sides hold added records to the type
-invariants of :func:`types.validate_state`.
+a constant block.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,22 +54,15 @@ import numpy as np
 from .errors import BudgetError, ConfigError, StreamFormatError
 from .hierarchy import AnchorHierarchy, level_caps
 from .motion import AnchorDeltaSet, FrameDeformation
-from .types import (
-    CompositionMode,
-    GaussianSet,
-    Quantization,
-    SceneState,
-    StreamConfig,
-    validate_state,
-)
+from .types import CompositionMode, Quantization, StreamConfig
 
 MAGIC = b"RCGS"
-VERSION = 2
+VERSION = 3
 _PREFIX = struct.Struct("<4sH")  # magic and version, where every version starts
 _HEADER = struct.Struct("<4sHBBBIIIIQ")
 HEADER_BYTES = _HEADER.size  # 33
 
-_RECORD_FLOATS = 23  # position 3 + scale 3 + orientation 4 + opacity 1 + sh 12
+CLONE_BYTES = 16  # u32 source ordinal + 3 f32 position values
 
 VALUE_BYTES = {
     Quantization.full32: 4,
@@ -113,6 +107,10 @@ class StreamHeader:
     @property
     def finest_fraction(self) -> Fraction:
         return Fraction(self.finest_num, self.finest_den)
+
+    def reconfigures_at(self, frame: int) -> bool:
+        """Whether the hierarchy is rebuilt before ``frame``, on both sides."""
+        return frame % self.reconfig_period == 0
 
     def stream_config(self) -> StreamConfig:
         """The settings a decoder needs, as a config; fit knobs keep their defaults."""
@@ -171,7 +169,6 @@ class FramePayload:
     frame_index: int
     realized_counts: tuple[int, ...]
     deltas: FrameDeformation
-    reconfig: bool
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +232,15 @@ def quantize_roundtrip(deltas: FrameDeformation, quantization: Quantization) -> 
     quantization mode.
     """
     if quantization == Quantization.full32:
-        return FrameDeformation(
-            [AnchorDeltaSet(d.translations.copy(), d.rotations.copy()) for d in deltas.per_level],
-            deltas.added_gaussians,
-        )
+        return replace(deltas, per_level=[AnchorDeltaSet(d.translations.copy(), d.rotations.copy())
+                                          for d in deltas.per_level])
     out = []
     for ds in deltas.per_level:
         count = len(ds)
         t, _ = _decode_block(_encode_block(ds.translations, quantization), 0, count, 3, quantization)
         r, _ = _decode_block(_encode_block(ds.rotations, quantization), 0, count, 4, quantization)
         out.append(AnchorDeltaSet(t, r))
-    return FrameDeformation(out, deltas.added_gaussians)
+    return replace(deltas, per_level=out)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +255,12 @@ def _need(buf: bytes, offset: int, nbytes: int) -> None:
         )
 
 
-def _record_violation(added: GaussianSet) -> str | None:
-    """The first broken type invariant among added records, or None."""
-    violations = validate_state(SceneState(added))
-    if not violations:
-        return None
-    v = violations[0]
-    return f"added gaussian record {v.index}: {v.message}"
-
-
 def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHierarchy,
-                 header: StreamHeader, reconfig: bool = False) -> bytes:
+                 header: StreamHeader) -> bytes:
     """Serialize one frame. Delta blocks follow the canonical anchor order.
 
-    Raises ``ValueError`` for anything the decoder could not restore exactly:
-    a nonzero rotation in additive mode, or an added record that is not
-    finite or breaks a type invariant.
+    Raises ``ValueError`` for a nonzero rotation in additive mode, which the
+    decoder could not restore.
     """
     counts = hierarchy.anchor_counts()
     if len(deltas.per_level) != len(counts):
@@ -291,34 +276,18 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
             parts.append(_encode_block(ds.rotations, header.quantization))
         elif ds.rotations.any():
             raise ValueError("additive frames carry no rotations, but a rotation is nonzero")
-    added = deltas.added_gaussians
-    parts.append(struct.pack("<I", len(added)))
-    if len(added):
-        block = np.concatenate(
-            [
-                added.positions,
-                added.scales,
-                added.orientations,
-                added.opacities[:, None],
-                added.sh,
-            ],
-            axis=1,
-        )
-        problem = _record_violation(added)
-        if problem is not None:
-            raise ValueError(problem)
-        parts.append(block.astype("<f4").tobytes())
-    parts.append(struct.pack("<B", 1 if reconfig else 0))
+    parts.append(struct.pack("<I", len(deltas.clone_sources)))
+    parts.append(deltas.clone_sources.astype("<u4").tobytes())
+    parts.append(deltas.clone_positions.astype("<f4").tobytes())
     return b"".join(parts)
 
 
 def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePayload, int]:
     """Parse one frame payload starting at ``offset``.
 
-    The payload is self-describing given the header; hierarchy consistency
-    (realized counts vs the decoder's rebuilt structure) is checked separately
-    by :func:`verify_counts` once the decoder knows whether to reconfigure.
-    In additive mode the rotations come back as zeros.
+    The payload is self-describing given the header; consistency with the
+    decoder's state (realized counts, clone source ordinals) is checked by
+    the decode loop. In additive mode the rotations come back as zeros.
     """
     _need(buf, offset, 8)
     (frame_index,) = struct.unpack_from("<Q", buf, offset)
@@ -336,32 +305,18 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
             rot = np.zeros((count, 4), np.float32)
         blocks.append((trans, rot))
     _need(buf, offset, 4)
-    (added_count,) = struct.unpack_from("<I", buf, offset)
+    (clone_count,) = struct.unpack_from("<I", buf, offset)
     offset += 4
-    if added_count:
-        nbytes = added_count * _RECORD_FLOATS * 4
-        _need(buf, offset, nbytes)
-        block = np.frombuffer(buf, "<f4", added_count * _RECORD_FLOATS, offset)
-        block = block.reshape(added_count, _RECORD_FLOATS).astype(np.float32)
-        if not np.isfinite(block).all():
-            raise StreamFormatError(f"frame {frame_index}: added gaussian records must be finite")
-        added = GaussianSet(block[:, 0:3], block[:, 3:6], block[:, 6:10], block[:, 10], block[:, 11:23])
-        problem = _record_violation(added)
-        if problem is not None:
-            raise StreamFormatError(f"frame {frame_index}: {problem}")
-        offset += nbytes
-    else:
-        added = GaussianSet.empty()
-    _need(buf, offset, 1)
-    (flag,) = struct.unpack_from("<B", buf, offset)
-    offset += 1
-    if flag > 1:
-        raise StreamFormatError(f"frame {frame_index}: reconfig flag {flag} is not 0 or 1")
+    _need(buf, offset, clone_count * CLONE_BYTES)
+    sources = np.frombuffer(buf, "<u4", clone_count, offset).astype(np.int64)
+    offset += 4 * clone_count
+    positions = np.frombuffer(buf, "<f4", 3 * clone_count, offset).reshape(clone_count, 3)
+    offset += 12 * clone_count
     try:  # well-framed bytes can still hold values no encoder writes
-        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], added)
+        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], sources, positions)
     except ValueError as exc:
         raise StreamFormatError(f"frame {frame_index}: {exc}") from exc
-    return FramePayload(frame_index, tuple(int(c) for c in counts), deltas, bool(flag)), offset
+    return FramePayload(frame_index, tuple(int(c) for c in counts), deltas), offset
 
 
 def verify_counts(payload: FramePayload, hierarchy: AnchorHierarchy) -> None:
@@ -390,8 +345,8 @@ def delta_block_bytes(counts, quantization: Quantization, mode: CompositionMode)
 
 
 def frame_overhead_bytes(levels: int) -> int:
-    """Fixed per-frame bytes: index, counts, added count, flag."""
-    return 8 + 4 * levels + 4 + 1
+    """Fixed per-frame bytes: index, counts, clone count."""
+    return 8 + 4 * levels + 4
 
 
 def frame_payload_bytes(header: StreamHeader, counts, added_count: int = 0) -> int:
@@ -399,7 +354,7 @@ def frame_payload_bytes(header: StreamHeader, counts, added_count: int = 0) -> i
     return (
         frame_overhead_bytes(header.levels)
         + delta_block_bytes(counts, header.quantization, header.composition_mode)
-        + added_count * _RECORD_FLOATS * 4
+        + added_count * CLONE_BYTES
     )
 
 
@@ -413,10 +368,10 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
     values per anchor of the composition mode (3 additive, 7 pivot), so
     deltas plus overhead stay within the budget at every frame of a session
     whose rebuilds all use the returned target, however many gaussians
-    densification appends. The densified records themselves (23 float32
-    values, 92 B each) are outside the budget, so a frame that densifies can
-    exceed it, and a tighter budget means coarser anchors, larger residuals
-    and often more such records. The target is capped at ceil(n_gaussians *
+    densification appends. The clone records themselves (16 B each: a source
+    ordinal and a position) are outside the budget, so a frame that densifies
+    can exceed it, and a tighter budget means coarser anchors, larger
+    residuals and often more clones. The target is capped at ceil(n_gaussians *
     finest_fraction). ``overhead`` defaults to the fixed per-frame bytes,
     plus the fixed16 block ranges; an infeasible budget raises with the
     minimum feasible one, the cost at a finest target of one anchor.

@@ -314,26 +314,16 @@ def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                       deltas: FrameDeformation, corr: Correspondences,
                       threshold: float,
                       mode: CompositionMode = CompositionMode.additive,
-                      ) -> tuple[GaussianSet, np.ndarray]:
-    """Spawn clones at targets whose residual exceeds the threshold.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Pick the clones for targets whose residual exceeds the threshold.
 
-    Each added gaussian sits exactly at the observed target and inherits the
-    source gaussian's scale, orientation, opacity, and SH. Returns the clones
-    and, per clone, the index of the gaussian it copies. Nothing is ever
+    Returns, per clone, the index of the gaussian it copies (K,) and the
+    observed target it sits at (K, 3). The session builds each clone from
+    its source's scale, orientation, opacity, and SH. Nothing is ever
     pruned: opacity never changes without photometric training, so there is
     no signal to prune on.
     """
     pos = deformed_positions(gaussians, hierarchy, deltas, corr.indices, mode)
     residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
     picked = np.nonzero(residual > threshold)[0]
-    if picked.size == 0:
-        return GaussianSet.empty(), np.empty(0, np.int64)
-    src = corr.indices[picked]
-    added = GaussianSet(
-        corr.targets[picked],
-        gaussians.scales[src],
-        gaussians.orientations[src],
-        gaussians.opacities[src],
-        gaussians.sh[src],
-    )
-    return added, src
+    return corr.indices[picked], corr.targets[picked]

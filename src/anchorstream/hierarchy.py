@@ -142,29 +142,40 @@ def assign_clusters(positions, level: LevelStructure) -> np.ndarray:
     return kernels.l1_nearest(pos, anchors)
 
 
+def _nominal_targets(n_gaussians: int, config: StreamConfig,
+                     finest_target: int | None) -> list[int]:
+    """base * level_ratio^(l-1) per level, coarsest first, before the clamp to N."""
+    if finest_target is None:
+        finest_target = math.ceil(n_gaussians * config.finest_fraction)
+    finest = max(1, min(finest_target, n_gaussians))
+    base = math.ceil(Fraction(finest, config.level_ratio ** (config.levels - 1)))
+    return [base * config.level_ratio**l for l in range(config.levels)]
+
+
 def level_targets(n_gaussians: int, config: StreamConfig, finest_target: int | None = None) -> tuple[int, ...]:
     """Per-level target anchor counts, coarsest first: base * level_ratio^(l-1).
 
     The finest level aims at ceil(N * finest_fraction), or at an explicit
     override (a session's frame-0 target, or the budget planner's pick),
     clamped to [1, N]. The base is that count divided by level_ratio^(L-1),
-    rounded up, so the finest target is never below the requested one.
+    rounded up, so the finest target is never below the requested one. No
+    level aims above N: there are no more points to pick as anchors, and a
+    huge ratio would otherwise overflow the grid's cell codes.
     """
-    if finest_target is None:
-        finest_target = math.ceil(n_gaussians * config.finest_fraction)
-    finest = max(1, min(finest_target, n_gaussians))
-    base = math.ceil(Fraction(finest, config.level_ratio ** (config.levels - 1)))
-    return tuple(base * config.level_ratio**l for l in range(config.levels))
+    n = max(1, n_gaussians)
+    return tuple(min(t, n) for t in _nominal_targets(n_gaussians, config, finest_target))
 
 
 def level_caps(n_gaussians: int, config: StreamConfig,
                finest_target: int | None = None) -> tuple[int, ...]:
     """Most anchors each level can realize, coarsest first: one per grid cell.
 
-    Arguments are as for :func:`level_targets`. Whatever the positions, a
-    hierarchy built with the same arguments holds at most these counts.
+    Arguments are as for :func:`level_targets`. The grids are sized for the
+    targets before their clamp to N, so a hierarchy built over any positions
+    with the same finest target, at N or more gaussians, holds at most these
+    counts: densification can grow N without raising a cap.
     """
-    return tuple(grid_resolution(t) ** 3 for t in level_targets(n_gaussians, config, finest_target))
+    return tuple(grid_resolution(t) ** 3 for t in _nominal_targets(n_gaussians, config, finest_target))
 
 
 def build_hierarchy(gaussians, config: StreamConfig, finest_target: int | None = None,

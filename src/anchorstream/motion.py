@@ -114,10 +114,27 @@ class AnchorDeltaSet:
 
 @dataclass
 class FrameDeformation:
-    """Everything one frame carries: per-level deltas plus densification."""
+    """Everything one frame carries: per-level deltas plus densification.
+
+    Clone k copies gaussian ``clone_sources[k]`` (K,) int64 of the state
+    before this frame's deformation and sits at ``clone_positions[k]``
+    (K, 3) float32.
+    """
 
     per_level: list[AnchorDeltaSet]
-    added_gaussians: GaussianSet = field(default_factory=GaussianSet.empty)
+    clone_sources: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    clone_positions: np.ndarray = field(default_factory=lambda: np.empty((0, 3), np.float32))
+
+    def __post_init__(self):
+        self.clone_sources = np.ascontiguousarray(self.clone_sources, np.int64)
+        self.clone_positions = np.ascontiguousarray(self.clone_positions, np.float32)
+        k = self.clone_sources.shape[0]
+        if self.clone_sources.shape != (k,) or self.clone_positions.shape != (k, 3):
+            raise ValueError("clone sources must be (K,) and clone positions (K, 3)")
+        if (self.clone_sources < 0).any():
+            raise ValueError("clone sources must be non-negative")
+        if not np.isfinite(self.clone_positions).all():
+            raise ValueError("clone positions must be finite")
 
     @classmethod
     def zeros(cls, hierarchy: AnchorHierarchy) -> "FrameDeformation":

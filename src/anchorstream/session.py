@@ -4,7 +4,8 @@ The encoder fits deformations against observed targets, serializes them, and
 then advances its own state with the *dequantized* deltas - exactly what the
 decoder will apply - so both replicas stay bit-identical at any quantization
 mode. Hierarchy rebuilds happen on a fixed schedule (every ``reconfig_period``
-frames) on both sides; the decoder is told via the frame's reconfig flag.
+frames) on both sides; each side reads it from the stream header
+(:meth:`codec.StreamHeader.reconfigures_at`), so no frame carries a flag.
 The stream header carries every session setting the decoder needs, so a
 decode takes nothing but the frame-0 input and the stream.
 Every build of a session sizes its grids for the same frame-0 finest target,
@@ -12,7 +13,9 @@ so the per-level anchor caps never move, however many gaussians are added.
 
 Densified gaussians append to the end of the flat sequence on both sides and
 are assigned to existing anchors by the same deterministic rule, so stream
-payloads never carry explicit indices.
+payloads never carry anchor indices. A clone travels as the ordinal of the
+gaussian it copies plus its position; :func:`_advance_state` rebuilds the
+rest of its record from the mirrored state.
 """
 
 from __future__ import annotations
@@ -115,15 +118,19 @@ class SessionResult:
 
 def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
                    config: StreamConfig, frame_index: int) -> SceneState:
-    """Apply one frame to a state: deform, append, reassign.
+    """Apply one frame to a state: deform, append clones, reassign.
 
     Shared verbatim by encoder and decoder - this is the mirror contract.
+    Each clone takes its position from the frame and every other attribute
+    from its source row as it stood before this frame's deformation.
     """
-    gaussians = apply_deformation(
-        state.gaussians, state.hierarchy, payload_deltas, config.composition_mode
-    )
-    added = payload_deltas.added_gaussians
-    if len(added):
+    before = state.gaussians
+    gaussians = apply_deformation(before, state.hierarchy, payload_deltas,
+                                  config.composition_mode)
+    src = payload_deltas.clone_sources
+    if src.size:
+        added = GaussianSet(payload_deltas.clone_positions,
+                            *(col[src] for col in before.attribute_arrays()[1:]))
         for lvl in state.hierarchy.levels:
             anchors = gaussians.positions[lvl.anchor_indices]
             extra = l1_nearest(added.positions, anchors)
@@ -179,7 +186,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     the effective finest fraction, so the decoder builds the same grids
     without ever seeing the budget. ``planned_caps`` then holds the per-level
     anchor caps that keep every frame's anchor deltas plus overhead within
-    the budget. Densified records (92 B each) come on top of it: see
+    the budget. Clone records (16 B each) come on top of it: see
     :func:`codec.plan_budget`. The source needs at least two frames: frame 0
     and one encoded frame.
     """
@@ -206,7 +213,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     prev_deltas: Optional[FrameDeformation] = None
 
     for t in range(1, source.frame_count):
-        reconfig = t % eff_config.reconfig_period == 0
+        reconfig = header.reconfigures_at(t)
         if reconfig:
             new_hier, neighbor_maps = rehierarchize(state, eff_config, finest_target)
             if prev_deltas is not None:
@@ -225,18 +232,17 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         corr = source.correspondences(t)
         fitted = fit_frame(state.gaussians, state.hierarchy, corr, fit_config, init,
                            eff_config.phase1_steps, eff_config.composition_mode)
+        frame_def = fitted
         if eff_config.phase2_steps > 0:
-            added, _ = densify_residuals(
+            sources, positions = densify_residuals(
                 state.gaussians, state.hierarchy, fitted, corr,
                 eff_config.densify_threshold, eff_config.composition_mode,
             )
-        else:
-            added = GaussianSet.empty()
+            frame_def = FrameDeformation(fitted.per_level, sources, positions)
 
         loss, _ = loss_and_gradient(state.gaussians, state.hierarchy, fitted, corr,
                                     eff_config.composition_mode)
-        frame_def = FrameDeformation(fitted.per_level, added)
-        payload = codec.encode_frame(t, frame_def, state.hierarchy, header, reconfig)
+        payload = codec.encode_frame(t, frame_def, state.hierarchy, header)
         chunks.append(payload)
 
         applied = codec.quantize_roundtrip(frame_def, eff_config.quantization)
@@ -285,9 +291,12 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
                    state: SceneState) -> Iterator[tuple[FramePayload, SceneState, int]]:
     """The decode loop: advance ``state`` frame by frame, yielding each with its byte span.
 
-    Whatever a well-framed payload makes go wrong while it is applied (a
-    degenerate pivot rotation, deltas that carry positions out of float32
-    range) is a :class:`StreamFormatError` naming the frame.
+    A payload that disagrees with the mirrored state (a clone source past
+    the gaussian count, anchor counts other than the rebuilt hierarchy's)
+    fails before the state changes. Whatever a well-framed payload makes go
+    wrong while it is applied (a degenerate pivot rotation, deltas that
+    carry positions out of float32 range) is a :class:`StreamFormatError`
+    naming the frame.
     """
     finest_target = _finest_target(header)
     offset = codec.HEADER_BYTES
@@ -298,12 +307,19 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
         frame = payload.frame_index
         if frame != expected:
             raise StreamFormatError(f"frame index {frame} out of order, expected {expected}")
-        if payload.reconfig:
+        n = len(state.gaussians)
+        sources = payload.deltas.clone_sources
+        if sources.size and sources.max() >= n:
+            raise StreamFormatError(f"frame {frame}: clone source {sources.max()} is not "
+                                    f"below the gaussian count {n}")
+        hierarchy = state.hierarchy
+        if header.reconfigures_at(frame):
             # the encoder's rehierarchize builds exactly this; its legacy-anchor
             # maps only seed the encoder's fit
-            state.hierarchy = build_hierarchy(state.gaussians, config, finest_target,
-                                              built_at_frame=state.frame_index)
-        codec.verify_counts(payload, state.hierarchy)
+            hierarchy = build_hierarchy(state.gaussians, config, finest_target,
+                                        built_at_frame=state.frame_index)
+        codec.verify_counts(payload, hierarchy)
+        state.hierarchy = hierarchy
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                 state = _advance_state(state, payload.deltas, config, frame)
@@ -353,7 +369,8 @@ def decode_session(base: GaussianSet, stream: bytes,
     for payload, state, nbytes in _decode_frames(stream, header, config, state):
         metrics.append(
             FrameMetrics(payload.frame_index, math.nan, math.nan, nbytes,
-                         state.hierarchy.anchor_counts(), payload.reconfig,
+                         state.hierarchy.anchor_counts(),
+                         header.reconfigures_at(payload.frame_index),
                          state_checksum(state))
         )
     return DecodeResult(state, metrics, header)

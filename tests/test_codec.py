@@ -10,7 +10,6 @@ from anchorstream import (
     BudgetError,
     CompositionMode,
     FrameDeformation,
-    GaussianSet,
     Quantization,
     StreamConfig,
     StreamFormatError,
@@ -48,7 +47,8 @@ def make_header(levels, quantization, count, mode=CompositionMode.pivot, den=10)
 
 
 def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
-    """Random deltas; additive ones have zero rotations, as the fit leaves them."""
+    """Random deltas and ``added`` clones; additive deltas have zero rotations,
+    as the fit leaves them."""
     rot_scale = scale if mode == CompositionMode.pivot else 0.0
     per_level = [
         AnchorDeltaSet(
@@ -57,9 +57,9 @@ def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
         )
         for lvl in h.levels
     ]
-    added_set = GaussianSet.from_positions(rng.random((added, 3), dtype=np.float32)) \
-        if added else GaussianSet.empty()
-    return FrameDeformation(per_level, added_set)
+    n = len(h.levels[0].assignment)
+    return FrameDeformation(per_level, rng.integers(0, n, added),
+                            rng.random((added, 3), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +93,22 @@ def test_header_bad_version():
 
 
 def test_version_1_header_is_rejected():
-    # the 28-byte v1 layout: magic, version, levels, quantization, period,
-    # finest fraction, initial count
-    v1 = struct.pack("<4sHBBIIIQ", b"RCGS", 1, 3, 1, 10, 1, 24, 1000)
-    with pytest.raises(StreamFormatError, match="unsupported stream version 1"):
-        StreamHeader.unpack(v1 + bytes(64))
-    with pytest.raises(StreamFormatError, match="unsupported stream version 1"):
-        StreamHeader.unpack(v1)
+    old_headers = {
+        # the 28-byte v1 layout: magic, version, levels, quantization, period,
+        # finest fraction, initial count
+        1: struct.pack("<4sHBBIIIQ", b"RCGS", 1, 3, 1, 10, 1, 24, 1000),
+        # v2 had today's 33-byte header; its frames held 92 B clone records
+        # and a reconfig flag
+        2: struct.pack("<4sHBBBIIIIQ", b"RCGS", 2, 3, 1, 0, 3, 10, 1, 24, 1000),
+    }
+    for version, header in old_headers.items():
+        with pytest.raises(StreamFormatError, match=f"unsupported stream version {version}"):
+            StreamHeader.unpack(header + bytes(64))
+        with pytest.raises(StreamFormatError, match=f"unsupported stream version {version}"):
+            StreamHeader.unpack(header)
 
 
-# byte offsets of the v2 header fields
+# byte offsets of the header fields
 _FIELDS = {"levels": ("<B", 6), "quantization": ("<B", 7), "composition_mode": ("<B", 8),
            "level_ratio": ("<I", 9), "reconfig_period": ("<I", 13), "finest_num": ("<I", 17),
            "finest_den": ("<I", 21)}
@@ -163,8 +169,8 @@ def test_zero_delta_block_sizes(rng):
     for mode in CompositionMode:
         header = make_header(1, Quantization.full32, 40, mode)
         payload = encode_frame(1, FrameDeformation.zeros(h), h, header)
-        # frame_index + counts + delta block + added_count + flag
-        assert len(payload) == 8 + 4 + 4 * values_per_anchor(mode) * 4 + 4 + 1
+        # frame_index + counts + delta block + clone count
+        assert len(payload) == 8 + 4 + 4 * values_per_anchor(mode) * 4 + 4
         decoded, end = decode_frame(payload, 0, header)
         assert end == len(payload)
         assert decoded.frame_index == 1
@@ -177,17 +183,18 @@ def test_full32_round_trip_bit_exact(rng):
         pos, h = small_hierarchy(rng, n=100, levels=levels, anchors=9)
         header = make_header(levels, Quantization.full32, 100)
         deltas = random_deformation(h, rng, added=3)
-        payload = encode_frame(7, deltas, h, header, reconfig=True)
+        payload = encode_frame(7, deltas, h, header)
         decoded, _ = decode_frame(payload, 0, header)
-        assert decoded.reconfig is True
         assert decoded.frame_index == 7
         assert decoded.realized_counts == h.anchor_counts()
         for got, want in zip(decoded.deltas.per_level, deltas.per_level):
             assert np.array_equal(got.translations, want.translations)
             assert np.array_equal(got.rotations, want.rotations)
-        for got, want in zip(decoded.deltas.added_gaussians.attribute_arrays(),
-                             deltas.added_gaussians.attribute_arrays()):
-            assert np.array_equal(got, want)
+        assert np.array_equal(decoded.deltas.clone_sources, deltas.clone_sources)
+        assert np.array_equal(decoded.deltas.clone_positions, deltas.clone_positions)
+        # the frame ends with the ordinals, then the positions: 16 B per clone
+        assert payload[-48:] == (deltas.clone_sources.astype("<u4").tobytes()
+                                 + deltas.clone_positions.astype("<f4").tobytes())
 
 
 def test_half16_round_trip_matches_float16(rng):
@@ -267,7 +274,7 @@ def test_additive_payload_carries_three_values_per_anchor(rng):
                                                      mode=CompositionMode.additive), h, header)
         ranges = 3 * 3 * 8 if quant == Quantization.fixed16 else 0  # per level and component
         assert len(payload) == frame_payload_bytes(header, counts, 1) == (
-            frame_overhead_bytes(3) + sum(counts) * 3 * codec.VALUE_BYTES[quant] + ranges + 92)
+            frame_overhead_bytes(3) + sum(counts) * 3 * codec.VALUE_BYTES[quant] + ranges + 16)
         decoded, _ = decode_frame(payload, 0, header)
         for ds in decoded.deltas.per_level:
             assert ds.rotations.shape == (len(ds), 4) and not ds.rotations.any()
@@ -304,50 +311,13 @@ def test_infinite_half16_delta_is_a_stream_error(rng):
 def test_nonfinite_added_record_is_a_stream_error(rng):
     pos, h = small_hierarchy(rng, anchors=6)
     header = make_header(1, Quantization.full32, 40)
-    payload = bytearray(encode_frame(4, random_deformation(h, rng, added=1), h, header))
-    first_record = _first_record_offset(h, header)
-    payload[first_record:first_record + 4] = np.float32(np.inf).tobytes()
-    with pytest.raises(StreamFormatError, match="frame 4: added gaussian records must be finite"):
+    payload = bytearray(encode_frame(4, random_deformation(h, rng, added=2), h, header))
+    # the clone count, two source ordinals, then the first position
+    first_position = 8 + 4 * header.levels + delta_block_bytes(
+        h.anchor_counts(), header.quantization, header.composition_mode) + 4 + 2 * 4
+    payload[first_position:first_position + 4] = np.float32(np.inf).tobytes()
+    with pytest.raises(StreamFormatError, match="frame 4: clone positions must be finite"):
         decode_frame(bytes(payload), 0, header)
-
-
-def _first_record_offset(h, header):
-    """The first added record follows the frame index, the counts, the delta
-    blocks and the added count."""
-    return 8 + 4 * header.levels + delta_block_bytes(
-        h.anchor_counts(), header.quantization, header.composition_mode) + 4
-
-
-# float offsets inside a 23-float record, and values that break an invariant
-_BAD_RECORDS = {
-    "orientation zero": (6, [0.0, 0.0, 0.0, 0.0]),
-    "orientation not unit": (6, [1.0, 0.5, 0.0, 0.0]),
-    "scale zero": (3, [0.0]),
-    "scale negative": (4, [-0.1]),
-    "opacity above one": (10, [1.5]),
-    "opacity negative": (10, [-0.25]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
-@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
-def test_added_record_breaking_an_invariant_fails_on_both_sides(rng, mode, case):
-    pos, h = small_hierarchy(rng, anchors=6)
-    header = make_header(1, Quantization.full32, 40, mode)
-    deltas = random_deformation(h, rng, added=2, mode=mode)
-    payload = bytearray(encode_frame(9, deltas, h, header))
-    start, values = _BAD_RECORDS[case]
-    at = _first_record_offset(h, header) + 4 * (23 + start)  # the second record
-    payload[at:at + 4 * len(values)] = np.float32(values).tobytes()
-    with pytest.raises(StreamFormatError, match="frame 9: added gaussian record 1: "):
-        decode_frame(bytes(payload), 0, header)
-
-    record = np.frombuffer(bytes(payload), "<f4", 46, _first_record_offset(h, header))
-    record = record.reshape(2, 23)
-    bad = GaussianSet(record[:, 0:3], record[:, 3:6], record[:, 6:10], record[:, 10],
-                      record[:, 11:23])
-    with pytest.raises(ValueError, match="added gaussian record 1: "):
-        encode_frame(9, FrameDeformation(deltas.per_level, bad), h, header)
 
 
 def test_count_mismatch_names_level(rng):
@@ -361,29 +331,13 @@ def test_count_mismatch_names_level(rng):
             verify_counts(decoded, other)
 
 
-def test_nonfinite_delta_rejected(rng):
-    pos, h = small_hierarchy(rng, anchors=4)
-    bad = FrameDeformation.zeros(h)
+def test_nonfinite_delta_rejected():
     with pytest.raises(ValueError):
         AnchorDeltaSet(np.full((4, 3), np.nan, np.float32), np.zeros((4, 4), np.float32))
-    arr = bad.per_level[0].translations
-    arr[0, 0] = np.inf  # mutate after construction to hit the encode check
-    with pytest.raises(ValueError):
-        encode_frame(
-            1,
-            FrameDeformation(
-                [AnchorDeltaSet.zeros(4)],
-                GaussianSet(
-                    np.float32([[np.inf, 0, 0]]),
-                    np.ones((1, 3), np.float32),
-                    np.float32([[1, 0, 0, 0]]),
-                    np.float32([0.5]),
-                    np.zeros((1, 12), np.float32),
-                ),
-            ),
-            h,
-            make_header(1, Quantization.full32, 40),
-        )
+    with pytest.raises(ValueError, match="clone positions must be finite"):
+        FrameDeformation([AnchorDeltaSet.zeros(4)], [0], np.float32([[np.inf, 0, 0]]))
+    with pytest.raises(ValueError, match="clone sources must be non-negative"):
+        FrameDeformation([AnchorDeltaSet.zeros(4)], [-1], np.zeros((1, 3), np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +367,13 @@ def test_plan_budget_worked_example():
 
 
 def test_plan_budget_infeasible():
-    for mode, minimum in ((CompositionMode.additive, 241), (CompositionMode.pivot, 529)):
+    for mode, minimum in ((CompositionMode.additive, 240), (CompositionMode.pivot, 528)):
         cfg = StreamConfig(levels=3, quantization=Quantization.half16, composition_mode=mode)
         v = values_per_anchor(mode)
         with pytest.raises(BudgetError) as exc_info:
             plan_budget(1000, 64, cfg, overhead=64)
         assert exc_info.value.minimum_bytes == 36 * v * 2 + 64
-        # default overhead: the 25 fixed frame bytes on top of caps (1, 8, 27)
+        # default overhead: the 24 fixed frame bytes on top of caps (1, 8, 27)
         with pytest.raises(BudgetError) as exc_info:
             plan_budget(1000, minimum - 1, cfg)
         assert exc_info.value.minimum_bytes == minimum == 36 * v * 2 + frame_overhead_bytes(3)

@@ -226,8 +226,8 @@ def test_fit_coarse_to_fine_holds_locked_levels_at_init(mode):
 def test_densify_nothing_when_converged():
     g, h, _, _ = make_problem()
     corr = Correspondences(np.arange(len(g)), g.positions.copy())
-    added, sources = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.05)
-    assert len(added) == 0 and sources.size == 0
+    sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.05)
+    assert sources.shape == (0,) and positions.shape == (0, 3)
 
 
 def test_densify_single_outlier():
@@ -235,12 +235,9 @@ def test_densify_single_outlier():
     targets = g.positions.copy()
     targets[7] += np.float32([0.25, 0, 0])  # 5x the threshold
     corr = Correspondences(np.arange(50), targets)
-    added, sources = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.05)
-    assert len(added) == 1
-    assert np.array_equal(added.positions[0], targets[7])
-    assert np.array_equal(added.scales[0], g.scales[7])
-    assert np.array_equal(added.sh[0], g.sh[7])
+    sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.05)
     assert sources.tolist() == [7]
+    assert np.array_equal(positions, targets[7:8])
 
 
 def test_densify_teleporting_points():
@@ -252,8 +249,6 @@ def test_densify_teleporting_points():
     moved = rng.choice(200, size=10, replace=False)
     targets[moved] += np.float32([2.0, 0, 0])
     corr = Correspondences(np.arange(200), targets)
-    added, sources = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.5)
-    assert len(added) == 10
+    sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.5)
     assert sorted(sources.tolist()) == sorted(moved.tolist())
-    assert np.array_equal(np.sort(added.positions[:, 0]),
-                          np.sort(targets[moved][:, 0]))
+    assert np.array_equal(positions, targets[sources])

@@ -162,16 +162,24 @@ def test_level_targets_defaults_216():
 
 
 def test_level_targets_single_gaussian():
-    # targets size grids, so they may exceed N; the build still realizes (1, 1, 1)
+    # no level aims above N; the caps keep the grids of the unclamped targets
     cfg = StreamConfig()
-    assert level_targets(1, cfg) == (1, 3, 9)
+    assert level_targets(1, cfg) == (1, 1, 1)
+    assert level_caps(1, cfg) == (1, 8, 27)
 
 
-def test_level_targets_clamp_small():
+def test_level_targets_clamp_small(rng):
     # the finest request clamps to one anchor, and the base to one
     cfg = StreamConfig()
     assert level_targets(24, cfg) == (1, 3, 9)
     assert level_caps(24, cfg) == (1, 8, 27)
+    # finest 13 at ratio 20 needs base 1, so the finest level would aim at 400
+    cfg = StreamConfig(level_ratio=20)
+    assert level_targets(300, cfg) == (1, 20, 300)
+    assert level_caps(300, cfg) == (1, 27, 512)
+    h = build_hierarchy(rng.random((300, 3), dtype=np.float32), cfg)
+    assert [lvl.grid_resolution for lvl in h.levels] == [1, 3, 7]
+    assert level_targets(300, StreamConfig(levels=4, level_ratio=2**31)) == (1, 300, 300, 300)
 
 
 @pytest.mark.parametrize("ratio", [1, 2, 3, 4])

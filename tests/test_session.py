@@ -22,9 +22,12 @@ from anchorstream import (
     decode_session,
     encode_session,
     generate_scene,
+    grid_resolution,
     iter_decode,
     read_gaussian_ply,
+    state_checksum,
     two_body_arm_spec,
+    validate_state,
     write_gaussian_ply,
 )
 from anchorstream.cli import main
@@ -189,6 +192,79 @@ def test_decode_names_the_frame_whose_deltas_break_the_state():
         decode_session(base, bytes(degenerate))
 
 
+def clone_stream():
+    """A full32 session with clones, and (frame, payload end, clone count) per frame."""
+    base, source = session_inputs(small_arm(point_scale=0.5))
+    config = StreamConfig(reconfig_period=3, quantization=Quantization.full32,
+                          phase1_steps=10, densify_threshold=0.01)
+    enc = encode_session(base, source, config)
+    header = codec.StreamHeader.unpack(enc.stream)
+    frames, offset = [], codec.HEADER_BYTES
+    while offset < len(enc.stream):
+        payload, offset = codec.decode_frame(enc.stream, offset, header)
+        frames.append((payload.frame_index, offset, len(payload.deltas.clone_sources)))
+    return base, enc, frames
+
+
+def test_clones_copy_their_source_row_from_before_the_frame():
+    base, enc, _ = clone_stream()
+    previous = base.copy()
+    cloned = 0
+    for payload, state in iter_decode(base, enc.stream):
+        src = payload.deltas.clone_sources
+        new = state.gaussians.attribute_arrays()
+        assert np.array_equal(new[0][len(previous):], payload.deltas.clone_positions)
+        for got, col in zip(new[1:], previous.attribute_arrays()[1:]):
+            assert np.array_equal(got[len(previous):], col[src])
+        cloned += len(src)
+        previous = state.gaussians.copy()
+    assert cloned > 0 and len(previous) == len(base) + cloned
+
+
+def test_bad_clone_record_fails_naming_the_frame_before_the_state_changes():
+    base, enc, frames = clone_stream()
+    frame, end, count = frames[2]  # frame 3 clones, and its schedule rebuilds the hierarchy
+    assert frame == 3 and count > 0
+    sources_at, positions_at = end - 16 * count, end - 12 * count
+    n_before = len(base) + sum(f[2] for f in frames if f[0] < frame)
+    for value in (n_before, 2**32 - 1):
+        bad = bytearray(enc.stream)
+        bad[sources_at:sources_at + 4] = np.uint32(value).tobytes()
+        with pytest.raises(StreamFormatError, match=f"frame {frame}: clone source {value} is "
+                                                    f"not below the gaussian count {n_before}"):
+            decode_session(base, bytes(bad))
+    # the state after frame 2 stays as it was, hierarchy included
+    decoded = iter_decode(base, bytes(bad))
+    for _ in range(frame - 1):
+        _, state = next(decoded)
+    checksum, hierarchy = state_checksum(state), state.hierarchy
+    with pytest.raises(StreamFormatError, match=f"frame {frame}: clone source "):
+        next(decoded)
+    assert state_checksum(state) == checksum and state.hierarchy is hierarchy
+    assert all(len(lvl.assignment) == n_before for lvl in hierarchy.levels)
+    for value in (np.nan, np.inf):
+        bad = bytearray(enc.stream)
+        bad[positions_at:positions_at + 4] = np.float32(value).tobytes()
+        with pytest.raises(StreamFormatError, match=f"frame {frame}: clone positions must be "
+                                                    f"finite"):
+            decode_session(base, bytes(bad))
+
+
+def test_huge_level_ratio_in_the_header_sizes_every_grid_for_n():
+    # four levels at ratio 2**31 would aim the finest grid at 2**93 cells,
+    # past what int64 cell codes hold; every target clamps to N instead
+    base, source = session_inputs(small_arm(frames=4))
+    enc = encode_session(base, source, StreamConfig(levels=4, phase1_steps=5))
+    bad = bytearray(enc.stream)
+    bad[9:13] = np.uint32(2**31).tobytes()  # the level ratio
+    with pytest.raises(StreamFormatError, match="frame 1: level 2 has"):
+        decode_session(base, bytes(bad))
+    dec = decode_session(base, bytes(bad[:codec.HEADER_BYTES]))
+    assert validate_state(dec.state) == []
+    assert [lvl.grid_resolution for lvl in dec.state.hierarchy.levels] == \
+        [1] + [grid_resolution(len(base))] * 3
+
+
 def test_encode_needs_two_frames():
     base, _ = session_inputs(small_arm(frames=2))
     with pytest.raises(ConfigError, match="at least 2 frames"):
@@ -277,19 +353,24 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     byte_column = [int(row.split()[1]) for row in rows]
     stream = stream_path.read_bytes()
     assert sum(byte_column) == len(stream) - codec.HEADER_BYTES
-    dec = decode_session(session_inputs(spec)[0], stream)
+    base = session_inputs(spec)[0]
+    dec = decode_session(base, stream)
     assert byte_column == [m.payload_bytes for m in dec.metrics]
     assert len(set(byte_column)) > 1  # clone frames differ in size
+    # the clone column counts the ordinals; the reconfig column is the header's schedule
+    assert sum(int(row.split()[-2]) for row in rows) == len(dec.state.gaussians) - len(base) > 0
+    assert [int(row.split()[-1]) for row in rows] == [
+        int(m.frame_index % 3 == 0) for m in dec.metrics] == [0, 0, 1, 0, 0, 1]
 
 
 def test_cli_bench_reports_an_infeasible_budget_and_keeps_the_feasible_one(tmp_path, capsys):
     spec_path = tmp_path / "arm.json"
     write_spec(spec_path, small_arm(frames=3))
-    code = main(["bench", "--spec", str(spec_path), "--budgets", "600,240",
+    code = main(["bench", "--spec", str(spec_path), "--budgets", "600,239",
                  "--phase1-steps", "5"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert "FAILED levels=3 budget=240" in err and "minimum feasible 241" in err
+    assert "FAILED levels=3 budget=239" in err and "minimum feasible 240" in err
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [row[:2] for row in rows] == [["3", "600"]]
 
