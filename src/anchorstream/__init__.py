@@ -58,6 +58,7 @@ from .session import (
     decode_session,
     encode_session,
     iter_decode,
+    iter_decode_metrics,
     state_checksum,
 )
 from .synth import (

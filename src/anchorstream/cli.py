@@ -21,8 +21,7 @@ from .session import (
     StaticSource,
     SyntheticSource,
     encode_session,
-    iter_decode,
-    state_checksum,
+    iter_decode_metrics,
 )
 from .synth import generate_scene, load_scene_spec
 from .types import CompositionMode, GaussianSet, Quantization, StreamConfig
@@ -99,11 +98,12 @@ def _load_input(path: Path, frames: int, seed: Optional[int]):
     return base, StaticSource(base, frames)
 
 
-def _write_metrics(path: Path, metrics: list[FrameMetrics], levels: int) -> None:
+def _write_metrics(path: Path, metrics: list[FrameMetrics]) -> None:
+    """One CSV row per frame; a decoder's rows hold nan for loss and mean_error."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["frame", "loss", "mean_error", "bytes"]
-        header += [f"anchors_l{i}" for i in range(1, levels + 1)]
+        header += [f"anchors_l{i}" for i in range(1, len(metrics[0].anchor_counts) + 1)]
         header += ["reconfig", "checksum"]
         writer.writerow(header)
         for m in metrics:
@@ -129,7 +129,7 @@ def cmd_encode(args) -> int:
     result = encode_session(base, source, manifest.config, manifest.fit, manifest.budget)
     manifest.output_path.write_bytes(result.stream)
     if manifest.metrics_path is not None:
-        _write_metrics(manifest.metrics_path, result.metrics, manifest.config.levels)
+        _write_metrics(manifest.metrics_path, result.metrics)
     if result.planned_caps is not None:
         print(f"planned per-level anchor caps (coarse->fine): {result.planned_caps}")
     print(result.report.decomposition())
@@ -144,16 +144,18 @@ def cmd_decode(args) -> int:
     out_dir = Path(args.output_dir) if args.output_dir and args.export_every > 0 else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    decoded = 0
-    for payload, state in iter_decode(base, stream):
-        decoded += 1
-        if out_dir is not None and payload.frame_index % args.export_every == 0:
-            path = out_dir / f"frame_{payload.frame_index:04d}.ply"
+    metrics = []
+    for row, state in iter_decode_metrics(base, stream):
+        metrics.append(row)
+        if out_dir is not None and row.frame_index % args.export_every == 0:
+            path = out_dir / f"frame_{row.frame_index:04d}.ply"
             path.write_bytes(write_gaussian_ply(state.gaussians))
-    if not decoded:
+    if not metrics:
         raise StreamFormatError(f"{args.stream}: stream holds a header but no frames")
-    print(f"decoded {decoded} frames, {len(state.gaussians)} gaussians")
-    print(f"final checksum: {state_checksum(state)}")
+    if args.metrics:
+        _write_metrics(Path(args.metrics), metrics)
+    print(f"decoded {len(metrics)} frames, {len(state.gaussians)} gaussians")
+    print(f"final checksum: {metrics[-1].checksum}")
     return EXIT_OK
 
 
@@ -260,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--output-dir", help="export decoded frames as PLY here")
     dec.add_argument("--export-every", type=int, default=0,
                      help="export every k-th frame (0 = none)")
+    dec.add_argument("--metrics", help="per-frame metrics CSV path: the encoder's columns, "
+                                       "with loss and mean_error nan")
     dec.set_defaults(func=cmd_decode)
 
     ben = sub.add_parser("bench", help="rate-distortion sweep over budgets")

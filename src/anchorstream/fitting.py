@@ -86,20 +86,38 @@ def _level_arrays(deltas: FrameDeformation) -> list[tuple[np.ndarray, np.ndarray
     ]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b for (n, 3) rows, in ``np.cross``'s operation order."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    out = np.empty((a.shape[0], 3))
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b as (n, 1), bit-equal to ``(a * b).sum(axis=1, keepdims=True)``.
+
+    That reduction adds the three products left to right onto +0.0, so a
+    row of -0.0 products sums to +0.0; the trailing ``+ 0.0`` does the same.
+    """
+    p = a * b
+    return ((p[:, 0:1] + p[:, 1:2]) + p[:, 2:3]) + 0.0
+
+
 def _rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """R(q) u for unit quaternions, via the vector form of the rotation."""
     w = q[:, :1]
     v = q[:, 1:]
-    vxu = np.cross(v, u)
-    vdotu = (v * u).sum(axis=1, keepdims=True)
-    vdotv = (v * v).sum(axis=1, keepdims=True)
-    return (w * w - vdotv) * u + 2.0 * vdotu * v + 2.0 * w * vxu
+    return (w * w - _dot(v, v)) * u + 2.0 * _dot(v, u) * v + 2.0 * w * _cross(v, u)
 
 
 def _anchor_pivots(gaussians: GaussianSet, hierarchy: AnchorHierarchy) -> list[np.ndarray]:
     """Frame-start anchor positions per level (float64)."""
-    base = gaussians.positions.astype(np.float64)
-    return [base[lvl.anchor_indices] for lvl in hierarchy.levels]
+    return [np.take(gaussians.positions, lvl.anchor_indices, axis=0).astype(np.float64)
+            for lvl in hierarchy.levels]
 
 
 def _forward_positions(base: np.ndarray, level_arrays, assign, pivots, mode):
@@ -112,17 +130,17 @@ def _forward_positions(base: np.ndarray, level_arrays, assign, pivots, mode):
     if mode == CompositionMode.additive:
         pos = base.copy()
         for (trans, _), al in zip(level_arrays, assign):
-            pos += trans[al]
+            pos += np.take(trans, al, axis=0)
         return pos, None
 
     pos = base.copy()
     ctx = []
     for (trans, rot), al, piv in zip(level_arrays, assign, pivots):
         unit, norms = level_unit_quats(rot)
-        member_q = unit[al]
-        centers = piv[al]
+        member_q = np.take(unit, al, axis=0)
+        centers = np.take(piv, al, axis=0)
         u = pos - centers
-        pos = _rotate(member_q, u) + centers + trans[al]
+        pos = _rotate(member_q, u) + centers + np.take(trans, al, axis=0)
         ctx.append((member_q, u, unit, norms))
     return pos, ctx
 
@@ -131,17 +149,16 @@ def _rotation_grad(g: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """d(loss)/d(unit quaternion) given upstream gradient g on R(q) u."""
     w = q[:, :1]
     v = q[:, 1:]
-    vxu = np.cross(v, u)
-    dw = (g * (2.0 * w * u + 2.0 * vxu)).sum(axis=1)
-    vdotu = (v * u).sum(axis=1, keepdims=True)
+    out = np.empty((g.shape[0], 4))
+    out[:, 0:1] = _dot(g, 2.0 * w * u + 2.0 * _cross(v, u))
     # d(Ru)/dv = 2(-u v^T + v u^T + (v.u) I - w [u]_x); contract with g
-    gv = (
-        -2.0 * (g * u).sum(axis=1, keepdims=True) * v
-        + 2.0 * (g * v).sum(axis=1, keepdims=True) * u
-        + 2.0 * vdotu * g
-        - 2.0 * w * np.cross(g, u)
+    out[:, 1:] = (
+        -2.0 * _dot(g, u) * v
+        + 2.0 * _dot(g, v) * u
+        + 2.0 * _dot(v, u) * g
+        - 2.0 * w * _cross(g, u)
     )
-    return np.concatenate([dw[:, None], gv], axis=1)
+    return out
 
 
 def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
@@ -164,7 +181,7 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
 
     idx = corr.indices
     assign = [lvl.assignment[idx] for lvl in hierarchy.levels]
-    base = gaussians.positions.astype(np.float64)[idx]
+    base = np.take(gaussians.positions, idx, axis=0).astype(np.float64)
     targets = corr.targets.astype(np.float64)
     c = len(corr)
 
@@ -304,7 +321,7 @@ def deformed_positions(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     """Float64 deformed positions of selected gaussians (no state change)."""
     idx = np.ascontiguousarray(indices, np.int64)
     assign = [lvl.assignment[idx] for lvl in hierarchy.levels]
-    base = gaussians.positions.astype(np.float64)[idx]
+    base = np.take(gaussians.positions, idx, axis=0).astype(np.float64)
     pivots = _anchor_pivots(gaussians, hierarchy)
     pos, _ = _forward_positions(base, _level_arrays(deltas), assign, pivots, mode)
     return pos

@@ -11,6 +11,12 @@ to the block's tight box is within the block's upper bound. That filter keeps
 every anchor that can be a point's minimizer, ties included, and the kept
 anchors are scanned with the full scan's own float64 expression in ascending
 ordinal order, so both paths give the same bits.
+
+:func:`sum_by_index` scatter-adds one column at a time with ``np.bincount``,
+which walks the rows in ascending order and accumulates each bucket in
+float64. ``np.add.at`` gives the same bits, but its generic unbuffered
+loop took 290-430 us where the bincounts take 40-50 us (6000 x 3 rows into
+729 buckets, 2-core x86 host), and it wraps negative indices in silence.
 """
 
 from __future__ import annotations
@@ -109,13 +115,20 @@ def cell_winners(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndar
 def sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
     """Sum rows of ``values`` into ``n_out`` buckets given by ``index``.
 
-    Rows accumulate in ascending row order, which fixes the floating-point
-    reduction order.
+    Each column is one ``np.bincount(index, column, minlength=n_out)``: every
+    bucket starts at +0.0 and adds its rows in float64, in ascending row
+    order, so the floating-point reduction order is fixed and the result
+    equals row-by-row accumulation bit for bit. An index outside
+    ``[0, n_out)`` raises ``ValueError`` naming the first one.
     """
-    values = np.ascontiguousarray(values, np.float64)
-    index = np.ascontiguousarray(index, np.int64)
-    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
-    np.add.at(out, index, values)
+    values = np.asarray(values, np.float64)
+    index = np.asarray(index, np.int64)
+    if index.size and (index.min() < 0 or index.max() >= n_out):
+        row = int(np.flatnonzero((index < 0) | (index >= n_out))[0])
+        raise ValueError(f"index {index[row]} at row {row} is outside [0, {n_out})")
+    out = np.empty((n_out, values.shape[1]), dtype=np.float64)
+    for col in range(values.shape[1]):
+        out[:, col] = np.bincount(index, values[:, col], minlength=n_out)
     return out
 
 

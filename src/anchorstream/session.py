@@ -343,6 +343,26 @@ def iter_decode(base: GaussianSet, stream: bytes) -> Iterator[tuple[FramePayload
         yield payload, state
 
 
+def iter_decode_metrics(base: GaussianSet, stream: bytes
+                        ) -> Iterator[tuple[FrameMetrics, SceneState]]:
+    """Replay a stream lazily, yielding each frame's decoder-side metrics row and state.
+
+    The row is the one :func:`decode_session` reports for the frame. The
+    state is advanced in place by the next frame, as in :func:`iter_decode`.
+    """
+    header, config, state = _start_decode(base, stream)
+    for payload, state, nbytes in _decode_frames(stream, header, config, state):
+        yield _decoded_frame_metrics(header, payload, state, nbytes), state
+
+
+def _decoded_frame_metrics(header: StreamHeader, payload: FramePayload, state: SceneState,
+                           nbytes: int) -> FrameMetrics:
+    """The encoder's metrics row as a decoder sees it: the fit's loss and error are nan."""
+    return FrameMetrics(payload.frame_index, math.nan, math.nan, nbytes,
+                        state.hierarchy.anchor_counts(),
+                        header.reconfigures_at(payload.frame_index), state_checksum(state))
+
+
 def decode_session(base: GaussianSet, stream: bytes,
                    level_ratio: Optional[int] = None,
                    composition_mode: Optional[CompositionMode] = None) -> DecodeResult:
@@ -367,10 +387,5 @@ def decode_session(base: GaussianSet, stream: bytes,
         )
     metrics: list[FrameMetrics] = []
     for payload, state, nbytes in _decode_frames(stream, header, config, state):
-        metrics.append(
-            FrameMetrics(payload.frame_index, math.nan, math.nan, nbytes,
-                         state.hierarchy.anchor_counts(),
-                         header.reconfigures_at(payload.frame_index),
-                         state_checksum(state))
-        )
+        metrics.append(_decoded_frame_metrics(header, payload, state, nbytes))
     return DecodeResult(state, metrics, header)

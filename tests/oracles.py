@@ -88,6 +88,46 @@ def ordered_sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> n
     return np.array(out, np.float64).reshape(n_out, width)
 
 
+# The fit kernels' former bodies, kept verbatim: their replacements must give
+# the same bits.
+
+
+def add_at_sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
+    """The former kernel body: one unbuffered ``np.add.at`` scatter-add in float64."""
+    values = np.ascontiguousarray(values, np.float64)
+    index = np.ascontiguousarray(index, np.int64)
+    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
+    np.add.at(out, index, values)
+    return out
+
+
+def cross_rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """R(q) u for unit quaternions, via the vector form of the rotation."""
+    w = q[:, :1]
+    v = q[:, 1:]
+    vxu = np.cross(v, u)
+    vdotu = (v * u).sum(axis=1, keepdims=True)
+    vdotv = (v * v).sum(axis=1, keepdims=True)
+    return (w * w - vdotv) * u + 2.0 * vdotu * v + 2.0 * w * vxu
+
+
+def cross_rotation_grad(g: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """d(loss)/d(unit quaternion) given upstream gradient g on R(q) u."""
+    w = q[:, :1]
+    v = q[:, 1:]
+    vxu = np.cross(v, u)
+    dw = (g * (2.0 * w * u + 2.0 * vxu)).sum(axis=1)
+    vdotu = (v * u).sum(axis=1, keepdims=True)
+    # d(Ru)/dv = 2(-u v^T + v u^T + (v.u) I - w [u]_x); contract with g
+    gv = (
+        -2.0 * (g * u).sum(axis=1, keepdims=True) * v
+        + 2.0 * (g * v).sum(axis=1, keepdims=True) * u
+        + 2.0 * vdotu * g
+        - 2.0 * w * np.cross(g, u)
+    )
+    return np.concatenate([dw[:, None], gv], axis=1)
+
+
 def exhaustive_knn3(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """3 nearest references per query by sorting (squared distance, ordinal)."""
     q = np.asarray(queries, np.float64)

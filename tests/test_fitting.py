@@ -16,9 +16,15 @@ from anchorstream import (
     two_body_arm_spec,
     generate_scene,
 )
+from anchorstream import fitting
 from anchorstream.fitting import _pack, _to_deformation, _unpack, deformed_positions
 
-from oracles import central_difference
+from oracles import (
+    add_at_sum_by_index,
+    central_difference,
+    cross_rotate,
+    cross_rotation_grad,
+)
 
 
 def make_problem(n=80, levels=3, seed=0):
@@ -105,6 +111,54 @@ def test_gradients_match_finite_differences(mode):
                     for ds in deltas.per_level])
         numeric = central_difference(loss_at, x0, h=1e-4)
         assert _rel_err(analytic, numeric) < 1e-4
+
+
+def rotation_cases(n=400, seed=21):
+    """(q, u, g) batches: random, identity, near-pi, and zero vectors in every slot."""
+    rng = np.random.default_rng(seed)
+
+    def unit_quats(w):
+        axis = rng.standard_normal((n, 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        return np.concatenate([w[:, None], axis * np.sqrt(1.0 - w * w)[:, None]], axis=1)
+
+    random_q = rng.standard_normal((n, 4))
+    random_q /= np.linalg.norm(random_q, axis=1, keepdims=True)
+    vec = lambda: rng.standard_normal((n, 3))
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    near_pi = unit_quats(rng.choice([0.0, -0.0, 1e-12, -1e-9, 3e-6], size=n))
+    zero = np.zeros((n, 3))
+    return {
+        "random": (random_q, vec(), vec()),
+        "identity": (identity, vec(), vec()),
+        "near_pi": (near_pi, vec(), vec()),
+        "zero_u": (random_q, zero, vec()),
+        "zero_g": (near_pi, vec(), zero),
+        "negative_zero_u": (identity, -zero, -zero),
+        "pi_about_z_negative_zero_g": (np.tile([0.0, 0.0, 0.0, 1.0], (n, 1)), vec(), -zero),
+    }
+
+
+@pytest.mark.parametrize("case", list(rotation_cases()))
+def test_rotation_kernels_match_the_np_cross_oracle_bitwise(case):
+    q, u, g = rotation_cases()[case]
+    assert fitting._rotate(q, u).tobytes() == cross_rotate(q, u).tobytes()
+    assert fitting._rotation_grad(g, q, u).tobytes() == cross_rotation_grad(g, q, u).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode))
+def test_fit_frame_deltas_equal_the_oracle_kernels_bytewise(mode, monkeypatch):
+    g, h, corr, rng = make_problem(n=120, seed=13)
+    init = random_deltas(h, rng, scale=0.05)
+    got = fit_frame(g, h, corr, FitConfig(), init, 12, mode)
+    monkeypatch.setattr(fitting, "sum_by_index", add_at_sum_by_index)
+    monkeypatch.setattr(fitting, "_rotate", cross_rotate)
+    monkeypatch.setattr(fitting, "_rotation_grad", cross_rotation_grad)
+    want = fit_frame(g, h, corr, FitConfig(), init, 12, mode)
+    assert not np.array_equal(got.per_level[0].translations, init.per_level[0].translations)
+    for a, b in zip(got.per_level, want.per_level):
+        assert a.translations.tobytes() == b.translations.tobytes()
+        assert a.rotations.tobytes() == b.rotations.tobytes()
 
 
 def test_loss_rejects_empty_correspondences():

@@ -5,7 +5,12 @@ import pytest
 
 from anchorstream import kernels
 
-from oracles import exhaustive_l1_assign, ordered_sum_by_index, per_cell_argmin
+from oracles import (
+    add_at_sum_by_index,
+    exhaustive_l1_assign,
+    ordered_sum_by_index,
+    per_cell_argmin,
+)
 
 
 @pytest.fixture
@@ -123,8 +128,30 @@ def test_cell_winners_tie_prefers_lower_index():
 def test_sum_by_index_matches_oracle_bit_exact(rng):
     values = rng.standard_normal((5000, 3))
     index = rng.integers(0, 37, size=5000).astype(np.int64)
-    got = kernels.sum_by_index(values, index, 37)
-    assert got.tobytes() == ordered_sum_by_index(values, index, 37).tobytes()
+    wide = rng.standard_normal((5000, 9))
+    cases = {
+        "width_3": (values, index, 37),
+        "width_4": (rng.standard_normal((5000, 4)), index, 37),  # quaternion gradients
+        "float32": (values.astype(np.float32), index, 37),
+        "column_slice": (wide[:, 2:8:2], index, 37),  # strided, not contiguous
+        "empty_index": (np.empty((0, 3)), np.empty(0, np.int64), 5),
+        "trailing_empty_buckets": (values, index, 50),  # buckets 37..49 get no row
+    }
+    for name, (vals, idx, n_out) in cases.items():
+        got = kernels.sum_by_index(vals, idx, n_out)
+        assert got.dtype == np.float64 and got.shape == (n_out, vals.shape[1]), name
+        assert got.tobytes() == ordered_sum_by_index(vals, idx, n_out).tobytes(), name
+        assert got.tobytes() == add_at_sum_by_index(vals, idx, n_out).tobytes(), name
+    assert not kernels.sum_by_index(values, index, 50)[37:].any()
+    assert not wide[:, 2:8:2].flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [-1, 37])
+def test_sum_by_index_rejects_an_index_outside_the_buckets(rng, bad):
+    index = rng.integers(0, 37, size=100).astype(np.int64)
+    index[[40, 70]] = bad
+    with pytest.raises(ValueError, match=rf"index {bad} at row 40 is outside \[0, 37\)"):
+        kernels.sum_by_index(np.ones((100, 3)), index, 37)
 
 
 def test_dispatchers_run(cloud):

@@ -4,7 +4,11 @@ The mirror contract: the decoder, given the frame-0 input and the stream,
 reaches the encoder's state checksum at every frame.
 """
 
+import ast
+import csv
+import inspect
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -24,12 +28,14 @@ from anchorstream import (
     generate_scene,
     grid_resolution,
     iter_decode,
+    iter_decode_metrics,
     read_gaussian_ply,
     state_checksum,
     two_body_arm_spec,
     validate_state,
     write_gaussian_ply,
 )
+from anchorstream import cli
 from anchorstream.cli import main
 from anchorstream.session import StaticSource, SyntheticSource
 
@@ -106,6 +112,8 @@ def test_decoder_reports_the_encoders_payload_bytes():
     dec = decode_session(base, enc.stream)
     assert [m.payload_bytes for m in dec.metrics] == [m.payload_bytes for m in enc.metrics]
     assert sum(m.payload_bytes for m in dec.metrics) == len(enc.stream) - codec.HEADER_BYTES
+    lazy = [(repr(m), state.frame_index) for m, state in iter_decode_metrics(base, enc.stream)]
+    assert lazy == [(repr(m), m.frame_index) for m in dec.metrics]  # nan compares by repr
 
 
 def test_step_counts_come_from_the_stream_config():
@@ -304,6 +312,38 @@ def test_cli_round_trip_exports_the_decoded_states(tmp_path, monkeypatch, capsys
     for frame in (2, 4, 6):
         assert (out_dir / f"frame_{frame:04d}.ply").read_bytes() == expected[frame]
     assert "decoded 6 frames" in capsys.readouterr().out
+
+
+def test_cli_decode_metrics_repeat_the_encoders_bytes_and_checksums(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    enc_csv, dec_csv = tmp_path / "enc.csv", tmp_path / "dec.csv"
+    write_spec(spec_path, small_arm(point_scale=0.5))
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--metrics", str(enc_csv), "--reconfig-period", "3", "--phase1-steps", "20",
+                 "--densify-threshold", "0.01"]) == 0
+    assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
+                 "--metrics", str(dec_csv)]) == 0
+    enc_rows, dec_rows = (list(csv.DictReader(path.open())) for path in (enc_csv, dec_csv))
+    assert len(dec_rows) == len(enc_rows) == 6
+    assert list(dec_rows[0]) == list(enc_rows[0])  # the same columns
+    for e, d in zip(enc_rows, dec_rows):
+        for column in e:
+            if column in ("loss", "mean_error"):
+                assert d[column] == "nan" and math.isfinite(float(e[column]))
+            else:
+                assert d[column] == e[column], column
+    assert len({row["bytes"] for row in dec_rows}) > 1  # clone frames differ in size
+    assert sum(int(row["bytes"]) for row in dec_rows) == (
+        len(stream_path.read_bytes()) - codec.HEADER_BYTES)
+    assert f"final checksum: {dec_rows[-1]['checksum']}" in capsys.readouterr().out
+
+
+def test_cli_decode_imports_no_private_name():
+    tree = ast.parse(inspect.getsource(cli))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert "iter_decode_metrics" in imported
+    assert not [name for name in imported if name.startswith("_")]
 
 
 def test_cli_rejects_a_header_only_stream(tmp_path, capsys):
