@@ -31,7 +31,7 @@ from .errors import (
     PlyParseError,
     StreamFormatError,
 )
-from .fitting import Correspondences, FitConfig, densify_residuals, fit_frame, loss_and_gradient
+from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import (
     AnchorHierarchy,
     LevelStructure,
@@ -45,10 +45,8 @@ from .motion import (
     AnchorDeltaSet,
     FrameDeformation,
     apply_deformation,
-    average_quaternions,
     compose_deformation,
     inherit_deformation,
-    symmetric4_max_eigenvector,
 )
 from .ply_io import read_gaussian_ply, write_gaussian_ply
 from .session import (

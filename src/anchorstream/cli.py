@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import codec
 from .errors import BudgetError, ConfigError, NumericalError, PlyParseError, StreamFormatError
-from .fitting import FitConfig
 from .ply_io import read_gaussian_ply, write_gaussian_ply
 from .session import (
     FrameMetrics,
@@ -32,25 +31,22 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class SessionManifest:
-    """Everything one reproducible session needs; built from CLI flags."""
-
-    input_path: Path
-    output_path: Optional[Path]
-    metrics_path: Optional[Path]
-    config: StreamConfig
-    fit: FitConfig
-    budget: Optional[int]
-    seed: Optional[int]
-    frames: int
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad fraction {text!r}: {exc}") from exc
+
+
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers; a bad item is a :class:`ConfigError`."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: {item!r} is not an integer") from None
+    return values
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -66,9 +62,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    default="half16")
     p.add_argument("--mode", choices=[m.name for m in CompositionMode], default="additive",
                    help="deformation composition mode")
-    p.add_argument("--phase1-steps", type=int, default=100)
-    p.add_argument("--phase2-steps", type=int, default=100)
-    p.add_argument("--densify-threshold", type=float, default=0.05)
+    p.add_argument("--phase1-steps", type=int, default=100,
+                   help="fit steps per frame")
+    p.add_argument("--phase2-steps", type=int, default=100,
+                   help="densification switch: only zero versus positive matters, "
+                        "and 0 turns densification off")
+    p.add_argument("--densify-threshold", type=float, default=0.05,
+                   help="residual above which a target spawns a clone (finite, > 0)")
 
 
 def _config_from_args(args) -> StreamConfig:
@@ -114,26 +114,17 @@ def _write_metrics(path: Path, metrics: list[FrameMetrics]) -> None:
 
 
 def cmd_encode(args) -> int:
-    manifest = SessionManifest(
-        input_path=Path(args.input),
-        output_path=Path(args.output),
-        metrics_path=Path(args.metrics) if args.metrics else None,
-        config=_config_from_args(args),
-        fit=FitConfig(learning_rate=args.learning_rate, momentum=args.momentum,
-                      coarse_to_fine=args.coarse_to_fine),
-        budget=args.budget,
-        seed=args.seed,
-        frames=args.frames,
-    )
-    base, source = _load_input(manifest.input_path, manifest.frames, manifest.seed)
-    result = encode_session(base, source, manifest.config, manifest.fit, manifest.budget)
-    manifest.output_path.write_bytes(result.stream)
-    if manifest.metrics_path is not None:
-        _write_metrics(manifest.metrics_path, result.metrics)
+    config = _config_from_args(args)
+    output = Path(args.output)
+    base, source = _load_input(Path(args.input), args.frames, args.seed)
+    result = encode_session(base, source, config, budget_bytes=args.budget)
+    output.write_bytes(result.stream)
+    if args.metrics:
+        _write_metrics(Path(args.metrics), result.metrics)
     if result.planned_caps is not None:
         print(f"planned per-level anchor caps (coarse->fine): {result.planned_caps}")
     print(result.report.decomposition())
-    print(f"stream: {manifest.output_path} ({len(result.stream)} bytes)")
+    print(f"stream: {output} ({len(result.stream)} bytes)")
     print(f"final checksum: {result.metrics[-1].checksum}")
     return EXIT_OK
 
@@ -162,17 +153,18 @@ def cmd_decode(args) -> int:
 def cmd_bench(args) -> int:
     spec = load_scene_spec(Path(args.spec))
     scene = generate_scene(spec)
-    budgets = sorted(int(b) for b in args.budgets.split(",")) if args.budgets else [None]
-    level_list = [int(v) for v in args.levels_sweep.split(",")] if args.levels_sweep else [args.levels]
+    budgets = sorted(_parse_int_list(args.budgets, "--budgets")) if args.budgets else [None]
+    level_list = (_parse_int_list(args.levels_sweep, "--levels-sweep") if args.levels_sweep
+                  else [args.levels])
     rows = []
     failures = []
-    fit = FitConfig(learning_rate=args.learning_rate, momentum=args.momentum)
     for levels in level_list:
         config = replace(_config_from_args(args), levels=levels)
         for budget in budgets:
             source = SyntheticSource(scene)
             try:
-                result = encode_session(source.base_gaussians(), source, config, fit, budget)
+                result = encode_session(source.base_gaussians(), source, config,
+                                        budget_bytes=budget)
             except (BudgetError, NumericalError) as exc:
                 failures.append((levels, budget, str(exc)))
                 continue
@@ -249,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--seed", type=int, help="override the scene spec seed")
     enc.add_argument("--frames", type=int, default=10,
                      help="frame count for PLY (static) inputs")
-    enc.add_argument("--learning-rate", type=float, default=1e-2)
-    enc.add_argument("--momentum", type=float, default=0.9)
-    enc.add_argument("--coarse-to-fine", action="store_true")
     _add_config_flags(enc)
     enc.set_defaults(func=cmd_encode)
 
@@ -271,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--budgets", help="comma-separated bytes/frame budgets")
     ben.add_argument("--levels-sweep", help="comma-separated hierarchy depths")
     ben.add_argument("--output", help="write the table as CSV")
-    ben.add_argument("--learning-rate", type=float, default=1e-2)
-    ben.add_argument("--momentum", type=float, default=0.9)
     _add_config_flags(ben)
     ben.set_defaults(func=cmd_bench)
 

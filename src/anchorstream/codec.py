@@ -29,12 +29,13 @@ Frame payload:
     added_count     u32, then added_count u32 source ordinals, then
                     added_count x 3 f32 positions
 
-Additive mode carries no rotation blocks: positions do not depend on the
-rotation increments there, so the fit leaves them at zero and the decoder
-restores them as zeros. A clone travels as the ordinal of the gaussian it
-copies, in the state before the frame's deformation, plus its own position
-at full precision; the rest of its record is its source's, which the decoder
-already holds. Hierarchy rebuilds follow the header's schedule
+Additive mode carries no rotation blocks: an additive frame moves positions
+only, so its rotation increments are zero (the encoder refuses anything
+else), the decoder restores them as zeros, and orientations never change.
+A clone travels as the ordinal of the gaussian it copies, in the state
+before the frame's deformation, plus its own position at full precision;
+the rest of its record is its source's, which the decoder already holds.
+Hierarchy rebuilds follow the header's schedule
 (:meth:`StreamHeader.reconfigures_at`), so no frame carries a flag for them.
 Streams of versions 1 and 2 are rejected.
 
@@ -113,7 +114,11 @@ class StreamHeader:
         return frame % self.reconfig_period == 0
 
     def stream_config(self) -> StreamConfig:
-        """The settings a decoder needs, as a config; fit knobs keep their defaults."""
+        """The settings a decoder needs, as a config.
+
+        The encoder-only settings (``phase1_steps``, ``phase2_steps``,
+        ``densify_threshold``) keep their defaults; no decode reads them.
+        """
         return StreamConfig(
             levels=self.levels,
             finest_fraction=self.finest_fraction,

@@ -1,14 +1,17 @@
 """Two-phase frame optimization against positional correspondences.
 
 Phase 1 fits all per-level anchor deltas jointly by momentum gradient descent
-on a mean squared position error; appearance and scale never change. Phase 2
+on a mean squared position error; appearance and scale never change. The
+optimizer's settings are fixed: a learning rate of 1e-2 and momentum 0.9,
+with each anchor's step preconditioned by its cluster size. Phase 2
 densifies: correspondences whose residual stays above a threshold spawn a
 clone of the source gaussian at the observed target position.
 
 Supervision here is geometric (observed target positions per gaussian), which
 stands in for photometric rendering losses; rendering is out of scope for
-this package. One consequence is that in additive mode the rotation
-increments have exactly zero gradient, since positions do not depend on them.
+this package. In additive mode positions do not depend on the rotation
+increments, so their gradient is exactly zero and the fit leaves them at
+their zero start.
 
 Gradients are exact analytic derivatives, computed in float64 and verified
 against central finite differences in the test suite.
@@ -28,31 +31,8 @@ from .motion import AnchorDeltaSet, FrameDeformation, level_unit_quats
 from .types import CompositionMode, GaussianSet
 
 _DIVERGENCE_FACTOR = 1e6
-
-
-@dataclass
-class FitConfig:
-    """Optimizer knobs for the per-frame deformation fit.
-
-    The fit always preconditions: each anchor's gradient block is scaled by
-    the inverse of its cluster's correspondence count, i.e. the inverse
-    diagonal of the translation Hessian. Without it, anchors with few members
-    take steps proportional to their share of the mean loss and effectively
-    stall, so convergence would depend on cluster size.
-
-    Step counts and the densify threshold are session settings and live on
-    :class:`~anchorstream.types.StreamConfig`.
-    """
-
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
-    coarse_to_fine: bool = False
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
+_LEARNING_RATE = 1e-2
+_MOMENTUM = 0.9
 
 
 @dataclass
@@ -247,7 +227,7 @@ def _to_deformation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> FrameDefo
 
 
 def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspondences,
-              config: FitConfig, init: FrameDeformation, steps: int,
+              init: FrameDeformation, steps: int,
               mode: CompositionMode = CompositionMode.additive) -> FrameDeformation:
     """Fit all per-level deltas jointly; returns deltas with loss <= initial.
 
@@ -257,14 +237,12 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     still raises the loss, the step is skipped. The state itself is never
     touched - only the returned deltas.
 
-    With ``coarse_to_fine`` the step budget is split into equal stages, one
-    per level; stage k moves only the k coarsest levels, and the finer ones
-    keep their ``init`` values until their stage starts.
+    Each anchor's gradient block is scaled by the inverse of its cluster's
+    correspondence count, i.e. the inverse diagonal of the translation
+    Hessian. Without it, anchors with few members take steps proportional to
+    their share of the mean loss and effectively stall.
     """
     counts = [lvl.anchor_count for lvl in hierarchy.levels]
-    # offset of each level's block in the packed vector, plus the total
-    level_ends = np.cumsum([0] + [7 * a for a in counts])
-    stage_steps = max(1, steps // hierarchy.level_count)
 
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grads = loss_and_gradient(
@@ -280,16 +258,13 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
 
     for step in range(steps):
         eff_grad = grad * scale
-        if config.coarse_to_fine:
-            active = min(hierarchy.level_count, step // stage_steps + 1)
-            eff_grad[level_ends[active]:] = 0.0
-        velocity = config.momentum * velocity - config.learning_rate * eff_grad
+        velocity = _MOMENTUM * velocity - _LEARNING_RATE * eff_grad
         cand = x + velocity
         loss_cand, grad_cand = evaluate(cand)
         if loss_cand <= loss_cur:
             x, loss_cur, grad = cand, loss_cand, grad_cand
         else:
-            velocity = -config.learning_rate * eff_grad
+            velocity = -_LEARNING_RATE * eff_grad
             cand = x + velocity
             loss_cand, grad_cand = evaluate(cand)
             if loss_cand <= loss_cur:

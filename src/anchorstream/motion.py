@@ -1,11 +1,12 @@
 """Explicit motion composition, deformation application, and inheritance.
 
 Per-frame motion is carried by per-level anchor transforms: a translation
-increment and a raw quaternion increment per anchor. A gaussian's total
-deformation is the plain component-wise sum of its assigned anchors' deltas
-across levels. Two application modes exist: additive (positions shift, the
-orientation gets the summed increment and is renormalized) and pivot (each
-level rigidly rotates cluster members about their anchor).
+increment and a raw quaternion increment per anchor. Two application modes
+exist. Additive mode moves positions only: a gaussian shifts by the sum of
+its assigned anchors' translations across levels, and its rotation
+increments must be zero, so orientations, like the rest of its appearance,
+stay as they are. Pivot mode has each level rigidly rotate cluster members
+about their anchor.
 
 Inheritance transfers deltas from a retiring hierarchy to a freshly built one:
 translations average arithmetically over the three matched legacy anchors,
@@ -158,42 +159,17 @@ def _check_consistent(hierarchy: AnchorHierarchy, deltas: FrameDeformation) -> N
 # ---------------------------------------------------------------------------
 
 
-def compose_deformation(hierarchy: AnchorHierarchy, deltas: FrameDeformation) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gaussian summed deltas across levels: (N, 3) and (N, 4) float32.
+def compose_deformation(hierarchy: AnchorHierarchy, deltas: FrameDeformation) -> np.ndarray:
+    """Per-gaussian summed translations across levels, (N, 3) float32.
 
-    Plain component-wise sums; no normalization happens here.
+    A plain sum, coarse level first; this is the additive position update.
     """
     _check_consistent(hierarchy, deltas)
     n = hierarchy.levels[0].assignment.shape[0]
     dmu = np.zeros((n, 3), np.float32)
-    dq = np.zeros((n, 4), np.float32)
     for lvl, ds in zip(hierarchy.levels, deltas.per_level):
         dmu += ds.translations[lvl.assignment]
-        dq += ds.rotations[lvl.assignment]
-    return dmu, dq
-
-
-def apply_composed(gaussians: GaussianSet, dmu: np.ndarray, dq: np.ndarray) -> GaussianSet:
-    """Additive update: shift positions, renormalize incremented orientations.
-
-    Scale, opacity, and SH are frozen by design; only geometry moves.
-    """
-    if dmu.shape[0] != len(gaussians):
-        raise ValueError("composed deltas do not match gaussian count")
-    q = gaussians.orientations.astype(np.float64) + np.asarray(dq, np.float64)
-    norms = np.linalg.norm(q, axis=1)
-    if (norms < _DEGENERATE_NORM).any():
-        bad = int(np.argmax(norms < _DEGENERATE_NORM))
-        raise DegenerateQuaternionError(
-            f"orientation update for gaussian {bad} has norm {norms[bad]:.3g}"
-        )
-    return GaussianSet(
-        gaussians.positions + np.asarray(dmu, np.float32),
-        gaussians.scales.copy(),
-        (q / norms[:, None]).astype(np.float32),
-        gaussians.opacities.copy(),
-        gaussians.sh.copy(),
-    )
+    return dmu
 
 
 def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,13 +191,24 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                       mode: CompositionMode = CompositionMode.additive) -> GaussianSet:
     """Deform all gaussians by one frame's deltas; appearance stays frozen.
 
-    Pivot mode applies levels coarse-to-fine, rotating members about their
-    anchor's frame-start position before translating; orientations compose by
-    quaternion multiplication.
+    Additive mode shifts positions by :func:`compose_deformation` and copies
+    every other column unchanged; a nonzero rotation increment raises
+    ``ValueError``, since additive frames carry none. Pivot mode applies
+    levels coarse-to-fine, rotating members about their anchor's frame-start
+    position before translating; orientations compose by quaternion
+    multiplication.
     """
     if mode == CompositionMode.additive:
-        dmu, dq = compose_deformation(hierarchy, deltas)
-        return apply_composed(gaussians, dmu, dq)
+        if any(ds.rotations.any() for ds in deltas.per_level):
+            raise ValueError("additive deformations carry no rotations, but one is nonzero")
+        dmu = compose_deformation(hierarchy, deltas)
+        return GaussianSet(
+            gaussians.positions + dmu,
+            gaussians.scales.copy(),
+            gaussians.orientations.copy(),
+            gaussians.opacities.copy(),
+            gaussians.sh.copy(),
+        )
 
     _check_consistent(hierarchy, deltas)
     pos = gaussians.positions.astype(np.float64)
@@ -246,49 +233,8 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
 
 
 # ---------------------------------------------------------------------------
-# Eigenvector quaternion averaging
+# Inheritance
 # ---------------------------------------------------------------------------
-
-
-def symmetric4_max_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a symmetric 4x4 matrix (LAPACK ``eigh``).
-
-    The returned vector is unit length with its first nonzero component
-    positive.
-    """
-    m = np.asarray(m, np.float64)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix must be finite")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric within 1e-9")
-    values, vectors = np.linalg.eigh(m)
-    return float(values[-1]), canonical_sign(vectors[:, -1])
-
-
-def average_quaternions(q1, q2, q3) -> np.ndarray:
-    """Average three quaternions as the dominant eigenvector of sum(q q^T).
-
-    The result is a unit 4-vector with canonical sign. Outer products are
-    sign-invariant, and summing them in a canonical order (sign-fixed inputs
-    sorted lexicographically) makes the result exactly invariant under input
-    permutation and sign flips.
-    """
-    quats = [np.asarray(q, np.float64) for q in (q1, q2, q3)]
-    for q in quats:
-        if q.shape != (4,):
-            raise ValueError("quaternions must be 4-vectors")
-        if not np.isfinite(q).all():
-            raise ValueError("quaternions must be finite")
-        if not q.any():
-            raise ValueError("cannot average zero quaternions")
-    m = np.zeros((4, 4))
-    for q in sorted(tuple(canonical_sign(q)) for q in quats):
-        arr = np.asarray(q, np.float64)
-        m += np.outer(arr, arr)
-    return symmetric4_max_eigenvector(m)[1]
 
 
 def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> AnchorDeltaSet:

@@ -31,7 +31,7 @@ import numpy as np
 from . import codec
 from .codec import FramePayload, FrameStats, StorageReport, StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
-from .fitting import Correspondences, FitConfig, densify_residuals, fit_frame, loss_and_gradient
+from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import build_hierarchy, level_caps, rehierarchize
 from .kernels import l1_nearest
 from .motion import (
@@ -175,13 +175,14 @@ def _finest_target(header: StreamHeader) -> int:
     return math.ceil(header.gaussian_count_initial * header.finest_fraction)
 
 
-def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig,
-                   fit_config: Optional[FitConfig] = None,
+def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig, *,
                    budget_bytes: Optional[int] = None) -> SessionResult:
     """Run the full encoder pipeline over all frames of a source.
 
-    Step counts and the densify threshold come from ``config``;
-    ``fit_config`` holds the optimizer's remaining knobs. With a byte budget,
+    Every setting comes from ``config``: the fit's step count, whether to
+    densify and at what threshold, and what the header records for the
+    decoder. The fit's own optimizer settings are fixed (see
+    :mod:`anchorstream.fitting`). With a byte budget,
     the finest anchor target is planned first and written to the header as
     the effective finest fraction, so the decoder builds the same grids
     without ever seeing the budget. ``planned_caps`` then holds the per-level
@@ -195,8 +196,6 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
             f"a session needs at least 2 frames (frame 0 and one to encode), "
             f"source has {source.frame_count}"
         )
-    if fit_config is None:
-        fit_config = FitConfig()
     n0 = len(base)
     fraction = config.finest_fraction
     if budget_bytes is not None:
@@ -230,7 +229,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
             init = FrameDeformation.zeros(state.hierarchy)
 
         corr = source.correspondences(t)
-        fitted = fit_frame(state.gaussians, state.hierarchy, corr, fit_config, init,
+        fitted = fit_frame(state.gaussians, state.hierarchy, corr, init,
                            eff_config.phase1_steps, eff_config.composition_mode)
         frame_def = fitted
         if eff_config.phase2_steps > 0:

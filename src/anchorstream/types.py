@@ -8,6 +8,7 @@ payloads refer to primitives purely by position, never by explicit index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
@@ -38,8 +39,8 @@ class Quantization(IntEnum):
 class CompositionMode(IntEnum):
     """How per-level anchor deltas act on cluster members.
 
-    additive: positions shift by the summed translations; orientations get the
-        summed quaternion increment and are renormalized.
+    additive: positions shift by the summed translations; rotation increments
+        are zero and orientations do not change.
     pivot: each level rotates members about their anchor position by the
         unit-normalized increment quaternion, then translates.
     """
@@ -167,7 +168,13 @@ class GaussianSet:
 
 @dataclass
 class StreamConfig:
-    """Session-wide knobs shared by encoder and decoder."""
+    """Session-wide knobs shared by encoder and decoder.
+
+    ``phase1_steps`` is the fit's step count per frame. Of ``phase2_steps``
+    only zero versus positive matters: 0 turns densification off, and any
+    positive value turns it on. ``densify_threshold`` is the residual above
+    which a target spawns a clone; it must be finite and positive.
+    """
 
     levels: int = 3
     finest_fraction: Fraction = Fraction(1, 24)
@@ -192,8 +199,10 @@ class StreamConfig:
             raise ConfigError(f"reconfig_period must be >= 1, got {self.reconfig_period}")
         if self.phase1_steps < 0 or self.phase2_steps < 0:
             raise ConfigError("step counts must be >= 0")
-        if self.densify_threshold <= 0:
-            raise ConfigError("densify_threshold must be > 0")
+        if not (math.isfinite(self.densify_threshold) and self.densify_threshold > 0):
+            raise ConfigError(
+                f"densify_threshold must be finite and > 0, got {self.densify_threshold}"
+            )
         self.quantization = Quantization(self.quantization)
         self.composition_mode = CompositionMode(self.composition_mode)
 

@@ -5,7 +5,6 @@ from anchorstream import (
     AnchorDeltaSet,
     CompositionMode,
     Correspondences,
-    FitConfig,
     FrameDeformation,
     GaussianSet,
     StreamConfig,
@@ -150,11 +149,11 @@ def test_rotation_kernels_match_the_np_cross_oracle_bitwise(case):
 def test_fit_frame_deltas_equal_the_oracle_kernels_bytewise(mode, monkeypatch):
     g, h, corr, rng = make_problem(n=120, seed=13)
     init = random_deltas(h, rng, scale=0.05)
-    got = fit_frame(g, h, corr, FitConfig(), init, 12, mode)
+    got = fit_frame(g, h, corr, init, 12, mode)
     monkeypatch.setattr(fitting, "sum_by_index", add_at_sum_by_index)
     monkeypatch.setattr(fitting, "_rotate", cross_rotate)
     monkeypatch.setattr(fitting, "_rotation_grad", cross_rotation_grad)
-    want = fit_frame(g, h, corr, FitConfig(), init, 12, mode)
+    want = fit_frame(g, h, corr, init, 12, mode)
     assert not np.array_equal(got.per_level[0].translations, init.per_level[0].translations)
     for a, b in zip(got.per_level, want.per_level):
         assert a.translations.tobytes() == b.translations.tobytes()
@@ -176,7 +175,7 @@ def test_loss_rejects_empty_correspondences():
 def test_fit_already_optimal_stays_near_zero():
     g, h, _, _ = make_problem()
     corr = Correspondences(np.arange(len(g)), g.positions.copy())
-    out = fit_frame(g, h, corr, FitConfig(), FrameDeformation.zeros(h), 20)
+    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 20)
     loss, _ = loss_and_gradient(g, h, out, corr)
     assert loss < 1e-12
 
@@ -188,7 +187,7 @@ def test_fit_recovers_global_translation():
     h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=1)
     assert h.anchor_counts() == (1,)
     corr = Correspondences(np.arange(150), pos + np.float32([0.1, 0, 0]))
-    out = fit_frame(g, h, corr, FitConfig(), FrameDeformation.zeros(h), 100)
+    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 100)
     fitted = out.per_level[0].translations[0].astype(np.float64)
     assert np.abs(fitted - [0.1, 0, 0]).max() < 1e-4
 
@@ -202,11 +201,10 @@ def test_fit_loss_monotone_and_never_touches_state():
     corr = Correspondences(np.arange(scene.point_count), scene.targets[1].astype(np.float32))
 
     losses = []
-    cfg = FitConfig(learning_rate=1e-2)
     current = FrameDeformation.zeros(h)
     # re-run the optimizer one step at a time to observe the loss sequence
     for _ in range(40):
-        current = fit_frame(g, h, corr, cfg, current, 1)
+        current = fit_frame(g, h, corr, current, 1)
         losses.append(loss_and_gradient(g, h, current, corr)[0])
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
@@ -218,7 +216,7 @@ def test_fit_returns_loss_not_above_initial(rng):
     g, h, corr, rng = make_problem(seed=9)
     init = random_deltas(h, rng, scale=0.2)
     loss0, _ = loss_and_gradient(g, h, init, corr)
-    out = fit_frame(g, h, corr, FitConfig(), init, 30)
+    out = fit_frame(g, h, corr, init, 30)
     loss1, _ = loss_and_gradient(g, h, out, corr)
     assert loss1 <= loss0
 
@@ -230,7 +228,7 @@ def test_fit_two_body_scene_under_error_bound():
     h = build_hierarchy(g, StreamConfig(levels=3))
     idx = np.arange(scene.point_count)
     corr = Correspondences(idx, scene.targets[1].astype(np.float32))
-    out = fit_frame(g, h, corr, FitConfig(learning_rate=0.1), FrameDeformation.zeros(h), 100)
+    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 100)
     pos = deformed_positions(g, h, out, idx)
     err = np.linalg.norm(pos - scene.targets[1], axis=1).mean()
     assert err < 1e-3 * scene.diameter()
@@ -244,32 +242,9 @@ def test_fit_depth_monotone_loss():
     losses = {}
     for levels in (2, 3):
         h = build_hierarchy(g, StreamConfig(levels=levels))
-        out = fit_frame(g, h, corr, FitConfig(learning_rate=0.3), FrameDeformation.zeros(h),
-                        200)
+        out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 200)
         losses[levels], _ = loss_and_gradient(g, h, out, corr)
     assert losses[3] <= losses[2] + 1e-9
-
-
-def test_fit_coarse_to_fine_runs():
-    g, h, corr, rng = make_problem(seed=5)
-    out = fit_frame(g, h, corr, FitConfig(coarse_to_fine=True), FrameDeformation.zeros(h), 30)
-    loss, _ = loss_and_gradient(g, h, out, corr)
-    loss0, _ = loss_and_gradient(g, h, FrameDeformation.zeros(h), corr)
-    assert loss < loss0
-
-
-@pytest.mark.parametrize("mode", list(CompositionMode))
-def test_fit_coarse_to_fine_holds_locked_levels_at_init(mode):
-    g, h, corr, rng = make_problem(seed=6)
-    init = random_deltas(h, rng, scale=0.02)
-    # three levels with fewer steps than levels: one step per stage, so after
-    # s steps exactly the s coarsest levels have been unlocked
-    for steps in (1, 2):
-        out = fit_frame(g, h, corr, FitConfig(coarse_to_fine=True), init, steps, mode)
-        assert not np.array_equal(out.per_level[0].translations, init.per_level[0].translations)
-        for got, want in zip(out.per_level[steps:], init.per_level[steps:]):
-            assert np.array_equal(got.translations, want.translations)
-            assert np.array_equal(got.rotations, want.rotations)
 
 
 # ---------------------------------------------------------------------------

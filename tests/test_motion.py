@@ -9,15 +9,11 @@ from anchorstream import (
     GaussianSet,
     StreamConfig,
     apply_deformation,
-    average_quaternions,
     build_hierarchy,
     compose_deformation,
     inherit_deformation,
-    symmetric4_max_eigenvector,
-    validate_state,
 )
-from anchorstream.motion import apply_composed, canonical_sign, quat_from_axis_angle
-from anchorstream.types import SceneState
+from anchorstream.motion import canonical_sign, quat_from_axis_angle
 
 from oracles import dominant_eigenvector, rotation_matrix
 
@@ -47,8 +43,8 @@ def random_deltas(hierarchy, rng, scale=0.1):
 def test_compose_zero_deltas(rng):
     pos = rng.random((50, 3), dtype=np.float32)
     h = hierarchy_for(pos)
-    dmu, dq = compose_deformation(h, FrameDeformation.zeros(h))
-    assert not dmu.any() and not dq.any()
+    dmu = compose_deformation(h, FrameDeformation.zeros(h))
+    assert dmu.shape == (50, 3) and not dmu.any()
 
 
 def test_compose_single_anchor_broadcast(rng):
@@ -56,9 +52,8 @@ def test_compose_single_anchor_broadcast(rng):
     h = hierarchy_for(pos, levels=1)
     assert h.anchor_counts() == (1,)
     ds = AnchorDeltaSet(np.float32([[1, 2, 3]]), np.zeros((1, 4), np.float32))
-    dmu, dq = compose_deformation(h, FrameDeformation([ds]))
+    dmu = compose_deformation(h, FrameDeformation([ds]))
     assert np.array_equal(dmu, np.tile(np.float32([1, 2, 3]), (20, 1)))
-    assert not dq.any()
 
 
 def test_compose_matches_per_gaussian_loop(rng):
@@ -66,15 +61,12 @@ def test_compose_matches_per_gaussian_loop(rng):
     pos = rng.random((100, 3), dtype=np.float32)
     h = hierarchy_for(pos)
     deltas = random_deltas(h, rng)
-    dmu, dq = compose_deformation(h, deltas)
+    dmu = compose_deformation(h, deltas)
     for g in range(100):
         want_mu = np.zeros(3, np.float32)
-        want_q = np.zeros(4, np.float32)
         for lvl, ds in zip(h.levels, deltas.per_level):
             want_mu += ds.translations[lvl.assignment[g]]
-            want_q += ds.rotations[lvl.assignment[g]]
         assert np.array_equal(dmu[g], want_mu)
-        assert np.array_equal(dq[g], want_q)
 
 
 def test_compose_linear_in_deltas(rng):
@@ -94,11 +86,10 @@ def test_compose_linear_in_deltas(rng):
                         2 * a.rotations + 4 * b.rotations)
          for a, b in zip(d1.per_level, d2.per_level)]
     )
-    dmu_c, dq_c = compose_deformation(h, combo)
-    dmu_1, dq_1 = compose_deformation(h, d1)
-    dmu_2, dq_2 = compose_deformation(h, d2)
+    dmu_c = compose_deformation(h, combo)
+    dmu_1 = compose_deformation(h, d1)
+    dmu_2 = compose_deformation(h, d2)
     assert np.array_equal(dmu_c, 2 * dmu_1 + 4 * dmu_2)
-    assert np.array_equal(dq_c, 2 * dq_1 + 4 * dq_2)
 
 
 def test_compose_rejects_mismatched_deltas(rng):
@@ -125,34 +116,72 @@ def test_apply_zero_is_identity_both_modes(rng):
             assert np.array_equal(a, b)
 
 
+def own_anchor_hierarchy(pos):
+    """One level in which every gaussian is its own anchor."""
+    h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=1))
+    h.levels[0].anchor_indices = np.arange(len(pos))
+    h.levels[0].assignment = np.arange(len(pos))
+    return h
+
+
+def translations_only(translations):
+    t = np.asarray(translations, np.float32)
+    return FrameDeformation([AnchorDeltaSet(t, np.zeros((len(t), 4), np.float32))])
+
+
+def random_appearance(pos, rng):
+    """Gaussians with non-identity unit orientations and varied appearance."""
+    n = len(pos)
+    q = rng.standard_normal((n, 4))
+    return GaussianSet(
+        pos,
+        rng.uniform(0.01, 0.2, (n, 3)),
+        (q / np.linalg.norm(q, axis=1, keepdims=True)).astype(np.float32),
+        rng.uniform(0.0, 1.0, n),
+        rng.standard_normal((n, 12)),
+    )
+
+
 def test_apply_additive_pure_translation(rng):
     pos = rng.random((25, 3), dtype=np.float32)
     g = GaussianSet.from_positions(pos)
-    dmu = np.tile(np.float32([0, 0, 1]), (25, 1))
-    dq = np.zeros((25, 4), np.float32)
-    out = apply_composed(g, dmu, dq)
-    assert np.array_equal(out.positions, pos + dmu)
+    h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=1)
+    assert h.anchor_counts() == (1,)
+    out = apply_deformation(g, h, translations_only([[0, 0, 1]]))
+    assert np.array_equal(out.positions, pos + np.float32([0, 0, 1]))
     assert np.array_equal(out.orientations, g.orientations)
 
 
-def test_apply_additive_normalizes_orientations(rng):
-    pos = rng.random((30, 3), dtype=np.float32)
-    g = GaussianSet.from_positions(pos)
-    dq = rng.standard_normal((30, 4)).astype(np.float32) * 0.3
-    out = apply_composed(g, np.zeros((30, 3), np.float32), dq)
-    norms = np.linalg.norm(out.orientations.astype(np.float64), axis=1)
-    assert np.abs(norms - 1).max() < 1e-6
-    violations = validate_state(SceneState(out))
-    assert violations == []
+def test_apply_additive_keeps_everything_but_positions_byte_equal(rng):
+    pos = rng.random((5000, 3), dtype=np.float32)
+    g = random_appearance(pos, rng)
+    h = hierarchy_for(pos)
+    deltas = FrameDeformation(
+        [AnchorDeltaSet((rng.standard_normal((lvl.anchor_count, 3)) * 0.1).astype(np.float32),
+                        np.zeros((lvl.anchor_count, 4), np.float32)) for lvl in h.levels]
+    )
+    out = apply_deformation(g, h, deltas, CompositionMode.additive)
+    for name in ("scales", "orientations", "opacities", "sh"):
+        assert getattr(out, name).tobytes() == getattr(g, name).tobytes(), name
+    assert out.positions.tobytes() == (pos + compose_deformation(h, deltas)).tobytes()
+
+
+def test_apply_additive_rejects_a_nonzero_rotation(rng):
+    pos = rng.random((40, 3), dtype=np.float32)
+    h = hierarchy_for(pos)
+    deltas = FrameDeformation.zeros(h)
+    deltas.per_level[-1].rotations[0, 2] = 1e-3
+    with pytest.raises(ValueError, match="rotation"):
+        apply_deformation(GaussianSet.from_positions(pos), h, deltas, CompositionMode.additive)
 
 
 def test_apply_additive_round_trip_within_ulp(rng):
     pos = rng.random((50, 3), dtype=np.float32)
     g = GaussianSet.from_positions(pos)
+    h = own_anchor_hierarchy(pos)
     dmu = rng.standard_normal((50, 3)).astype(np.float32) * 0.2
-    zeros_q = np.zeros((50, 4), np.float32)
-    there = apply_composed(g, dmu, zeros_q)
-    back = apply_composed(there, -dmu, zeros_q)
+    there = apply_deformation(g, h, translations_only(dmu))
+    back = apply_deformation(there, h, translations_only(-dmu))
     ulp = np.spacing(np.abs(pos) + np.abs(dmu))
     assert (np.abs(back.positions - pos) <= ulp).all()
 
@@ -160,10 +189,12 @@ def test_apply_additive_round_trip_within_ulp(rng):
 def test_apply_degenerate_quaternion_rejected(rng):
     pos = rng.random((5, 3), dtype=np.float32)
     g = GaussianSet.from_positions(pos)
-    dq = np.zeros((5, 4), np.float32)
-    dq[2] = -g.orientations[2]  # cancels to zero norm
+    h = own_anchor_hierarchy(pos)
+    rot = np.zeros((5, 4), np.float32)
+    rot[2, 0] = -1.0  # (1,0,0,0) + delta cancels to zero norm
+    deltas = FrameDeformation([AnchorDeltaSet(np.zeros((5, 3), np.float32), rot)])
     with pytest.raises(DegenerateQuaternionError):
-        apply_composed(g, np.zeros((5, 3), np.float32), dq)
+        apply_deformation(g, h, deltas, CompositionMode.pivot)
 
 
 def test_apply_pivot_rotation_about_anchor():
@@ -207,7 +238,7 @@ def test_apply_pivot_matches_rotation_matrix_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
-# average_quaternions / symmetric4_max_eigenvector
+# rotation averaging, as inherit_deformation does it
 # ---------------------------------------------------------------------------
 
 
@@ -216,83 +247,36 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def inherited_rotations(rows):
+    """Inherit one anchor per consecutive triple of rotation rows."""
+    rows = np.asarray(rows, np.float32)
+    legacy = AnchorDeltaSet(np.zeros((len(rows), 3), np.float32), rows)
+    nbr = np.arange(len(rows)).reshape(-1, 3)
+    return inherit_deformation(legacy, nbr).rotations.astype(np.float64)
+
+
 def test_average_identical_quaternions(rng):
-    q = unit(rng.standard_normal(4))
-    avg = average_quaternions(q, q, q)
-    assert np.abs(avg - canonical_sign(q)).max() < 1e-12
+    q = unit(rng.standard_normal(4)).astype(np.float32)
+    avg = inherited_rotations([q, q, q])[0]
+    assert np.abs(avg - canonical_sign(q.astype(np.float64))).max() < 1e-6
 
 
 def test_average_sign_flip_exact(rng):
     q = unit(rng.standard_normal(4))
-    a = average_quaternions(q, q, q)
-    b = average_quaternions(q, -q, q)
+    a = inherited_rotations([q, q, q])
+    b = inherited_rotations([q, -q, q])
     assert np.array_equal(a, b)
-
-
-def test_average_permutation_exact(rng):
-    q1, q2, q3 = (unit(rng.standard_normal(4)) for _ in range(3))
-    a = average_quaternions(q1, q2, q3)
-    b = average_quaternions(q3, q1, q2)
-    c = average_quaternions(q2, q3, q1)
-    assert np.array_equal(a, b) and np.array_equal(b, c)
 
 
 def test_average_matches_jacobi_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        qs = [unit(rng.standard_normal(4)) for _ in range(3)]
-        avg = average_quaternions(*qs)
-        m = sum(np.outer(q, q) for q in qs)
-        _, oracle_vec = dominant_eigenvector(m)
+    rows = np.stack([unit(rng.standard_normal(4)) for _ in range(600)]).astype(np.float32)
+    avg = inherited_rotations(rows)  # 200 anchors in one batched eigh
+    for a, triple in enumerate(rows.astype(np.float64).reshape(200, 3, 4)):
+        _, oracle_vec = dominant_eigenvector(sum(np.outer(q, q) for q in triple))
         assert min(
-            np.abs(avg - oracle_vec).max(), np.abs(avg + oracle_vec).max()
-        ) < 1e-9
-
-
-def test_average_rejects_zero():
-    q = unit([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        average_quaternions(q, np.zeros(4), q)
-
-
-def test_eigenvector_identity_matrix():
-    lam, vec = symmetric4_max_eigenvector(np.eye(4))
-    assert abs(lam - 1) < 1e-12
-    assert abs(np.linalg.norm(vec) - 1) < 1e-12
-    nz = vec[vec != 0]
-    assert nz.size == 0 or nz[0] > 0  # canonical sign
-
-
-def test_eigenvector_diagonal():
-    lam, vec = symmetric4_max_eigenvector(np.diag([4.0, 3.0, 2.0, 1.0]))
-    assert abs(lam - 4) < 1e-12
-    assert np.abs(vec - [1, 0, 0, 0]).max() < 1e-9
-
-
-def test_eigenvector_matches_jacobi(rng):
-    for _ in range(100):
-        qs = [unit(rng.standard_normal(4)) for _ in range(3)]
-        m = sum(np.outer(q, q) for q in qs)
-        lam, vec = symmetric4_max_eigenvector(m)
-        oracle_lam, oracle_vec = dominant_eigenvector(m)
-        assert abs(lam - oracle_lam) <= 1e-10 * max(1.0, abs(oracle_lam))
-        assert np.abs(vec - oracle_vec).max() < 1e-8
-        assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * np.abs(m).max() * 4
-
-
-def test_eigenvector_residual_postcondition(rng):
-    for _ in range(50):
-        a = rng.standard_normal((4, 4))
-        m = a + a.T
-        lam, vec = symmetric4_max_eigenvector(m)
-        assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * max(1.0, np.abs(m).max())
-
-
-def test_eigenvector_rejects_asymmetric():
-    m = np.eye(4)
-    m[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        symmetric4_max_eigenvector(m)
+            np.abs(avg[a] - oracle_vec).max(), np.abs(avg[a] + oracle_vec).max()
+        ) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 from anchorstream import (
     CompositionMode,
     ConfigError,
-    FitConfig,
     GaussianSet,
     Quantization,
     StreamConfig,
@@ -119,7 +118,7 @@ def test_decoder_reports_the_encoders_payload_bytes():
 def test_step_counts_come_from_the_stream_config():
     base, source = session_inputs(small_arm(frames=4))
     config = StreamConfig(reconfig_period=2, phase1_steps=0)
-    enc = encode_session(base, source, config, FitConfig(learning_rate=0.05))
+    enc = encode_session(base, source, config)
     for payload, _ in iter_decode(base, enc.stream):
         for block in payload.deltas.per_level:  # no fit step moved the zero init
             assert not block.translations.any() and not block.rotations.any()
@@ -227,6 +226,30 @@ def test_clones_copy_their_source_row_from_before_the_frame():
         cloned += len(src)
         previous = state.gaussians.copy()
     assert cloned > 0 and len(previous) == len(base) + cloned
+
+
+@pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
+def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantization):
+    _, source = session_inputs(small_arm(point_scale=0.5))
+    rng = np.random.default_rng(5)
+    n = source.scene.point_count
+    q = rng.standard_normal((n, 4))
+    base = GaussianSet(source.scene.positions[0], rng.uniform(0.01, 0.2, (n, 3)),
+                       q / np.linalg.norm(q, axis=1, keepdims=True),
+                       rng.uniform(0.0, 1.0, n), rng.standard_normal((n, 12)))
+    config = StreamConfig(reconfig_period=3, quantization=quantization, phase1_steps=20,
+                          densify_threshold=0.01)
+    enc = encode_session(base, source, config)
+    appearance = base.attribute_arrays()[1:]  # scales, orientations, opacities, sh
+    cloned = 0
+    for (payload, state), m in zip(iter_decode(base, enc.stream), enc.metrics):
+        src = payload.deltas.clone_sources
+        appearance = [np.concatenate([col, col[src]]) for col in appearance]
+        for got, want in zip(state.gaussians.attribute_arrays()[1:], appearance):
+            assert got.tobytes() == want.tobytes(), f"frame {m.frame_index}"
+        assert state_checksum(state) == m.checksum
+        cloned += len(src)
+    assert cloned > 0
 
 
 def test_bad_clone_record_fails_naming_the_frame_before_the_state_changes():
@@ -413,6 +436,36 @@ def test_cli_bench_reports_an_infeasible_budget_and_keeps_the_feasible_one(tmp_p
     assert "FAILED levels=3 budget=239" in err and "minimum feasible 240" in err
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [row[:2] for row in rows] == [["3", "600"]]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_cli_encode_rejects_a_non_finite_densify_threshold(tmp_path, capsys, threshold):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    write_spec(spec_path, small_arm(frames=3))
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--densify-threshold", threshold]) == 2
+    assert "densify_threshold must be finite" in capsys.readouterr().err
+    assert not stream_path.exists()
+
+
+@pytest.mark.parametrize("flag, value, bad", [("--budgets", "abc", "'abc'"),
+                                              ("--levels-sweep", "2,x", "'x'")])
+def test_cli_bench_names_a_bad_list_item(tmp_path, capsys, flag, value, bad):
+    spec_path = tmp_path / "arm.json"
+    write_spec(spec_path, small_arm(frames=3))
+    assert main(["bench", "--spec", str(spec_path), flag, value, "--phase1-steps", "1"]) == 2
+    assert f"{flag}: {bad} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "bench"])
+def test_cli_has_no_optimizer_flags(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    assert "--phase1-steps" in text
+    for flag in ("--learning-rate", "--momentum", "--coarse-to-fine"):
+        assert flag not in text
 
 
 def test_ply_round_trip(rng):

@@ -96,6 +96,9 @@ def test_config_rejects_bad_values():
         StreamConfig(finest_fraction=0)
     with pytest.raises(ConfigError):
         StreamConfig(reconfig_period=0)
+    for threshold in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+        with pytest.raises(ConfigError, match="densify_threshold"):
+            StreamConfig(densify_threshold=threshold)
 
 
 def test_concatenate_preserves_order():
