@@ -3,12 +3,14 @@
 A scene is a flat ordered sequence of gaussian primitives. Motion between
 frames is carried by a small set of per-level anchor transforms: anchors are
 picked by uniform-grid sampling, every primitive clusters to its L1-nearest
-anchor per level, and the per-primitive deformation is the sum of its
-anchors' increments across levels. The hierarchy is rebuilt periodically from
-the deformed geometry, with new anchors inheriting deltas from their nearest
-predecessors. Serialized frames carry no indices: both ends order anchors
-canonically by grid cell, so streams stay compact and a mirroring decoder
-reproduces the encoder state bit for bit.
+anchor per level, and its anchors move it level by level, coarse to fine. In
+additive mode a primitive shifts by the sum of its anchors' translations; in
+pivot mode each level rotates it about its anchor, then translates it. The
+hierarchy is rebuilt periodically from the deformed geometry, with new
+anchors inheriting deltas from their nearest predecessors. Serialized frames
+carry no indices: both ends order anchors canonically by grid cell, so
+streams stay compact and a mirroring decoder reproduces the encoder state
+bit for bit.
 """
 
 from .codec import (
@@ -45,7 +47,6 @@ from .motion import (
     AnchorDeltaSet,
     FrameDeformation,
     apply_deformation,
-    compose_deformation,
     inherit_deformation,
 )
 from .ply_io import read_gaussian_ply, write_gaussian_ply
@@ -65,7 +66,6 @@ from .synth import (
     drifting_pair_spec,
     generate_scene,
     load_scene_spec,
-    rigid_transform_points,
     static_block_spec,
     two_body_arm_spec,
 )

@@ -85,17 +85,23 @@ def _config_from_args(args) -> StreamConfig:
     )
 
 
-def _load_input(path: Path, frames: int, seed: Optional[int]):
-    """Base gaussians + motion source from a scene spec (.json) or PLY file."""
+def _load_input(path: Path, frames: Optional[int] = None, seed: Optional[int] = None):
+    """Base gaussians + motion source from a scene spec (.json) or PLY file.
+
+    ``frames`` and ``seed`` override a spec's own values when given; a PLY
+    input becomes a static source of ``frames`` frames, 10 by default.
+    """
     if path.suffix.lower() == ".json":
         spec = load_scene_spec(path)
         if seed is not None:
             spec.seed = seed
+        if frames is not None:
+            spec = replace(spec, frames=frames)  # re-validates the count
         scene = generate_scene(spec)
         source = SyntheticSource(scene)
         return source.base_gaussians(), source
     base = read_gaussian_ply(path.read_bytes())
-    return base, StaticSource(base, frames)
+    return base, StaticSource(base, 10 if frames is None else frames)
 
 
 def _write_metrics(path: Path, metrics: list[FrameMetrics]) -> None:
@@ -131,7 +137,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     stream = Path(args.stream).read_bytes()
-    base, _ = _load_input(Path(args.frame0), frames=2, seed=None)
+    base, _ = _load_input(Path(args.frame0))
     out_dir = Path(args.output_dir) if args.output_dir and args.export_every > 0 else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "per-level anchor caps that hold at every frame (clones, 16 B "
                           "each, extra)")
     enc.add_argument("--seed", type=int, help="override the scene spec seed")
-    enc.add_argument("--frames", type=int, default=10,
-                     help="frame count for PLY (static) inputs")
+    enc.add_argument("--frames", type=int,
+                     help="override the scene spec frame count; for a PLY (static) "
+                          "input, the frame count (default 10)")
     _add_config_flags(enc)
     enc.set_defaults(func=cmd_encode)
 

@@ -13,7 +13,10 @@ this package. In additive mode positions do not depend on the rotation
 increments, so their gradient is exactly zero and the fit leaves them at
 their zero start.
 
-Gradients are exact analytic derivatives, computed in float64 and verified
+The loss and the densify residuals move gaussians through
+:func:`anchorstream.motion.deform_rows`, the same float64 forward that
+advances the mirrored state; this module holds no forward of its own, only
+the backward pass. Gradients are exact analytic derivatives, computed in float64 and verified
 against central finite differences in the test suite.
 """
 
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import NumericalError
 from .hierarchy import AnchorHierarchy
 from .kernels import sum_by_index
-from .motion import AnchorDeltaSet, FrameDeformation, level_unit_quats
+from .motion import AnchorDeltaSet, FrameDeformation, _cross, _dot, _rotate, deform_rows
 from .types import CompositionMode, GaussianSet
 
 _DIVERGENCE_FACTOR = 1e6
@@ -55,74 +58,8 @@ class Correspondences:
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward
+# Loss and its backward pass (the forward is motion.deform_rows)
 # ---------------------------------------------------------------------------
-
-
-def _level_arrays(deltas: FrameDeformation) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [
-        (ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
-        for ds in deltas.per_level
-    ]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b for (n, 3) rows, in ``np.cross``'s operation order."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    out = np.empty((a.shape[0], 3))
-    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
-    return out
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a . b as (n, 1), bit-equal to ``(a * b).sum(axis=1, keepdims=True)``.
-
-    That reduction adds the three products left to right onto +0.0, so a
-    row of -0.0 products sums to +0.0; the trailing ``+ 0.0`` does the same.
-    """
-    p = a * b
-    return ((p[:, 0:1] + p[:, 1:2]) + p[:, 2:3]) + 0.0
-
-
-def _rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """R(q) u for unit quaternions, via the vector form of the rotation."""
-    w = q[:, :1]
-    v = q[:, 1:]
-    return (w * w - _dot(v, v)) * u + 2.0 * _dot(v, u) * v + 2.0 * w * _cross(v, u)
-
-
-def _anchor_pivots(gaussians: GaussianSet, hierarchy: AnchorHierarchy) -> list[np.ndarray]:
-    """Frame-start anchor positions per level (float64)."""
-    return [np.take(gaussians.positions, lvl.anchor_indices, axis=0).astype(np.float64)
-            for lvl in hierarchy.levels]
-
-
-def _forward_positions(base: np.ndarray, level_arrays, assign, pivots, mode):
-    """Deformed float64 positions for the selected gaussians.
-
-    For pivot mode also returns the per-level context needed by the backward
-    pass: member unit quaternions, pre-rotation offsets, and per-anchor
-    normalization data.
-    """
-    if mode == CompositionMode.additive:
-        pos = base.copy()
-        for (trans, _), al in zip(level_arrays, assign):
-            pos += np.take(trans, al, axis=0)
-        return pos, None
-
-    pos = base.copy()
-    ctx = []
-    for (trans, rot), al, piv in zip(level_arrays, assign, pivots):
-        unit, norms = level_unit_quats(rot)
-        member_q = np.take(unit, al, axis=0)
-        centers = np.take(piv, al, axis=0)
-        u = pos - centers
-        pos = _rotate(member_q, u) + centers + np.take(trans, al, axis=0)
-        ctx.append((member_q, u, unit, norms))
-    return pos, ctx
 
 
 def _rotation_grad(g: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -152,43 +89,30 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     """
     if len(corr) == 0:
         raise ValueError("correspondences must be non-empty")
-    level_arrays = _level_arrays(deltas)
-    if len(level_arrays) != hierarchy.level_count:
-        raise ValueError("deltas do not match hierarchy level count")
-    for lvl, (trans, _) in zip(hierarchy.levels, level_arrays):
-        if trans.shape[0] != lvl.anchor_count:
-            raise ValueError(f"level {lvl.level} deltas do not match anchor count")
-
-    idx = corr.indices
-    assign = [lvl.assignment[idx] for lvl in hierarchy.levels]
-    base = np.take(gaussians.positions, idx, axis=0).astype(np.float64)
-    targets = corr.targets.astype(np.float64)
+    pos, levels = deform_rows(gaussians, hierarchy, deltas, mode, corr.indices)
+    r = pos - corr.targets.astype(np.float64)
     c = len(corr)
-
-    pivots = _anchor_pivots(gaussians, hierarchy)
-    pos, ctx = _forward_positions(base, level_arrays, assign, pivots, mode)
-    r = pos - targets
     loss = float((r * r).sum() / c)
     g = (2.0 / c) * r
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * hierarchy.level_count
     if mode == CompositionMode.additive:
-        for li, (lvl, al) in enumerate(zip(hierarchy.levels, assign)):
-            gt = sum_by_index(g, al, lvl.anchor_count)
+        for li, (lvl, level) in enumerate(zip(hierarchy.levels, levels)):
+            gt = sum_by_index(g, level.members, lvl.anchor_count)
             grads[li] = (gt, np.zeros((lvl.anchor_count, 4)))
         return loss, grads
 
     # pivot: walk levels fine-to-coarse, peeling one rotation at a time
     for li in range(hierarchy.level_count - 1, -1, -1):
         lvl = hierarchy.levels[li]
-        al = assign[li]
-        member_q, u, unit, norms = ctx[li]
+        level = levels[li]
+        al, member_q, unit = level.members, level.rotations, level.anchor_rotations
         gt = sum_by_index(g, al, lvl.anchor_count)
-        gq_member = _rotation_grad(g, member_q, u)
+        gq_member = _rotation_grad(g, member_q, level.offsets)
         gq_anchor = sum_by_index(gq_member, al, lvl.anchor_count)
         # chain through q_hat = y / |y| with y = (1,0,0,0) + delta
         proj = (gq_anchor * unit).sum(axis=1, keepdims=True)
-        gq = (gq_anchor - unit * proj) / norms[:, None]
+        gq = (gq_anchor - unit * proj) / level.anchor_norms[:, None]
         grads[li] = (gt, gq)
         # upstream gradient through the rotation: g <- R(q)^T g
         w = member_q[:, :1]
@@ -250,7 +174,8 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
         )
         return loss, _pack(grads)
 
-    x = _pack(_level_arrays(init))
+    x = _pack([(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
+               for ds in init.per_level])
     scale = _precondition_scale(hierarchy, corr, counts)
     loss0, grad = evaluate(x)
     loss_cur = loss0
@@ -290,18 +215,6 @@ def _precondition_scale(hierarchy: AnchorHierarchy, corr: Correspondences, count
     return np.concatenate(parts)
 
 
-def deformed_positions(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                       deltas: FrameDeformation, indices: np.ndarray,
-                       mode: CompositionMode = CompositionMode.additive) -> np.ndarray:
-    """Float64 deformed positions of selected gaussians (no state change)."""
-    idx = np.ascontiguousarray(indices, np.int64)
-    assign = [lvl.assignment[idx] for lvl in hierarchy.levels]
-    base = np.take(gaussians.positions, idx, axis=0).astype(np.float64)
-    pivots = _anchor_pivots(gaussians, hierarchy)
-    pos, _ = _forward_positions(base, _level_arrays(deltas), assign, pivots, mode)
-    return pos
-
-
 def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                       deltas: FrameDeformation, corr: Correspondences,
                       threshold: float,
@@ -315,7 +228,7 @@ def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     pruned: opacity never changes without photometric training, so there is
     no signal to prune on.
     """
-    pos = deformed_positions(gaussians, hierarchy, deltas, corr.indices, mode)
+    pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, corr.indices)
     residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
     picked = np.nonzero(residual > threshold)[0]
     return corr.indices[picked], corr.targets[picked]

@@ -1,22 +1,29 @@
-"""Explicit motion composition, deformation application, and inheritance.
+"""Deformation math: the one forward, its application, and inheritance.
 
 Per-frame motion is carried by per-level anchor transforms: a translation
-increment and a raw quaternion increment per anchor. Two application modes
-exist. Additive mode moves positions only: a gaussian shifts by the sum of
-its assigned anchors' translations across levels, and its rotation
-increments must be zero, so orientations, like the rest of its appearance,
-stay as they are. Pivot mode has each level rigidly rotate cluster members
-about their anchor.
+increment and a rotation increment d per anchor, where d stands for the unit
+rotation normalize((1,0,0,0) + d). :func:`deform_rows` is the only code that
+moves gaussians by those deltas. It applies the levels coarse to fine, in
+float64. Pivot mode rotates each level's cluster members about their
+anchor's frame-start position, then translates them. Additive mode moves
+positions only: a gaussian shifts by the sum of its anchors' translations,
+and its rotation increments must be zero. :func:`apply_deformation` runs the
+forward over every gaussian to advance the mirrored state; the fit's loss
+and the densify residuals in :mod:`anchorstream.fitting` run it over the
+observed gaussians. The rotation kernels ``_rotate``, ``_cross`` and
+``_dot`` live here for both.
 
-Inheritance transfers deltas from a retiring hierarchy to a freshly built one:
-translations average arithmetically over the three matched legacy anchors,
-rotation increments average as the dominant eigenvector of the summed outer
-products, which is the standard chordal quaternion mean.
+Inheritance transfers deltas from a retiring hierarchy to a freshly built one,
+increments in and increments out: translations average arithmetically over
+the three matched legacy anchors, and rotations average as the dominant
+eigenvector of the summed outer products of their unit quaternions, which is
+the standard chordal quaternion mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -155,21 +162,36 @@ def _check_consistent(hierarchy: AnchorHierarchy, deltas: FrameDeformation) -> N
 
 
 # ---------------------------------------------------------------------------
-# Composition and application
+# The deformation forward and its application
 # ---------------------------------------------------------------------------
 
 
-def compose_deformation(hierarchy: AnchorHierarchy, deltas: FrameDeformation) -> np.ndarray:
-    """Per-gaussian summed translations across levels, (N, 3) float32.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b for (n, 3) rows, in ``np.cross``'s operation order."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    out = np.empty((a.shape[0], 3))
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
 
-    A plain sum, coarse level first; this is the additive position update.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b as (n, 1), bit-equal to ``(a * b).sum(axis=1, keepdims=True)``.
+
+    That reduction adds the three products left to right onto +0.0, so a
+    row of -0.0 products sums to +0.0; the trailing ``+ 0.0`` does the same.
     """
-    _check_consistent(hierarchy, deltas)
-    n = hierarchy.levels[0].assignment.shape[0]
-    dmu = np.zeros((n, 3), np.float32)
-    for lvl, ds in zip(hierarchy.levels, deltas.per_level):
-        dmu += ds.translations[lvl.assignment]
-    return dmu
+    p = a * b
+    return ((p[:, 0:1] + p[:, 1:2]) + p[:, 2:3]) + 0.0
+
+
+def _rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """R(q) u for unit quaternions, via the vector form of the rotation."""
+    w = q[:, :1]
+    v = q[:, 1:]
+    return (w * w - _dot(v, v)) * u + 2.0 * _dot(v, u) * v + 2.0 * w * _cross(v, u)
 
 
 def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,47 +208,85 @@ def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q / norms[:, None], norms
 
 
+class LevelMotion(NamedTuple):
+    """How :func:`deform_rows` moved its rows at one level.
+
+    ``members`` is each row's anchor ordinal at the level. The other fields
+    are None in additive mode. In pivot mode they hold each anchor's unit
+    rotation and the norm of (1,0,0,0) + delta it was normalized from, each
+    row's unit rotation, and each row's offset from its pivot just before the
+    level rotated it: what the fit's backward pass and the orientation
+    update need.
+    """
+
+    members: np.ndarray  # (R,) int64
+    anchor_rotations: Optional[np.ndarray]  # (A, 4) float64
+    anchor_norms: Optional[np.ndarray]  # (A,) float64
+    rotations: Optional[np.ndarray]  # (R, 4) float64
+    offsets: Optional[np.ndarray]  # (R, 3) float64
+
+
+def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, deltas: FrameDeformation,
+                mode: CompositionMode, rows: Optional[np.ndarray] = None,
+                ) -> tuple[np.ndarray, list[LevelMotion]]:
+    """The deformation forward: float64 deformed positions of ``rows`` (default all).
+
+    Levels apply coarse to fine. At each level, pivot mode rotates every row
+    about its anchor's frame-start position, then translates it; additive
+    mode only translates, so a row moves by the sum of its anchors'
+    translations. Rotation increments are ignored in additive mode. Returns
+    the positions and one :class:`LevelMotion` per level; nothing is
+    modified.
+    """
+    _check_consistent(hierarchy, deltas)
+    if rows is None:
+        pos = gaussians.positions.astype(np.float64)
+        members = [lvl.assignment for lvl in hierarchy.levels]
+    else:
+        pos = np.take(gaussians.positions, rows, axis=0).astype(np.float64)
+        members = [lvl.assignment[rows] for lvl in hierarchy.levels]
+    levels = []
+    for lvl, ds, al in zip(hierarchy.levels, deltas.per_level, members):
+        trans = ds.translations.astype(np.float64)
+        if mode == CompositionMode.additive:
+            pos += np.take(trans, al, axis=0)
+            levels.append(LevelMotion(al, None, None, None, None))
+            continue
+        unit, norms = level_unit_quats(ds.rotations)
+        member_q = np.take(unit, al, axis=0)
+        pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).astype(np.float64)
+        centers = np.take(pivots, al, axis=0)
+        u = pos - centers
+        pos = _rotate(member_q, u) + centers + np.take(trans, al, axis=0)
+        levels.append(LevelMotion(al, unit, norms, member_q, u))
+    return pos, levels
+
+
 def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                       deltas: FrameDeformation,
                       mode: CompositionMode = CompositionMode.additive) -> GaussianSet:
     """Deform all gaussians by one frame's deltas; appearance stays frozen.
 
-    Additive mode shifts positions by :func:`compose_deformation` and copies
-    every other column unchanged; a nonzero rotation increment raises
-    ``ValueError``, since additive frames carry none. Pivot mode applies
-    levels coarse-to-fine, rotating members about their anchor's frame-start
-    position before translating; orientations compose by quaternion
-    multiplication.
+    Positions are :func:`deform_rows` of every row, cast to float32. Additive
+    mode copies every other column unchanged; a nonzero rotation increment
+    raises ``ValueError``, since additive frames carry none. Pivot mode also
+    composes each orientation with the row's rotation at every level, coarse
+    level first, by quaternion multiplication.
     """
-    if mode == CompositionMode.additive:
-        if any(ds.rotations.any() for ds in deltas.per_level):
-            raise ValueError("additive deformations carry no rotations, but one is nonzero")
-        dmu = compose_deformation(hierarchy, deltas)
-        return GaussianSet(
-            gaussians.positions + dmu,
-            gaussians.scales.copy(),
-            gaussians.orientations.copy(),
-            gaussians.opacities.copy(),
-            gaussians.sh.copy(),
-        )
-
-    _check_consistent(hierarchy, deltas)
-    pos = gaussians.positions.astype(np.float64)
-    base_pos = pos.copy()
-    orient = gaussians.orientations.astype(np.float64)
-    for lvl, ds in zip(hierarchy.levels, deltas.per_level):
-        unit, _ = level_unit_quats(ds.rotations)
-        member_q = unit[lvl.assignment]
-        pivots = base_pos[lvl.anchor_indices][lvl.assignment]
-        rot = quat_to_matrix(member_q)
-        pos = np.einsum("nij,nj->ni", rot, pos - pivots) + pivots
-        pos += ds.translations.astype(np.float64)[lvl.assignment]
-        orient = quat_multiply(member_q, orient)
-    orient = quat_normalize(orient)
+    if mode == CompositionMode.additive and any(ds.rotations.any() for ds in deltas.per_level):
+        raise ValueError("additive deformations carry no rotations, but one is nonzero")
+    pos, levels = deform_rows(gaussians, hierarchy, deltas, mode)
+    if mode == CompositionMode.pivot:
+        orient = gaussians.orientations.astype(np.float64)
+        for level in levels:
+            orient = quat_multiply(level.rotations, orient)
+        orientations = quat_normalize(orient).astype(np.float32)
+    else:
+        orientations = gaussians.orientations.copy()
     return GaussianSet(
         pos.astype(np.float32),
         gaussians.scales.copy(),
-        orient.astype(np.float32),
+        orientations,
         gaussians.opacities.copy(),
         gaussians.sh.copy(),
     )
@@ -240,11 +300,16 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
 def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> AnchorDeltaSet:
     """Seed a reconfigured level's deltas from its three matched legacy anchors.
 
-    Translations take the arithmetic mean. Rotation rows are averaged as
-    quaternions (the dominant eigenvector of sum(q q^T), canonical sign), one
-    batched ``eigh`` over all anchors, except that exactly-zero legacy rows
-    are skipped ("no rotation observed"): if all three are zero the inherited
-    row is zero as well, since the eigenvector of a zero matrix is undefined.
+    Increments in, increments out. Translations take the arithmetic mean.
+    Rotations are averaged as the unit quaternions q = normalize((1,0,0,0) + d)
+    the increments stand for; q and -q give the same q q^T, so their signs
+    do not matter. The mean is the dominant eigenvector of sum(q q^T) with
+    canonical sign (so w >= 0), one batched ``eigh`` over all anchors, and it
+    goes back as the increment mean - (1,0,0,0). Both the unit quaternions
+    and their mean are rounded to float32, the precision of a delta row.
+    Exactly-zero legacy rows ("no rotation observed") are left out of the
+    average; if all three are zero the inherited row is zero as well, since
+    the eigenvector of a zero matrix is undefined.
     """
     if len(legacy) == 0:
         raise ValueError("inheritance requires a non-empty legacy level")
@@ -257,10 +322,15 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     trans64 = legacy.translations.astype(np.float64)
     new_trans = (trans64[nbr[:, 0]] + trans64[nbr[:, 1]] + trans64[nbr[:, 2]]) / 3.0
 
-    # a zero increment adds a zero outer product, which is the skip rule
-    picks = legacy.rotations.astype(np.float64)[nbr]  # (A, 3, 4)
+    moved = legacy.rotations.any(axis=1)
+    unit, _ = level_unit_quats(legacy.rotations)
+    unit[~moved] = 0.0
+    # a zero row adds a zero outer product, which is the skip rule
+    picks = unit.astype(np.float32).astype(np.float64)[nbr]  # (A, 3, 4)
     outer = np.einsum("akp,akq->apq", picks, picks)
     _, vectors = np.linalg.eigh(outer)
-    new_rot = canonical_sign(vectors[:, :, -1])
-    new_rot[~picks.any(axis=(1, 2))] = 0.0
-    return AnchorDeltaSet(new_trans.astype(np.float32), new_rot.astype(np.float32))
+    new_rot = canonical_sign(vectors[:, :, -1]).astype(np.float32).astype(np.float64)
+    observed = moved[nbr].any(axis=1)
+    new_rot[observed, 0] -= 1.0
+    new_rot[~observed] = 0.0
+    return AnchorDeltaSet(new_trans.astype(np.float32), new_rot)

@@ -34,13 +34,7 @@ from .errors import ConfigError, NumericalError, StreamFormatError
 from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import build_hierarchy, level_caps, rehierarchize
 from .kernels import l1_nearest
-from .motion import (
-    AnchorDeltaSet,
-    FrameDeformation,
-    apply_deformation,
-    inherit_deformation,
-    level_unit_quats,
-)
+from .motion import FrameDeformation, apply_deformation, inherit_deformation
 from .synth import GeneratedScene
 from .types import CompositionMode, GaussianSet, SceneState, StreamConfig
 
@@ -141,25 +135,6 @@ def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
     return state
 
 
-def _inherit_level(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> AnchorDeltaSet:
-    """Inherited fit seed for one reconfigured level.
-
-    ``inherit_deformation`` averages rotation rows as unit quaternions, while
-    an increment d stands for the rotation normalize((1,0,0,0) + d). So each
-    nonzero increment goes to that rotation (w >= 0) and each nonzero average
-    comes back as q - (1,0,0,0). Exact zeros ("no rotation observed") stay
-    zero both ways.
-    """
-    moved = legacy.rotations.any(axis=1)
-    unit, _ = level_unit_quats(legacy.rotations)
-    unit[unit[:, 0] < 0] *= -1.0
-    unit[~moved] = 0.0
-    out = inherit_deformation(AnchorDeltaSet(legacy.translations, unit), neighbor_map)
-    rot = out.rotations.astype(np.float64)
-    rot[rot.any(axis=1), 0] -= 1.0
-    return AnchorDeltaSet(out.translations, rot)
-
-
 def _mean_position_error(state: SceneState, corr: Correspondences) -> float:
     pos = state.gaussians.positions.astype(np.float64)[corr.indices]
     return float(np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1).mean())
@@ -218,7 +193,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
             if prev_deltas is not None:
                 init = FrameDeformation(
                     [
-                        _inherit_level(legacy, nbr)
+                        inherit_deformation(legacy, nbr)
                         for legacy, nbr in zip(prev_deltas.per_level, neighbor_maps)
                     ]
                 )

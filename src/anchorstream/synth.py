@@ -9,7 +9,7 @@ on top of its own.
 Randomness comes from a counter-based SplitMix64 stream, not the platform
 default generator, so identical seeds give bit-identical scenes on every
 platform. Observation noise applies to the correspondence targets only;
-ground-truth transforms stay exact.
+the per-frame positions stay exact.
 """
 
 from __future__ import annotations
@@ -150,14 +150,13 @@ class SceneSpec:
 
 @dataclass
 class GeneratedScene:
-    """Per-frame exact positions, noisy targets, and ground-truth transforms."""
+    """Per-frame exact positions and noisy targets."""
 
     spec: SceneSpec
     base_positions: np.ndarray  # (N, 3) float64, frame 0
     body_of: np.ndarray  # (N,) int64
     positions: list[np.ndarray]  # exact (N, 3) float64 per frame
     targets: list[np.ndarray]  # observed (N, 3) float64 per frame (noise applied)
-    transforms: list[list[tuple[np.ndarray, np.ndarray]]]  # per frame, per body (R, t)
 
     @property
     def point_count(self) -> int:
@@ -194,7 +193,6 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
 
     n_bodies = len(spec.bodies)
     positions = []
-    transforms = []
     for t in range(spec.frames):
         world: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_bodies
         for bi in spec._topo_order:
@@ -210,7 +208,6 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
             rot, trans = world[bi]
             frame[mask] = base[mask] @ rot.T + trans
         positions.append(frame)
-        transforms.append([w for w in world])
 
     targets = []
     for t in range(spec.frames):
@@ -220,21 +217,7 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
             targets.append(positions[t] + noise)
         else:
             targets.append(positions[t].copy())
-    return GeneratedScene(spec, base, body_of, positions, targets, transforms)
-
-
-def rigid_transform_points(points: np.ndarray, quaternion: np.ndarray,
-                           pivot: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    """p' = R(q)(p - pivot) + pivot + t for a unit quaternion q."""
-    q = np.asarray(quaternion, np.float64)
-    norm = np.linalg.norm(q)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"quaternion norm {norm:.8f} is not 1 within 1e-6")
-    pts = np.asarray(points, np.float64)
-    pivot = np.asarray(pivot, np.float64)
-    translation = np.asarray(translation, np.float64)
-    rot = quat_to_matrix(q)
-    return (pts - pivot) @ rot.T + pivot + translation
+    return GeneratedScene(spec, base, body_of, positions, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from anchorstream import (
     two_body_arm_spec,
     generate_scene,
 )
-from anchorstream import fitting
-from anchorstream.fitting import _pack, _to_deformation, _unpack, deformed_positions
+from anchorstream import fitting, motion
+from anchorstream.fitting import _pack, _to_deformation, _unpack
 
 from oracles import (
     add_at_sum_by_index,
@@ -141,7 +141,7 @@ def rotation_cases(n=400, seed=21):
 @pytest.mark.parametrize("case", list(rotation_cases()))
 def test_rotation_kernels_match_the_np_cross_oracle_bitwise(case):
     q, u, g = rotation_cases()[case]
-    assert fitting._rotate(q, u).tobytes() == cross_rotate(q, u).tobytes()
+    assert motion._rotate(q, u).tobytes() == cross_rotate(q, u).tobytes()
     assert fitting._rotation_grad(g, q, u).tobytes() == cross_rotation_grad(g, q, u).tobytes()
 
 
@@ -151,7 +151,8 @@ def test_fit_frame_deltas_equal_the_oracle_kernels_bytewise(mode, monkeypatch):
     init = random_deltas(h, rng, scale=0.05)
     got = fit_frame(g, h, corr, init, 12, mode)
     monkeypatch.setattr(fitting, "sum_by_index", add_at_sum_by_index)
-    monkeypatch.setattr(fitting, "_rotate", cross_rotate)
+    monkeypatch.setattr(motion, "_rotate", cross_rotate)  # the forward
+    monkeypatch.setattr(fitting, "_rotate", cross_rotate)  # R(q)^T g in the backward pass
     monkeypatch.setattr(fitting, "_rotation_grad", cross_rotation_grad)
     want = fit_frame(g, h, corr, init, 12, mode)
     assert not np.array_equal(got.per_level[0].translations, init.per_level[0].translations)
@@ -229,7 +230,7 @@ def test_fit_two_body_scene_under_error_bound():
     idx = np.arange(scene.point_count)
     corr = Correspondences(idx, scene.targets[1].astype(np.float32))
     out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 100)
-    pos = deformed_positions(g, h, out, idx)
+    pos, _ = motion.deform_rows(g, h, out, CompositionMode.additive, idx)
     err = np.linalg.norm(pos - scene.targets[1], axis=1).mean()
     assert err < 1e-3 * scene.diameter()
 

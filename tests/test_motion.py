@@ -10,10 +10,9 @@ from anchorstream import (
     StreamConfig,
     apply_deformation,
     build_hierarchy,
-    compose_deformation,
     inherit_deformation,
 )
-from anchorstream.motion import canonical_sign, quat_from_axis_angle
+from anchorstream.motion import canonical_sign, deform_rows, quat_from_axis_angle
 
 from oracles import dominant_eigenvector, rotation_matrix
 
@@ -35,16 +34,31 @@ def random_deltas(hierarchy, rng, scale=0.1):
     return FrameDeformation(per_level)
 
 
+def translations_per_level(hierarchy, rng, scale=0.1):
+    """Random translations at every level, zero rotations: an additive frame."""
+    return FrameDeformation(
+        [AnchorDeltaSet((rng.standard_normal((lvl.anchor_count, 3)) * scale).astype(np.float32),
+                        np.zeros((lvl.anchor_count, 4), np.float32)) for lvl in hierarchy.levels]
+    )
+
+
+def frame_deltas(hierarchy, rng, mode):
+    """Random deltas a frame of ``mode`` can carry: rotations in pivot mode only."""
+    if mode == CompositionMode.pivot:
+        return random_deltas(hierarchy, rng)
+    return translations_per_level(hierarchy, rng)
+
+
 # ---------------------------------------------------------------------------
-# compose_deformation
+# additive composition: a sum of translations across levels
 # ---------------------------------------------------------------------------
 
 
 def test_compose_zero_deltas(rng):
     pos = rng.random((50, 3), dtype=np.float32)
     h = hierarchy_for(pos)
-    dmu = compose_deformation(h, FrameDeformation.zeros(h))
-    assert dmu.shape == (50, 3) and not dmu.any()
+    out = apply_deformation(GaussianSet.from_positions(pos), h, FrameDeformation.zeros(h))
+    assert out.positions.tobytes() == pos.tobytes()
 
 
 def test_compose_single_anchor_broadcast(rng):
@@ -52,44 +66,43 @@ def test_compose_single_anchor_broadcast(rng):
     h = hierarchy_for(pos, levels=1)
     assert h.anchor_counts() == (1,)
     ds = AnchorDeltaSet(np.float32([[1, 2, 3]]), np.zeros((1, 4), np.float32))
-    dmu = compose_deformation(h, FrameDeformation([ds]))
-    assert np.array_equal(dmu, np.tile(np.float32([1, 2, 3]), (20, 1)))
+    out = apply_deformation(GaussianSet.from_positions(pos), h, FrameDeformation([ds]))
+    # one float32 addition, rounded once either way
+    assert np.array_equal(out.positions, pos + np.float32([1, 2, 3]))
 
 
 def test_compose_matches_per_gaussian_loop(rng):
     rng = np.random.default_rng(7)
     pos = rng.random((100, 3), dtype=np.float32)
     h = hierarchy_for(pos)
-    deltas = random_deltas(h, rng)
-    dmu = compose_deformation(h, deltas)
+    deltas = translations_per_level(h, rng)
+    out = apply_deformation(GaussianSet.from_positions(pos), h, deltas)
     for g in range(100):
-        want_mu = np.zeros(3, np.float32)
+        want = pos[g].astype(np.float64)
         for lvl, ds in zip(h.levels, deltas.per_level):
-            want_mu += ds.translations[lvl.assignment[g]]
-        assert np.array_equal(dmu[g], want_mu)
+            want = want + ds.translations[lvl.assignment[g]].astype(np.float64)
+        assert np.array_equal(out.positions[g], want.astype(np.float32))
 
 
 def test_compose_linear_in_deltas(rng):
-    pos = rng.random((60, 3), dtype=np.float32)
+    # dyadic positions and deltas keep every sum exact
+    pos = (rng.integers(0, 64, (60, 3)) / 64).astype(np.float32)
+    g = GaussianSet.from_positions(pos)
     h = hierarchy_for(pos)
-    # dyadic values keep float32 arithmetic exact under scaling and addition
     d1 = FrameDeformation(
         [AnchorDeltaSet(np.full((l.anchor_count, 3), 0.25, np.float32),
-                        np.full((l.anchor_count, 4), 0.5, np.float32)) for l in h.levels]
+                        np.zeros((l.anchor_count, 4), np.float32)) for l in h.levels]
     )
     d2 = FrameDeformation(
         [AnchorDeltaSet(np.full((l.anchor_count, 3), 0.125, np.float32),
-                        np.full((l.anchor_count, 4), -0.25, np.float32)) for l in h.levels]
+                        np.zeros((l.anchor_count, 4), np.float32)) for l in h.levels]
     )
     combo = FrameDeformation(
-        [AnchorDeltaSet(2 * a.translations + 4 * b.translations,
-                        2 * a.rotations + 4 * b.rotations)
+        [AnchorDeltaSet(2 * a.translations + 4 * b.translations, a.rotations)
          for a, b in zip(d1.per_level, d2.per_level)]
     )
-    dmu_c = compose_deformation(h, combo)
-    dmu_1 = compose_deformation(h, d1)
-    dmu_2 = compose_deformation(h, d2)
-    assert np.array_equal(dmu_c, 2 * dmu_1 + 4 * dmu_2)
+    moved = lambda d: apply_deformation(g, h, d).positions - pos
+    assert np.array_equal(moved(combo), 2 * moved(d1) + 4 * moved(d2))
 
 
 def test_compose_rejects_mismatched_deltas(rng):
@@ -97,7 +110,40 @@ def test_compose_rejects_mismatched_deltas(rng):
     h = hierarchy_for(pos)
     bad = FrameDeformation([AnchorDeltaSet.zeros(lvl.anchor_count + 1) for lvl in h.levels])
     with pytest.raises(ValueError):
-        compose_deformation(h, bad)
+        apply_deformation(GaussianSet.from_positions(pos), h, bad)
+
+
+# ---------------------------------------------------------------------------
+# deform_rows: the one forward
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_apply_positions_are_the_forward_cast_to_float32(mode):
+    rng = np.random.default_rng(17)
+    pos = rng.random((3000, 3), dtype=np.float32)
+    g = random_appearance(pos, rng)
+    h = hierarchy_for(pos)
+    assert h.level_count == 3 and min(h.anchor_counts()) > 1
+    deltas = frame_deltas(h, rng, mode)
+    forward, _ = deform_rows(g, h, deltas, mode)
+    out = apply_deformation(g, h, deltas, mode)
+    assert out.positions.tobytes() == forward.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_forward_of_some_rows_equals_those_rows_of_the_full_forward(mode):
+    rng = np.random.default_rng(5)
+    pos = rng.random((400, 3), dtype=np.float32)
+    g = GaussianSet.from_positions(pos)
+    h = hierarchy_for(pos)
+    deltas = frame_deltas(h, rng, mode)
+    rows = rng.choice(400, size=57, replace=False)
+    full, full_levels = deform_rows(g, h, deltas, mode)
+    some, some_levels = deform_rows(g, h, deltas, mode, rows)
+    assert some.tobytes() == full[rows].tobytes()
+    for a, b in zip(full_levels, some_levels):
+        assert np.array_equal(a.members[rows], b.members)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +202,10 @@ def test_apply_additive_keeps_everything_but_positions_byte_equal(rng):
     pos = rng.random((5000, 3), dtype=np.float32)
     g = random_appearance(pos, rng)
     h = hierarchy_for(pos)
-    deltas = FrameDeformation(
-        [AnchorDeltaSet((rng.standard_normal((lvl.anchor_count, 3)) * 0.1).astype(np.float32),
-                        np.zeros((lvl.anchor_count, 4), np.float32)) for lvl in h.levels]
-    )
-    out = apply_deformation(g, h, deltas, CompositionMode.additive)
+    out = apply_deformation(g, h, translations_per_level(h, rng), CompositionMode.additive)
+    assert not np.array_equal(out.positions, pos)
     for name in ("scales", "orientations", "opacities", "sh"):
         assert getattr(out, name).tobytes() == getattr(g, name).tobytes(), name
-    assert out.positions.tobytes() == (pos + compose_deformation(h, deltas)).tobytes()
 
 
 def test_apply_additive_rejects_a_nonzero_rotation(rng):
@@ -241,18 +283,50 @@ def test_apply_pivot_matches_rotation_matrix_oracle(rng):
 # rotation averaging, as inherit_deformation does it
 # ---------------------------------------------------------------------------
 
+E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
 
 def unit(v):
     v = np.asarray(v, np.float64)
     return v / np.linalg.norm(v)
 
 
-def inherited_rotations(rows):
-    """Inherit one anchor per consecutive triple of rotation rows."""
+def increments(quats):
+    """Increments d = q - (1,0,0,0): normalize((1,0,0,0) + d) is q again; zeros stay zero."""
+    q = np.atleast_2d(np.asarray(quats, np.float64))
+    return np.where(q.any(axis=1, keepdims=True), q - E0, 0.0).astype(np.float32)
+
+
+def rotations_of(rows):
+    """The unit quaternion, w >= 0, that each increment row stands for; zeros stay zero."""
+    d = np.asarray(rows, np.float64)
+    q = d + E0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[q[:, 0] < 0] *= -1.0
+    q[~d.any(axis=1)] = 0.0
+    return q
+
+
+def inherit_triples(rows):
+    """Inherit one anchor per consecutive triple of increment rows."""
     rows = np.asarray(rows, np.float32)
     legacy = AnchorDeltaSet(np.zeros((len(rows), 3), np.float32), rows)
-    nbr = np.arange(len(rows)).reshape(-1, 3)
-    return inherit_deformation(legacy, nbr).rotations.astype(np.float64)
+    return inherit_deformation(legacy, np.arange(len(rows)).reshape(-1, 3)).rotations
+
+
+def inherited_rotations(quats):
+    """The unit quaternions inherited from consecutive triples of unit quaternions."""
+    return rotations_of(inherit_triples(increments(quats)))
+
+
+def oracle_mean(quats):
+    """Dominant eigenvector, by the Jacobi oracle, of the float32 units averaged."""
+    units = rotations_of(increments(quats)).astype(np.float32).astype(np.float64)
+    return dominant_eigenvector(sum(np.outer(q, q) for q in units))[1]
+
+
+def assert_same_rotation(got, want, tol=1e-6):
+    assert min(np.abs(got - want).max(), np.abs(got + want).max()) < tol
 
 
 def test_average_identical_quaternions(rng):
@@ -261,22 +335,21 @@ def test_average_identical_quaternions(rng):
     assert np.abs(avg - canonical_sign(q.astype(np.float64))).max() < 1e-6
 
 
-def test_average_sign_flip_exact(rng):
-    q = unit(rng.standard_normal(4))
-    a = inherited_rotations([q, q, q])
-    b = inherited_rotations([q, -q, q])
-    assert np.array_equal(a, b)
+def test_average_sign_flip_exact():
+    # dyadic unit quaternions: q and -q map to increments whose rotations are exact
+    quats = np.array([[0.5, -0.5, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0]])
+    a = inherit_triples(increments(np.repeat(quats, 3, axis=0)))
+    b = inherit_triples(increments([quats[0], -quats[0], quats[0],
+                                    -quats[1], quats[1], -quats[1]]))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_average_matches_jacobi_oracle():
     rng = np.random.default_rng(3)
-    rows = np.stack([unit(rng.standard_normal(4)) for _ in range(600)]).astype(np.float32)
+    rows = np.stack([unit(rng.standard_normal(4)) for _ in range(600)])
     avg = inherited_rotations(rows)  # 200 anchors in one batched eigh
-    for a, triple in enumerate(rows.astype(np.float64).reshape(200, 3, 4)):
-        _, oracle_vec = dominant_eigenvector(sum(np.outer(q, q) for q in triple))
-        assert min(
-            np.abs(avg[a] - oracle_vec).max(), np.abs(avg[a] + oracle_vec).max()
-        ) < 1e-6
+    for a, triple in enumerate(rows.reshape(200, 3, 4)):
+        assert_same_rotation(avg[a], oracle_mean(triple))
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +375,24 @@ def test_inherit_translation_mean():
 
 
 def test_inherit_rotation_matches_jacobi_oracle():
-    angles = [np.deg2rad(d) for d in (10, 20, 30)]
-    quats = [quat_from_axis_angle([0, 0, 1], a) for a in angles]
-    legacy = AnchorDeltaSet(
-        np.zeros((3, 3), np.float32),
-        np.stack(quats).astype(np.float32),
-    )
-    out = inherit_deformation(legacy, np.array([[0, 1, 2]]))
-    m = sum(np.outer(q.astype(np.float64), q.astype(np.float64))
-            for q in legacy.rotations)
-    _, oracle_vec = dominant_eigenvector(m)
-    got = out.rotations[0].astype(np.float64)
-    assert min(np.abs(got - oracle_vec).max(), np.abs(got + oracle_vec).max()) < 1e-6
+    quats = [quat_from_axis_angle([0, 0, 1], np.deg2rad(d)) for d in (10, 20, 30)]
+    assert_same_rotation(inherited_rotations(quats)[0], oracle_mean(quats))
 
 
 def test_inherit_skips_zero_rotations():
-    q = quat_from_axis_angle([0, 1, 0], 0.3).astype(np.float32)
-    legacy = AnchorDeltaSet(
-        np.zeros((3, 3), np.float32),
-        np.stack([q, np.zeros(4, np.float32), q]),
-    )
-    out = inherit_deformation(legacy, np.array([[0, 1, 2]]))
-    # averaging two copies of q (zeros skipped) gives back q up to sign
-    got = out.rotations[0].astype(np.float64)
-    want = canonical_sign(q.astype(np.float64))
-    assert np.abs(got - want).max() < 1e-6
+    d = increments(quat_from_axis_angle([0, 1, 0], 0.3))[0]
+    # averaging two copies of d (the zero row skipped) gives back d's rotation
+    got = rotations_of(inherit_triples([d, np.zeros(4), d]))[0]
+    assert np.abs(got - rotations_of([d])[0]).max() < 1e-6
+
+
+def test_inherit_takes_and_returns_increments():
+    # (1,0,0,0) + d has w < 0; the inherited increment names the same rotation with w > 0
+    d = np.float32([-1.5, 0.25, 0.0, 0.0])
+    want = -unit(d.astype(np.float64) + E0)
+    assert want[0] > 0
+    out = inherit_triples([d, d, d])[0].astype(np.float64)
+    assert np.abs(out - (want - E0)).max() < 1e-6
 
 
 def test_inherit_rejects_empty_legacy():

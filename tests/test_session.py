@@ -23,6 +23,7 @@ from anchorstream import (
     StreamFormatError,
     codec,
     decode_session,
+    drifting_pair_spec,
     encode_session,
     generate_scene,
     grid_resolution,
@@ -302,9 +303,14 @@ def test_encode_needs_two_frames():
         encode_session(base, StaticSource(base, 1), StreamConfig())
 
 
-def test_pivot_accuracy_holds_across_reconfiguration():
-    base, source = session_inputs(two_body_arm_spec(frames=7))
-    config = StreamConfig(reconfig_period=3, composition_mode=CompositionMode.pivot)
+@pytest.mark.parametrize("mode, make_spec", [
+    (CompositionMode.pivot, two_body_arm_spec),
+    (CompositionMode.additive, drifting_pair_spec),
+], ids=["pivot", "additive"])
+def test_accuracy_holds_across_reconfiguration(mode, make_spec):
+    # frames 3 and 6 start from deltas inherited across a rebuild
+    base, source = session_inputs(make_spec(frames=7))
+    config = StreamConfig(reconfig_period=3, composition_mode=mode)
     errors = {m.frame_index: m.mean_error for m in encode_session(base, source, config).metrics}
     for frame in (3, 6):
         assert errors[frame] <= 2.0 * errors[frame - 1], (frame, errors)
@@ -399,6 +405,17 @@ def test_cli_encode_of_one_frame_is_a_config_error(tmp_path, capsys):
                  "--frames", "1"]) == 2
     assert "at least 2 frames" in capsys.readouterr().err
     assert not stream_path.exists()
+
+
+def test_cli_encode_frames_overrides_the_spec_frame_count(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    write_spec(spec_path, small_arm(frames=4))
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--frames", "2", "--phase1-steps", "5"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--stream", str(stream_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [int(row.split()[0]) for row in rows] == [1]
 
 
 def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):

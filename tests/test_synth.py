@@ -9,7 +9,6 @@ from anchorstream import (
     SceneSpec,
     generate_scene,
     load_scene_spec,
-    rigid_transform_points,
 )
 from anchorstream.motion import quat_from_axis_angle
 from anchorstream.synth import SplitMix64, scene_spec_from_dict
@@ -151,41 +150,6 @@ def test_spec_validation():
         SceneSpec(bodies=[], frames=5, seed=0)
     with pytest.raises(ConfigError):
         SceneSpec(bodies=[BodySpec(point_count=5, extent=[1, 1, 1])], frames=1, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# rigid_transform_points
-# ---------------------------------------------------------------------------
-
-
-def test_rigid_identity():
-    pts = np.random.default_rng(0).random((10, 3))
-    out = rigid_transform_points(pts, [1, 0, 0, 0], np.zeros(3), np.zeros(3))
-    assert np.array_equal(out, pts)
-
-
-def test_rigid_180_about_z():
-    out = rigid_transform_points(
-        np.array([[1.0, 0.0, 0.0]]), quat_from_axis_angle([0, 0, 1], np.pi),
-        np.zeros(3), np.zeros(3),
-    )
-    assert np.abs(out[0] - [-1, 0, 0]).max() < 1e-12
-
-
-def test_rigid_preserves_distances():
-    rng = np.random.default_rng(9)
-    pts = rng.random((40, 3))
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    out = rigid_transform_points(pts, q, rng.random(3), rng.random(3))
-    d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    d1 = np.linalg.norm(out[:, None] - out[None, :], axis=2)
-    assert np.abs(d1 - d0).max() < 1e-9
-
-
-def test_rigid_rejects_non_unit_quaternion():
-    with pytest.raises(ValueError):
-        rigid_transform_points(np.zeros((1, 3)), [1, 1, 0, 0], np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
