@@ -15,14 +15,11 @@ bit for bit.
 
 from .codec import (
     FramePayload,
-    FrameStats,
-    StorageReport,
     StreamHeader,
     decode_frame,
     encode_frame,
     plan_budget,
     quantize_roundtrip,
-    storage_report,
 )
 from .errors import (
     AnchorStreamError,
@@ -53,12 +50,14 @@ from .ply_io import read_gaussian_ply, write_gaussian_ply
 from .session import (
     SessionResult,
     StaticSource,
+    StorageReport,
     SyntheticSource,
     decode_session,
     encode_session,
     iter_decode,
     iter_decode_metrics,
     state_checksum,
+    storage_report,
 )
 from .synth import (
     BodySpec,
@@ -71,7 +70,6 @@ from .synth import (
 )
 from .types import (
     CompositionMode,
-    GaussianRecord,
     GaussianSet,
     Quantization,
     SceneState,

@@ -50,24 +50,26 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--levels", type=int, default=3, help="hierarchy depth L (1..4)")
-    p.add_argument("--finest-fraction", default="1/24",
+    """One flag per :class:`StreamConfig` field, defaulting to the field's default."""
+    d = StreamConfig()
+    p.add_argument("--levels", type=int, default=d.levels, help="hierarchy depth L (1..4)")
+    p.add_argument("--finest-fraction", default=str(d.finest_fraction),
                    help="finest-level anchor fraction, e.g. 1/24")
-    p.add_argument("--level-ratio", type=int, default=3,
+    p.add_argument("--level-ratio", type=int, default=d.level_ratio,
                    help="anchor target ratio between adjacent levels; each level's grid "
                         "is sized for its own target")
-    p.add_argument("--reconfig-period", type=int, default=10,
+    p.add_argument("--reconfig-period", type=int, default=d.reconfig_period,
                    help="rebuild the hierarchy every T frames")
     p.add_argument("--quantization", choices=[q.name for q in Quantization],
-                   default="half16")
-    p.add_argument("--mode", choices=[m.name for m in CompositionMode], default="additive",
-                   help="deformation composition mode")
-    p.add_argument("--phase1-steps", type=int, default=100,
+                   default=d.quantization.name)
+    p.add_argument("--mode", choices=[m.name for m in CompositionMode],
+                   default=d.composition_mode.name, help="deformation composition mode")
+    p.add_argument("--phase1-steps", type=int, default=d.phase1_steps,
                    help="fit steps per frame")
-    p.add_argument("--phase2-steps", type=int, default=100,
+    p.add_argument("--phase2-steps", type=int, default=d.phase2_steps,
                    help="densification switch: only zero versus positive matters, "
                         "and 0 turns densification off")
-    p.add_argument("--densify-threshold", type=float, default=0.05,
+    p.add_argument("--densify-threshold", type=float, default=d.densify_threshold,
                    help="residual above which a target spawns a clone (finite, > 0)")
 
 
@@ -105,15 +107,21 @@ def _load_input(path: Path, frames: Optional[int] = None, seed: Optional[int] = 
 
 
 def _write_metrics(path: Path, metrics: list[FrameMetrics]) -> None:
-    """One CSV row per frame; a decoder's rows hold nan for loss and mean_error."""
+    """One CSV row per frame; ``bytes`` splits into the delta, clone and overhead columns.
+
+    A decoder's rows hold nan for loss and mean_error and equal the
+    encoder's everywhere else.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["frame", "loss", "mean_error", "bytes"]
+        header = ["frame", "loss", "mean_error", "bytes", "delta_bytes", "clone_bytes",
+                  "overhead_bytes"]
         header += [f"anchors_l{i}" for i in range(1, len(metrics[0].anchor_counts) + 1)]
         header += ["reconfig", "checksum"]
         writer.writerow(header)
         for m in metrics:
-            row = [m.frame_index, f"{m.loss:.9e}", f"{m.mean_error:.9e}", m.payload_bytes]
+            row = [m.frame_index, f"{m.loss:.9e}", f"{m.mean_error:.9e}", m.payload_bytes,
+                   m.delta_bytes, m.clone_bytes, m.overhead_bytes]
             row += list(m.anchor_counts)
             row += [int(m.reconfig), m.checksum]
             writer.writerow(row)

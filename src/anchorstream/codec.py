@@ -338,14 +338,22 @@ def verify_counts(payload: FramePayload, hierarchy: AnchorHierarchy) -> None:
 # ---------------------------------------------------------------------------
 # Size accounting and budget planning
 # ---------------------------------------------------------------------------
+#
+# A frame's payload splits exactly into three parts: the delta blocks
+# (delta_block_bytes), the fixed frame overhead (frame_overhead_bytes) and
+# CLONE_BYTES per clone. The session's per-frame rows and plan_budget both
+# price frames with these functions and nothing else.
 
 
 def delta_block_bytes(counts, quantization: Quantization, mode: CompositionMode) -> int:
-    """Exact byte size of all per-level delta blocks for given anchor counts."""
+    """Exact byte size of all per-level delta blocks for given anchor counts.
+
+    fixed16 adds a (min, max) f32 range per level and component.
+    """
     values = values_per_anchor(mode)
     total = sum(int(c) * values * VALUE_BYTES[quantization] for c in counts)
     if quantization == Quantization.fixed16:
-        total += len(tuple(counts)) * values * 8  # (min, max) f32 per component
+        total += len(tuple(counts)) * values * 8
     return total
 
 
@@ -354,42 +362,27 @@ def frame_overhead_bytes(levels: int) -> int:
     return 8 + 4 * levels + 4
 
 
-def frame_payload_bytes(header: StreamHeader, counts, added_count: int = 0) -> int:
-    """Total payload size as a pure function of header fields and counts."""
-    return (
-        frame_overhead_bytes(header.levels)
-        + delta_block_bytes(counts, header.quantization, header.composition_mode)
-        + added_count * CLONE_BYTES
-    )
-
-
-def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
-                overhead: int | None = None) -> int:
+def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig) -> int:
     """Largest finest-level anchor target whose deformation payload fits a budget.
 
     The budget covers anchor deltas plus frame overhead only. Each candidate
-    is priced at the anchor caps the hierarchy can fill with it
-    (:func:`hierarchy.level_caps`), not at its nominal targets, and at the
-    values per anchor of the composition mode (3 additive, 7 pivot), so
-    deltas plus overhead stay within the budget at every frame of a session
-    whose rebuilds all use the returned target, however many gaussians
+    is priced by :func:`delta_block_bytes` plus :func:`frame_overhead_bytes`
+    at the anchor caps the hierarchy can fill with it
+    (:func:`hierarchy.level_caps`), not at its nominal targets, so deltas
+    plus overhead stay within the budget at every frame of a session whose
+    rebuilds all use the returned target, however many gaussians
     densification appends. The clone records themselves (16 B each: a source
     ordinal and a position) are outside the budget, so a frame that densifies
     can exceed it, and a tighter budget means coarser anchors, larger
     residuals and often more clones. The target is capped at ceil(n_gaussians *
-    finest_fraction). ``overhead`` defaults to the fixed per-frame bytes,
-    plus the fixed16 block ranges; an infeasible budget raises with the
-    minimum feasible one, the cost at a finest target of one anchor.
+    finest_fraction). An infeasible budget raises with the minimum feasible
+    one, the cost at a finest target of one anchor.
     """
-    values = values_per_anchor(config.composition_mode)
-    if overhead is None:
-        overhead = frame_overhead_bytes(config.levels)
-        if config.quantization == Quantization.fixed16:
-            overhead += config.levels * values * 8
-    w = VALUE_BYTES[config.quantization]
+    overhead = frame_overhead_bytes(config.levels)
 
     def cost(finest: int) -> int:
-        return sum(level_caps(n_gaussians, config, finest)) * values * w + overhead
+        caps = level_caps(n_gaussians, config, finest)
+        return delta_block_bytes(caps, config.quantization, config.composition_mode) + overhead
 
     minimum = cost(1)
     if bytes_per_frame < minimum:
@@ -405,55 +398,3 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig,
         else:
             hi = mid - 1
     return lo
-
-
-# ---------------------------------------------------------------------------
-# Storage report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FrameStats:
-    """Exact emitted byte counts for one encoded frame."""
-
-    frame_index: int
-    payload_bytes: int
-    delta_bytes: int
-    added_bytes: int
-    overhead_bytes: int
-    reconfig: bool
-
-
-@dataclass
-class StorageReport:
-    frames: int
-    total_bytes: int
-    mean_bytes: float
-    max_bytes: int
-    delta_bytes: int
-    added_bytes: int
-    overhead_bytes: int
-
-    def decomposition(self) -> str:
-        return (
-            f"frames={self.frames} total={self.total_bytes}B "
-            f"mean={self.mean_bytes:.1f}B/frame max={self.max_bytes}B | "
-            f"deltas={self.delta_bytes}B densification={self.added_bytes}B "
-            f"headers={self.overhead_bytes}B"
-        )
-
-
-def storage_report(stats: list[FrameStats]) -> StorageReport:
-    """Aggregate exact per-frame byte counts into a session report."""
-    if not stats:
-        raise ValueError("storage report requires at least one encoded frame")
-    totals = [s.payload_bytes for s in stats]
-    return StorageReport(
-        frames=len(stats),
-        total_bytes=sum(totals),
-        mean_bytes=sum(totals) / len(stats),
-        max_bytes=max(totals),
-        delta_bytes=sum(s.delta_bytes for s in stats),
-        added_bytes=sum(s.added_bytes for s in stats),
-        overhead_bytes=sum(s.overhead_bytes for s in stats),
-    )

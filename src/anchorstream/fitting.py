@@ -42,7 +42,7 @@ _MOMENTUM = 0.9
 class Correspondences:
     """Observed target positions for a subset of gaussian indices."""
 
-    indices: np.ndarray  # (C,) int64, unique
+    indices: np.ndarray  # (C,) int64, unique, non-negative
     targets: np.ndarray  # (C, 3) float32
 
     def __post_init__(self):
@@ -52,6 +52,9 @@ class Correspondences:
             raise ValueError("indices and targets must have equal length")
         if np.unique(self.indices).shape[0] != self.indices.shape[0]:
             raise ValueError("correspondence indices must be unique")
+        negative = self.indices[self.indices < 0]
+        if negative.size:  # numpy would wrap it onto a gaussian counted from the end
+            raise ValueError(f"correspondence index {negative[0]} is negative")
 
     def __len__(self) -> int:
         return self.indices.shape[0]

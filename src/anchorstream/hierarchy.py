@@ -50,7 +50,6 @@ class AnchorHierarchy:
     """Per-level anchor structure built from one snapshot of the scene."""
 
     levels: list[LevelStructure]
-    built_at_frame: int = 0
 
     @property
     def level_count(self) -> int:
@@ -178,8 +177,8 @@ def level_caps(n_gaussians: int, config: StreamConfig,
     return tuple(grid_resolution(t) ** 3 for t in _nominal_targets(n_gaussians, config, finest_target))
 
 
-def build_hierarchy(gaussians, config: StreamConfig, finest_target: int | None = None,
-                    built_at_frame: int = 0) -> AnchorHierarchy:
+def build_hierarchy(gaussians, config: StreamConfig,
+                    finest_target: int | None = None) -> AnchorHierarchy:
     """Build all levels over the same positions.
 
     Level l samples a grid sized for its own target from :func:`level_targets`,
@@ -194,7 +193,7 @@ def build_hierarchy(gaussians, config: StreamConfig, finest_target: int | None =
         lvl = sample_anchors(pos, target, l)
         lvl.assignment = assign_clusters(pos, lvl)
         levels.append(lvl)
-    return AnchorHierarchy(levels=levels, built_at_frame=built_at_frame)
+    return AnchorHierarchy(levels=levels)
 
 
 def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarray) -> np.ndarray:
@@ -240,8 +239,7 @@ def rehierarchize(state: SceneState, config: StreamConfig,
     """
     if state.hierarchy is None:
         raise ValueError("state has no hierarchy to reconfigure")
-    new_hier = build_hierarchy(state.gaussians, config, finest_target,
-                               built_at_frame=state.frame_index)
+    new_hier = build_hierarchy(state.gaussians, config, finest_target)
     pos = state.gaussians.positions
     neighbor_maps = []
     for new_lvl, old_lvl in zip(new_hier.levels, state.hierarchy.levels):

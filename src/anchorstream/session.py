@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Protocol
 import numpy as np
 
 from . import codec
-from .codec import FramePayload, FrameStats, StorageReport, StreamHeader
+from .codec import FramePayload, StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
 from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import build_hierarchy, level_caps, rehierarchize
@@ -89,15 +89,73 @@ class StaticSource:
 
 @dataclass
 class FrameMetrics:
-    """One metrics row per encoded/decoded frame."""
+    """One metrics row per frame, the same on the encoder and the decoder side.
+
+    ``payload_bytes`` is the frame's length in the stream; it splits exactly
+    into ``delta_bytes`` (:func:`codec.delta_block_bytes` of the anchor
+    counts), ``clone_bytes`` (``codec.CLONE_BYTES`` per clone) and
+    ``overhead_bytes`` (:func:`codec.frame_overhead_bytes`). A decoder cannot
+    know the fit's ``loss`` and ``mean_error``, so its rows hold nan there.
+    """
 
     frame_index: int
     loss: float
     mean_error: float
     payload_bytes: int
+    delta_bytes: int
+    clone_bytes: int
+    overhead_bytes: int
     anchor_counts: tuple[int, ...]
     reconfig: bool
     checksum: str
+
+
+def _frame_row(header: StreamHeader, frame: int, counts: tuple[int, ...], clone_count: int,
+               payload_bytes: int, state: SceneState, loss: float = math.nan,
+               mean_error: float = math.nan) -> FrameMetrics:
+    """The metrics row of one frame, built alike by encoder and decoder."""
+    return FrameMetrics(
+        frame, loss, mean_error, payload_bytes,
+        codec.delta_block_bytes(counts, header.quantization, header.composition_mode),
+        clone_count * codec.CLONE_BYTES,
+        codec.frame_overhead_bytes(header.levels),
+        counts, header.reconfigures_at(frame), state_checksum(state),
+    )
+
+
+@dataclass
+class StorageReport:
+    frames: int
+    total_bytes: int
+    mean_bytes: float
+    max_bytes: int
+    delta_bytes: int
+    added_bytes: int
+    overhead_bytes: int
+
+    def decomposition(self) -> str:
+        return (
+            f"frames={self.frames} total={self.total_bytes}B "
+            f"mean={self.mean_bytes:.1f}B/frame max={self.max_bytes}B | "
+            f"deltas={self.delta_bytes}B densification={self.added_bytes}B "
+            f"headers={self.overhead_bytes}B"
+        )
+
+
+def storage_report(rows: list[FrameMetrics]) -> StorageReport:
+    """Aggregate per-frame rows into a session report; clone bytes count as added."""
+    if not rows:
+        raise ValueError("storage report requires at least one encoded frame")
+    totals = [r.payload_bytes for r in rows]
+    return StorageReport(
+        frames=len(rows),
+        total_bytes=sum(totals),
+        mean_bytes=sum(totals) / len(rows),
+        max_bytes=max(totals),
+        delta_bytes=sum(r.delta_bytes for r in rows),
+        added_bytes=sum(r.clone_bytes for r in rows),
+        overhead_bytes=sum(r.overhead_bytes for r in rows),
+    )
 
 
 @dataclass
@@ -163,8 +221,10 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     without ever seeing the budget. ``planned_caps`` then holds the per-level
     anchor caps that keep every frame's anchor deltas plus overhead within
     the budget. Clone records (16 B each) come on top of it: see
-    :func:`codec.plan_budget`. The source needs at least two frames: frame 0
-    and one encoded frame.
+    :func:`codec.plan_budget`. Each encoded frame gets one
+    :class:`FrameMetrics` row, the one the decoder builds for it apart from
+    the fit's loss and error, and ``report`` sums the rows' byte split. The
+    source needs at least two frames: frame 0 and one encoded frame.
     """
     if source.frame_count < 2:
         raise ConfigError(
@@ -183,12 +243,10 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     state = SceneState(base.copy(), build_hierarchy(base, eff_config, finest_target), 0)
     chunks = [header.pack()]
     metrics: list[FrameMetrics] = []
-    stats: list[FrameStats] = []
     prev_deltas: Optional[FrameDeformation] = None
 
     for t in range(1, source.frame_count):
-        reconfig = header.reconfigures_at(t)
-        if reconfig:
+        if header.reconfigures_at(t):
             new_hier, neighbor_maps = rehierarchize(state, eff_config, finest_target)
             if prev_deltas is not None:
                 init = FrameDeformation(
@@ -223,20 +281,11 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         state = _advance_state(state, applied, eff_config, t)
         prev_deltas = FrameDeformation(applied.per_level)
 
-        counts = state.hierarchy.anchor_counts()
-        overhead = codec.frame_overhead_bytes(eff_config.levels)
-        delta_bytes = codec.delta_block_bytes(counts, eff_config.quantization,
-                                              eff_config.composition_mode)
-        stats.append(
-            FrameStats(t, len(payload), delta_bytes, len(payload) - overhead - delta_bytes,
-                       overhead, reconfig)
-        )
-        metrics.append(
-            FrameMetrics(t, loss, _mean_position_error(state, corr), len(payload),
-                         counts, reconfig, state_checksum(state))
-        )
+        metrics.append(_frame_row(header, t, state.hierarchy.anchor_counts(),
+                                  len(applied.clone_sources), len(payload), state,
+                                  loss, _mean_position_error(state, corr)))
 
-    return SessionResult(b"".join(chunks), metrics, state, codec.storage_report(stats),
+    return SessionResult(b"".join(chunks), metrics, state, storage_report(metrics),
                          header, planned)
 
 
@@ -290,8 +339,7 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
         if header.reconfigures_at(frame):
             # the encoder's rehierarchize builds exactly this; its legacy-anchor
             # maps only seed the encoder's fit
-            hierarchy = build_hierarchy(state.gaussians, config, finest_target,
-                                        built_at_frame=state.frame_index)
+            hierarchy = build_hierarchy(state.gaussians, config, finest_target)
         codec.verify_counts(payload, hierarchy)
         state.hierarchy = hierarchy
         try:
@@ -326,15 +374,8 @@ def iter_decode_metrics(base: GaussianSet, stream: bytes
     """
     header, config, state = _start_decode(base, stream)
     for payload, state, nbytes in _decode_frames(stream, header, config, state):
-        yield _decoded_frame_metrics(header, payload, state, nbytes), state
-
-
-def _decoded_frame_metrics(header: StreamHeader, payload: FramePayload, state: SceneState,
-                           nbytes: int) -> FrameMetrics:
-    """The encoder's metrics row as a decoder sees it: the fit's loss and error are nan."""
-    return FrameMetrics(payload.frame_index, math.nan, math.nan, nbytes,
-                        state.hierarchy.anchor_counts(),
-                        header.reconfigures_at(payload.frame_index), state_checksum(state))
+        yield _frame_row(header, payload.frame_index, payload.realized_counts,
+                         len(payload.deltas.clone_sources), nbytes, state), state
 
 
 def decode_session(base: GaussianSet, stream: bytes,
@@ -361,5 +402,6 @@ def decode_session(base: GaussianSet, stream: bytes,
         )
     metrics: list[FrameMetrics] = []
     for payload, state, nbytes in _decode_frames(stream, header, config, state):
-        metrics.append(_decoded_frame_metrics(header, payload, state, nbytes))
+        metrics.append(_frame_row(header, payload.frame_index, payload.realized_counts,
+                                  len(payload.deltas.clone_sources), nbytes, state))
     return DecodeResult(state, metrics, header)

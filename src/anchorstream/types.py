@@ -49,28 +49,14 @@ class CompositionMode(IntEnum):
     pivot = 1
 
 
-@dataclass
-class GaussianRecord:
-    """One anisotropic gaussian primitive.
-
-    ``scale`` is the diagonal of the axis-aligned scaling matrix, stored in
-    linear units (not log-space). ``orientation`` is a unit quaternion
-    (w, x, y, z). ``sh`` holds the 12 degree-1 coefficients.
-    """
-
-    position: np.ndarray
-    scale: np.ndarray
-    orientation: np.ndarray
-    opacity: float
-    sh: np.ndarray
-
-
 class GaussianSet:
-    """Column store for an ordered sequence of :class:`GaussianRecord`.
+    """Column store for an ordered sequence of anisotropic gaussian primitives.
 
-    Behaves like a sequence (``len`` / indexing yield per-record values) while
-    keeping each attribute in a contiguous float32 array for the numeric
-    kernels. The row order is the canonical stream order.
+    Each attribute is one contiguous float32 array with a row per gaussian:
+    ``positions`` (N, 3); ``scales`` (N, 3), the diagonal of the axis-aligned
+    scaling matrix in linear units (not log-space); ``orientations`` (N, 4),
+    unit quaternions (w, x, y, z); ``opacities`` (N,); and ``sh`` (N, 12),
+    the degree-1 coefficients. The row order is the canonical stream order.
     """
 
     __slots__ = ("positions", "scales", "orientations", "opacities", "sh")
@@ -96,15 +82,6 @@ class GaussianSet:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def __getitem__(self, i: int) -> GaussianRecord:
-        return GaussianRecord(
-            position=self.positions[i].copy(),
-            scale=self.scales[i].copy(),
-            orientation=self.orientations[i].copy(),
-            opacity=float(self.opacities[i]),
-            sh=self.sh[i].copy(),
-        )
-
     def copy(self) -> "GaussianSet":
         return GaussianSet(
             self.positions.copy(),
@@ -126,19 +103,6 @@ class GaussianSet:
             np.empty((0, 4), np.float32),
             np.empty((0,), np.float32),
             np.empty((0, SH_COEFFS), np.float32),
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[GaussianRecord]) -> "GaussianSet":
-        records = list(records)
-        if not records:
-            return cls.empty()
-        return cls(
-            np.stack([r.position for r in records]),
-            np.stack([r.scale for r in records]),
-            np.stack([r.orientation for r in records]),
-            np.array([r.opacity for r in records]),
-            np.stack([r.sh for r in records]),
         )
 
     @classmethod

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -22,16 +23,16 @@ from anchorstream import (
 )
 from anchorstream import codec
 from anchorstream.codec import (
+    CLONE_BYTES,
     HEADER_BYTES,
-    FrameStats,
     StreamHeader,
     delta_block_bytes,
     frame_overhead_bytes,
-    frame_payload_bytes,
     values_per_anchor,
     verify_counts,
 )
 from anchorstream.hierarchy import level_caps
+from anchorstream.session import FrameMetrics
 
 from oracles import cube_root_ceil
 
@@ -262,7 +263,9 @@ def test_payload_length_pure_function(rng):
                 header = make_header(3, quant, 120, mode)
                 deltas = random_deformation(h, rng, added=added, mode=mode)
                 payload = encode_frame(3, deltas, h, header)
-                assert len(payload) == frame_payload_bytes(header, h.anchor_counts(), added)
+                assert len(payload) == (
+                    delta_block_bytes(h.anchor_counts(), quant, mode)
+                    + frame_overhead_bytes(3) + added * CLONE_BYTES)
 
 
 def test_additive_payload_carries_three_values_per_anchor(rng):
@@ -273,7 +276,9 @@ def test_additive_payload_carries_three_values_per_anchor(rng):
         payload = encode_frame(2, random_deformation(h, rng, added=1,
                                                      mode=CompositionMode.additive), h, header)
         ranges = 3 * 3 * 8 if quant == Quantization.fixed16 else 0  # per level and component
-        assert len(payload) == frame_payload_bytes(header, counts, 1) == (
+        assert len(payload) == (
+            delta_block_bytes(counts, quant, CompositionMode.additive)
+            + frame_overhead_bytes(3) + CLONE_BYTES) == (
             frame_overhead_bytes(3) + sum(counts) * 3 * codec.VALUE_BYTES[quant] + ranges + 16)
         decoded, _ = decode_frame(payload, 0, header)
         for ds in decoded.deltas.per_level:
@@ -352,28 +357,31 @@ def test_plan_budget_cap_binds():
 
 def test_plan_budget_worked_example():
     # finest 9 at ratio 3 targets (1, 3, 9): grids 1, 2 and 3 cells a side, so
-    # up to 1 + 8 + 27 = 36 anchors of 3 (additive) or 7 (pivot) half16 values
+    # up to 1 + 8 + 27 = 36 anchors of 3 (additive) or 7 (pivot) half16 values,
+    # plus the 24 fixed frame bytes
+    overhead = frame_overhead_bytes(3)
+    assert overhead == 24
     for mode, v in ((CompositionMode.additive, 3), (CompositionMode.pivot, 7)):
         assert values_per_anchor(mode) == v
         cfg = StreamConfig(levels=3, level_ratio=3, quantization=Quantization.half16,
                            composition_mode=mode)
         assert level_caps(100_000, cfg, 9) == (1, 8, 27)
-        assert plan_budget(100_000, 36 * v * 2 + 64, cfg, overhead=64) == 9
+        assert plan_budget(100_000, 36 * v * 2 + overhead, cfg) == 9
         # finest 10 needs base 2, targets (2, 6, 18) and caps (8, 8, 27); base 2
         # serves every finest count up to 18
         assert level_caps(100_000, cfg, 10) == (8, 8, 27)
-        assert plan_budget(100_000, 43 * v * 2 + 64 - 1, cfg, overhead=64) == 9
-        assert plan_budget(100_000, 43 * v * 2 + 64, cfg, overhead=64) == 18
+        assert plan_budget(100_000, 43 * v * 2 + overhead - 1, cfg) == 9
+        assert plan_budget(100_000, 43 * v * 2 + overhead, cfg) == 18
 
 
 def test_plan_budget_infeasible():
     for mode, minimum in ((CompositionMode.additive, 240), (CompositionMode.pivot, 528)):
         cfg = StreamConfig(levels=3, quantization=Quantization.half16, composition_mode=mode)
         v = values_per_anchor(mode)
+        # a budget of the fixed frame bytes alone leaves no room for caps (1, 8, 27)
         with pytest.raises(BudgetError) as exc_info:
-            plan_budget(1000, 64, cfg, overhead=64)
-        assert exc_info.value.minimum_bytes == 36 * v * 2 + 64
-        # default overhead: the 24 fixed frame bytes on top of caps (1, 8, 27)
+            plan_budget(1000, frame_overhead_bytes(3), cfg)
+        assert exc_info.value.minimum_bytes == 36 * v * 2 + frame_overhead_bytes(3)
         with pytest.raises(BudgetError) as exc_info:
             plan_budget(1000, minimum - 1, cfg)
         assert exc_info.value.minimum_bytes == minimum == 36 * v * 2 + frame_overhead_bytes(3)
@@ -381,19 +389,22 @@ def test_plan_budget_infeasible():
 
 
 def test_plan_budget_exact_bound_and_monotone():
-    for mode in CompositionMode:
-        cfg = StreamConfig(levels=3, quantization=Quantization.half16, composition_mode=mode)
-        w = 2
-        overhead = 64
+    for mode, quantization in itertools.product(CompositionMode, Quantization):
+        cfg = StreamConfig(levels=3, quantization=quantization, composition_mode=mode)
+        v = values_per_anchor(mode)
+        w = codec.VALUE_BYTES[quantization]
+        # fixed16 adds a (min, max) f32 pair per level and component
+        overhead = frame_overhead_bytes(3) + (3 * v * 8 if quantization == Quantization.fixed16
+                                              else 0)
         cap = math.ceil(100_000 * cfg.finest_fraction)
 
         def cost(finest):
-            return sum(level_caps(100_000, cfg, finest)) * values_per_anchor(mode) * w + overhead
+            return sum(level_caps(100_000, cfg, finest)) * v * w + overhead
 
         prev = None
         for budget in range(150, 40_000, 1385):
             try:
-                finest = plan_budget(100_000, budget, cfg, overhead=overhead)
+                finest = plan_budget(100_000, budget, cfg)
             except BudgetError:
                 continue
             assert cost(finest) <= budget
@@ -432,19 +443,28 @@ def test_plan_budget_minimum_verified_brute_force():
 # ---------------------------------------------------------------------------
 
 
+def metrics_row(frame, payload_bytes, delta_bytes, clone_bytes, overhead_bytes, counts):
+    return FrameMetrics(frame, math.nan, math.nan, payload_bytes, delta_bytes, clone_bytes,
+                        overhead_bytes, counts, False, "")
+
+
 def test_storage_report_single_zero_frame(rng):
     _, h = small_hierarchy(rng, anchors=4)
     payload = encode_frame(1, FrameDeformation.zeros(h), h, make_header(1, Quantization.full32, 40))
-    stats = [FrameStats(1, len(payload), 112, 0, frame_overhead_bytes(1), False)]
-    report = storage_report(stats)
-    assert report.delta_bytes == 112
-    assert report.mean_bytes == len(payload)
-    assert "deltas=112B" in report.decomposition()
+    counts = h.anchor_counts()
+    delta = delta_block_bytes(counts, Quantization.full32, CompositionMode.pivot)
+    assert delta == sum(counts) * 7 * 4
+    report = storage_report([metrics_row(1, len(payload), delta, 0, frame_overhead_bytes(1),
+                                         counts)])
+    assert report.delta_bytes == delta and report.added_bytes == 0
+    assert report.mean_bytes == len(payload) == delta + report.overhead_bytes
+    assert f"deltas={delta}B" in report.decomposition()
 
 
 def test_storage_report_mean_is_total_over_frames():
-    stats = [FrameStats(i, 100 + i, 50, 10, 29, False) for i in range(1, 11)]
-    report = storage_report(stats)
+    rows = [metrics_row(i, 100 + i, 50, 10, 29, (4,)) for i in range(1, 11)]
+    report = storage_report(rows)
+    assert report.added_bytes == 100
     assert report.frames == 10
     assert report.mean_bytes == sum(100 + i for i in range(1, 11)) / 10
     assert report.max_bytes == 110

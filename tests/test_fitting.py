@@ -168,6 +168,12 @@ def test_loss_rejects_empty_correspondences():
                           Correspondences(np.empty(0, np.int64), np.empty((0, 3), np.float32)))
 
 
+def test_correspondences_reject_a_negative_index():
+    # numpy would wrap -1 onto gaussian 49 of 50, observing it twice
+    with pytest.raises(ValueError, match="index -1 is negative"):
+        Correspondences([3, -1, 49, -2], np.zeros((4, 3), np.float32))
+
+
 # ---------------------------------------------------------------------------
 # fit_frame
 # ---------------------------------------------------------------------------

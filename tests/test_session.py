@@ -52,11 +52,16 @@ def session_inputs(spec):
     return source.base_gaussians(), source
 
 
+def byte_split(row):
+    return row.payload_bytes, row.delta_bytes, row.clone_bytes, row.overhead_bytes
+
+
 def assert_mirrored(enc, dec):
     assert [m.frame_index for m in dec.metrics] == [m.frame_index for m in enc.metrics]
     for e, d in zip(enc.metrics, dec.metrics):
         assert d.checksum == e.checksum, f"frame {e.frame_index}"
         assert d.anchor_counts == e.anchor_counts and d.reconfig == e.reconfig
+        assert byte_split(d) == byte_split(e), f"frame {e.frame_index}"
     for le, ld in zip(enc.state.hierarchy.levels, dec.state.hierarchy.levels):
         assert np.array_equal(le.anchor_indices, ld.anchor_indices)
         assert np.array_equal(le.assignment, ld.assignment)
@@ -114,6 +119,27 @@ def test_decoder_reports_the_encoders_payload_bytes():
     assert sum(m.payload_bytes for m in dec.metrics) == len(enc.stream) - codec.HEADER_BYTES
     lazy = [(repr(m), state.frame_index) for m, state in iter_decode_metrics(base, enc.stream)]
     assert lazy == [(repr(m), m.frame_index) for m in dec.metrics]  # nan compares by repr
+
+
+@pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_rows_split_payload_bytes_alike_on_both_sides(mode, quantization):
+    base, source = session_inputs(small_arm(point_scale=0.5))
+    config = StreamConfig(reconfig_period=3, quantization=quantization, composition_mode=mode,
+                          phase1_steps=20, densify_threshold=0.01)
+    enc = encode_session(base, source, config)
+    dec = decode_session(base, enc.stream)
+    assert sum(m.reconfig for m in enc.metrics) >= 2
+    assert any(m.clone_bytes for m in enc.metrics)
+    for rows in (enc.metrics, dec.metrics):
+        for m in rows:
+            assert m.delta_bytes + m.clone_bytes + m.overhead_bytes == m.payload_bytes
+            assert m.clone_bytes % codec.CLONE_BYTES == 0
+    assert [byte_split(m) for m in dec.metrics] == [byte_split(m) for m in enc.metrics]
+    report = enc.report
+    assert (report.delta_bytes, report.added_bytes, report.overhead_bytes) == tuple(
+        sum(column) for column in zip(*(byte_split(m)[1:] for m in enc.metrics)))
+    assert report.total_bytes == len(enc.stream) - codec.HEADER_BYTES
 
 
 def test_step_counts_come_from_the_stream_config():
@@ -362,9 +388,18 @@ def test_cli_decode_metrics_repeat_the_encoders_bytes_and_checksums(tmp_path, ca
             else:
                 assert d[column] == e[column], column
     assert len({row["bytes"] for row in dec_rows}) > 1  # clone frames differ in size
+    for row in dec_rows:
+        assert int(row["bytes"]) == sum(
+            int(row[column]) for column in ("delta_bytes", "clone_bytes", "overhead_bytes"))
+    assert any(int(row["clone_bytes"]) for row in dec_rows)
     assert sum(int(row["bytes"]) for row in dec_rows) == (
         len(stream_path.read_bytes()) - codec.HEADER_BYTES)
     assert f"final checksum: {dec_rows[-1]['checksum']}" in capsys.readouterr().out
+
+
+def test_cli_config_defaults_are_the_stream_config_defaults():
+    args = cli.build_parser().parse_args(["encode", "--input", "x.json", "--output", "x.rcgs"])
+    assert cli._config_from_args(args) == StreamConfig()
 
 
 def test_cli_decode_imports_no_private_name():

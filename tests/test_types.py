@@ -79,14 +79,6 @@ def test_hierarchy_assignment_validated():
     assert any(v.field == "hierarchy" and v.index == 4 for v in violations)
 
 
-def test_record_views_round_trip():
-    state = make_state(n=4)
-    records = [state.gaussians[i] for i in range(4)]
-    rebuilt = GaussianSet.from_records(records)
-    for a, b in zip(state.gaussians.attribute_arrays(), rebuilt.attribute_arrays()):
-        assert np.array_equal(a, b)
-
-
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         StreamConfig(levels=0)
