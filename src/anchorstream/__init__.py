@@ -54,7 +54,6 @@ from .session import (
     SyntheticSource,
     decode_session,
     encode_session,
-    iter_decode,
     iter_decode_metrics,
     state_checksum,
     storage_report,

@@ -226,14 +226,18 @@ def cmd_inspect(args) -> int:
           f"level_ratio={header.level_ratio} reconfig_period={header.reconfig_period}")
     print(f"finest_fraction={header.finest_num}/{header.finest_den} "
           f"initial_gaussians={header.gaussian_count_initial}")
+    overhead = codec.frame_overhead_bytes(header.levels)
     offset = codec.HEADER_BYTES
-    print(f"{'frame':>6} {'bytes':>8} {'anchors':>18} {'clones':>6} {'reconfig':>8}")
+    print(f"{'frame':>6} {'bytes':>8} {'delta_bytes':>11} {'clone_bytes':>11} "
+          f"{'overhead_bytes':>14} {'anchors':>18} {'clones':>6} {'reconfig':>8}")
     while offset < len(stream):
         start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
-        print(f"{payload.frame_index:>6} {offset - start:>8} "
-              f"{str(payload.realized_counts):>18} {len(payload.deltas.clone_sources):>6} "
-              f"{int(header.reconfigures_at(payload.frame_index)):>8}")
+        counts, clones = payload.realized_counts, len(payload.deltas.clone_sources)
+        delta = codec.delta_block_bytes(counts, header.quantization, header.composition_mode)
+        print(f"{payload.frame_index:>6} {offset - start:>8} {delta:>11} "
+              f"{clones * codec.CLONE_BYTES:>11} {overhead:>14} {str(counts):>18} "
+              f"{clones:>6} {int(header.reconfigures_at(payload.frame_index)):>8}")
     return EXIT_OK
 
 

@@ -85,23 +85,26 @@ def _cell_geometry(positions64: np.ndarray, m: int):
     """Cell codes and squared center distances for every point.
 
     Degenerate axes (zero extent) collapse to a single cell so no division by
-    zero occurs; points then share index 0 on that axis.
+    zero occurs; points then share index 0 on that axis. The squared distance
+    adds its per-axis terms as ``(x + y) + z``, the order of numpy's
+    ``.sum(axis=1)`` over three columns.
     """
     bmin = positions64.min(axis=0)
     bmax = positions64.max(axis=0)
     delta = bmax - bmin
-    idx = np.zeros((positions64.shape[0], 3), dtype=np.int64)
-    centers = np.empty_like(positions64)
+    codes = np.zeros(positions64.shape[0], dtype=np.int64)
+    d2 = np.zeros(positions64.shape[0])
     for axis in range(3):
+        col = positions64[:, axis]
+        codes *= m
         if delta[axis] > 0:
-            scaled = (positions64[:, axis] - bmin[axis]) * (m / delta[axis])
-            idx[:, axis] = np.clip(np.floor(scaled).astype(np.int64), 0, m - 1)
-            centers[:, axis] = bmin[axis] + (idx[:, axis] + 0.5) * (delta[axis] / m)
+            scaled = (col - bmin[axis]) * (m / delta[axis])
+            idx = np.clip(np.floor(scaled).astype(np.int64), 0, m - 1)
+            codes += idx
+            diff = col - (bmin[axis] + (idx + 0.5) * (delta[axis] / m))
         else:
-            centers[:, axis] = bmin[axis]
-    codes = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
-    diff = positions64 - centers
-    d2 = (diff * diff).sum(axis=1)
+            diff = col - bmin[axis]
+        d2 += diff * diff
     return bmin, bmax, codes, d2
 
 
@@ -213,12 +216,16 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
         raise ValueError("legacy level has no anchors")
     k = min(3, a_leg)
     out = np.empty((a_new, 3), dtype=np.int64)
-    # chunk so each (chunk, A_legacy, 3) temporary stays near 2 MB
-    chunk = max(1, int(250_000 / (a_leg * 3)))
+    new_axes = np.ascontiguousarray(new64.T)
+    leg_axes = np.ascontiguousarray(leg64.T)
+    # chunk so each (chunk, A_legacy) temporary stays near 2 MB
+    chunk = max(1, 250_000 // a_leg)
     for start in range(0, a_new, chunk):
         stop = min(a_new, start + chunk)
-        diff = leg64[None, :, :] - new64[start:stop, None, :]
-        d2 = (diff * diff).sum(axis=2)
+        d2 = np.zeros((stop - start, a_leg))
+        for axis in range(3):
+            diff = leg_axes[axis] - new_axes[axis, start:stop, None]
+            d2 += diff * diff
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
         rows, cols = np.nonzero(d2 <= kth[:, None])  # rows ascending, at least k each
         order = np.lexsort((cols, d2[rows, cols], rows))

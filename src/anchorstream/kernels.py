@@ -4,7 +4,12 @@ Every kernel fixes its floating-point operation order and its tie-breaks, so
 encoder and decoder replicas that call it on the same inputs get the same
 bits. ``tests/test_kernels.py`` checks each against a plain-loop oracle.
 
-:func:`l1_nearest` scans every anchor up to :data:`SCAN_MAX_ANCHORS`
+Points are L1 assigned in axis-major form. :func:`l1_nearest` copies the
+points and anchors once into (3, n) and (3, A) float64 arrays and adds every
+distance and every bound as three contiguous per-axis terms,
+``(x + y) + z``. That is the order numpy uses to reduce a length-3 axis, so
+the result equals the point-major ``.sum(axis=-1)`` bit for bit, without its
+(n, A, 3) temporary. It scans every anchor up to :data:`SCAN_MAX_ANCHORS`
 anchors and prunes by blocks above it. Each block of points, one cell of a
 g^3 grid with g = round(A^(1/3)), scans only the anchors whose L1 lower bound
 to the block's tight box is within the block's upper bound. That filter keeps
@@ -25,19 +30,33 @@ import numpy as np
 
 
 # At or below this many anchors one scan over all of them is cheapest; above
-# it, block pruning wins. Measured crossover: 54-64 anchors at N = 1.2k-20k.
+# it, block pruning wins. Measured with the axis-major arithmetic against
+# grid-sampled anchors (2-core x86 host): the paths tie at 64 anchors for
+# N = 20k, pruning is 17-19% faster at 64 for N = 50k-200k, and one scan stays
+# faster through 216 anchors for N = 6k.
 SCAN_MAX_ANCHORS = 64
+
+# Cells of each (points, anchors) distance array one scan chunk holds, 512 KB
+# in float64: more runs no faster and only adds to peak memory.
+_SCAN_CELLS = 1 << 16
 
 
 def _scan(pts: np.ndarray, anc: np.ndarray) -> np.ndarray:
-    """Argmin over all anchors of ``|dx| + |dy| + |dz|``, first minimum wins."""
-    n = pts.shape[0]
+    """Argmin over all anchors of ``(|dx| + |dy|) + |dz|``, first minimum wins.
+
+    ``pts`` is (3, n) and ``anc`` (3, A), float64, one row per axis.
+    """
+    n = pts.shape[1]
     out = np.empty(n, dtype=np.int64)
-    # chunk so the (chunk, A, 3) broadcast stays within a few MB
-    chunk = max(1, int(4_000_000 / max(1, anc.shape[0] * 3)))
+    chunk = max(1, _SCAN_CELLS // max(1, anc.shape[1]))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        d = np.abs(pts[start:stop, None, :] - anc[None, :, :]).sum(axis=2)
+        d = np.subtract.outer(pts[0, start:stop], anc[0])
+        np.abs(d, out=d)
+        term = np.empty_like(d)
+        for axis in (1, 2):
+            np.subtract.outer(pts[axis, start:stop], anc[axis], out=term)
+            d += np.abs(term, out=term)
         out[start:stop] = d.argmin(axis=1)
     return out
 
@@ -45,10 +64,17 @@ def _scan(pts: np.ndarray, anc: np.ndarray) -> np.ndarray:
 def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Index of the L1-nearest anchor for every point, lowest ordinal on ties.
 
-    Distances accumulate in float64 as ``|dx| + |dy| + |dz|``, left to right.
-    With at most :data:`SCAN_MAX_ANCHORS` anchors every point scans them all.
-    Above that, the points are bucketed into a g^3 grid, g = round(A^(1/3)),
-    and each occupied cell is a block with tight box [lo, hi]:
+    Distances accumulate in float64 as ``(|dx| + |dy|) + |dz|``. Both inputs
+    are copied once to axis-major (3, n) and (3, A) float64 arrays, so every
+    distance and every bound below is three contiguous per-axis terms added
+    left to right, and no (n, A, 3) temporary is ever built. numpy reduces a
+    length-3 axis the same way, first element plus second, then plus third,
+    so these sums equal the ``.sum(axis=-1)`` of the point-major form bit for
+    bit. With at most :data:`SCAN_MAX_ANCHORS` anchors every point scans them
+    all. Above that, the points are bucketed into a g^3 grid,
+    g = round(A^(1/3)), and each occupied cell is a block with tight box
+    [lo, hi]; one ``reduceat`` pass over the code-sorted points takes every
+    block's box.
 
     - an anchor's lower bound to the box, sum over axes of
       max(lo - a, a - hi, 0), is at most its distance to any block point;
@@ -67,32 +93,38 @@ def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     ascending ordinal order, so the result is bit-identical to scanning all
     anchors.
     """
-    pts = points.astype(np.float64)
-    anc = anchors.astype(np.float64)
-    n_anchor = anc.shape[0]
-    if n_anchor <= SCAN_MAX_ANCHORS or pts.shape[0] == 0:
+    pts = np.ascontiguousarray(np.asarray(points).T, dtype=np.float64)
+    anc = np.ascontiguousarray(np.asarray(anchors).T, dtype=np.float64)
+    n, n_anchor = pts.shape[1], anc.shape[1]
+    if n_anchor <= SCAN_MAX_ANCHORS or n == 0:
         return _scan(pts, anc)
     g = max(1, round(n_anchor ** (1.0 / 3.0)))
-    lo = pts.min(axis=0)
-    extent = pts.max(axis=0) - lo
-    cell = np.zeros(pts.shape, dtype=np.int64)
+    lo = pts.min(axis=1)
+    extent = pts.max(axis=1) - lo
+    codes = np.zeros(n, dtype=np.int64)
     for axis in range(3):
+        codes *= g
         if extent[axis] > 0:
-            scaled = np.floor((pts[:, axis] - lo[axis]) * (g / extent[axis]))
-            cell[:, axis] = np.clip(scaled.astype(np.int64), 0, g - 1)
-    codes = (cell[:, 0] * g + cell[:, 1]) * g + cell[:, 2]
+            scaled = np.floor((pts[axis] - lo[axis]) * (g / extent[axis]))
+            codes += np.clip(scaled.astype(np.int64), 0, g - 1)
     order = np.argsort(codes, kind="stable")
     starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    stops = np.append(starts[1:], order.shape[0])
-    out = np.empty(pts.shape[0], dtype=np.int64)
-    for start, stop in zip(starts, stops):
-        members = order[start:stop]
-        block = pts[members]
-        lower = np.maximum(np.maximum(block.min(axis=0) - anc, anc - block.max(axis=0)), 0.0)
-        lower = lower.sum(axis=1)
-        upper = np.abs(block - anc[lower.argmin()]).sum(axis=1).max()
+    stops = np.append(starts[1:], n)
+    sorted_pts = pts[:, order]
+    # (blocks, 3, 1): block b's box is a column that broadcasts against anc
+    box_lo = np.minimum.reduceat(sorted_pts, starts, axis=1).T[:, :, None]
+    box_hi = np.maximum.reduceat(sorted_pts, starts, axis=1).T[:, :, None]
+    found = np.empty(n, dtype=np.int64)
+    for b, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+        block = sorted_pts[:, start:stop]
+        lower = np.maximum(box_lo[b] - anc, anc - box_hi[b])
+        lower = np.maximum(lower, 0.0, out=lower).sum(axis=0)
+        j = lower.argmin()
+        upper = np.abs(block - anc[:, j:j + 1]).sum(axis=0).max()
         keep = np.flatnonzero(lower <= upper * (1.0 + 1e-9))
-        out[members] = keep[_scan(block, anc[keep])]
+        found[start:stop] = keep[_scan(block, anc[:, keep])]
+    out = np.empty(n, dtype=np.int64)
+    out[order] = found
     return out
 
 

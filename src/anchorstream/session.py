@@ -354,23 +354,13 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
         expected += 1
 
 
-def iter_decode(base: GaussianSet, stream: bytes) -> Iterator[tuple[FramePayload, SceneState]]:
-    """Replay a stream lazily, yielding each frame's payload and the state after it.
-
-    The yielded state is advanced in place by the next frame; copy what must
-    outlive an iteration.
-    """
-    header, config, state = _start_decode(base, stream)
-    for payload, state, _ in _decode_frames(stream, header, config, state):
-        yield payload, state
-
-
 def iter_decode_metrics(base: GaussianSet, stream: bytes
                         ) -> Iterator[tuple[FrameMetrics, SceneState]]:
     """Replay a stream lazily, yielding each frame's decoder-side metrics row and state.
 
     The row is the one :func:`decode_session` reports for the frame. The
-    state is advanced in place by the next frame, as in :func:`iter_decode`.
+    yielded state is advanced in place by the next frame; copy what must
+    outlive an iteration.
     """
     header, config, state = _start_decode(base, stream)
     for payload, state, nbytes in _decode_frames(stream, header, config, state):

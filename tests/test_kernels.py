@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anchorstream import kernels
+from anchorstream import hierarchy, kernels
 
 from oracles import (
     add_at_sum_by_index,
@@ -59,6 +59,22 @@ def _pruned_cases():
         "one_point": (unit(1), unit(300)),
         "at_crossover": (unit(3000), unit(top)),
         "above_crossover": (unit(3000), unit(top + 1)),
+    } | _shape_cases(unit)
+
+
+def _shape_cases(unit):
+    """The shapes production calls take, and float32 inputs that stress the grid."""
+    line = unit(1500)
+    line[:, 1:] = 0.25
+    # float32 spacing near 1e4 is about 1e-3, so points sit on a coarse
+    # lattice and cell indices round right at their edges
+    offset = unit(1500) + np.float32(1e4)
+    field = unit(2000)
+    return {
+        "few_points_many_anchors": (unit(300), unit(1000)),  # clone assignment
+        "offset_1e4": (offset, unit(200) + np.float32(1e4)),
+        "points_on_a_line": (line, unit(200)),
+        "grid_sampled_anchors": (field, field[hierarchy.sample_anchors(field, 216).anchor_indices]),
     }
 
 
@@ -85,8 +101,8 @@ def test_l1_nearest_switches_to_pruning_above_the_crossover(rng, monkeypatch):
     """At the crossover one scan sees every anchor; one above, blocks see fewer."""
     scanned = []
     scan = kernels._scan
-    monkeypatch.setattr(kernels, "_scan",
-                        lambda pts, anc: scanned.append(anc.shape[0]) or scan(pts, anc))
+    monkeypatch.setattr(kernels, "_scan",  # anchors come in axis-major, (3, A)
+                        lambda pts, anc: scanned.append(anc.shape[1]) or scan(pts, anc))
     points = rng.random((3000, 3), dtype=np.float32)
     top = kernels.SCAN_MAX_ANCHORS
     kernels.l1_nearest(points, rng.random((top, 3), dtype=np.float32))

@@ -27,7 +27,6 @@ from anchorstream import (
     encode_session,
     generate_scene,
     grid_resolution,
-    iter_decode,
     iter_decode_metrics,
     read_gaussian_ply,
     state_checksum,
@@ -50,6 +49,15 @@ def small_arm(frames=7, point_scale=0.25, seed=11):
 def session_inputs(spec):
     source = SyntheticSource(generate_scene(spec))
     return source.base_gaussians(), source
+
+
+def stream_payloads(stream):
+    """Each frame's payload and the offset just past it, read without decoding."""
+    header = codec.StreamHeader.unpack(stream)
+    offset = codec.HEADER_BYTES
+    while offset < len(stream):
+        payload, offset = codec.decode_frame(stream, offset, header)
+        yield payload, offset
 
 
 def byte_split(row):
@@ -146,7 +154,7 @@ def test_step_counts_come_from_the_stream_config():
     base, source = session_inputs(small_arm(frames=4))
     config = StreamConfig(reconfig_period=2, phase1_steps=0)
     enc = encode_session(base, source, config)
-    for payload, _ in iter_decode(base, enc.stream):
+    for payload, _ in stream_payloads(enc.stream):
         for block in payload.deltas.per_level:  # no fit step moved the zero init
             assert not block.translations.any() and not block.rotations.any()
 
@@ -232,11 +240,8 @@ def clone_stream():
     config = StreamConfig(reconfig_period=3, quantization=Quantization.full32,
                           phase1_steps=10, densify_threshold=0.01)
     enc = encode_session(base, source, config)
-    header = codec.StreamHeader.unpack(enc.stream)
-    frames, offset = [], codec.HEADER_BYTES
-    while offset < len(enc.stream):
-        payload, offset = codec.decode_frame(enc.stream, offset, header)
-        frames.append((payload.frame_index, offset, len(payload.deltas.clone_sources)))
+    frames = [(payload.frame_index, end, len(payload.deltas.clone_sources))
+              for payload, end in stream_payloads(enc.stream)]
     return base, enc, frames
 
 
@@ -244,7 +249,8 @@ def test_clones_copy_their_source_row_from_before_the_frame():
     base, enc, _ = clone_stream()
     previous = base.copy()
     cloned = 0
-    for payload, state in iter_decode(base, enc.stream):
+    for (payload, _), (_, state) in zip(stream_payloads(enc.stream),
+                                         iter_decode_metrics(base, enc.stream)):
         src = payload.deltas.clone_sources
         new = state.gaussians.attribute_arrays()
         assert np.array_equal(new[0][len(previous):], payload.deltas.clone_positions)
@@ -269,7 +275,8 @@ def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantizati
     enc = encode_session(base, source, config)
     appearance = base.attribute_arrays()[1:]  # scales, orientations, opacities, sh
     cloned = 0
-    for (payload, state), m in zip(iter_decode(base, enc.stream), enc.metrics):
+    for (payload, _), (_, state), m in zip(stream_payloads(enc.stream),
+                                           iter_decode_metrics(base, enc.stream), enc.metrics):
         src = payload.deltas.clone_sources
         appearance = [np.concatenate([col, col[src]]) for col in appearance]
         for got, want in zip(state.gaussians.attribute_arrays()[1:], appearance):
@@ -292,7 +299,7 @@ def test_bad_clone_record_fails_naming_the_frame_before_the_state_changes():
                                                     f"not below the gaussian count {n_before}"):
             decode_session(base, bytes(bad))
     # the state after frame 2 stays as it was, hierarchy included
-    decoded = iter_decode(base, bytes(bad))
+    decoded = iter_decode_metrics(base, bytes(bad))
     for _ in range(frame - 1):
         _, state = next(decoded)
     checksum, hierarchy = state_checksum(state), state.hierarchy
@@ -353,8 +360,8 @@ def test_cli_round_trip_exports_the_decoded_states(tmp_path, monkeypatch, capsys
                  "--mode", "pivot", "--reconfig-period", "3", "--phase1-steps", "20"]) == 0
     stream = stream_path.read_bytes()
     base = SyntheticSource(generate_scene(small_arm())).base_gaussians()
-    expected = {payload.frame_index: write_gaussian_ply(state.gaussians)
-                for payload, state in iter_decode(base, stream)}
+    expected = {row.frame_index: write_gaussian_ply(state.gaussians)
+                for row, state in iter_decode_metrics(base, stream)}
     capsys.readouterr()
 
     calls = count_decoded_frames(monkeypatch)
@@ -455,6 +462,7 @@ def test_cli_encode_frames_overrides_the_spec_frame_count(tmp_path, capsys):
 
 def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    dec_csv = tmp_path / "dec.csv"
     spec = small_arm(point_scale=0.5)
     write_spec(spec_path, spec)
     assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
@@ -464,6 +472,8 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     assert main(["inspect", "--stream", str(stream_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "mode=additive level_ratio=3" in lines[0]
+    assert lines[2].split()[:5] == ["frame", "bytes", "delta_bytes", "clone_bytes",
+                                    "overhead_bytes"]
     rows = lines[3:]  # two header lines, then column names
     byte_column = [int(row.split()[1]) for row in rows]
     stream = stream_path.read_bytes()
@@ -472,6 +482,14 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     dec = decode_session(base, stream)
     assert byte_column == [m.payload_bytes for m in dec.metrics]
     assert len(set(byte_column)) > 1  # clone frames differ in size
+    # the split sums to the bytes column and repeats the decoder's metrics CSV
+    split = [[int(v) for v in row.split()[1:5]] for row in rows]
+    assert all(total == delta + clone + overhead for total, delta, clone, overhead in split)
+    assert any(clone for _, _, clone, _ in split)
+    assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
+                 "--metrics", str(dec_csv)]) == 0
+    columns = ("bytes", "delta_bytes", "clone_bytes", "overhead_bytes")
+    assert split == [[int(row[c]) for c in columns] for row in csv.DictReader(dec_csv.open())]
     # the clone column counts the ordinals; the reconfig column is the header's schedule
     assert sum(int(row.split()[-2]) for row in rows) == len(dec.state.gaussians) - len(base) > 0
     assert [int(row.split()[-1]) for row in rows] == [
