@@ -121,7 +121,7 @@ def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         lower = np.maximum(lower, 0.0, out=lower).sum(axis=0)
         j = lower.argmin()
         upper = np.abs(block - anc[:, j:j + 1]).sum(axis=0).max()
-        keep = np.flatnonzero(lower <= upper * (1.0 + 1e-9))
+        keep = (lower <= upper * (1.0 + 1e-9)).nonzero()[0]
         found[start:stop] = keep[_scan(block, anc[:, keep])]
     out = np.empty(n, dtype=np.int64)
     out[order] = found
