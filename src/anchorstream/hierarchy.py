@@ -85,9 +85,10 @@ def _cell_geometry(positions64: np.ndarray, m: int):
     """Cell codes and squared center distances for every point.
 
     Degenerate axes (zero extent) collapse to a single cell so no division by
-    zero occurs; points then share index 0 on that axis. The squared distance
-    adds its per-axis terms as ``(x + y) + z``, the order of numpy's
-    ``.sum(axis=1)`` over three columns.
+    zero occurs; points then share index 0 on that axis, sit on its center
+    and add nothing to the squared distance. The squared distance adds its
+    per-axis terms as ``(x + y) + z``, the order of numpy's ``.sum(axis=1)``
+    over three columns.
     """
     bmin = positions64.min(axis=0)
     bmax = positions64.max(axis=0)
@@ -95,16 +96,14 @@ def _cell_geometry(positions64: np.ndarray, m: int):
     codes = np.zeros(positions64.shape[0], dtype=np.int64)
     d2 = np.zeros(positions64.shape[0])
     for axis in range(3):
-        col = positions64[:, axis]
         codes *= m
         if delta[axis] > 0:
+            col = positions64[:, axis]
             scaled = (col - bmin[axis]) * (m / delta[axis])
             idx = np.clip(np.floor(scaled).astype(np.int64), 0, m - 1)
             codes += idx
             diff = col - (bmin[axis] + (idx + 0.5) * (delta[axis] / m))
-        else:
-            diff = col - bmin[axis]
-        d2 += diff * diff
+            d2 += diff * diff
     return bmin, bmax, codes, d2
 
 
@@ -218,8 +217,8 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
     out = np.empty((a_new, 3), dtype=np.int64)
     new_axes = np.ascontiguousarray(new64.T)
     leg_axes = np.ascontiguousarray(leg64.T)
-    # chunk so each (chunk, A_legacy) temporary stays near 2 MB
-    chunk = max(1, 250_000 // a_leg)
+    # chunk so each (chunk, A_legacy) temporary stays near 0.7 MB
+    chunk = max(1, 250_000 // (3 * a_leg))
     for start in range(0, a_new, chunk):
         stop = min(a_new, start + chunk)
         d2 = np.zeros((stop - start, a_leg))
