@@ -32,8 +32,8 @@ import numpy as np
 # At or below this many anchors one scan over all of them is cheapest; above
 # it, block pruning wins. Measured with the axis-major arithmetic against
 # grid-sampled anchors (2-core x86 host): the paths tie at 64 anchors for
-# N = 20k, pruning is 17-19% faster at 64 for N = 50k-200k, and one scan stays
-# faster through 216 anchors for N = 6k.
+# N = 20k, pruning takes 16-19% less time at 64 for N = 50k-200k, and one
+# scan stays faster through 216 anchors for N = 6k.
 SCAN_MAX_ANCHORS = 64
 
 # Cells of each (points, anchors) distance array one scan chunk holds, 512 KB

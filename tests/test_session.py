@@ -250,7 +250,7 @@ def test_clones_copy_their_source_row_from_before_the_frame():
     previous = base.copy()
     cloned = 0
     for (payload, _), (_, state) in zip(stream_payloads(enc.stream),
-                                         iter_decode_metrics(base, enc.stream)):
+                                         iter_decode_metrics(base, enc.stream), strict=True):
         src = payload.deltas.clone_sources
         new = state.gaussians.attribute_arrays()
         assert np.array_equal(new[0][len(previous):], payload.deltas.clone_positions)
@@ -276,7 +276,8 @@ def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantizati
     appearance = base.attribute_arrays()[1:]  # scales, orientations, opacities, sh
     cloned = 0
     for (payload, _), (_, state), m in zip(stream_payloads(enc.stream),
-                                           iter_decode_metrics(base, enc.stream), enc.metrics):
+                                           iter_decode_metrics(base, enc.stream), enc.metrics,
+                                           strict=True):
         src = payload.deltas.clone_sources
         appearance = [np.concatenate([col, col[src]]) for col in appearance]
         for got, want in zip(state.gaussians.attribute_arrays()[1:], appearance):
