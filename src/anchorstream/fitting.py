@@ -7,6 +7,13 @@ with each anchor's step preconditioned by its cluster size. Phase 2
 densifies: correspondences whose residual stays above a threshold spawn a
 clone of the source gaussian at the observed target position.
 
+The fit is warm-started. The session passes the previous frame's applied
+deltas as ``init`` (inherited ones at a rebuild), so motion carries from
+frame to frame and a few steps refine it. The descent starts from whichever
+of ``init`` and zero has the lower loss, ``init`` on a tie, so a start that
+points the wrong way (a reversal of motion, an inheritance that blurs it)
+can never leave a frame worse than a fit from rest.
+
 Supervision here is geometric (observed target positions per gaussian), which
 stands in for photometric rendering losses; rendering is out of scope for
 this package. In additive mode positions do not depend on the rotation
@@ -156,13 +163,17 @@ def _to_deformation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> FrameDefo
 def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspondences,
               init: FrameDeformation, steps: int,
               mode: CompositionMode = CompositionMode.additive) -> FrameDeformation:
-    """Fit all per-level deltas jointly; returns deltas with loss <= initial.
+    """Fit all per-level deltas jointly; loss <= min(loss(init), loss(zero deltas)).
 
-    Momentum gradient descent over ``steps`` steps (zero returns ``init``),
-    with a monotone safeguard: a step that would raise the loss restarts
-    momentum (velocity reset) and retries as a plain gradient step; if that
-    still raises the loss, the step is skipped. The state itself is never
-    touched - only the returned deltas.
+    The descent starts from ``init`` or from zero deltas, whichever has the
+    lower loss; a tie keeps ``init``. Checking zero costs one extra loss
+    evaluation, made only when ``init`` is nonzero, and the chosen start's
+    gradient feeds the first step. Momentum gradient descent then runs over
+    ``steps`` steps (zero returns the chosen start), with a monotone
+    safeguard: a step that would raise the loss restarts momentum (velocity
+    reset) and retries as a plain gradient step; if that still raises the
+    loss, the step is skipped. The state itself is never touched - only the
+    returned deltas.
 
     Each anchor's gradient block is scaled by the inverse of its cluster's
     correspondence count, i.e. the inverse diagonal of the translation
@@ -181,6 +192,11 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
                for ds in init.per_level])
     scale = _precondition_scale(hierarchy, corr, counts)
     loss0, grad = evaluate(x)
+    if x.any():
+        zero = np.zeros_like(x)
+        loss_zero, grad_zero = evaluate(zero)
+        if loss_zero < loss0:
+            x, loss0, grad = zero, loss_zero, grad_zero
     loss_cur = loss0
     velocity = np.zeros_like(x)
 

@@ -10,9 +10,10 @@ distance and every bound as three contiguous per-axis terms,
 ``(x + y) + z``. That is the order numpy uses to reduce a length-3 axis, so
 the result equals the point-major ``.sum(axis=-1)`` bit for bit, without its
 (n, A, 3) temporary. It scans every anchor up to :data:`SCAN_MAX_ANCHORS`
-anchors and prunes by blocks above it. Each block of points, one cell of a
-g^3 grid with g = round(A^(1/3)), scans only the anchors whose L1 lower bound
-to the block's tight box is within the block's upper bound. That filter keeps
+anchors or below :data:`PRUNE_MIN_POINTS` points, and prunes by blocks
+otherwise. Each block of points, one cell of a g^3 grid with
+g = round(A^(1/3)), scans only the anchors whose L1 lower bound to the
+block's tight box is within the block's upper bound. That filter keeps
 every anchor that can be a point's minimizer, ties included, and the kept
 anchors are scanned with the full scan's own float64 expression in ascending
 ordinal order, so both paths give the same bits.
@@ -35,6 +36,27 @@ import numpy as np
 # N = 20k, pruning takes 16-19% less time at 64 for N = 50k-200k, and one
 # scan stays faster through 216 anchors for N = 6k.
 SCAN_MAX_ANCHORS = 64
+
+# Below this many points one scan is cheapest at any anchor count: the
+# pruned path pays a fixed cost per block and a bound pass over all A anchors
+# per block, which only enough points per block repay. Best of 9 runs, uniform
+# random points, grid-sampled anchors, 2-core x86 host:
+#
+#     points x anchors    scan       pruned
+#       300 x  981          2.7 ms     9.8 ms   (clone assignment)
+#      1200 x  982          6.8 ms    28.7 ms
+#      5000 x  991         32.6 ms    41.2 ms
+#      6000 x  343         12.3 ms    14.8 ms
+#      7000 x  343         17.0 ms    14.1 ms
+#      8000 x  343         17.3 ms    12.2 ms
+#      8000 x 1000         42.8 ms    46.5 ms
+#      9000 x 2165        128.3 ms   140.3 ms
+#     12000 x  343         25.6 ms    21.6 ms
+#     20000 x 1000        119.5 ms    47.9 ms
+#
+# The crossover drifts from 6-7k points at 125-729 anchors to 9-10k at
+# 1000-2200, and runs swing by 10-20% near it; 8000 sits between.
+PRUNE_MIN_POINTS = 8000
 
 # Cells of each (points, anchors) distance array one scan chunk holds, 512 KB
 # in float64: more runs no faster and only adds to peak memory.
@@ -70,11 +92,11 @@ def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     left to right, and no (n, A, 3) temporary is ever built. numpy reduces a
     length-3 axis the same way, first element plus second, then plus third,
     so these sums equal the ``.sum(axis=-1)`` of the point-major form bit for
-    bit. With at most :data:`SCAN_MAX_ANCHORS` anchors every point scans them
-    all. Above that, the points are bucketed into a g^3 grid,
-    g = round(A^(1/3)), and each occupied cell is a block with tight box
-    [lo, hi]; one ``reduceat`` pass over the code-sorted points takes every
-    block's box.
+    bit. With at most :data:`SCAN_MAX_ANCHORS` anchors, or fewer than
+    :data:`PRUNE_MIN_POINTS` points, every point scans them all. Otherwise
+    the points are bucketed into a g^3 grid, g = round(A^(1/3)), and each
+    occupied cell is a block with tight box [lo, hi]; one ``reduceat`` pass
+    over the code-sorted points takes every block's box.
 
     - an anchor's lower bound to the box, sum over axes of
       max(lo - a, a - hi, 0), is at most its distance to any block point;
@@ -96,7 +118,7 @@ def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     pts = np.ascontiguousarray(np.asarray(points).T, dtype=np.float64)
     anc = np.ascontiguousarray(np.asarray(anchors).T, dtype=np.float64)
     n, n_anchor = pts.shape[1], anc.shape[1]
-    if n_anchor <= SCAN_MAX_ANCHORS or n == 0:
+    if n_anchor <= SCAN_MAX_ANCHORS or n < PRUNE_MIN_POINTS:
         return _scan(pts, anc)
     g = max(1, round(n_anchor ** (1.0 / 3.0)))
     lo = pts.min(axis=1)

@@ -215,7 +215,11 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     Every setting comes from ``config``: the fit's step count, whether to
     densify and at what threshold, and what the header records for the
     decoder. The fit's own optimizer settings are fixed (see
-    :mod:`anchorstream.fitting`). With a byte budget,
+    :mod:`anchorstream.fitting`). Each frame's fit is warm-started: frame 1
+    starts from zero deltas, a rebuild frame from the previous deltas
+    inherited onto the new anchors, and every other frame from the previous
+    frame's applied (quantized) deltas, on the same anchors. The fit itself
+    falls back to zero deltas when they fit better. With a byte budget,
     the finest anchor target is planned first and written to the header as
     the effective finest fraction, so the decoder builds the same grids
     without ever seeing the budget. ``planned_caps`` then holds the per-level
@@ -246,19 +250,13 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     prev_deltas: Optional[FrameDeformation] = None
 
     for t in range(1, source.frame_count):
+        init = prev_deltas
         if header.reconfigures_at(t):
-            new_hier, neighbor_maps = rehierarchize(state, eff_config, finest_target)
-            if prev_deltas is not None:
-                init = FrameDeformation(
-                    [
-                        inherit_deformation(legacy, nbr)
-                        for legacy, nbr in zip(prev_deltas.per_level, neighbor_maps)
-                    ]
-                )
-            else:
-                init = FrameDeformation.zeros(new_hier)
-            state.hierarchy = new_hier
-        else:
+            state.hierarchy, neighbor_maps = rehierarchize(state, eff_config, finest_target)
+            if init is not None:
+                init = FrameDeformation([inherit_deformation(legacy, nbr)
+                                         for legacy, nbr in zip(init.per_level, neighbor_maps)])
+        if init is None:
             init = FrameDeformation.zeros(state.hierarchy)
 
         corr = source.correspondences(t)

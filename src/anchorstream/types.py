@@ -134,10 +134,14 @@ class GaussianSet:
 class StreamConfig:
     """Session-wide knobs shared by encoder and decoder.
 
-    ``phase1_steps`` is the fit's step count per frame. Of ``phase2_steps``
-    only zero versus positive matters: 0 turns densification off, and any
-    positive value turns it on. ``densify_threshold`` is the residual above
-    which a target spawns a clone; it must be finite and positive.
+    ``phase1_steps`` is the fit's step count per frame. Each frame's fit
+    starts from the previous frame's deltas, or from zero where that fits
+    better (see :func:`anchorstream.session.encode_session`), so a few dozen
+    steps refine the motion rather than learn it from rest. Of
+    ``phase2_steps`` only zero versus positive matters: 0 turns densification
+    off, and any positive value turns it on. ``densify_threshold`` is the
+    residual above which a target spawns a clone; it must be finite and
+    positive.
     """
 
     levels: int = 3
@@ -145,7 +149,7 @@ class StreamConfig:
     level_ratio: int = 3
     reconfig_period: int = 10
     quantization: Quantization = Quantization.half16
-    phase1_steps: int = 100
+    phase1_steps: int = 40
     phase2_steps: int = 100
     densify_threshold: float = 0.05
     composition_mode: CompositionMode = CompositionMode.additive

@@ -25,7 +25,9 @@ for body in spec.bodies:
     body.point_count = 300
 source = SyntheticSource(generate_scene(spec))
 base = source.base_gaussians()
-# a finest level above the L1 scan crossover, and one reconfiguration
+# a finest level above the L1 anchor crossover, pruned at any point count,
+# and one reconfiguration
+anchorstream.kernels.PRUNE_MIN_POINTS = 0
 config = StreamConfig(finest_fraction=Fraction(1, 5), reconfig_period=2,
                       phase1_steps=3, phase2_steps=1)
 enc = encode_session(base, source, config)

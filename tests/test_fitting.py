@@ -254,6 +254,76 @@ def test_fit_depth_monotone_loss():
     assert losses[3] <= losses[2] + 1e-9
 
 
+def reversed_start(mode, steps=20):
+    """Arm frame 1, and a warm start that runs a fit of its motion backwards."""
+    scene = generate_scene(two_body_arm_spec(seed=3))
+    g = GaussianSet.from_positions(scene.positions[0].astype(np.float32))
+    h = build_hierarchy(g, StreamConfig())
+    corr = Correspondences(np.arange(scene.point_count), scene.targets[1].astype(np.float32))
+    forward = fit_frame(g, h, corr, FrameDeformation.zeros(h), steps, mode)
+    return g, h, corr, negated(forward)
+
+
+def negated(deltas):
+    return FrameDeformation([AnchorDeltaSet(-ds.translations, -ds.rotations)
+                             for ds in deltas.per_level])
+
+
+def assert_same_deltas(a, b):
+    for x, y in zip(a.per_level, b.per_level, strict=True):
+        assert x.translations.dtype == y.translations.dtype == np.float32
+        assert x.translations.tobytes() == y.translations.tobytes()
+        assert x.rotations.tobytes() == y.rotations.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode))
+def test_fit_from_a_reversed_start_ends_below_both_starts(mode):
+    g, h, corr, backward = reversed_start(mode)
+    zero = FrameDeformation.zeros(h)
+    loss = lambda d: loss_and_gradient(g, h, d, corr, mode)[0]
+    assert loss(backward) > loss(zero)  # the warm start points the wrong way
+    out = fit_frame(g, h, corr, backward, 20, mode)
+    assert loss(out) <= min(loss(backward), loss(zero))
+    # the zero start wins, so the descent is the cold one, byte for byte
+    assert_same_deltas(out, fit_frame(g, h, corr, zero, 20, mode))
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode))
+def test_fit_without_steps_returns_the_better_start(mode):
+    g, h, corr, backward = reversed_start(mode)
+    assert_same_deltas(fit_frame(g, h, corr, backward, 0, mode), FrameDeformation.zeros(h))
+    forward = negated(backward)
+    assert_same_deltas(fit_frame(g, h, corr, forward, 0, mode), forward)
+
+
+def test_fit_start_tie_keeps_init():
+    # additive positions ignore the rotation increments: init and zero tie
+    g, h, corr, rng = make_problem(seed=6)
+    init = FrameDeformation([AnchorDeltaSet(np.zeros_like(ds.translations), ds.rotations)
+                             for ds in random_deltas(h, rng).per_level])
+    assert_same_deltas(fit_frame(g, h, corr, init, 0), init)
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode))
+def test_a_nonzero_start_costs_exactly_one_extra_evaluation(mode, monkeypatch):
+    g, h, corr, backward = reversed_start(mode)
+    zero = FrameDeformation.zeros(h)
+    calls = []
+    evaluate = fitting.loss_and_gradient
+    monkeypatch.setattr(fitting, "loss_and_gradient",
+                        lambda *args: calls.append(1) or evaluate(*args))
+
+    def evaluations(init, steps):
+        calls.clear()
+        fit_frame(g, h, corr, init, steps, mode)
+        return len(calls)
+
+    assert evaluations(zero, 0) == 1
+    assert evaluations(backward, 0) == 2
+    # zero wins the start, so the steps retrace the cold fit's evaluations
+    assert evaluations(backward, 10) == evaluations(zero, 10) + 1
+
+
 # ---------------------------------------------------------------------------
 # densify_residuals
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def encoded(mode, quantization):
     source = SyntheticSource(generate_scene(spec))
     base = source.base_gaussians()
     config = StreamConfig(reconfig_period=3, quantization=quantization, composition_mode=mode,
-                          phase1_steps=10, densify_threshold=0.02)
+                          phase1_steps=10, densify_threshold=0.01)
     return base, encode_session(base, source, config)
 
 

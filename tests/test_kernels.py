@@ -37,17 +37,30 @@ def test_l1_nearest_matches_oracle(cloud, rng):
     assert l1_ties(points, anchors) > 100  # the tie-break is actually exercised
     assert np.array_equal(kernels.l1_nearest(points, anchors),
                           exhaustive_l1_assign(points, anchors))
+    points, anchors = PRUNED_CASES["few_points_many_anchors"]  # scanned, unpinned
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
+
+
+# The pruned-path tests pin the crossovers, so every case below prunes above
+# this many anchors, at any point count, however the constants are tuned.
+TOP = 64
+
+
+@pytest.fixture
+def pruning(monkeypatch):
+    monkeypatch.setattr(kernels, "SCAN_MAX_ANCHORS", TOP)
+    monkeypatch.setattr(kernels, "PRUNE_MIN_POINTS", 0)
 
 
 def _pruned_cases():
-    """Inputs above the scan crossover, N * A <= 1e6 each, so the oracle stays fast."""
+    """Inputs above the pinned crossover, N * A <= 1e6 each, so the oracle stays fast."""
     rng = np.random.default_rng(77)
     unit = lambda n: rng.random((n, 3), dtype=np.float32)
     cloud = unit(1500)
     base = unit(120)
     flat = unit(1500)
     flat[:, 1] = 0.5
-    top = kernels.SCAN_MAX_ANCHORS
     return {
         "random_150": (unit(3000), unit(150)),
         "random_400": (unit(1000), unit(400)),
@@ -57,8 +70,8 @@ def _pruned_cases():
         "far_around": ((unit(1500) - 0.5) * 20, unit(200) * 0.1),
         "zero_extent_axis": (flat, unit(200)),
         "one_point": (unit(1), unit(300)),
-        "at_crossover": (unit(3000), unit(top)),
-        "above_crossover": (unit(3000), unit(top + 1)),
+        "at_crossover": (unit(3000), unit(TOP)),
+        "above_crossover": (unit(3000), unit(TOP + 1)),
     } | _shape_cases(unit)
 
 
@@ -82,34 +95,52 @@ PRUNED_CASES = _pruned_cases()
 
 
 @pytest.mark.parametrize("case", PRUNED_CASES)
-def test_l1_nearest_pruned_matches_oracle(case):
+def test_l1_nearest_pruned_matches_oracle(case, pruning):
     points, anchors = PRUNED_CASES[case]
     assert np.array_equal(kernels.l1_nearest(points, anchors),
                           exhaustive_l1_assign(points, anchors))
 
 
-def test_l1_nearest_pruned_keeps_every_tie(rng):
+def test_l1_nearest_pruned_keeps_every_tie(rng, pruning):
     points, anchors = grid_snapped(rng, 2500), grid_snapped(rng, 250)
-    assert anchors.shape[0] > kernels.SCAN_MAX_ANCHORS
+    assert anchors.shape[0] > TOP
     assert l1_ties(points, anchors) > 100  # tied minimizers, duplicate anchors among them
     assert np.unique(anchors, axis=0).shape[0] < anchors.shape[0]
     assert np.array_equal(kernels.l1_nearest(points, anchors),
                           exhaustive_l1_assign(points, anchors))
 
 
-def test_l1_nearest_switches_to_pruning_above_the_crossover(rng, monkeypatch):
-    """At the crossover one scan sees every anchor; one above, blocks see fewer."""
+def record_scans(monkeypatch):
+    """The anchor count of every ``_scan`` call; anchors come in axis-major, (3, A)."""
     scanned = []
     scan = kernels._scan
-    monkeypatch.setattr(kernels, "_scan",  # anchors come in axis-major, (3, A)
+    monkeypatch.setattr(kernels, "_scan",
                         lambda pts, anc: scanned.append(anc.shape[1]) or scan(pts, anc))
-    points = rng.random((3000, 3), dtype=np.float32)
+    return scanned
+
+
+def test_l1_nearest_switches_to_pruning_above_the_crossover(rng, monkeypatch):
+    """At the crossover one scan sees every anchor; one above, blocks see fewer."""
+    scanned = record_scans(monkeypatch)
+    points = rng.random((kernels.PRUNE_MIN_POINTS, 3), dtype=np.float32)
     top = kernels.SCAN_MAX_ANCHORS
     kernels.l1_nearest(points, rng.random((top, 3), dtype=np.float32))
     assert scanned == [top]
     scanned.clear()
     kernels.l1_nearest(points, rng.random((top + 1, 3), dtype=np.float32))
     assert len(scanned) > 1 and max(scanned) < top + 1
+
+
+def test_l1_nearest_scans_below_the_point_crossover(rng, monkeypatch):
+    """Fewer points than the crossover scan all anchors however many there are."""
+    scanned = record_scans(monkeypatch)
+    anchors = rng.random((1000, 3), dtype=np.float32)
+    few = rng.random((kernels.PRUNE_MIN_POINTS - 1, 3), dtype=np.float32)
+    kernels.l1_nearest(few, anchors)
+    assert scanned == [1000]
+    scanned.clear()
+    kernels.l1_nearest(np.concatenate([few, few[:1]]), anchors)
+    assert len(scanned) > 1 and max(scanned) < 1000
 
 
 def test_l1_nearest_tie_break_lowest_ordinal():

@@ -34,7 +34,7 @@ from anchorstream import (
     validate_state,
     write_gaussian_ply,
 )
-from anchorstream import cli
+from anchorstream import cli, session
 from anchorstream.cli import main
 from anchorstream.session import StaticSource, SyntheticSource
 
@@ -157,6 +157,43 @@ def test_step_counts_come_from_the_stream_config():
     for payload, _ in stream_payloads(enc.stream):
         for block in payload.deltas.per_level:  # no fit step moved the zero init
             assert not block.translations.any() and not block.rotations.any()
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_each_fit_starts_from_the_previous_frames_deltas(mode, monkeypatch):
+    starts, inherited = [], []
+    fit, inherit = session.fit_frame, session.inherit_deformation
+
+    def recording_fit(gaussians, hierarchy, corr, init, *rest):
+        starts.append([(ds.translations.copy(), ds.rotations.copy()) for ds in init.per_level])
+        return fit(gaussians, hierarchy, corr, init, *rest)
+
+    def recording_inherit(legacy, neighbor_map):
+        inherited.append(inherit(legacy, neighbor_map))
+        return inherited[-1]
+
+    monkeypatch.setattr(session, "fit_frame", recording_fit)
+    monkeypatch.setattr(session, "inherit_deformation", recording_inherit)
+    base, source = session_inputs(small_arm(frames=7))
+    config = StreamConfig(reconfig_period=3, composition_mode=mode, phase1_steps=5)
+    enc = encode_session(base, source, config)
+    decoded = {p.frame_index: p.deltas.per_level for p, _ in stream_payloads(enc.stream)}
+    levels = config.levels
+    assert len(starts) == 6 and len(inherited) == 2 * levels
+    assert not any(t.any() or q.any() for t, q in starts[0])  # frame 1 starts from rest
+    for frame in range(2, 7):
+        if frame % 3 == 0:  # a rebuild: the previous deltas inherited onto the new anchors
+            rebuild = frame // 3 - 1
+            want = inherited[rebuild * levels:(rebuild + 1) * levels]
+        else:
+            want = decoded[frame - 1]
+        got = starts[frame - 1]
+        assert len(got) == len(want) == levels
+        for (t, q), ds in zip(got, want):
+            assert t.dtype == ds.translations.dtype and q.dtype == ds.rotations.dtype
+            assert t.tobytes() == ds.translations.tobytes(), frame
+            assert q.tobytes() == ds.rotations.tobytes(), frame
+    assert any(t.any() for t, _ in starts[1])  # a warm start, not zeros
 
 
 def test_header_only_stream_decodes_to_frame_zero():
