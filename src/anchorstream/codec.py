@@ -71,6 +71,12 @@ VALUE_BYTES = {
     Quantization.fixed16: 2,
 }
 
+# wire dtype of the float widths; fixed16 is the one mode with its own block layout
+_FLOAT_WIRE = {
+    Quantization.full32: "<f4",
+    Quantization.half16: "<f2",
+}
+
 
 def values_per_anchor(mode: CompositionMode) -> int:
     """Wire values per anchor: translation 3, plus rotation 4 in pivot mode."""
@@ -183,10 +189,8 @@ class FramePayload:
 
 def _encode_block(values: np.ndarray, quantization: Quantization) -> bytes:
     arr = np.ascontiguousarray(values, np.float32)
-    if quantization == Quantization.full32:
-        return arr.astype("<f4").tobytes()
-    if quantization == Quantization.half16:
-        return arr.astype("<f2").tobytes()
+    if quantization in _FLOAT_WIRE:
+        return arr.astype(_FLOAT_WIRE[quantization]).tobytes()
     parts = []
     for j in range(arr.shape[1]):
         col = arr[:, j]
@@ -203,16 +207,11 @@ def _encode_block(values: np.ndarray, quantization: Quantization) -> bytes:
 
 def _decode_block(buf: bytes, offset: int, count: int, width: int,
                   quantization: Quantization) -> tuple[np.ndarray, int]:
-    if quantization == Quantization.full32:
-        nbytes = count * width * 4
+    if quantization in _FLOAT_WIRE:
+        nbytes = count * width * VALUE_BYTES[quantization]
         _need(buf, offset, nbytes)
-        arr = np.frombuffer(buf, "<f4", count * width, offset).reshape(count, width)
-        return arr.astype(np.float32), offset + nbytes
-    if quantization == Quantization.half16:
-        nbytes = count * width * 2
-        _need(buf, offset, nbytes)
-        arr = np.frombuffer(buf, "<f2", count * width, offset).reshape(count, width)
-        return arr.astype(np.float32), offset + nbytes
+        arr = np.frombuffer(buf, _FLOAT_WIRE[quantization], count * width, offset)
+        return arr.reshape(count, width).astype(np.float32), offset + nbytes
     cols = []
     for _ in range(width):
         _need(buf, offset, 8)
@@ -234,11 +233,10 @@ def quantize_roundtrip(deltas: FrameDeformation, quantization: Quantization) -> 
 
     The encoder advances its own state with these values (quantize-then-apply
     on both ends), so encoder and decoder replicas never drift, whatever the
-    quantization mode.
+    quantization mode. Every mode goes through the same block encoder and
+    decoder as a frame; for full32 that round trip through ``<f4`` returns
+    every float32 bit for bit, signed zeros and subnormals included.
     """
-    if quantization == Quantization.full32:
-        return replace(deltas, per_level=[AnchorDeltaSet(d.translations.copy(), d.rotations.copy())
-                                          for d in deltas.per_level])
     out = []
     for ds in deltas.per_level:
         count = len(ds)

@@ -203,10 +203,10 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
 
     Euclidean metric, ties broken by the lower ordinal. When fewer than three
     legacy anchors exist, all are recorded and the nearest repeats to fill the
-    triple. Squared distances are taken in chunks of new anchors; every legacy
-    anchor within a row's k-th smallest distance (k = min(3, A_legacy)) is a
-    candidate, and one (row, d2, ordinal) sort of the candidates settles the
-    picks.
+    triple. Squared distances are taken in chunks of new anchors, and each
+    chunk makes k = min(3, A_legacy) rounds of ``argmin`` per row: ``argmin``
+    returns the first minimum, the lowest ordinal on a tie, and each pick's
+    distance is set to inf before the next round.
     """
     new64 = np.asarray(new_positions, np.float64)
     leg64 = np.asarray(legacy_positions, np.float64)
@@ -225,13 +225,13 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
         for axis in range(3):
             diff = leg_axes[axis] - new_axes[axis, start:stop, None]
             d2 += diff * diff
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(d2 <= kth[:, None])  # rows ascending, at least k each
-        order = np.lexsort((cols, d2[rows, cols], rows))
-        first = np.searchsorted(rows, np.arange(stop - start))
-        picks = cols[order[first[:, None] + np.arange(k)]]
-        out[start:stop, :k] = picks
-        out[start:stop, k:] = picks[:, :1]
+        rows = np.arange(stop - start)
+        # float32 positions keep every squared distance finite, so inf marks a pick
+        for j in range(k):
+            pick = d2.argmin(axis=1)
+            out[start:stop, j] = pick
+            d2[rows, pick] = np.inf
+        out[start:stop, k:] = out[start:stop, :1]
     return out
 
 

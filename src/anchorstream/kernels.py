@@ -154,12 +154,14 @@ def cell_winners(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Per-cell argmin of ``d2`` keyed by ``codes``; cells returned in code order.
 
     Returns (sorted codes of the non-empty cells, winning point indices); on an
-    exact tie the lowest point index wins.
+    exact tie the lowest point index wins. ``np.lexsort`` is a stable sort, so
+    points with equal (code, d2) keep their ascending index order without an
+    index key.
     """
     codes = np.ascontiguousarray(codes, np.int64)
     d2 = np.ascontiguousarray(d2, np.float64)
     n = codes.shape[0]
-    order = np.lexsort((np.arange(n), d2, codes))
+    order = np.lexsort((d2, codes))
     sorted_codes = codes[order]
     first = np.ones(n, dtype=bool)
     first[1:] = sorted_codes[1:] != sorted_codes[:-1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PlyParseError
-from .types import SH_COEFFS, GaussianSet
+from .types import GaussianSet
 
 PLY_PROPERTIES = (
     "x", "y", "z",
@@ -42,7 +42,9 @@ def read_gaussian_ply(data: bytes) -> GaussianSet:
 
     Stored log-scales are exponentiated, opacity logits pass through the
     logistic function, and quaternions are normalized. Record order is
-    preserved.
+    preserved. A record holding NaN or an infinity, or a log-scale whose
+    scale is 0 or infinite in float32, is a :class:`PlyParseError` naming the
+    first such record and its byte offset.
     """
     offset = 0
 
@@ -110,16 +112,24 @@ def read_gaussian_ply(data: bytes) -> GaussianSet:
     raw = np.frombuffer(data, "<f4", count * _FLOATS_PER_VERTEX, offset)
     cols = raw.reshape(count, _FLOATS_PER_VERTEX).astype(np.float64)
 
+    def record_error(bad_rows: np.ndarray, what: str) -> PlyParseError:
+        row = int(np.flatnonzero(bad_rows)[0])
+        return PlyParseError(f"record {row} {what}", offset + row * _FLOATS_PER_VERTEX * 4)
+
+    finite = np.isfinite(cols).all(axis=1)
+    if not finite.all():
+        raise record_error(~finite, "holds a non-finite value")
     positions = cols[:, 0:3]
-    scales = np.exp(cols[:, 3:6])
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        scales = np.exp(cols[:, 3:6]).astype(np.float32)
+    bad_scale = ~((scales > 0) & np.isfinite(scales)).all(axis=1)
+    if bad_scale.any():
+        raise record_error(bad_scale, "has a log-scale outside float32 range")
     quats = cols[:, 6:10]
     norms = np.linalg.norm(quats, axis=1)
     zero = norms < 1e-12
     if zero.any():
-        raise PlyParseError(
-            f"record {int(np.argmax(zero))} has a zero-norm quaternion",
-            offset + int(np.argmax(zero)) * _FLOATS_PER_VERTEX * 4,
-        )
+        raise record_error(zero, "has a zero-norm quaternion")
     quats = quats / norms[:, None]
     opacities = 1.0 / (1.0 + np.exp(-cols[:, 10]))
     sh = cols[:, 11:23]

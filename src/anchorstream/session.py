@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Protocol
 import numpy as np
 
 from . import codec
-from .codec import FramePayload, StreamHeader
+from .codec import StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
 from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
 from .hierarchy import build_hierarchy, level_caps, rehierarchize
@@ -169,7 +169,7 @@ class SessionResult:
 
 
 def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
-                   config: StreamConfig, frame_index: int) -> SceneState:
+                   mode: CompositionMode, frame_index: int) -> SceneState:
     """Apply one frame to a state: deform, append clones, reassign.
 
     Shared verbatim by encoder and decoder - this is the mirror contract.
@@ -177,17 +177,17 @@ def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
     from its source row as it stood before this frame's deformation.
     """
     before = state.gaussians
-    gaussians = apply_deformation(before, state.hierarchy, payload_deltas,
-                                  config.composition_mode)
+    gaussians = apply_deformation(before, state.hierarchy, payload_deltas, mode)
     src = payload_deltas.clone_sources
     if src.size:
-        added = GaussianSet(payload_deltas.clone_positions,
-                            *(col[src] for col in before.attribute_arrays()[1:]))
+        added = (payload_deltas.clone_positions,
+                 *(col[src] for col in before.attribute_arrays()[1:]))
         for lvl in state.hierarchy.levels:
             anchors = gaussians.positions[lvl.anchor_indices]
-            extra = l1_nearest(added.positions, anchors)
+            extra = l1_nearest(payload_deltas.clone_positions, anchors)
             lvl.assignment = np.concatenate([lvl.assignment, extra])
-        gaussians = GaussianSet.concatenate([gaussians, added])
+        gaussians = GaussianSet(*(np.concatenate([col, new])
+                                  for col, new in zip(gaussians.attribute_arrays(), added)))
     state.gaussians = gaussians
     state.frame_index = frame_index
     return state
@@ -276,7 +276,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         chunks.append(payload)
 
         applied = codec.quantize_roundtrip(frame_def, eff_config.quantization)
-        state = _advance_state(state, applied, eff_config, t)
+        state = _advance_state(state, applied, eff_config.composition_mode, t)
         prev_deltas = FrameDeformation(applied.per_level)
 
         metrics.append(_frame_row(header, t, state.hierarchy.anchor_counts(),
@@ -309,8 +309,8 @@ def _start_decode(base: GaussianSet, stream: bytes
 
 
 def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
-                   state: SceneState) -> Iterator[tuple[FramePayload, SceneState, int]]:
-    """The decode loop: advance ``state`` frame by frame, yielding each with its byte span.
+                   state: SceneState) -> Iterator[tuple[FrameMetrics, SceneState]]:
+    """The decode loop: advance ``state`` frame by frame, yielding each frame's row.
 
     A payload that disagrees with the mirrored state (a clone source past
     the gaussian count, anchor counts other than the rebuilt hierarchy's)
@@ -342,13 +342,14 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
         state.hierarchy = hierarchy
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                state = _advance_state(state, payload.deltas, config, frame)
+                state = _advance_state(state, payload.deltas, config.composition_mode, frame)
         except NumericalError as exc:
             raise StreamFormatError(f"frame {frame}: {exc}") from exc
         g = state.gaussians
         if not (np.isfinite(g.positions).all() and np.isfinite(g.orientations).all()):
             raise StreamFormatError(f"frame {frame}: deltas carry gaussians out of float32 range")
-        yield payload, state, offset - start
+        yield _frame_row(header, frame, payload.realized_counts, len(sources),
+                         offset - start, state), state
         expected += 1
 
 
@@ -361,9 +362,7 @@ def iter_decode_metrics(base: GaussianSet, stream: bytes
     outlive an iteration.
     """
     header, config, state = _start_decode(base, stream)
-    for payload, state, nbytes in _decode_frames(stream, header, config, state):
-        yield _frame_row(header, payload.frame_index, payload.realized_counts,
-                         len(payload.deltas.clone_sources), nbytes, state), state
+    yield from _decode_frames(stream, header, config, state)
 
 
 def decode_session(base: GaussianSet, stream: bytes,
@@ -389,7 +388,6 @@ def decode_session(base: GaussianSet, stream: bytes,
             f"{CompositionMode(composition_mode).name}"
         )
     metrics: list[FrameMetrics] = []
-    for payload, state, nbytes in _decode_frames(stream, header, config, state):
-        metrics.append(_frame_row(header, payload.frame_index, payload.realized_counts,
-                                  len(payload.deltas.clone_sources), nbytes, state))
+    for row, state in _decode_frames(stream, header, config, state):
+        metrics.append(row)
     return DecodeResult(state, metrics, header)

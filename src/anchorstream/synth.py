@@ -15,6 +15,7 @@ the per-frame positions stay exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,6 +85,9 @@ class BodySpec:
     ``angle_rate`` is radians per frame about ``axis`` through ``pivot``
     (pivot defaults to the body center); ``velocity`` is scene units per
     frame. ``parent`` composes this body's motion with another body's.
+    ``extent``, ``center``, ``velocity``, ``axis`` and ``pivot`` must each be
+    3 finite numbers, ``angle_rate`` finite, and the axis nonzero whenever
+    the body rotates; anything else is a :class:`ConfigError`.
     """
 
     point_count: int
@@ -106,8 +110,16 @@ class BodySpec:
             self.pivot = np.asarray(self.pivot, np.float64)
         if self.point_count < 1:
             raise ConfigError("point_count must be >= 1")
+        for name in ("extent", "center", "velocity", "axis", "pivot"):
+            value = getattr(self, name)
+            if value.shape != (3,) or not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be 3 finite numbers, got {value.tolist()}")
         if (self.extent < 0).any():
             raise ConfigError("extent components must be >= 0")
+        if not math.isfinite(self.angle_rate):
+            raise ConfigError(f"angle_rate must be finite, got {self.angle_rate}")
+        if self.angle_rate != 0.0 and np.linalg.norm(self.axis) == 0:
+            raise ConfigError("a rotating body needs a nonzero axis")
 
 
 @dataclass
@@ -124,8 +136,8 @@ class SceneSpec:
             raise ConfigError("scene needs at least 2 frames")
         if not self.bodies:
             raise ConfigError("scene needs at least one body")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         order = []
         seen: set[int] = set()
 

@@ -9,10 +9,10 @@ payloads refer to primitives purely by position, never by explicit index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -96,16 +96,6 @@ class GaussianSet:
         return (self.positions, self.scales, self.orientations, self.opacities, self.sh)
 
     @classmethod
-    def empty(cls) -> "GaussianSet":
-        return cls(
-            np.empty((0, 3), np.float32),
-            np.empty((0, 3), np.float32),
-            np.empty((0, 4), np.float32),
-            np.empty((0,), np.float32),
-            np.empty((0, SH_COEFFS), np.float32),
-        )
-
-    @classmethod
     def from_positions(cls, positions, scale: float = 0.05, opacity: float = 0.5) -> "GaussianSet":
         """Build a set with uniform default appearance around given positions."""
         pos = np.asarray(positions, dtype=np.float32)
@@ -119,15 +109,6 @@ class GaussianSet:
             np.full((n,), opacity, np.float32),
             np.zeros((n, SH_COEFFS), np.float32),
         )
-
-    @classmethod
-    def concatenate(cls, parts: Iterable["GaussianSet"]) -> "GaussianSet":
-        parts = [p for p in parts if len(p) > 0]
-        if not parts:
-            return cls.empty()
-        if len(parts) == 1:
-            return parts[0].copy()
-        return cls(*[np.concatenate(cols) for cols in zip(*(p.attribute_arrays() for p in parts))])
 
 
 @dataclass

@@ -241,18 +241,35 @@ def test_fixed16_constant_block():
     assert np.array_equal(rt.per_level[0].rotations, const.per_level[0].rotations)
 
 
+# float32 values a copy keeps and a careless round trip could lose: signed
+# zero, subnormals and the largest finite magnitudes
+F32_EDGES = np.array([-0.0, np.finfo(np.float32).smallest_subnormal, -1e-40,
+                      np.finfo(np.float32).max, -np.finfo(np.float32).max], np.float32)
+
+
 def test_quantize_roundtrip_matches_decode(rng):
     for quant in Quantization:
         for mode in CompositionMode:
             pos, h = small_hierarchy(rng, n=200, levels=2, anchors=12)
             header = make_header(2, quant, 200, mode)
             deltas = random_deformation(h, rng, mode=mode)
+            if quant == Quantization.full32:  # the other widths cannot hold max float32
+                finest = deltas.per_level[-1]
+                finest.translations.flat[:F32_EDGES.size] = F32_EDGES
+                if mode == CompositionMode.pivot:
+                    finest.rotations.flat[-F32_EDGES.size:] = F32_EDGES
             payload = encode_frame(1, deltas, h, header)
             decoded, _ = decode_frame(payload, 0, header)
             rt = quantize_roundtrip(deltas, quant)
-            for a, b in zip(decoded.deltas.per_level, rt.per_level):
-                assert np.array_equal(a.translations, b.translations)
-                assert np.array_equal(a.rotations, b.rotations)
+            for a, b, sent in zip(decoded.deltas.per_level, rt.per_level, deltas.per_level):
+                assert a.translations.tobytes() == b.translations.tobytes()
+                if mode == CompositionMode.pivot:
+                    assert a.rotations.tobytes() == b.rotations.tobytes()
+                else:  # not on the wire; the decoder restores +0.0 for any signed zero
+                    assert not a.rotations.any() and not b.rotations.any()
+                if quant == Quantization.full32:  # full32 is the identity, bit for bit
+                    assert b.translations.tobytes() == sent.translations.tobytes()
+                    assert b.rotations.tobytes() == sent.rotations.tobytes()
 
 
 def test_payload_length_pure_function(rng):

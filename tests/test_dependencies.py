@@ -2,8 +2,10 @@
 
 Importing ``scipy.spatial`` alone adds about 36 MiB to the process, so a
 session that pulls scipy in is a regression even where scipy is installed.
+No module of the package imports a name it never uses.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -51,3 +53,50 @@ def test_pyproject_declares_numpy_only():
     text = (SRC.parent / "pyproject.toml").read_text()
     deps = text.split("dependencies = [", 1)[1].split("]", 1)[0]
     assert [line.strip() for line in deps.strip().splitlines()] == ['"numpy>=1.24",']
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names read by an annotation, including those inside string annotations."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            args += [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+            annotations = [a.annotation for a in args] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            used |= _annotation_names(annotation)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_src_modules_have_no_unused_imports():
+    unused = {}
+    for path in sorted((SRC / "anchorstream").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        found = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if found:
+            unused[path.name] = found
+    assert unused == {}

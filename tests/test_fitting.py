@@ -16,7 +16,7 @@ from anchorstream import (
     generate_scene,
 )
 from anchorstream import fitting, motion
-from anchorstream.fitting import _pack, _to_deformation, _unpack
+from anchorstream.fitting import _pack, _unpack
 
 from oracles import (
     add_at_sum_by_index,
@@ -103,8 +103,7 @@ def test_gradients_match_finite_differences(mode):
         analytic = _pack([(gt, gq) for gt, gq in grads])
 
         def loss_at(vec):
-            d = _to_deformation(_unpack(vec, counts))
-            return loss_and_gradient(g, h, d, corr, mode)[0]
+            return loss_and_gradient(g, h, _unpack(vec, counts), corr, mode)[0]
 
         x0 = _pack([(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
                     for ds in deltas.per_level])
@@ -172,6 +171,14 @@ def test_correspondences_reject_a_negative_index():
     # numpy would wrap -1 onto gaussian 49 of 50, observing it twice
     with pytest.raises(ValueError, match="index -1 is negative"):
         Correspondences([3, -1, 49, -2], np.zeros((4, 3), np.float32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correspondences_reject_a_non_finite_target(bad):
+    targets = np.zeros((5, 3), np.float32)
+    targets[2, 1] = targets[4, 0] = bad
+    with pytest.raises(ValueError, match="target at row 2 is not finite"):
+        Correspondences(np.arange(5), targets)
 
 
 # ---------------------------------------------------------------------------

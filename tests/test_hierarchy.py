@@ -284,6 +284,10 @@ def test_nearest_legacy_anchors_matches_oracle_with_ties(rng, n_new, n_legacy):
         assert (third[:, 0] == third[:, 1]).sum() > n_new // 4  # the third pick is a tie
     if n_legacy < 3:
         assert np.array_equal(got[:, n_legacy:], np.repeat(got[:, :1], 3 - n_legacy, axis=1))
+    # every legacy anchor equidistant from every new anchor: each pick is a tie
+    alike = nearest_legacy_anchors(new, np.repeat(legacy[:1], n_legacy, axis=0))
+    picks = [0, 1, 2][:n_legacy] + [0] * max(0, 3 - n_legacy)
+    assert np.array_equal(alike, np.tile(picks, (n_new, 1)))
 
 
 def test_rehierarchize_requires_hierarchy(rng):

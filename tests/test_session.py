@@ -9,6 +9,7 @@ import csv
 import inspect
 import json
 import math
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -18,6 +19,7 @@ from anchorstream import (
     CompositionMode,
     ConfigError,
     GaussianSet,
+    PlyParseError,
     Quantization,
     StreamConfig,
     StreamFormatError,
@@ -487,6 +489,35 @@ def test_cli_encode_of_one_frame_is_a_config_error(tmp_path, capsys):
     assert not stream_path.exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_cli_rejects_a_ply_with_a_non_finite_value_with_exit_1(tmp_path, capsys, command):
+    ply_path, stream_path = tmp_path / "cloud.ply", tmp_path / "out.rcgs"
+    base = session_inputs(small_arm(frames=2))[0]
+    base.positions[3, 1] = np.nan
+    data = write_gaussian_ply(base)
+    ply_path.write_bytes(data)
+    record_offset = len(data) - (len(base) - 3) * 23 * 4
+    if command == "encode":
+        args = ["encode", "--input", str(ply_path), "--output", str(stream_path)]
+    else:
+        stream_path.write_bytes(b"")
+        args = ["decode", "--stream", str(stream_path), "--frame0", str(ply_path)]
+    assert main(args) == 1
+    assert f"record 3 holds a non-finite value (byte offset {record_offset})" in (
+        capsys.readouterr().err)
+
+
+def test_cli_rejects_a_scene_spec_with_an_infinite_velocity_with_exit_2(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    spec = small_arm(frames=3)
+    spec.bodies[0].velocity = np.array([np.inf, 0.0, 0.0])
+    write_spec(spec_path, spec)
+    assert "Infinity" in spec_path.read_text()
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path)]) == 2
+    assert "velocity must be 3 finite numbers" in capsys.readouterr().err
+    assert not stream_path.exists()
+
+
 def test_cli_encode_frames_overrides_the_spec_frame_count(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
     write_spec(spec_path, small_arm(frames=4))
@@ -574,6 +605,16 @@ def test_cli_has_no_optimizer_flags(capsys, command):
     assert "--phase1-steps" in text
     for flag in ("--learning-rate", "--momentum", "--coarse-to-fine"):
         assert flag not in text
+
+
+@pytest.mark.parametrize("log_scale", [100.0, -200.0])
+def test_ply_rejects_a_scale_outside_float32_range(log_scale):
+    data = bytearray(write_gaussian_ply(GaussianSet.from_positions(np.zeros((4, 3), np.float32))))
+    body = len(data) - 4 * 23 * 4
+    struct.pack_into("<f", data, body + 2 * 23 * 4 + 4 * 4, log_scale)  # record 2, scale_1
+    with pytest.raises(PlyParseError, match=f"record 2 has a log-scale outside float32 range "
+                                            rf"\(byte offset {body + 2 * 23 * 4}\)"):
+        read_gaussian_ply(bytes(data))
 
 
 def test_ply_round_trip(rng):

@@ -152,6 +152,32 @@ def test_spec_validation():
         SceneSpec(bodies=[BodySpec(point_count=5, extent=[1, 1, 1])], frames=1, seed=0)
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"extent": [1, 1]}, "extent must be 3 finite numbers"),
+    ({"center": [0, float("nan"), 0]}, "center must be 3 finite numbers"),
+    ({"velocity": [float("inf"), 0, 0]}, "velocity must be 3 finite numbers"),
+    ({"axis": [0, 0, 1, 0]}, "axis must be 3 finite numbers"),
+    ({"pivot": [0, 0, float("-inf")]}, "pivot must be 3 finite numbers"),
+    ({"angle_rate": float("nan")}, "angle_rate must be finite"),
+    ({"axis": [0, 0, 0], "angle_rate": 0.1}, "nonzero axis"),
+])
+def test_body_spec_rejects_bad_numbers(body, message):
+    data = {"frames": 3, "seed": 0, "bodies": [{"point_count": 5, "extent": [1, 1, 1], **body}]}
+    with pytest.raises(ConfigError, match=message):
+        scene_spec_from_dict(data)
+
+
+def test_a_still_body_may_have_a_zero_axis():
+    generate_scene(SceneSpec([BodySpec(point_count=5, extent=[1, 1, 1], axis=[0, 0, 0])], 3, 0))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_scene_spec_rejects_a_bad_noise_sigma(sigma):
+    with pytest.raises(ConfigError, match="noise_sigma must be finite and >= 0"):
+        SceneSpec(bodies=[BodySpec(point_count=5, extent=[1, 1, 1])], frames=3, seed=0,
+                  noise_sigma=sigma)
+
+
 # ---------------------------------------------------------------------------
 # spec files
 # ---------------------------------------------------------------------------

@@ -91,12 +91,3 @@ def test_config_rejects_bad_values():
     for threshold in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
         with pytest.raises(ConfigError, match="densify_threshold"):
             StreamConfig(densify_threshold=threshold)
-
-
-def test_concatenate_preserves_order():
-    a = GaussianSet.from_positions(np.zeros((2, 3), np.float32))
-    b = GaussianSet.from_positions(np.ones((3, 3), np.float32))
-    both = GaussianSet.concatenate([a, b])
-    assert len(both) == 5
-    assert np.array_equal(both.positions[:2], a.positions)
-    assert np.array_equal(both.positions[2:], b.positions)
