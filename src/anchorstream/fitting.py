@@ -25,6 +25,14 @@ The loss and the densify residuals move gaussians through
 advances the mirrored state; this module holds no forward of its own, only
 the backward pass. Gradients are exact analytic derivatives, computed in float64 and verified
 against central finite differences in the test suite.
+
+The pivot backward is axis-major like the forward: it transposes the
+upstream gradient once per call to (3, R) and peels the levels' (4, R)
+rotations off it with the same kernels. Every element keeps the row-major
+form's operation order, and each bucket sum is still one ``np.bincount``
+per component in ascending row order, so the loss and the gradients are the
+same bits (``tests/oracles.py`` keeps the row-major form as a reference).
+The gradients come back row-major, shaped like the deltas.
 """
 
 from __future__ import annotations
@@ -74,18 +82,22 @@ class Correspondences:
 
 
 def _rotation_grad(g: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """d(loss)/d(unit quaternion) given upstream gradient g on R(q) u."""
-    w = q[:, :1]
-    v = q[:, 1:]
-    out = np.empty((g.shape[0], 4))
-    out[:, 0:1] = _dot(g, 2.0 * w * u + 2.0 * _cross(v, u))
+    """d(loss)/d(unit quaternion) given upstream gradient g on R(q) u.
+
+    Axis-major: (3, n) g and u and (4, n) q in, (4, n) out.
+    """
+    w = q[0]
+    v = q[1:]
+    out = np.empty((4, g.shape[1]))
+    dw = (2.0 * w) * u
+    dw += 2.0 * _cross(v, u)
+    out[0] = _dot(g, dw)
     # d(Ru)/dv = 2(-u v^T + v u^T + (v.u) I - w [u]_x); contract with g
-    out[:, 1:] = (
-        -2.0 * _dot(g, u) * v
-        + 2.0 * _dot(g, v) * u
-        + 2.0 * _dot(v, u) * g
-        - 2.0 * w * _cross(g, u)
-    )
+    gv = out[1:]
+    np.multiply(-2.0 * _dot(g, u), v, out=gv)
+    gv += (2.0 * _dot(g, v)) * u
+    gv += (2.0 * _dot(v, u)) * g
+    gv -= (2.0 * w) * _cross(g, u)
     return out
 
 
@@ -113,23 +125,25 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
             grads[li] = (gt, np.zeros((lvl.anchor_count, 4)))
         return loss, grads
 
-    # pivot: walk levels fine-to-coarse, peeling one rotation at a time
+    # pivot: walk levels fine-to-coarse, peeling one rotation at a time, with
+    # g axis-major (3, R) like the forward's rotations and offsets
+    g = np.ascontiguousarray(g.T)
     for li in range(hierarchy.level_count - 1, -1, -1):
         lvl = hierarchy.levels[li]
         level = levels[li]
-        al, member_q, unit = level.members, level.rotations, level.anchor_rotations
-        gt = sum_by_index(g, al, lvl.anchor_count)
+        al, member_q = level.members, level.rotations
+        gt = sum_by_index(g.T, al, lvl.anchor_count)
         gq_member = _rotation_grad(g, member_q, level.offsets)
-        gq_anchor = sum_by_index(gq_member, al, lvl.anchor_count)
+        gq_anchor = sum_by_index(gq_member.T, al, lvl.anchor_count)
         # chain through q_hat = y / |y| with y = (1,0,0,0) + delta
+        # row-major (A, 4) like gq_anchor, so each row sums in the same order
+        unit = np.ascontiguousarray(level.anchor_rotations.T)
         proj = (gq_anchor * unit).sum(axis=1, keepdims=True)
         gq = (gq_anchor - unit * proj) / level.anchor_norms[:, None]
         grads[li] = (gt, gq)
         # upstream gradient through the rotation: g <- R(q)^T g
-        w = member_q[:, :1]
-        v = member_q[:, 1:]
         # R(q)^T x = R(q*) x, conjugate quaternion flips the vector part
-        conj = np.concatenate([w, -v], axis=1)
+        conj = np.concatenate([member_q[:1], -member_q[1:]])
         g = _rotate(conj, g)
     return loss, grads
 

@@ -13,6 +13,17 @@ and the densify residuals in :mod:`anchorstream.fitting` run it over the
 observed gaussians. The rotation kernels ``_rotate``, ``_cross`` and
 ``_dot`` live here for both.
 
+The pivot forward works axis-major: offsets and positions as (3, R)
+arrays, quaternions as (4, R), one contiguous row per component, so each
+kernel term is one 1-D ufunc over contiguous memory instead of a strided
+(R, 1) column slice. It keeps every bit of the row-major form, because
+each element still sees the same operations in the same order: the kernels
+spell out every product, sum and difference that the row-major expressions
+made, and the 3-term dot product adds left to right onto +0.0 as numpy's
+row reduction did. Only the memory layout changed. The positions it
+returns are C-contiguous (R, 3) in both modes, so the loss and the densify
+residuals reduce exactly the array they reduced before.
+
 Inheritance transfers deltas from a retiring hierarchy to a freshly built one,
 increments in and increments out: translations average arithmetically over
 the three matched legacy anchors, and rotations average as the dominant
@@ -167,31 +178,40 @@ def _check_consistent(hierarchy: AnchorHierarchy, deltas: FrameDeformation) -> N
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b for (n, 3) rows, in ``np.cross``'s operation order."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    out = np.empty((a.shape[0], 3))
-    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    """Column-wise a x b for axis-major (3, n) vectors, in ``np.cross``'s operation order."""
+    out = np.empty((3, a.shape[1]))
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
     return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a . b as (n, 1), bit-equal to ``(a * b).sum(axis=1, keepdims=True)``.
+    """Column-wise a . b of axis-major (3, n) vectors, as (n,).
 
-    That reduction adds the three products left to right onto +0.0, so a
-    row of -0.0 products sums to +0.0; the trailing ``+ 0.0`` does the same.
+    Bit-equal to the row-major ``(a.T * b.T).sum(axis=1)``: that reduction
+    adds the three products left to right onto +0.0, so a column of -0.0
+    products sums to +0.0; the trailing ``+ 0.0`` does the same.
     """
-    p = a * b
-    return ((p[:, 0:1] + p[:, 1:2]) + p[:, 2:3]) + 0.0
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    out += 0.0
+    return out
 
 
 def _rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """R(q) u for unit quaternions, via the vector form of the rotation."""
-    w = q[:, :1]
-    v = q[:, 1:]
-    return (w * w - _dot(v, v)) * u + 2.0 * _dot(v, u) * v + 2.0 * w * _cross(v, u)
+    """R(q) u for axis-major (4, n) unit quaternions and (3, n) vectors, as (3, n).
+
+    The vector form of the rotation, ((w*w - v.v) u + (2 v.u) v) + (2w) (v x u),
+    with each term's operation order fixed.
+    """
+    w = q[0]
+    v = q[1:]
+    out = (w * w - _dot(v, v)) * u
+    out += (2.0 * _dot(v, u)) * v
+    out += (2.0 * w) * _cross(v, u)
+    return out
 
 
 def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,14 +236,16 @@ class LevelMotion(NamedTuple):
     rotation and the norm of (1,0,0,0) + delta it was normalized from, each
     row's unit rotation, and each row's offset from its pivot just before the
     level rotated it: what the fit's backward pass and the orientation
-    update need.
+    update need. The rotations and offsets are axis-major, one contiguous
+    row per component, as the rotation kernels take them; ``rotations.T``
+    is the row-major (R, 4) view.
     """
 
     members: np.ndarray  # (R,) int64
-    anchor_rotations: Optional[np.ndarray]  # (A, 4) float64
+    anchor_rotations: Optional[np.ndarray]  # (4, A) float64
     anchor_norms: Optional[np.ndarray]  # (A,) float64
-    rotations: Optional[np.ndarray]  # (R, 4) float64
-    offsets: Optional[np.ndarray]  # (R, 3) float64
+    rotations: Optional[np.ndarray]  # (4, R) float64
+    offsets: Optional[np.ndarray]  # (3, R) float64
 
 
 def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, deltas: FrameDeformation,
@@ -235,8 +257,9 @@ def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, deltas: Fram
     about its anchor's frame-start position, then translates it; additive
     mode only translates, so a row moves by the sum of its anchors'
     translations. Rotation increments are ignored in additive mode. Returns
-    the positions and one :class:`LevelMotion` per level; nothing is
-    modified.
+    the positions, C-contiguous (R, 3) in both modes, and one
+    :class:`LevelMotion` per level; nothing is modified. Pivot mode works
+    axis-major in between.
     """
     _check_consistent(hierarchy, deltas)
     if rows is None:
@@ -245,21 +268,25 @@ def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, deltas: Fram
     else:
         pos = np.take(gaussians.positions, rows, axis=0).astype(np.float64)
         members = [lvl.assignment[rows] for lvl in hierarchy.levels]
+    if mode == CompositionMode.additive:
+        for ds, al in zip(deltas.per_level, members):
+            pos += np.take(ds.translations.astype(np.float64), al, axis=0)
+        return pos, [LevelMotion(al, None, None, None, None) for al in members]
+
+    pos = np.ascontiguousarray(pos.T)
     levels = []
     for lvl, ds, al in zip(hierarchy.levels, deltas.per_level, members):
-        trans = ds.translations.astype(np.float64)
-        if mode == CompositionMode.additive:
-            pos += np.take(trans, al, axis=0)
-            levels.append(LevelMotion(al, None, None, None, None))
-            continue
         unit, norms = level_unit_quats(ds.rotations)
-        member_q = np.take(unit, al, axis=0)
-        pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).astype(np.float64)
-        centers = np.take(pivots, al, axis=0)
+        unit = np.ascontiguousarray(unit.T)
+        member_q = np.take(unit, al, axis=1)
+        pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).T.astype(np.float64)
+        centers = np.take(pivots, al, axis=1)
         u = pos - centers
-        pos = _rotate(member_q, u) + centers + np.take(trans, al, axis=0)
+        pos = _rotate(member_q, u)
+        pos += centers
+        pos += np.take(ds.translations.T.astype(np.float64), al, axis=1)
         levels.append(LevelMotion(al, unit, norms, member_q, u))
-    return pos, levels
+    return np.ascontiguousarray(pos.T), levels
 
 
 def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
@@ -279,7 +306,7 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     if mode == CompositionMode.pivot:
         orient = gaussians.orientations.astype(np.float64)
         for level in levels:
-            orient = quat_multiply(level.rotations, orient)
+            orient = quat_multiply(level.rotations.T, orient)
         orientations = quat_normalize(orient).astype(np.float32)
     else:
         orientations = gaussians.orientations.copy()

@@ -191,7 +191,11 @@ def _local_affine(body: BodySpec, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_scene(spec: SceneSpec) -> GeneratedScene:
-    """Sample frame 0 and roll exact rigid transforms through all frames."""
+    """Sample frame 0 and roll exact rigid transforms through all frames.
+
+    Raises :class:`ConfigError` naming the first frame whose positions or
+    targets are not finite once cast to float32.
+    """
     rng = SplitMix64(spec.seed)
     chunks = []
     body_of = []
@@ -229,6 +233,14 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
             targets.append(positions[t] + noise)
         else:
             targets.append(positions[t].copy())
+    # the session takes positions and targets in float32; a spec can stay
+    # finite in float64 and still leave float32's range. Rounding to float32
+    # is monotonic, so a frame whose extremes stay finite stays finite.
+    with np.errstate(over="ignore"):
+        for t in range(spec.frames):
+            for name, frame in (("positions", positions[t]), ("targets", targets[t])):
+                if not np.isfinite(np.float32([frame.min(), frame.max()])).all():
+                    raise ConfigError(f"frame {t} {name} leave the float32 range")
     return GeneratedScene(spec, base, body_of, positions, targets)
 
 

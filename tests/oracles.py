@@ -128,6 +128,42 @@ def cross_rotation_grad(g: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarr
     return np.concatenate([dw[:, None], gv], axis=1)
 
 
+def rowmajor_pivot_loss_and_gradient(gaussians, hierarchy, deltas, corr):
+    """The pivot loss and its gradients, row-major, with ``np.cross`` kernels.
+
+    The former forward and backward of the pivot fit on (R, 3) offsets and
+    (R, 4) quaternions: per level, rotate each row about its anchor's
+    frame-start position, then translate it; the backward walks the levels
+    fine to coarse. Returns (loss, [(A, 3) and (A, 4) gradients per level]).
+    """
+    rows = corr.indices
+    pos = gaussians.positions[rows].astype(np.float64)
+    saved = []
+    for lvl, ds in zip(hierarchy.levels, deltas.per_level):
+        members = lvl.assignment[rows]
+        y = ds.rotations.astype(np.float64)
+        y[:, 0] += 1.0
+        norms = np.linalg.norm(y, axis=1)
+        unit = y / norms[:, None]
+        q = unit[members]
+        centers = gaussians.positions[lvl.anchor_indices].astype(np.float64)[members]
+        u = pos - centers
+        pos = cross_rotate(q, u) + centers + ds.translations.astype(np.float64)[members]
+        saved.append((members, unit, norms, q, u))
+    r = pos - corr.targets.astype(np.float64)
+    c = len(rows)
+    loss = float((r * r).sum() / c)
+    g = (2.0 / c) * r
+    grads = []
+    for lvl, (members, unit, norms, q, u) in reversed(list(zip(hierarchy.levels, saved))):
+        gt = add_at_sum_by_index(g, members, lvl.anchor_count)
+        gq = add_at_sum_by_index(cross_rotation_grad(g, q, u), members, lvl.anchor_count)
+        proj = (gq * unit).sum(axis=1, keepdims=True)
+        grads.append((gt, (gq - unit * proj) / norms[:, None]))
+        g = cross_rotate(np.concatenate([q[:, :1], -q[:, 1:]], axis=1), g)
+    return loss, grads[::-1]
+
+
 def exhaustive_knn3(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """3 nearest references per query by sorting (squared distance, ordinal)."""
     q = np.asarray(queries, np.float64)

@@ -23,6 +23,7 @@ from oracles import (
     central_difference,
     cross_rotate,
     cross_rotation_grad,
+    rowmajor_pivot_loss_and_gradient,
 )
 
 
@@ -137,11 +138,23 @@ def rotation_cases(n=400, seed=21):
     }
 
 
+def axis_major(*arrays):
+    """C-contiguous transposes: row-major (n, k) rows to the kernels' (k, n) form."""
+    return [np.ascontiguousarray(a.T) for a in arrays]
+
+
+def on_axis_major(kernel):
+    """A row-major oracle kernel called on, and returning, axis-major arrays."""
+    return lambda *arrays: np.ascontiguousarray(kernel(*axis_major(*arrays)).T)
+
+
 @pytest.mark.parametrize("case", list(rotation_cases()))
 def test_rotation_kernels_match_the_np_cross_oracle_bitwise(case):
     q, u, g = rotation_cases()[case]
-    assert motion._rotate(q, u).tobytes() == cross_rotate(q, u).tobytes()
-    assert fitting._rotation_grad(g, q, u).tobytes() == cross_rotation_grad(g, q, u).tobytes()
+    qa, ua, ga = axis_major(q, u, g)
+    assert motion._rotate(qa, ua).T.tobytes() == cross_rotate(q, u).tobytes()
+    assert fitting._rotation_grad(ga, qa, ua).T.tobytes() == (
+        cross_rotation_grad(g, q, u).tobytes())
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode))
@@ -150,14 +163,56 @@ def test_fit_frame_deltas_equal_the_oracle_kernels_bytewise(mode, monkeypatch):
     init = random_deltas(h, rng, scale=0.05)
     got = fit_frame(g, h, corr, init, 12, mode)
     monkeypatch.setattr(fitting, "sum_by_index", add_at_sum_by_index)
-    monkeypatch.setattr(motion, "_rotate", cross_rotate)  # the forward
-    monkeypatch.setattr(fitting, "_rotate", cross_rotate)  # R(q)^T g in the backward pass
-    monkeypatch.setattr(fitting, "_rotation_grad", cross_rotation_grad)
+    monkeypatch.setattr(motion, "_rotate", on_axis_major(cross_rotate))  # the forward
+    # R(q)^T g in the backward pass
+    monkeypatch.setattr(fitting, "_rotate", on_axis_major(cross_rotate))
+    monkeypatch.setattr(fitting, "_rotation_grad", on_axis_major(cross_rotation_grad))
     want = fit_frame(g, h, corr, init, 12, mode)
     assert not np.array_equal(got.per_level[0].translations, init.per_level[0].translations)
     for a, b in zip(got.per_level, want.per_level):
         assert a.translations.tobytes() == b.translations.tobytes()
         assert a.rotations.tobytes() == b.rotations.tobytes()
+
+
+def pivot_problem(case, levels, seed):
+    """A random pivot problem whose deltas or offsets hit one kernel edge case."""
+    rng = np.random.default_rng(seed)
+    n = 160
+    pos = rng.random((n, 3), dtype=np.float32)
+    if case == "negative_zero_offsets":
+        pos[:, 2] = -0.0
+    h = build_hierarchy(pos, StreamConfig(levels=levels))
+    if case == "negative_zero_offsets":
+        # the coarsest anchors at z = +0.0: every other row's z offset is -0.0 - (+0.0)
+        pos[h.levels[0].anchor_indices, 2] = 0.0
+    g = GaussianSet.from_positions(pos)
+    targets = pos + (rng.standard_normal((n, 3)) * 0.05).astype(np.float32)
+    corr = Correspondences(rng.permutation(n)[: n - 17], targets[: n - 17])
+    deltas = random_deltas(h, rng, scale=0.1)
+    for ds in deltas.per_level:
+        if case in ("identity", "negative_zero_offsets"):
+            ds.rotations[:] = 0.0
+        elif case == "near_pi":
+            # (1,0,0,0) + delta has w at or near zero: half-turns
+            ds.rotations[:, 0] = -1.0 + rng.choice([0.0, 1e-7, -3e-6], size=len(ds))
+    return g, h, deltas, corr
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["random", "identity", "near_pi", "negative_zero_offsets"])
+def test_pivot_loss_and_gradient_equal_the_rowmajor_reference_bytewise(case, levels):
+    g, h, deltas, corr = pivot_problem(case, levels, seed=40 + levels)
+    assert h.level_count == levels
+    loss, grads = loss_and_gradient(g, h, deltas, corr, CompositionMode.pivot)
+    want_loss, want_grads = rowmajor_pivot_loss_and_gradient(g, h, deltas, corr)
+    assert float(loss).hex() == float(want_loss).hex()
+    for (gt, gq), (wt, wq) in zip(grads, want_grads, strict=True):
+        assert gt.shape == wt.shape and gq.shape == wq.shape
+        assert gt.tobytes() == wt.tobytes() and gq.tobytes() == wq.tobytes()
+    if case == "negative_zero_offsets":
+        _, levels_moved = motion.deform_rows(g, h, deltas, CompositionMode.pivot, corr.indices)
+        u = levels_moved[0].offsets
+        assert (np.signbit(u) & (u == 0.0)).any()
 
 
 def test_loss_rejects_empty_correspondences():

@@ -12,7 +12,13 @@ from anchorstream import (
     build_hierarchy,
     inherit_deformation,
 )
-from anchorstream.motion import canonical_sign, deform_rows, quat_from_axis_angle
+from anchorstream.motion import (
+    canonical_sign,
+    deform_rows,
+    quat_from_axis_angle,
+    quat_multiply,
+    quat_normalize,
+)
 
 from oracles import dominant_eigenvector, rotation_matrix
 
@@ -144,6 +150,39 @@ def test_forward_of_some_rows_equals_those_rows_of_the_full_forward(mode):
     assert some.tobytes() == full[rows].tobytes()
     for a, b in zip(full_levels, some_levels):
         assert np.array_equal(a.members[rows], b.members)
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_forward_layout_contract(mode):
+    rng = np.random.default_rng(23)
+    pos = rng.random((500, 3), dtype=np.float32)
+    g = random_appearance(pos, rng)
+    h = hierarchy_for(pos)
+    deltas = frame_deltas(h, rng, mode)
+    rows = rng.choice(500, size=71, replace=False)
+    for picked, r in ((None, 500), (rows, 71)):
+        out, levels = deform_rows(g, h, deltas, mode, picked)
+        # row-major positions in both modes: the loss and the residuals reduce them as such
+        assert out.shape == (r, 3) and out.dtype == np.float64 and out.flags.c_contiguous
+        for lvl, level in zip(h.levels, levels):
+            assert level.members.shape == (r,)
+            if mode == CompositionMode.additive:
+                assert level[1:] == (None, None, None, None)
+                continue
+            a = lvl.anchor_count
+            assert level.anchor_rotations.shape == (4, a) and level.anchor_norms.shape == (a,)
+            assert level.rotations.shape == (4, r) and level.offsets.shape == (3, r)
+    if mode == CompositionMode.additive:
+        return
+    # pivot orientations: each level's row-major unit quaternions, composed coarse first
+    orient = g.orientations.astype(np.float64)
+    for lvl, ds in zip(h.levels, deltas.per_level):
+        y = ds.rotations.astype(np.float64)
+        y[:, 0] += 1.0
+        unit = y / np.linalg.norm(y, axis=1, keepdims=True)
+        orient = quat_multiply(unit[lvl.assignment], orient)
+    want = quat_normalize(orient).astype(np.float32)
+    assert apply_deformation(g, h, deltas, mode).orientations.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

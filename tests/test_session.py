@@ -518,6 +518,18 @@ def test_cli_rejects_a_scene_spec_with_an_infinite_velocity_with_exit_2(tmp_path
     assert not stream_path.exists()
 
 
+@pytest.mark.parametrize("field, value, frame", [("center", 1e300, 0), ("velocity", 3e38, 2)])
+def test_cli_rejects_a_scene_spec_that_leaves_float32_range_with_exit_2(tmp_path, capsys,
+                                                                         field, value, frame):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    spec = small_arm(frames=4)
+    setattr(spec.bodies[0], field, np.array([value, 0.0, 0.0]))
+    write_spec(spec_path, spec)
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path)]) == 2
+    assert f"frame {frame} positions leave the float32 range" in capsys.readouterr().err
+    assert not stream_path.exists()
+
+
 def test_cli_encode_frames_overrides_the_spec_frame_count(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
     write_spec(spec_path, small_arm(frames=4))
