@@ -64,7 +64,6 @@ from .synth import (
     drifting_pair_spec,
     generate_scene,
     load_scene_spec,
-    static_block_spec,
     two_body_arm_spec,
 )
 from .types import (

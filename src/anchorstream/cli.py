@@ -221,12 +221,13 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     stream = Path(args.stream).read_bytes()
     header = codec.StreamHeader.unpack(stream)
-    print(f"version={header.version} levels={header.levels} "
-          f"quantization={header.quantization.name} mode={header.composition_mode.name} "
-          f"level_ratio={header.level_ratio} reconfig_period={header.reconfig_period}")
-    print(f"finest_fraction={header.finest_num}/{header.finest_den} "
+    config, finest = header.config, header.config.finest_fraction
+    print(f"version={codec.VERSION} levels={config.levels} "
+          f"quantization={config.quantization.name} mode={config.composition_mode.name} "
+          f"level_ratio={config.level_ratio} reconfig_period={config.reconfig_period}")
+    print(f"finest_fraction={finest.numerator}/{finest.denominator} "
           f"initial_gaussians={header.gaussian_count_initial}")
-    overhead = codec.frame_overhead_bytes(header.levels)
+    overhead = codec.frame_overhead_bytes(config.levels)
     offset = codec.HEADER_BYTES
     print(f"{'frame':>6} {'bytes':>8} {'delta_bytes':>11} {'clone_bytes':>11} "
           f"{'overhead_bytes':>14} {'anchors':>18} {'clones':>6} {'reconfig':>8}")
@@ -234,7 +235,7 @@ def cmd_inspect(args) -> int:
         start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
         counts, clones = payload.realized_counts, len(payload.deltas.clone_sources)
-        delta = codec.delta_block_bytes(counts, header.quantization, header.composition_mode)
+        delta = codec.delta_block_bytes(counts, config.quantization, config.composition_mode)
         print(f"{payload.frame_index:>6} {offset - start:>8} {delta:>11} "
               f"{clones * codec.CLONE_BYTES:>11} {overhead:>14} {str(counts):>18} "
               f"{clones:>6} {int(header.reconfigures_at(payload.frame_index)):>8}")

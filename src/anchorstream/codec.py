@@ -6,6 +6,13 @@ grid cell key, so delta blocks are raw value runs. All integers and floats
 are little-endian. The header holds every setting a decoder needs; nothing
 about a session travels out of band.
 
+:class:`StreamHeader` is the session's :class:`StreamConfig` plus its frame-0
+gaussian count. Of the config, ``levels``, ``quantization``,
+``composition_mode``, ``level_ratio``, ``reconfig_period`` and
+``finest_fraction`` travel in the header. ``phase1_steps``, ``phase2_steps``
+and ``densify_threshold`` steer only the encoder's fit and densification and
+never travel; a parsed header holds their defaults.
+
 Header (33 bytes, format version 3):
     magic           4s   = b"RCGS"
     version         u16  = 3
@@ -85,66 +92,32 @@ def values_per_anchor(mode: CompositionMode) -> int:
 
 @dataclass
 class StreamHeader:
-    """Fixed per-session header; everything a mirror decoder derives from."""
+    """Fixed per-session header; everything a mirror decoder derives from.
 
-    levels: int
-    quantization: Quantization
-    composition_mode: CompositionMode
-    level_ratio: int
-    reconfig_period: int
-    finest_num: int
-    finest_den: int
+    Only the config's decode settings travel, so a header from :meth:`unpack`
+    holds the defaults of the encoder-only ones (see the module docstring).
+    Where those may differ, compare headers by their :meth:`pack` bytes.
+    """
+
+    config: StreamConfig
     gaussian_count_initial: int
-    version: int = VERSION
-
-    @classmethod
-    def for_session(cls, config: StreamConfig, gaussian_count_initial: int) -> "StreamHeader":
-        """The header of a session run with ``config`` (its effective finest fraction)."""
-        return cls(
-            levels=config.levels,
-            quantization=config.quantization,
-            composition_mode=config.composition_mode,
-            level_ratio=config.level_ratio,
-            reconfig_period=config.reconfig_period,
-            finest_num=config.finest_fraction.numerator,
-            finest_den=config.finest_fraction.denominator,
-            gaussian_count_initial=gaussian_count_initial,
-        )
-
-    @property
-    def finest_fraction(self) -> Fraction:
-        return Fraction(self.finest_num, self.finest_den)
 
     def reconfigures_at(self, frame: int) -> bool:
         """Whether the hierarchy is rebuilt before ``frame``, on both sides."""
-        return frame % self.reconfig_period == 0
-
-    def stream_config(self) -> StreamConfig:
-        """The settings a decoder needs, as a config.
-
-        The encoder-only settings (``phase1_steps``, ``phase2_steps``,
-        ``densify_threshold``) keep their defaults; no decode reads them.
-        """
-        return StreamConfig(
-            levels=self.levels,
-            finest_fraction=self.finest_fraction,
-            level_ratio=self.level_ratio,
-            reconfig_period=self.reconfig_period,
-            quantization=self.quantization,
-            composition_mode=self.composition_mode,
-        )
+        return frame % self.config.reconfig_period == 0
 
     def pack(self) -> bytes:
+        c = self.config
         return _HEADER.pack(
             MAGIC,
-            self.version,
-            self.levels,
-            int(self.quantization),
-            int(self.composition_mode),
-            self.level_ratio,
-            self.reconfig_period,
-            self.finest_num,
-            self.finest_den,
+            VERSION,
+            c.levels,
+            int(c.quantization),
+            int(c.composition_mode),
+            c.level_ratio,
+            c.reconfig_period,
+            c.finest_fraction.numerator,
+            c.finest_fraction.denominator,
             self.gaussian_count_initial,
         )
 
@@ -164,13 +137,13 @@ class StreamHeader:
          count) = _HEADER.unpack_from(buf, 0)
         if den == 0:
             raise StreamFormatError("bad stream header: finest fraction denominator is zero")
-        try:
-            header = cls(levels, Quantization(quant), CompositionMode(mode), ratio, period,
-                         num, den, count, version)
-            header.stream_config()  # the field ranges a config accepts
+        try:  # the config checks every field's range
+            config = StreamConfig(levels=levels, finest_fraction=Fraction(num, den),
+                                  level_ratio=ratio, reconfig_period=period,
+                                  quantization=quant, composition_mode=mode)
         except (ValueError, ConfigError) as exc:
             raise StreamFormatError(f"bad stream header: {exc}") from exc
-        return header
+        return cls(config, count)
 
 
 @dataclass
@@ -178,8 +151,12 @@ class FramePayload:
     """Decoded frame content, deltas already dequantized to float32."""
 
     frame_index: int
-    realized_counts: tuple[int, ...]
     deltas: FrameDeformation
+
+    @property
+    def realized_counts(self) -> tuple[int, ...]:
+        """The per-level anchor counts the frame states."""
+        return tuple(len(ds) for ds in self.deltas.per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +205,28 @@ def _decode_block(buf: bytes, offset: int, count: int, width: int,
     return np.stack(cols, axis=1), offset
 
 
-def quantize_roundtrip(deltas: FrameDeformation, quantization: Quantization) -> FrameDeformation:
+def quantize_roundtrip(deltas: FrameDeformation, header: StreamHeader) -> FrameDeformation:
     """Deltas as the decoder will reconstruct them.
 
     The encoder advances its own state with these values (quantize-then-apply
     on both ends), so encoder and decoder replicas never drift, whatever the
     quantization mode. Every mode goes through the same block encoder and
     decoder as a frame; for full32 that round trip through ``<f4`` returns
-    every float32 bit for bit, signed zeros and subnormals included.
+    every float32 bit for bit, signed zeros and subnormals included. As in
+    :func:`decode_frame`, rotations round-trip only in pivot mode; additive
+    rotations come back as fresh zeros, whatever zeros were sent.
     """
+    quant = header.config.quantization
+    pivot = header.config.composition_mode == CompositionMode.pivot
+
+    def roundtrip(values: np.ndarray) -> np.ndarray:
+        block = _encode_block(values, quant)
+        return _decode_block(block, 0, values.shape[0], values.shape[1], quant)[0]
+
     out = []
     for ds in deltas.per_level:
-        count = len(ds)
-        t, _ = _decode_block(_encode_block(ds.translations, quantization), 0, count, 3, quantization)
-        r, _ = _decode_block(_encode_block(ds.rotations, quantization), 0, count, 4, quantization)
-        out.append(AnchorDeltaSet(t, r))
+        rot = roundtrip(ds.rotations) if pivot else np.zeros((len(ds), 4), np.float32)
+        out.append(AnchorDeltaSet(roundtrip(ds.translations), rot))
     return replace(deltas, per_level=out)
 
 
@@ -268,15 +252,16 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
     counts = hierarchy.anchor_counts()
     if len(deltas.per_level) != len(counts):
         raise ValueError("deformation levels do not match hierarchy")
-    pivot = header.composition_mode == CompositionMode.pivot
+    quant = header.config.quantization
+    pivot = header.config.composition_mode == CompositionMode.pivot
     parts = [struct.pack("<Q", frame_index)]
     parts.append(struct.pack(f"<{len(counts)}I", *counts))
     for ds, count in zip(deltas.per_level, counts):
         if len(ds) != count:
             raise ValueError(f"delta block has {len(ds)} anchors, hierarchy has {count}")
-        parts.append(_encode_block(ds.translations, header.quantization))
+        parts.append(_encode_block(ds.translations, quant))
         if pivot:
-            parts.append(_encode_block(ds.rotations, header.quantization))
+            parts.append(_encode_block(ds.rotations, quant))
         elif ds.rotations.any():
             raise ValueError("additive frames carry no rotations, but a rotation is nonzero")
     parts.append(struct.pack("<I", len(deltas.clone_sources)))
@@ -295,15 +280,16 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     _need(buf, offset, 8)
     (frame_index,) = struct.unpack_from("<Q", buf, offset)
     offset += 8
-    _need(buf, offset, 4 * header.levels)
-    counts = struct.unpack_from(f"<{header.levels}I", buf, offset)
-    offset += 4 * header.levels
-    pivot = header.composition_mode == CompositionMode.pivot
+    levels, quant = header.config.levels, header.config.quantization
+    _need(buf, offset, 4 * levels)
+    counts = struct.unpack_from(f"<{levels}I", buf, offset)
+    offset += 4 * levels
+    pivot = header.config.composition_mode == CompositionMode.pivot
     blocks = []
     for count in counts:
-        trans, offset = _decode_block(buf, offset, count, 3, header.quantization)
+        trans, offset = _decode_block(buf, offset, count, 3, quant)
         if pivot:
-            rot, offset = _decode_block(buf, offset, count, 4, header.quantization)
+            rot, offset = _decode_block(buf, offset, count, 4, quant)
         else:
             rot = np.zeros((count, 4), np.float32)
         blocks.append((trans, rot))
@@ -319,7 +305,7 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
         deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], sources, positions)
     except ValueError as exc:
         raise StreamFormatError(f"frame {frame_index}: {exc}") from exc
-    return FramePayload(frame_index, tuple(int(c) for c in counts), deltas), offset
+    return FramePayload(frame_index, deltas), offset
 
 
 def verify_counts(payload: FramePayload, hierarchy: AnchorHierarchy) -> None:

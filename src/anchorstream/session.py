@@ -114,11 +114,12 @@ def _frame_row(header: StreamHeader, frame: int, counts: tuple[int, ...], clone_
                payload_bytes: int, state: SceneState, loss: float = math.nan,
                mean_error: float = math.nan) -> FrameMetrics:
     """The metrics row of one frame, built alike by encoder and decoder."""
+    config = header.config
     return FrameMetrics(
         frame, loss, mean_error, payload_bytes,
-        codec.delta_block_bytes(counts, header.quantization, header.composition_mode),
+        codec.delta_block_bytes(counts, config.quantization, config.composition_mode),
         clone_count * codec.CLONE_BYTES,
-        codec.frame_overhead_bytes(header.levels),
+        codec.frame_overhead_bytes(config.levels),
         counts, header.reconfigures_at(frame), state_checksum(state),
     )
 
@@ -205,7 +206,7 @@ def _finest_target(header: StreamHeader) -> int:
     densified clones never raise the per-level anchor caps, and encoder and
     decoder derive the same value.
     """
-    return math.ceil(header.gaussian_count_initial * header.finest_fraction)
+    return math.ceil(header.gaussian_count_initial * header.config.finest_fraction)
 
 
 def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig, *,
@@ -240,7 +241,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     if budget_bytes is not None:
         fraction = Fraction(codec.plan_budget(n0, budget_bytes, config), n0)
     eff_config = replace(config, finest_fraction=fraction)
-    header = StreamHeader.for_session(eff_config, n0)
+    header = StreamHeader(eff_config, n0)
     finest_target = _finest_target(header)
     planned = None if budget_bytes is None else level_caps(n0, eff_config, finest_target)
 
@@ -275,7 +276,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         payload = codec.encode_frame(t, frame_def, state.hierarchy, header)
         chunks.append(payload)
 
-        applied = codec.quantize_roundtrip(frame_def, eff_config.quantization)
+        applied = codec.quantize_roundtrip(frame_def, header)
         state = _advance_state(state, applied, eff_config.composition_mode, t)
         prev_deltas = FrameDeformation(applied.per_level)
 
@@ -294,8 +295,7 @@ class DecodeResult:
     header: StreamHeader
 
 
-def _start_decode(base: GaussianSet, stream: bytes
-                  ) -> tuple[StreamHeader, StreamConfig, SceneState]:
+def _start_decode(base: GaussianSet, stream: bytes) -> tuple[StreamHeader, SceneState]:
     """Parse the header and build the frame-0 state a decode starts from."""
     header = StreamHeader.unpack(stream)
     if len(base) != header.gaussian_count_initial:
@@ -303,13 +303,12 @@ def _start_decode(base: GaussianSet, stream: bytes
             f"frame-0 source has {len(base)} gaussians, stream expects "
             f"{header.gaussian_count_initial}"
         )
-    config = header.stream_config()
-    state = SceneState(base.copy(), build_hierarchy(base, config, _finest_target(header)), 0)
-    return header, config, state
+    hierarchy = build_hierarchy(base, header.config, _finest_target(header))
+    return header, SceneState(base.copy(), hierarchy, 0)
 
 
-def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
-                   state: SceneState) -> Iterator[tuple[FrameMetrics, SceneState]]:
+def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
+                   ) -> Iterator[tuple[FrameMetrics, SceneState]]:
     """The decode loop: advance ``state`` frame by frame, yielding each frame's row.
 
     A payload that disagrees with the mirrored state (a clone source past
@@ -319,7 +318,7 @@ def _decode_frames(stream: bytes, header: StreamHeader, config: StreamConfig,
     carry positions out of float32 range) is a :class:`StreamFormatError`
     naming the frame.
     """
-    finest_target = _finest_target(header)
+    config, finest_target = header.config, _finest_target(header)
     offset = codec.HEADER_BYTES
     expected = 1
     while offset < len(stream):
@@ -361,8 +360,8 @@ def iter_decode_metrics(base: GaussianSet, stream: bytes
     yielded state is advanced in place by the next frame; copy what must
     outlive an iteration.
     """
-    header, config, state = _start_decode(base, stream)
-    yield from _decode_frames(stream, header, config, state)
+    header, state = _start_decode(base, stream)
+    yield from _decode_frames(stream, header, state)
 
 
 def decode_session(base: GaussianSet, stream: bytes,
@@ -377,17 +376,18 @@ def decode_session(base: GaussianSet, stream: bytes,
     a checksum difference. A stream without frames decodes to the frame-0
     state.
     """
-    header, config, state = _start_decode(base, stream)
-    if level_ratio is not None and level_ratio != header.level_ratio:
+    header, state = _start_decode(base, stream)
+    config = header.config
+    if level_ratio is not None and level_ratio != config.level_ratio:
         raise StreamFormatError(
-            f"stream has level ratio {header.level_ratio}, caller expects {level_ratio}"
+            f"stream has level ratio {config.level_ratio}, caller expects {level_ratio}"
         )
-    if composition_mode is not None and composition_mode != header.composition_mode:
+    if composition_mode is not None and composition_mode != config.composition_mode:
         raise StreamFormatError(
-            f"stream has composition mode {header.composition_mode.name}, caller expects "
+            f"stream has composition mode {config.composition_mode.name}, caller expects "
             f"{CompositionMode(composition_mode).name}"
         )
     metrics: list[FrameMetrics] = []
-    for row, state in _decode_frames(stream, header, config, state):
+    for row, state in _decode_frames(stream, header, state):
         metrics.append(row)
     return DecodeResult(state, metrics, header)

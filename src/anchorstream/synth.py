@@ -315,12 +315,3 @@ def drifting_pair_spec(frames: int = 61, seed: int = 21) -> SceneSpec:
         frames=frames,
         seed=seed,
     )
-
-
-def static_block_spec(frames: int = 10, seed: int = 5, point_count: int = 300) -> SceneSpec:
-    """A single motionless body; every frame equals frame 0."""
-    return SceneSpec(
-        bodies=[BodySpec(point_count=point_count, extent=[1.0, 1.0, 1.0])],
-        frames=frames,
-        seed=seed,
-    )

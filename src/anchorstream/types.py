@@ -115,6 +115,13 @@ class GaussianSet:
 class StreamConfig:
     """Session-wide knobs shared by encoder and decoder.
 
+    ``levels``, ``finest_fraction``, ``level_ratio``, ``reconfig_period``,
+    ``quantization`` and ``composition_mode`` travel in the stream header
+    (:class:`anchorstream.codec.StreamHeader`), so a decoder runs with the
+    encoder's values. ``phase1_steps``, ``phase2_steps`` and
+    ``densify_threshold`` are encoder-only: they never travel, and a decoded
+    header holds their defaults.
+
     ``phase1_steps`` is the fit's step count per frame. Each frame's fit
     starts from the previous frame's deltas, or from zero where that fits
     better (see :func:`anchorstream.session.encode_session`), so a few dozen

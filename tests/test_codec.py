@@ -44,7 +44,9 @@ def small_hierarchy(rng, n=40, levels=1, anchors=4):
 
 
 def make_header(levels, quantization, count, mode=CompositionMode.pivot, den=10):
-    return StreamHeader(levels, quantization, mode, 3, 10, 1, den, count)
+    return StreamHeader(StreamConfig(levels=levels, finest_fraction=Fraction(1, den),
+                                     level_ratio=3, reconfig_period=10, quantization=quantization,
+                                     composition_mode=mode), count)
 
 
 def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
@@ -69,13 +71,31 @@ def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
 
 
 def test_header_round_trip():
-    for mode in CompositionMode:
-        h = StreamHeader(3, Quantization.half16, mode, 4, 10, 1, 24, 1000)
-        again = StreamHeader.unpack(h.pack())
-        assert again == h
-        assert again.stream_config().composition_mode == mode
-        assert again.stream_config().level_ratio == 4
-    assert len(h.pack()) == HEADER_BYTES == 33
+    """Every decode setting survives the wire; the encoder-only ones do not
+    travel, so a parsed header holds their defaults."""
+    for quant, mode, levels, ratio, period, fraction in itertools.product(
+            Quantization, CompositionMode, range(1, 5), (1, 3, 2**32 - 1), (1, 10, 2**32 - 1),
+            (Fraction(1, 24), Fraction(7, 1000), Fraction(1))):
+        wire = dict(levels=levels, finest_fraction=fraction, level_ratio=ratio,
+                    reconfig_period=period, quantization=quant, composition_mode=mode)
+        h = StreamHeader(StreamConfig(**wire, phase1_steps=3, phase2_steps=0,
+                                      densify_threshold=0.5), 2**64 - 1)
+        raw = h.pack()
+        again = StreamHeader.unpack(raw)
+        assert again.config == StreamConfig(**wire)
+        assert again.gaussian_count_initial == 2**64 - 1
+        assert again.pack() == raw
+        assert len(raw) == HEADER_BYTES == 33
+
+
+def test_header_packs_to_the_v3_layout():
+    config = StreamConfig(levels=2, finest_fraction=Fraction(3, 50), level_ratio=5,
+                          reconfig_period=7, quantization=Quantization.fixed16,
+                          composition_mode=CompositionMode.pivot, phase1_steps=9)
+    assert StreamHeader(config, 123_456).pack() == struct.pack(
+        "<4sHBBBIIIIQ", b"RCGS", 3, 2, 2, 1, 5, 7, 3, 50, 123_456)
+    assert StreamHeader(StreamConfig(), 1000).pack() == struct.pack(
+        "<4sHBBBIIIIQ", b"RCGS", 3, 3, 1, 0, 3, 10, 1, 24, 1000)
 
 
 def test_header_bad_magic():
@@ -141,11 +161,11 @@ def test_bad_header_field_is_a_stream_error(fields):
 
 
 def test_header_field_offsets_match_the_layout():
-    h = StreamHeader.unpack(patched_header(levels=2, quantization=2, composition_mode=1,
+    c = StreamHeader.unpack(patched_header(levels=2, quantization=2, composition_mode=1,
                                            level_ratio=5, reconfig_period=7, finest_num=2,
-                                           finest_den=9))
-    assert (h.levels, h.quantization, h.composition_mode, h.level_ratio, h.reconfig_period,
-            h.finest_fraction) == (2, Quantization.fixed16, CompositionMode.pivot, 5, 7,
+                                           finest_den=9)).config
+    assert (c.levels, c.quantization, c.composition_mode, c.level_ratio, c.reconfig_period,
+            c.finest_fraction) == (2, Quantization.fixed16, CompositionMode.pivot, 5, 7,
                                    Fraction(2, 9))
 
 
@@ -201,7 +221,7 @@ def test_full32_round_trip_bit_exact(rng):
 def test_half16_round_trip_matches_float16(rng):
     pos, h = small_hierarchy(rng, anchors=8)
     deltas = random_deformation(h, rng)
-    rt = quantize_roundtrip(deltas, Quantization.half16)
+    rt = quantize_roundtrip(deltas, make_header(1, Quantization.half16, 40))
     for got, want in zip(rt.per_level, deltas.per_level):
         assert np.array_equal(got.translations,
                               want.translations.astype(np.float16).astype(np.float32))
@@ -236,7 +256,7 @@ def test_fixed16_constant_block():
         [AnchorDeltaSet(np.full((h.anchor_counts()[0], 3), 0.75, np.float32),
                         np.full((h.anchor_counts()[0], 4), -1.25, np.float32))]
     )
-    rt = quantize_roundtrip(const, Quantization.fixed16)
+    rt = quantize_roundtrip(const, make_header(1, Quantization.fixed16, 40))
     assert np.array_equal(rt.per_level[0].translations, const.per_level[0].translations)
     assert np.array_equal(rt.per_level[0].rotations, const.per_level[0].rotations)
 
@@ -258,18 +278,18 @@ def test_quantize_roundtrip_matches_decode(rng):
                 finest.translations.flat[:F32_EDGES.size] = F32_EDGES
                 if mode == CompositionMode.pivot:
                     finest.rotations.flat[-F32_EDGES.size:] = F32_EDGES
+            if mode == CompositionMode.additive:  # zero, but not the +0.0 a decoder restores
+                deltas.per_level[0].rotations[0, 0] = -0.0
             payload = encode_frame(1, deltas, h, header)
             decoded, _ = decode_frame(payload, 0, header)
-            rt = quantize_roundtrip(deltas, quant)
+            rt = quantize_roundtrip(deltas, header)
             for a, b, sent in zip(decoded.deltas.per_level, rt.per_level, deltas.per_level):
                 assert a.translations.tobytes() == b.translations.tobytes()
-                if mode == CompositionMode.pivot:
-                    assert a.rotations.tobytes() == b.rotations.tobytes()
-                else:  # not on the wire; the decoder restores +0.0 for any signed zero
-                    assert not a.rotations.any() and not b.rotations.any()
+                assert a.rotations.tobytes() == b.rotations.tobytes()
                 if quant == Quantization.full32:  # full32 is the identity, bit for bit
                     assert b.translations.tobytes() == sent.translations.tobytes()
-                    assert b.rotations.tobytes() == sent.rotations.tobytes()
+                    if mode == CompositionMode.pivot:
+                        assert b.rotations.tobytes() == sent.rotations.tobytes()
 
 
 def test_payload_length_pure_function(rng):
@@ -324,7 +344,7 @@ def test_infinite_half16_delta_is_a_stream_error(rng):
     pos, h = small_hierarchy(rng, anchors=6)
     header = make_header(1, Quantization.half16, 40)
     payload = bytearray(encode_frame(5, random_deformation(h, rng), h, header))
-    first_value = 8 + 4 * header.levels  # after the frame index and the counts
+    first_value = 8 + 4 * header.config.levels  # after the frame index and the counts
     payload[first_value:first_value + 2] = np.float16(np.inf).tobytes()
     with pytest.raises(StreamFormatError, match="frame 5: anchor deltas must be finite"):
         decode_frame(bytes(payload), 0, header)
@@ -335,8 +355,9 @@ def test_nonfinite_added_record_is_a_stream_error(rng):
     header = make_header(1, Quantization.full32, 40)
     payload = bytearray(encode_frame(4, random_deformation(h, rng, added=2), h, header))
     # the clone count, two source ordinals, then the first position
-    first_position = 8 + 4 * header.levels + delta_block_bytes(
-        h.anchor_counts(), header.quantization, header.composition_mode) + 4 + 2 * 4
+    c = header.config
+    first_position = 8 + 4 * c.levels + delta_block_bytes(
+        h.anchor_counts(), c.quantization, c.composition_mode) + 4 + 2 * 4
     payload[first_position:first_position + 4] = np.float32(np.inf).tobytes()
     with pytest.raises(StreamFormatError, match="frame 4: clone positions must be finite"):
         decode_frame(bytes(payload), 0, header)

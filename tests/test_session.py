@@ -62,6 +62,11 @@ def stream_payloads(stream):
         yield payload, offset
 
 
+def csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def byte_split(row):
     return row.payload_bytes, row.delta_bytes, row.clone_bytes, row.overhead_bytes
 
@@ -95,7 +100,7 @@ def test_decoder_mirrors_encoder_on_budget_path():
                           composition_mode=CompositionMode.pivot)
     enc = encode_session(base, source, config, budget_bytes=600)
     # it binds: finest 9 of a possible 13, whose caps (8, 8, 27) cost 627 B
-    assert enc.header.finest_fraction * len(base) == 9
+    assert enc.header.config.finest_fraction * len(base) == 9
     assert enc.planned_caps == (1, 8, 27)
     dec = decode_session(base, enc.stream, config.level_ratio, config.composition_mode)
     assert_mirrored(enc, dec)
@@ -237,7 +242,7 @@ def test_header_settings_that_contradict_the_callers_fail_before_frame_one(monke
 def first_frame_blocks(stream, mode):
     """Frame 1's delta blocks per level: (translation offset, anchor count,
     rotation offset or None)."""
-    levels = codec.StreamHeader.unpack(stream).levels
+    levels = codec.StreamHeader.unpack(stream).config.levels
     at = codec.HEADER_BYTES + 8
     counts = np.frombuffer(stream, "<u4", levels, at)
     at += 4 * levels
@@ -425,7 +430,7 @@ def test_cli_decode_metrics_repeat_the_encoders_bytes_and_checksums(tmp_path, ca
                  "--densify-threshold", "0.01"]) == 0
     assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
                  "--metrics", str(dec_csv)]) == 0
-    enc_rows, dec_rows = (list(csv.DictReader(path.open())) for path in (enc_csv, dec_csv))
+    enc_rows, dec_rows = csv_rows(enc_csv), csv_rows(dec_csv)
     assert len(dec_rows) == len(enc_rows) == 6
     assert list(dec_rows[0]) == list(enc_rows[0])  # the same columns
     for e, d in zip(enc_rows, dec_rows):
@@ -570,7 +575,7 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
                  "--metrics", str(dec_csv)]) == 0
     columns = ("bytes", "delta_bytes", "clone_bytes", "overhead_bytes")
-    assert split == [[int(row[c]) for c in columns] for row in csv.DictReader(dec_csv.open())]
+    assert split == [[int(row[c]) for c in columns] for row in csv_rows(dec_csv)]
     # the clone column counts the ordinals; the reconfig column is the header's schedule
     assert sum(int(row.split()[-2]) for row in rows) == len(dec.state.gaussians) - len(base) > 0
     assert [int(row.split()[-1]) for row in rows] == [
