@@ -10,8 +10,16 @@ positions only: a gaussian shifts by the sum of its anchors' translations,
 and its rotation increments must be zero. :func:`apply_deformation` runs the
 forward over every gaussian to advance the mirrored state; the fit's loss
 and the densify residuals in :mod:`anchorstream.fitting` run it over the
-observed gaussians. The rotation kernels ``_rotate``, ``_cross`` and
-``_dot`` live here for both.
+observed gaussians. The rotation kernels ``_rotate``, ``_rotation_terms``,
+``_cross`` and ``_dot`` live here for both.
+
+The forward is split in two. :func:`gather_rows` reads what does not depend
+on the deltas: the rows' positions, each level's anchor ordinals
+and, in pivot mode, each level's pivot centers. :func:`deform_rows` then
+walks the levels with the deltas. It gathers for itself unless it is handed
+a :class:`GatheredRows`, which the fit builds once and reuses for every
+candidate it evaluates; either way the walk sees the same arrays and gives
+the same bits.
 
 The pivot forward works axis-major: offsets and positions as (3, R)
 arrays, quaternions as (4, R), one contiguous row per component, so each
@@ -20,7 +28,9 @@ kernel term is one 1-D ufunc over contiguous memory instead of a strided
 each element still sees the same operations in the same order: the kernels
 spell out every product, sum and difference that the row-major expressions
 made, and the 3-term dot product adds left to right onto +0.0 as numpy's
-row reduction did. Only the memory layout changed. The positions it
+row reduction did. Only the memory layout changed. Each level keeps the
+rotation's terms, w*w - v.v, 2w, v x u and 2 v.u, in its
+:class:`LevelMotion` for the fit's backward pass. The positions it
 returns are C-contiguous (R, 3) in both modes, so the loss and the densify
 residuals reduce exactly the array they reduced before.
 
@@ -34,7 +44,7 @@ the standard chordal quaternion mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -200,18 +210,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """R(q) u for axis-major (4, n) unit quaternions and (3, n) vectors, as (3, n).
-
-    The vector form of the rotation, ((w*w - v.v) u + (2 v.u) v) + (2w) (v x u),
-    with each term's operation order fixed.
-    """
+def _rotation_terms(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms ``w*w - v.v`` and ``2w`` of axis-major (4, n) unit quaternions, as (n,) each."""
     w = q[0]
-    v = q[1:]
-    out = (w * w - _dot(v, v)) * u
-    out += (2.0 * _dot(v, u)) * v
-    out += (2.0 * w) * _cross(v, u)
-    return out
+    return w * w - _dot(q[1:], q[1:]), 2.0 * w
+
+
+def _rotate(v: np.ndarray, u: np.ndarray, scale: np.ndarray, two_w: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R(q) u for axis-major (3, n) vectors, given q's vector part v and its terms.
+
+    ``scale`` and ``two_w`` are :func:`_rotation_terms` of q. The vector form
+    of the rotation, ((w*w - v.v) u + (2 v.u) v) + (2w) (v x u), with each
+    term's operation order fixed. Returns R(q) u, v x u and 2 v.u, the last
+    two for the fit's backward pass.
+    """
+    cross = _cross(v, u)
+    two_dot = 2.0 * _dot(v, u)
+    out = scale * u
+    out += two_dot * v
+    out += two_w * cross
+    return out, cross, two_dot
 
 
 def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,22 +253,65 @@ class LevelMotion(NamedTuple):
     ``members`` is each row's anchor ordinal at the level. The other fields
     are None in additive mode. In pivot mode they hold each anchor's unit
     rotation and the norm of (1,0,0,0) + delta it was normalized from, each
-    row's unit rotation, and each row's offset from its pivot just before the
-    level rotated it: what the fit's backward pass and the orientation
-    update need. The rotations and offsets are axis-major, one contiguous
-    row per component, as the rotation kernels take them; ``rotations.T``
-    is the row-major (R, 4) view.
+    row's unit rotation, each row's offset u from its pivot just before the
+    level rotated it, and the rotation's terms for that row: v x u and 2 v.u
+    of the quaternion's vector part v, 2w, and w*w - v.v. That is what the
+    fit's backward pass and the orientation update need. The rotations,
+    offsets and cross products are axis-major, one contiguous row per
+    component, as the rotation kernels take them; ``rotations.T`` is the
+    row-major (R, 4) view.
     """
 
     members: np.ndarray  # (R,) int64
-    anchor_rotations: Optional[np.ndarray]  # (4, A) float64
-    anchor_norms: Optional[np.ndarray]  # (A,) float64
-    rotations: Optional[np.ndarray]  # (4, R) float64
-    offsets: Optional[np.ndarray]  # (3, R) float64
+    anchor_rotations: Optional[np.ndarray] = None  # (4, A) float64
+    anchor_norms: Optional[np.ndarray] = None  # (A,) float64
+    rotations: Optional[np.ndarray] = None  # (4, R) float64
+    offsets: Optional[np.ndarray] = None  # (3, R) float64
+    cross: Optional[np.ndarray] = None  # (3, R) float64, v x u
+    two_dot: Optional[np.ndarray] = None  # (R,) float64, 2 v.u
+    two_w: Optional[np.ndarray] = None  # (R,) float64
+    scale: Optional[np.ndarray] = None  # (R,) float64, w*w - v.v
 
 
-def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, deltas: FrameDeformation,
-                mode: CompositionMode, rows: Optional[np.ndarray] = None,
+class GatheredRows(NamedTuple):
+    """What :func:`deform_rows` reads of the state for a set of rows, whatever the deltas.
+
+    Built by :func:`gather_rows` for one composition mode. ``positions`` are
+    the rows' frame-start positions: float32 (R, 3) in additive mode, which
+    the walk casts into its float64 working copy, and float64 axis-major
+    (3, R) in pivot mode. ``members`` holds each level's
+    ``assignment[rows]``, and ``centers`` in pivot mode each level's (3, R)
+    float64 pivot positions, the frame-start positions of the rows' anchors.
+    Nothing here is ever written to, so one gather serves any number of
+    walks.
+    """
+
+    positions: np.ndarray
+    members: list[np.ndarray]
+    centers: Optional[list[np.ndarray]]
+
+
+def gather_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, mode: CompositionMode,
+                rows: Optional[np.ndarray] = None) -> GatheredRows:
+    """Gather ``rows`` (default all) of the state for :func:`deform_rows` in ``mode``."""
+    if rows is None:
+        pos = gaussians.positions
+        members = [lvl.assignment for lvl in hierarchy.levels]
+    else:
+        pos = np.take(gaussians.positions, rows, axis=0)
+        members = [lvl.assignment[rows] for lvl in hierarchy.levels]
+    if mode == CompositionMode.additive:
+        return GatheredRows(pos, members, None)
+    centers = []
+    for lvl, al in zip(hierarchy.levels, members):
+        pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).T.astype(np.float64)
+        centers.append(np.take(pivots, al, axis=1))
+    return GatheredRows(np.ascontiguousarray(pos.astype(np.float64).T), members, centers)
+
+
+def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
+                deltas: FrameDeformation | Sequence[tuple[np.ndarray, np.ndarray]],
+                mode: CompositionMode, rows: np.ndarray | GatheredRows | None = None,
                 ) -> tuple[np.ndarray, list[LevelMotion]]:
     """The deformation forward: float64 deformed positions of ``rows`` (default all).
 
@@ -260,32 +322,39 @@ def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, deltas: Fram
     the positions, C-contiguous (R, 3) in both modes, and one
     :class:`LevelMotion` per level; nothing is modified. Pivot mode works
     axis-major in between.
-    """
-    _check_consistent(hierarchy, deltas)
-    if rows is None:
-        pos = gaussians.positions.astype(np.float64)
-        members = [lvl.assignment for lvl in hierarchy.levels]
-    else:
-        pos = np.take(gaussians.positions, rows, axis=0).astype(np.float64)
-        members = [lvl.assignment[rows] for lvl in hierarchy.levels]
-    if mode == CompositionMode.additive:
-        for ds, al in zip(deltas.per_level, members):
-            pos += np.take(ds.translations.astype(np.float64), al, axis=0)
-        return pos, [LevelMotion(al, None, None, None, None) for al in members]
 
-    pos = np.ascontiguousarray(pos.T)
+    The forward is two steps: gather the rows (:func:`gather_rows`), then
+    walk the levels with the deltas. ``rows`` may be rows gathered already
+    in ``mode``, so a caller that moves the same rows by many deltas
+    gathers once. ``deltas`` may also be per-level (translations,
+    rotations) pairs of any float dtype, whose counts the caller has
+    checked against the hierarchy; the walk casts them to float64, so pairs
+    holding a :class:`FrameDeformation`'s float32 values move rows to the
+    same bits.
+    """
+    if isinstance(deltas, FrameDeformation):
+        _check_consistent(hierarchy, deltas)
+        deltas = [(ds.translations, ds.rotations) for ds in deltas.per_level]
+    if not isinstance(rows, GatheredRows):
+        rows = gather_rows(gaussians, hierarchy, mode, rows)
+    if mode == CompositionMode.additive:
+        pos = rows.positions.astype(np.float64)  # always a copy: the walk adds onto it
+        for (t, _), al in zip(deltas, rows.members):
+            pos += np.take(t.astype(np.float64, copy=False), al, axis=0)
+        return pos, [LevelMotion(al) for al in rows.members]
+
+    pos = rows.positions
     levels = []
-    for lvl, ds, al in zip(hierarchy.levels, deltas.per_level, members):
-        unit, norms = level_unit_quats(ds.rotations)
+    for (t, q), al, centers in zip(deltas, rows.members, rows.centers):
+        unit, norms = level_unit_quats(q)
         unit = np.ascontiguousarray(unit.T)
         member_q = np.take(unit, al, axis=1)
-        pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).T.astype(np.float64)
-        centers = np.take(pivots, al, axis=1)
+        scale, two_w = _rotation_terms(member_q)
         u = pos - centers
-        pos = _rotate(member_q, u)
+        pos, cross, two_dot = _rotate(member_q[1:], u, scale, two_w)
         pos += centers
-        pos += np.take(ds.translations.T.astype(np.float64), al, axis=1)
-        levels.append(LevelMotion(al, unit, norms, member_q, u))
+        pos += np.take(t.T.astype(np.float64), al, axis=1)
+        levels.append(LevelMotion(al, unit, norms, member_q, u, cross, two_dot, two_w, scale))
     return np.ascontiguousarray(pos.T), levels
 
 

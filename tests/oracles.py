@@ -164,6 +164,28 @@ def rowmajor_pivot_loss_and_gradient(gaussians, hierarchy, deltas, corr):
     return loss, grads[::-1]
 
 
+def additive_loss_and_gradient(gaussians, hierarchy, deltas, corr):
+    """The additive loss and its gradients, row-major, with ``np.add.at`` bucket sums.
+
+    Each row moves by the sum of its anchors' translations, coarse level
+    first; the translation gradient is the bucket sum of 2 r / C, the
+    rotation gradient zero. Returns (loss, [(A, 3) and (A, 4) gradients per
+    level]).
+    """
+    rows = corr.indices
+    pos = gaussians.positions[rows].astype(np.float64)
+    for lvl, ds in zip(hierarchy.levels, deltas.per_level):
+        pos += ds.translations.astype(np.float64)[lvl.assignment[rows]]
+    r = pos - corr.targets.astype(np.float64)
+    c = len(rows)
+    g = (2.0 / c) * r
+    return float((r * r).sum() / c), [
+        (add_at_sum_by_index(g, lvl.assignment[rows], lvl.anchor_count),
+         np.zeros((lvl.anchor_count, 4)))
+        for lvl in hierarchy.levels
+    ]
+
+
 def exhaustive_knn3(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """3 nearest references per query by sorting (squared distance, ordinal)."""
     q = np.asarray(queries, np.float64)

@@ -18,8 +18,9 @@ from anchorstream import (
 from anchorstream import fitting, motion
 from anchorstream.fitting import _pack, _unpack
 
+import conformance
 from oracles import (
-    add_at_sum_by_index,
+    additive_loss_and_gradient,
     central_difference,
     cross_rotate,
     cross_rotation_grad,
@@ -143,31 +144,42 @@ def axis_major(*arrays):
     return [np.ascontiguousarray(a.T) for a in arrays]
 
 
-def on_axis_major(kernel):
-    """A row-major oracle kernel called on, and returning, axis-major arrays."""
-    return lambda *arrays: np.ascontiguousarray(kernel(*axis_major(*arrays)).T)
-
-
 @pytest.mark.parametrize("case", list(rotation_cases()))
 def test_rotation_kernels_match_the_np_cross_oracle_bitwise(case):
     q, u, g = rotation_cases()[case]
     qa, ua, ga = axis_major(q, u, g)
-    assert motion._rotate(qa, ua).T.tobytes() == cross_rotate(q, u).tobytes()
-    assert fitting._rotation_grad(ga, qa, ua).T.tobytes() == (
+    scale, two_w = motion._rotation_terms(qa)
+    rotated, cross, two_dot = motion._rotate(qa[1:], ua, scale, two_w)
+    assert rotated.T.tobytes() == cross_rotate(q, u).tobytes()
+    assert fitting._rotation_grad(ga, qa[1:], ua, cross, two_dot, two_w).T.tobytes() == (
         cross_rotation_grad(g, q, u).tobytes())
+
+
+def as_deformation(deltas):
+    """A FrameDeformation of what fit_frame hands loss_and_gradient."""
+    if isinstance(deltas, FrameDeformation):
+        return deltas
+    return FrameDeformation([AnchorDeltaSet(t, q) for t, q in deltas])
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode))
 def test_fit_frame_deltas_equal_the_oracle_kernels_bytewise(mode, monkeypatch):
+    # the reference fit evaluates every candidate with a row-major oracle of
+    # the whole loss and gradient, bucket sums by np.add.at
     g, h, corr, rng = make_problem(n=120, seed=13)
     init = random_deltas(h, rng, scale=0.05)
     got = fit_frame(g, h, corr, init, 12, mode)
-    monkeypatch.setattr(fitting, "sum_by_index", add_at_sum_by_index)
-    monkeypatch.setattr(motion, "_rotate", on_axis_major(cross_rotate))  # the forward
-    # R(q)^T g in the backward pass
-    monkeypatch.setattr(fitting, "_rotate", on_axis_major(cross_rotate))
-    monkeypatch.setattr(fitting, "_rotation_grad", on_axis_major(cross_rotation_grad))
+    oracle = {CompositionMode.pivot: rowmajor_pivot_loss_and_gradient,
+              CompositionMode.additive: additive_loss_and_gradient}[mode]
+    calls = []
+
+    def reference(gaussians, hierarchy, deltas, corr, mode, **kwargs):
+        calls.append(1)
+        return oracle(gaussians, hierarchy, as_deformation(deltas), corr)
+
+    monkeypatch.setattr(fitting, "loss_and_gradient", reference)
     want = fit_frame(g, h, corr, init, 12, mode)
+    assert len(calls) >= 13
     assert not np.array_equal(got.per_level[0].translations, init.per_level[0].translations)
     for a, b in zip(got.per_level, want.per_level):
         assert a.translations.tobytes() == b.translations.tobytes()
@@ -198,21 +210,56 @@ def pivot_problem(case, levels, seed):
     return g, h, deltas, corr
 
 
+def assert_same_loss_and_gradient(got, want):
+    (loss, grads), (want_loss, want_grads) = got, want
+    assert float(loss).hex() == float(want_loss).hex()
+    for (gt, gq), (wt, wq) in zip(grads, want_grads, strict=True):
+        assert gt.shape == wt.shape and gq.shape == wq.shape
+        assert gt.tobytes() == wt.tobytes() and gq.tobytes() == wq.tobytes()
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", ["random", "identity", "near_pi", "negative_zero_offsets"])
 def test_pivot_loss_and_gradient_equal_the_rowmajor_reference_bytewise(case, levels):
     g, h, deltas, corr = pivot_problem(case, levels, seed=40 + levels)
     assert h.level_count == levels
-    loss, grads = loss_and_gradient(g, h, deltas, corr, CompositionMode.pivot)
-    want_loss, want_grads = rowmajor_pivot_loss_and_gradient(g, h, deltas, corr)
-    assert float(loss).hex() == float(want_loss).hex()
-    for (gt, gq), (wt, wq) in zip(grads, want_grads, strict=True):
-        assert gt.shape == wt.shape and gq.shape == wq.shape
-        assert gt.tobytes() == wt.tobytes() and gq.tobytes() == wq.tobytes()
+    assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, CompositionMode.pivot),
+                                  rowmajor_pivot_loss_and_gradient(g, h, deltas, corr))
     if case == "negative_zero_offsets":
         _, levels_moved = motion.deform_rows(g, h, deltas, CompositionMode.pivot, corr.indices)
         u = levels_moved[0].offsets
         assert (np.signbit(u) & (u == 0.0)).any()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["random", "identity", "near_pi", "negative_zero_offsets"])
+def test_gathered_rows_give_the_pivot_loss_and_gradient_bytewise(case, levels):
+    g, h, deltas, corr = pivot_problem(case, levels, seed=40 + levels)
+    mode = CompositionMode.pivot
+    rows = motion.gather_rows(g, h, mode, corr.indices)
+    pairs = [(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
+             for ds in deltas.per_level]
+    want = loss_and_gradient(g, h, deltas, corr, mode)
+    assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, mode, rows=rows), want)
+    assert_same_loss_and_gradient(loss_and_gradient(g, h, pairs, corr, mode, rows=rows), want)
+
+
+def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
+    # a state grown by clones: its last rows were appended by densification
+    state = conformance.encode_case("additive_full32").state
+    g, h = state.gaussians, state.hierarchy
+    n0 = len(conformance.case_source("additive_full32")[0].base_gaussians())
+    rng = np.random.default_rng(5)
+    idx = rng.permutation(len(g))[: len(g) - 9]
+    assert (idx >= n0).any()
+    targets = g.positions[idx] + rng.normal(0.0, 0.01, (len(idx), 3)).astype(np.float32)
+    corr = Correspondences(idx, targets)
+    deltas = random_deltas(h, rng, scale=0.02)
+    mode = CompositionMode.additive
+    rows = motion.gather_rows(g, h, mode, corr.indices)
+    want = loss_and_gradient(g, h, deltas, corr, mode)
+    assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, mode, rows=rows), want)
+    assert_same_loss_and_gradient(additive_loss_and_gradient(g, h, deltas, corr), want)
 
 
 def test_loss_rejects_empty_correspondences():
@@ -366,6 +413,26 @@ def test_fit_start_tie_keeps_init():
     assert_same_deltas(fit_frame(g, h, corr, init, 0), init)
 
 
+def test_fit_rejects_an_init_with_another_level_split():
+    # the totals match, so unchecked counts would re-slice the deltas onto other anchors
+    g, h, corr, _ = make_problem(n=200, levels=2)
+    counts = h.anchor_counts()
+    assert counts[0] != counts[1]
+    init = FrameDeformation([AnchorDeltaSet.zeros(a) for a in reversed(counts)])
+    with pytest.raises(ValueError, match=f"level {h.levels[0].level}: {counts[1]} delta entries"):
+        fit_frame(g, h, corr, init, 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 0])
+def test_fit_rejects_an_anchor_ordinal_outside_its_level(bad):
+    g, h, corr, _ = make_problem(levels=2)
+    lvl = h.levels[1]
+    lvl.assignment = lvl.assignment.copy()
+    lvl.assignment[7] = bad if bad < 0 else lvl.anchor_count
+    with pytest.raises(ValueError, match=rf"level {lvl.level}: an anchor ordinal is outside"):
+        fit_frame(g, h, corr, FrameDeformation.zeros(h), 3, CompositionMode.pivot)
+
+
 @pytest.mark.parametrize("mode", list(CompositionMode))
 def test_a_nonzero_start_costs_exactly_one_extra_evaluation(mode, monkeypatch):
     g, h, corr, backward = reversed_start(mode)
@@ -373,7 +440,7 @@ def test_a_nonzero_start_costs_exactly_one_extra_evaluation(mode, monkeypatch):
     calls = []
     evaluate = fitting.loss_and_gradient
     monkeypatch.setattr(fitting, "loss_and_gradient",
-                        lambda *args: calls.append(1) or evaluate(*args))
+                        lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs))
 
     def evaluations(init, steps):
         calls.clear()

@@ -15,6 +15,7 @@ from anchorstream import (
 from anchorstream.motion import (
     canonical_sign,
     deform_rows,
+    gather_rows,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
@@ -167,11 +168,13 @@ def test_forward_layout_contract(mode):
         for lvl, level in zip(h.levels, levels):
             assert level.members.shape == (r,)
             if mode == CompositionMode.additive:
-                assert level[1:] == (None, None, None, None)
+                assert all(term is None for term in level[1:])
                 continue
             a = lvl.anchor_count
             assert level.anchor_rotations.shape == (4, a) and level.anchor_norms.shape == (a,)
             assert level.rotations.shape == (4, r) and level.offsets.shape == (3, r)
+            assert level.cross.shape == (3, r)
+            assert level.two_dot.shape == level.two_w.shape == level.scale.shape == (r,)
     if mode == CompositionMode.additive:
         return
     # pivot orientations: each level's row-major unit quaternions, composed coarse first
@@ -183,6 +186,27 @@ def test_forward_layout_contract(mode):
         orient = quat_multiply(unit[lvl.assignment], orient)
     want = quat_normalize(orient).astype(np.float32)
     assert apply_deformation(g, h, deltas, mode).orientations.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_forward_of_gathered_rows_equals_the_forward_of_their_indices(mode):
+    rng = np.random.default_rng(31)
+    pos = rng.random((400, 3), dtype=np.float32)
+    g = GaussianSet.from_positions(pos)
+    h = hierarchy_for(pos)
+    deltas = frame_deltas(h, rng, mode)
+    rows = rng.choice(400, size=90, replace=False)
+    gathered = gather_rows(g, h, mode, rows)
+    want, want_levels = deform_rows(g, h, deltas, mode, rows)
+    before = [a.copy() for a in [gathered.positions, *gathered.members, *(gathered.centers or [])]]
+    for _ in range(2):  # a walk leaves the gathered arrays as it found them
+        got, got_levels = deform_rows(g, h, deltas, mode, gathered)
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_levels, want_levels):
+            for x, y in zip(a, b):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+    after = [gathered.positions, *gathered.members, *(gathered.centers or [])]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 # ---------------------------------------------------------------------------
