@@ -70,7 +70,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="densification switch: only zero versus positive matters, "
                         "and 0 turns densification off")
     p.add_argument("--densify-threshold", type=float, default=d.densify_threshold,
-                   help="residual above which a target spawns a clone (finite, > 0)")
+                   help="residual above which a gaussian moves to its observed target, "
+                        "a 16 B record (finite, > 0)")
 
 
 def _config_from_args(args) -> StreamConfig:
@@ -107,21 +108,21 @@ def _load_input(path: Path, frames: Optional[int] = None, seed: Optional[int] = 
 
 
 def _write_metrics(path: Path, metrics: list[FrameMetrics]) -> None:
-    """One CSV row per frame; ``bytes`` splits into the delta, clone and overhead columns.
+    """One CSV row per frame; ``bytes`` splits into the delta, relocation and overhead columns.
 
     A decoder's rows hold nan for loss and mean_error and equal the
     encoder's everywhere else.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["frame", "loss", "mean_error", "bytes", "delta_bytes", "clone_bytes",
+        header = ["frame", "loss", "mean_error", "bytes", "delta_bytes", "relocation_bytes",
                   "overhead_bytes"]
         header += [f"anchors_l{i}" for i in range(1, len(metrics[0].anchor_counts) + 1)]
         header += ["reconfig", "checksum"]
         writer.writerow(header)
         for m in metrics:
             row = [m.frame_index, f"{m.loss:.9e}", f"{m.mean_error:.9e}", m.payload_bytes,
-                   m.delta_bytes, m.clone_bytes, m.overhead_bytes]
+                   m.delta_bytes, m.relocation_bytes, m.overhead_bytes]
             row += list(m.anchor_counts)
             row += [int(m.reconfig), m.checksum]
             writer.writerow(row)
@@ -227,18 +228,17 @@ def cmd_inspect(args) -> int:
           f"level_ratio={config.level_ratio} reconfig_period={config.reconfig_period}")
     print(f"finest_fraction={finest.numerator}/{finest.denominator} "
           f"initial_gaussians={header.gaussian_count_initial}")
-    overhead = codec.frame_overhead_bytes(config.levels)
     offset = codec.HEADER_BYTES
-    print(f"{'frame':>6} {'bytes':>8} {'delta_bytes':>11} {'clone_bytes':>11} "
-          f"{'overhead_bytes':>14} {'anchors':>18} {'clones':>6} {'reconfig':>8}")
+    print(f"{'frame':>6} {'bytes':>8} {'delta_bytes':>11} {'relocation_bytes':>16} "
+          f"{'overhead_bytes':>14} {'anchors':>18} {'relocations':>11} {'reconfig':>8}")
     while offset < len(stream):
         start = offset
         payload, offset = codec.decode_frame(stream, offset, header)
-        counts, clones = payload.realized_counts, len(payload.deltas.clone_sources)
-        delta = codec.delta_block_bytes(counts, config.quantization, config.composition_mode)
+        counts, moved = payload.realized_counts, len(payload.deltas.relocation_ordinals)
+        delta, relocation, overhead = codec.frame_byte_split(counts, moved, config)
         print(f"{payload.frame_index:>6} {offset - start:>8} {delta:>11} "
-              f"{clones * codec.CLONE_BYTES:>11} {overhead:>14} {str(counts):>18} "
-              f"{clones:>6} {int(header.reconfigures_at(payload.frame_index)):>8}")
+              f"{relocation:>16} {overhead:>14} {str(counts):>18} "
+              f"{moved:>11} {int(header.reconfigures_at(payload.frame_index)):>8}")
     return EXIT_OK
 
 
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--metrics", help="per-frame metrics CSV path")
     enc.add_argument("--budget", type=int,
                      help="bytes/frame cap on anchor deltas plus frame overhead; plans "
-                          "per-level anchor caps that hold at every frame (clones, 16 B "
-                          "each, extra)")
+                          "per-level anchor caps that hold at every frame (relocation "
+                          "records, 16 B each, extra)")
     enc.add_argument("--seed", type=int, help="override the scene spec seed")
     enc.add_argument("--frames", type=int,
                      help="override the scene spec frame count; for a PLY (static) "

@@ -13,9 +13,9 @@ gaussian count. Of the config, ``levels``, ``quantization``,
 and ``densify_threshold`` steer only the encoder's fit and densification and
 never travel; a parsed header holds their defaults.
 
-Header (33 bytes, format version 3):
+Header (33 bytes, format version 4):
     magic           4s   = b"RCGS"
-    version         u16  = 3
+    version         u16  = 4
     levels          u8   (1..4)
     quantization    u8   (0 full32, 1 half16, 2 fixed16)
     composition_mode u8  (0 additive, 1 pivot)
@@ -33,18 +33,21 @@ Frame payload:
         full32:  f32 runs
         half16:  f16 runs
         fixed16: per component (min f32, max f32), then u16 runs
-    added_count     u32, then added_count u32 source ordinals, then
-                    added_count x 3 f32 positions
+    relocation_count u32, then relocation_count u32 gaussian ordinals,
+                    strictly increasing, then relocation_count x 3 f32
+                    positions
 
 Additive mode carries no rotation blocks: an additive frame moves positions
 only, so its rotation increments are zero (the encoder refuses anything
 else), the decoder restores them as zeros, and orientations never change.
-A clone travels as the ordinal of the gaussian it copies, in the state
-before the frame's deformation, plus its own position at full precision;
-the rest of its record is its source's, which the decoder already holds.
+A relocation record moves one gaussian: after the frame's deformation, the
+gaussian named by its ordinal takes the record's position, at full
+precision, and keeps every other attribute. No gaussian is ever appended,
+so the gaussian count stays the frame-0 count for the whole session.
+Version 3 used the same 16 B record to append a copy of the named gaussian.
 Hierarchy rebuilds follow the header's schedule
 (:meth:`StreamHeader.reconfigures_at`), so no frame carries a flag for them.
-Streams of versions 1 and 2 are rejected.
+Streams of versions 1 to 3 are rejected.
 
 fixed16 maps x to round((x - min) / (max - min) * 65535); max == min encodes
 a constant block.
@@ -65,12 +68,12 @@ from .motion import AnchorDeltaSet, FrameDeformation
 from .types import CompositionMode, Quantization, StreamConfig
 
 MAGIC = b"RCGS"
-VERSION = 3
+VERSION = 4
 _PREFIX = struct.Struct("<4sH")  # magic and version, where every version starts
 _HEADER = struct.Struct("<4sHBBBIIIIQ")
 HEADER_BYTES = _HEADER.size  # 33
 
-CLONE_BYTES = 16  # u32 source ordinal + 3 f32 position values
+RELOCATION_BYTES = 16  # u32 gaussian ordinal + 3 f32 position values
 
 VALUE_BYTES = {
     Quantization.full32: 4,
@@ -264,9 +267,9 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
             parts.append(_encode_block(ds.rotations, quant))
         elif ds.rotations.any():
             raise ValueError("additive frames carry no rotations, but a rotation is nonzero")
-    parts.append(struct.pack("<I", len(deltas.clone_sources)))
-    parts.append(deltas.clone_sources.astype("<u4").tobytes())
-    parts.append(deltas.clone_positions.astype("<f4").tobytes())
+    parts.append(struct.pack("<I", len(deltas.relocation_ordinals)))
+    parts.append(deltas.relocation_ordinals.astype("<u4").tobytes())
+    parts.append(deltas.relocation_positions.astype("<f4").tobytes())
     return b"".join(parts)
 
 
@@ -274,8 +277,9 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     """Parse one frame payload starting at ``offset``.
 
     The payload is self-describing given the header; consistency with the
-    decoder's state (realized counts, clone source ordinals) is checked by
-    the decode loop. In additive mode the rotations come back as zeros.
+    decoder's state (realized counts, relocation ordinals below the gaussian
+    count) is checked by the decode loop. In additive mode the rotations
+    come back as zeros.
     """
     _need(buf, offset, 8)
     (frame_index,) = struct.unpack_from("<Q", buf, offset)
@@ -294,15 +298,15 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
             rot = np.zeros((count, 4), np.float32)
         blocks.append((trans, rot))
     _need(buf, offset, 4)
-    (clone_count,) = struct.unpack_from("<I", buf, offset)
+    (count,) = struct.unpack_from("<I", buf, offset)
     offset += 4
-    _need(buf, offset, clone_count * CLONE_BYTES)
-    sources = np.frombuffer(buf, "<u4", clone_count, offset).astype(np.int64)
-    offset += 4 * clone_count
-    positions = np.frombuffer(buf, "<f4", 3 * clone_count, offset).reshape(clone_count, 3)
-    offset += 12 * clone_count
+    _need(buf, offset, count * RELOCATION_BYTES)
+    ordinals = np.frombuffer(buf, "<u4", count, offset).astype(np.int64)
+    offset += 4 * count
+    positions = np.frombuffer(buf, "<f4", 3 * count, offset).reshape(count, 3)
+    offset += 12 * count
     try:  # well-framed bytes can still hold values no encoder writes
-        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], sources, positions)
+        deltas = FrameDeformation([AnchorDeltaSet(t, r) for t, r in blocks], ordinals, positions)
     except ValueError as exc:
         raise StreamFormatError(f"frame {frame_index}: {exc}") from exc
     return FramePayload(frame_index, deltas), offset
@@ -325,8 +329,8 @@ def verify_counts(payload: FramePayload, hierarchy: AnchorHierarchy) -> None:
 #
 # A frame's payload splits exactly into three parts: the delta blocks
 # (delta_block_bytes), the fixed frame overhead (frame_overhead_bytes) and
-# CLONE_BYTES per clone. The session's per-frame rows and plan_budget both
-# price frames with these functions and nothing else.
+# RELOCATION_BYTES per relocation record. frame_byte_split gives the three
+# for one frame, and plan_budget prices frames with the same functions.
 
 
 def delta_block_bytes(counts, quantization: Quantization, mode: CompositionMode) -> int:
@@ -342,8 +346,14 @@ def delta_block_bytes(counts, quantization: Quantization, mode: CompositionMode)
 
 
 def frame_overhead_bytes(levels: int) -> int:
-    """Fixed per-frame bytes: index, counts, clone count."""
+    """Fixed per-frame bytes: index, counts, relocation count."""
     return 8 + 4 * levels + 4
+
+
+def frame_byte_split(counts, relocations: int, config: StreamConfig) -> tuple[int, int, int]:
+    """A frame's (delta, relocation, overhead) bytes; they sum to its payload length."""
+    return (delta_block_bytes(counts, config.quantization, config.composition_mode),
+            relocations * RELOCATION_BYTES, frame_overhead_bytes(config.levels))
 
 
 def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig) -> int:
@@ -354,13 +364,12 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig) ->
     at the anchor caps the hierarchy can fill with it
     (:func:`hierarchy.level_caps`), not at its nominal targets, so deltas
     plus overhead stay within the budget at every frame of a session whose
-    rebuilds all use the returned target, however many gaussians
-    densification appends. The clone records themselves (16 B each: a source
-    ordinal and a position) are outside the budget, so a frame that densifies
-    can exceed it, and a tighter budget means coarser anchors, larger
-    residuals and often more clones. The target is capped at ceil(n_gaussians *
-    finest_fraction). An infeasible budget raises with the minimum feasible
-    one, the cost at a finest target of one anchor.
+    rebuilds all use the returned target. The relocation records (16 B
+    each: a gaussian ordinal and a position) are outside the budget, so a
+    frame that densifies can exceed it, and a tighter budget means coarser
+    anchors, larger residuals and often more records. The target is capped
+    at ceil(n_gaussians * finest_fraction). An infeasible budget raises with
+    the minimum feasible one, the cost at a finest target of one anchor.
     """
     overhead = frame_overhead_bytes(config.levels)
 

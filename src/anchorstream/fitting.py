@@ -4,8 +4,8 @@ Phase 1 fits all per-level anchor deltas jointly by momentum gradient descent
 on a mean squared position error; appearance and scale never change. The
 optimizer's settings are fixed: a learning rate of 1e-2 and momentum 0.9,
 with each anchor's step preconditioned by its cluster size. Phase 2
-densifies: correspondences whose residual stays above a threshold spawn a
-clone of the source gaussian at the observed target position.
+densifies: each gaussian whose residual stays above a threshold gets a
+relocation record that moves it to its observed target position.
 
 The fit is warm-started. The session passes the previous frame's applied
 deltas as ``init`` (inherited ones at a rebuild), so motion carries from
@@ -308,15 +308,16 @@ def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                       threshold: float,
                       mode: CompositionMode = CompositionMode.additive,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the clones for targets whose residual exceeds the threshold.
+    """Pick the relocation records for targets whose residual exceeds the threshold.
 
-    Returns, per clone, the index of the gaussian it copies (K,) and the
-    observed target it sits at (K, 3). The session builds each clone from
-    its source's scale, orientation, opacity, and SH. Nothing is ever
-    pruned: opacity never changes without photometric training, so there is
-    no signal to prune on.
+    Returns, in ascending ordinal order, the index of each gaussian to move
+    (K,) and the observed target it moves to (K, 3). The gaussian keeps its
+    scale, orientation, opacity and SH. Nothing is ever pruned or added:
+    opacity never changes without photometric training, so there is no
+    signal to prune on, and every observed point already has a gaussian.
     """
     pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, corr.indices)
     residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
     picked = np.nonzero(residual > threshold)[0]
+    picked = picked[np.argsort(corr.indices[picked])]  # indices are unique
     return corr.indices[picked], corr.targets[picked]

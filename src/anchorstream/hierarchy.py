@@ -157,11 +157,11 @@ def level_targets(n_gaussians: int, config: StreamConfig, finest_target: int | N
     """Per-level target anchor counts, coarsest first: base * level_ratio^(l-1).
 
     The finest level aims at ceil(N * finest_fraction), or at an explicit
-    override (a session's frame-0 target, or the budget planner's pick),
-    clamped to [1, N]. The base is that count divided by level_ratio^(L-1),
-    rounded up, so the finest target is never below the requested one. No
-    level aims above N: there are no more points to pick as anchors, and a
-    huge ratio would otherwise overflow the grid's cell codes.
+    override (a candidate of the budget planner), clamped to [1, N]. The
+    base is that count divided by level_ratio^(L-1), rounded up, so the
+    finest target is never below the requested one. No level aims above N:
+    there are no more points to pick as anchors, and a huge ratio would
+    otherwise overflow the grid's cell codes.
     """
     n = max(1, n_gaussians)
     return tuple(min(t, n) for t in _nominal_targets(n_gaussians, config, finest_target))
@@ -172,9 +172,8 @@ def level_caps(n_gaussians: int, config: StreamConfig,
     """Most anchors each level can realize, coarsest first: one per grid cell.
 
     Arguments are as for :func:`level_targets`. The grids are sized for the
-    targets before their clamp to N, so a hierarchy built over any positions
-    with the same finest target, at N or more gaussians, holds at most these
-    counts: densification can grow N without raising a cap.
+    targets before their clamp to N, so a hierarchy built over any N
+    positions with the same finest target holds at most these counts.
     """
     return tuple(grid_resolution(t) ** 3 for t in _nominal_targets(n_gaussians, config, finest_target))
 
@@ -235,8 +234,8 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
     return out
 
 
-def rehierarchize(state: SceneState, config: StreamConfig,
-                  finest_target: int | None = None) -> tuple[AnchorHierarchy, list[np.ndarray]]:
+def rehierarchize(state: SceneState, config: StreamConfig
+                  ) -> tuple[AnchorHierarchy, list[np.ndarray]]:
     """Rebuild the hierarchy from current positions and match legacy anchors.
 
     Returns the new hierarchy plus, per level, a (A_new, 3) map of legacy
@@ -245,7 +244,7 @@ def rehierarchize(state: SceneState, config: StreamConfig,
     """
     if state.hierarchy is None:
         raise ValueError("state has no hierarchy to reconfigure")
-    new_hier = build_hierarchy(state.gaussians, config, finest_target)
+    new_hier = build_hierarchy(state.gaussians, config)
     pos = state.gaussians.positions
     neighbor_maps = []
     for new_lvl, old_lvl in zip(new_hier.levels, state.hierarchy.levels):

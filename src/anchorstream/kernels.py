@@ -45,7 +45,7 @@ SCAN_MAX_ANCHORS = 64
 # random points, grid-sampled anchors, 2-core x86 host:
 #
 #     points x anchors    scan       pruned
-#       300 x  981          2.7 ms     9.8 ms   (clone assignment)
+#       300 x  981          2.7 ms     9.8 ms   (relocation assignment)
 #      1200 x  982          6.8 ms    28.7 ms
 #      5000 x  991         32.6 ms    41.2 ms
 #      6000 x  343         12.3 ms    14.8 ms

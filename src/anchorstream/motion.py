@@ -143,27 +143,31 @@ class AnchorDeltaSet:
 
 @dataclass
 class FrameDeformation:
-    """Everything one frame carries: per-level deltas plus densification.
+    """Everything one frame carries: per-level deltas plus relocation records.
 
-    Clone k copies gaussian ``clone_sources[k]`` (K,) int64 of the state
-    before this frame's deformation and sits at ``clone_positions[k]``
-    (K, 3) float32.
+    Record k moves gaussian ``relocation_ordinals[k]`` (K,) int64 to
+    ``relocation_positions[k]`` (K, 3) float32 after the frame's
+    deformation. The ordinals strictly increase, so no gaussian is named
+    twice and no write order decides a state.
     """
 
     per_level: list[AnchorDeltaSet]
-    clone_sources: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    clone_positions: np.ndarray = field(default_factory=lambda: np.empty((0, 3), np.float32))
+    relocation_ordinals: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    relocation_positions: np.ndarray = field(default_factory=lambda: np.empty((0, 3), np.float32))
 
     def __post_init__(self):
-        self.clone_sources = np.ascontiguousarray(self.clone_sources, np.int64)
-        self.clone_positions = np.ascontiguousarray(self.clone_positions, np.float32)
-        k = self.clone_sources.shape[0]
-        if self.clone_sources.shape != (k,) or self.clone_positions.shape != (k, 3):
-            raise ValueError("clone sources must be (K,) and clone positions (K, 3)")
-        if (self.clone_sources < 0).any():
-            raise ValueError("clone sources must be non-negative")
-        if not np.isfinite(self.clone_positions).all():
-            raise ValueError("clone positions must be finite")
+        self.relocation_ordinals = np.ascontiguousarray(self.relocation_ordinals, np.int64)
+        self.relocation_positions = np.ascontiguousarray(self.relocation_positions, np.float32)
+        ordinals = self.relocation_ordinals
+        k = ordinals.shape[0]
+        if ordinals.shape != (k,) or self.relocation_positions.shape != (k, 3):
+            raise ValueError("relocation ordinals must be (K,) and relocation positions (K, 3)")
+        if (ordinals < 0).any():
+            raise ValueError("relocation ordinals must be non-negative")
+        if (ordinals[1:] <= ordinals[:-1]).any():
+            raise ValueError("relocation ordinals must be strictly increasing")
+        if not np.isfinite(self.relocation_positions).all():
+            raise ValueError("relocation positions must be finite")
 
     @classmethod
     def zeros(cls, hierarchy: AnchorHierarchy) -> "FrameDeformation":

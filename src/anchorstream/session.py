@@ -8,14 +8,13 @@ frames) on both sides; each side reads it from the stream header
 (:meth:`codec.StreamHeader.reconfigures_at`), so no frame carries a flag.
 The stream header carries every session setting the decoder needs, so a
 decode takes nothing but the frame-0 input and the stream.
-Every build of a session sizes its grids for the same frame-0 finest target,
-so the per-level anchor caps never move, however many gaussians are added.
 
-Densified gaussians append to the end of the flat sequence on both sides and
-are assigned to existing anchors by the same deterministic rule, so stream
-payloads never carry anchor indices. A clone travels as the ordinal of the
-gaussian it copies plus its position; :func:`_advance_state` rebuilds the
-rest of its record from the mirrored state.
+Densification relocates: a gaussian whose residual stays above the
+threshold moves to its observed target after the frame's deformation, and
+joins, per level, the cluster of its L1-nearest anchor by the same
+deterministic rule on both sides, so stream payloads never carry anchor
+indices. Nothing is appended, so the gaussian count stays the frame-0 count
+and every build of a session sizes its grids for the same finest target.
 """
 
 from __future__ import annotations
@@ -92,10 +91,9 @@ class FrameMetrics:
     """One metrics row per frame, the same on the encoder and the decoder side.
 
     ``payload_bytes`` is the frame's length in the stream; it splits exactly
-    into ``delta_bytes`` (:func:`codec.delta_block_bytes` of the anchor
-    counts), ``clone_bytes`` (``codec.CLONE_BYTES`` per clone) and
-    ``overhead_bytes`` (:func:`codec.frame_overhead_bytes`). A decoder cannot
-    know the fit's ``loss`` and ``mean_error``, so its rows hold nan there.
+    into ``delta_bytes``, ``relocation_bytes`` and ``overhead_bytes``
+    (:func:`codec.frame_byte_split`). A decoder cannot know the fit's
+    ``loss`` and ``mean_error``, so its rows hold nan there.
     """
 
     frame_index: int
@@ -103,23 +101,20 @@ class FrameMetrics:
     mean_error: float
     payload_bytes: int
     delta_bytes: int
-    clone_bytes: int
+    relocation_bytes: int
     overhead_bytes: int
     anchor_counts: tuple[int, ...]
     reconfig: bool
     checksum: str
 
 
-def _frame_row(header: StreamHeader, frame: int, counts: tuple[int, ...], clone_count: int,
+def _frame_row(header: StreamHeader, frame: int, counts: tuple[int, ...], relocations: int,
                payload_bytes: int, state: SceneState, loss: float = math.nan,
                mean_error: float = math.nan) -> FrameMetrics:
     """The metrics row of one frame, built alike by encoder and decoder."""
-    config = header.config
     return FrameMetrics(
         frame, loss, mean_error, payload_bytes,
-        codec.delta_block_bytes(counts, config.quantization, config.composition_mode),
-        clone_count * codec.CLONE_BYTES,
-        codec.frame_overhead_bytes(config.levels),
+        *codec.frame_byte_split(counts, relocations, header.config),
         counts, header.reconfigures_at(frame), state_checksum(state),
     )
 
@@ -131,20 +126,20 @@ class StorageReport:
     mean_bytes: float
     max_bytes: int
     delta_bytes: int
-    added_bytes: int
+    relocation_bytes: int
     overhead_bytes: int
 
     def decomposition(self) -> str:
         return (
             f"frames={self.frames} total={self.total_bytes}B "
             f"mean={self.mean_bytes:.1f}B/frame max={self.max_bytes}B | "
-            f"deltas={self.delta_bytes}B densification={self.added_bytes}B "
+            f"deltas={self.delta_bytes}B relocations={self.relocation_bytes}B "
             f"headers={self.overhead_bytes}B"
         )
 
 
 def storage_report(rows: list[FrameMetrics]) -> StorageReport:
-    """Aggregate per-frame rows into a session report; clone bytes count as added."""
+    """Aggregate per-frame rows into a session report."""
     if not rows:
         raise ValueError("storage report requires at least one encoded frame")
     totals = [r.payload_bytes for r in rows]
@@ -154,7 +149,7 @@ def storage_report(rows: list[FrameMetrics]) -> StorageReport:
         mean_bytes=sum(totals) / len(rows),
         max_bytes=max(totals),
         delta_bytes=sum(r.delta_bytes for r in rows),
-        added_bytes=sum(r.clone_bytes for r in rows),
+        relocation_bytes=sum(r.relocation_bytes for r in rows),
         overhead_bytes=sum(r.overhead_bytes for r in rows),
     )
 
@@ -171,24 +166,23 @@ class SessionResult:
 
 def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
                    mode: CompositionMode, frame_index: int) -> SceneState:
-    """Apply one frame to a state: deform, append clones, reassign.
+    """Apply one frame to a state: deform, relocate, reassign the relocated rows.
 
     Shared verbatim by encoder and decoder - this is the mirror contract.
-    Each clone takes its position from the frame and every other attribute
-    from its source row as it stood before this frame's deformation.
+    Each record overwrites its gaussian's deformed position; every other
+    column keeps the deformation's values. Per level, each relocated row
+    then joins the cluster of its L1-nearest anchor, with anchor positions
+    read after the relocation, in a fresh assignment array.
     """
-    before = state.gaussians
-    gaussians = apply_deformation(before, state.hierarchy, payload_deltas, mode)
-    src = payload_deltas.clone_sources
-    if src.size:
-        added = (payload_deltas.clone_positions,
-                 *(col[src] for col in before.attribute_arrays()[1:]))
+    gaussians = apply_deformation(state.gaussians, state.hierarchy, payload_deltas, mode)
+    ordinals = payload_deltas.relocation_ordinals
+    if ordinals.size:
+        moved = payload_deltas.relocation_positions
+        gaussians.positions[ordinals] = moved
         for lvl in state.hierarchy.levels:
-            anchors = gaussians.positions[lvl.anchor_indices]
-            extra = l1_nearest(payload_deltas.clone_positions, anchors)
-            lvl.assignment = np.concatenate([lvl.assignment, extra])
-        gaussians = GaussianSet(*(np.concatenate([col, new])
-                                  for col, new in zip(gaussians.attribute_arrays(), added)))
+            assignment = lvl.assignment.copy()
+            assignment[ordinals] = l1_nearest(moved, gaussians.positions[lvl.anchor_indices])
+            lvl.assignment = assignment
     state.gaussians = gaussians
     state.frame_index = frame_index
     return state
@@ -197,16 +191,6 @@ def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
 def _mean_position_error(state: SceneState, corr: Correspondences) -> float:
     pos = state.gaussians.positions.astype(np.float64)[corr.indices]
     return float(np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1).mean())
-
-
-def _finest_target(header: StreamHeader) -> int:
-    """The finest-level anchor target of every (re)build in a session.
-
-    Fixed at frame 0 as ceil(n0 * finest_fraction) from the header, so
-    densified clones never raise the per-level anchor caps, and encoder and
-    decoder derive the same value.
-    """
-    return math.ceil(header.gaussian_count_initial * header.config.finest_fraction)
 
 
 def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig, *,
@@ -225,7 +209,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     the effective finest fraction, so the decoder builds the same grids
     without ever seeing the budget. ``planned_caps`` then holds the per-level
     anchor caps that keep every frame's anchor deltas plus overhead within
-    the budget. Clone records (16 B each) come on top of it: see
+    the budget. Relocation records (16 B each) come on top of it: see
     :func:`codec.plan_budget`. Each encoded frame gets one
     :class:`FrameMetrics` row, the one the decoder builds for it apart from
     the fit's loss and error, and ``report`` sums the rows' byte split. The
@@ -242,10 +226,9 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         fraction = Fraction(codec.plan_budget(n0, budget_bytes, config), n0)
     eff_config = replace(config, finest_fraction=fraction)
     header = StreamHeader(eff_config, n0)
-    finest_target = _finest_target(header)
-    planned = None if budget_bytes is None else level_caps(n0, eff_config, finest_target)
+    planned = None if budget_bytes is None else level_caps(n0, eff_config)
 
-    state = SceneState(base.copy(), build_hierarchy(base, eff_config, finest_target), 0)
+    state = SceneState(base.copy(), build_hierarchy(base, eff_config), 0)
     chunks = [header.pack()]
     metrics: list[FrameMetrics] = []
     prev_deltas: Optional[FrameDeformation] = None
@@ -253,7 +236,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     for t in range(1, source.frame_count):
         init = prev_deltas
         if header.reconfigures_at(t):
-            state.hierarchy, neighbor_maps = rehierarchize(state, eff_config, finest_target)
+            state.hierarchy, neighbor_maps = rehierarchize(state, eff_config)
             if init is not None:
                 init = FrameDeformation([inherit_deformation(legacy, nbr)
                                          for legacy, nbr in zip(init.per_level, neighbor_maps)])
@@ -265,11 +248,11 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
                            eff_config.phase1_steps, eff_config.composition_mode)
         frame_def = fitted
         if eff_config.phase2_steps > 0:
-            sources, positions = densify_residuals(
+            ordinals, positions = densify_residuals(
                 state.gaussians, state.hierarchy, fitted, corr,
                 eff_config.densify_threshold, eff_config.composition_mode,
             )
-            frame_def = FrameDeformation(fitted.per_level, sources, positions)
+            frame_def = FrameDeformation(fitted.per_level, ordinals, positions)
 
         loss, _ = loss_and_gradient(state.gaussians, state.hierarchy, fitted, corr,
                                     eff_config.composition_mode)
@@ -281,7 +264,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         prev_deltas = FrameDeformation(applied.per_level)
 
         metrics.append(_frame_row(header, t, state.hierarchy.anchor_counts(),
-                                  len(applied.clone_sources), len(payload), state,
+                                  len(applied.relocation_ordinals), len(payload), state,
                                   loss, _mean_position_error(state, corr)))
 
     return SessionResult(b"".join(chunks), metrics, state, storage_report(metrics),
@@ -303,7 +286,7 @@ def _start_decode(base: GaussianSet, stream: bytes) -> tuple[StreamHeader, Scene
             f"frame-0 source has {len(base)} gaussians, stream expects "
             f"{header.gaussian_count_initial}"
         )
-    hierarchy = build_hierarchy(base, header.config, _finest_target(header))
+    hierarchy = build_hierarchy(base, header.config)
     return header, SceneState(base.copy(), hierarchy, 0)
 
 
@@ -311,14 +294,14 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
                    ) -> Iterator[tuple[FrameMetrics, SceneState]]:
     """The decode loop: advance ``state`` frame by frame, yielding each frame's row.
 
-    A payload that disagrees with the mirrored state (a clone source past
-    the gaussian count, anchor counts other than the rebuilt hierarchy's)
+    A payload that disagrees with the mirrored state (a relocation ordinal
+    past the gaussian count, anchor counts other than the rebuilt hierarchy's)
     fails before the state changes. Whatever a well-framed payload makes go
     wrong while it is applied (a degenerate pivot rotation, deltas that
     carry positions out of float32 range) is a :class:`StreamFormatError`
     naming the frame.
     """
-    config, finest_target = header.config, _finest_target(header)
+    config = header.config
     offset = codec.HEADER_BYTES
     expected = 1
     while offset < len(stream):
@@ -328,15 +311,15 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
         if frame != expected:
             raise StreamFormatError(f"frame index {frame} out of order, expected {expected}")
         n = len(state.gaussians)
-        sources = payload.deltas.clone_sources
-        if sources.size and sources.max() >= n:
-            raise StreamFormatError(f"frame {frame}: clone source {sources.max()} is not "
+        ordinals = payload.deltas.relocation_ordinals
+        if ordinals.size and ordinals[-1] >= n:
+            raise StreamFormatError(f"frame {frame}: relocation ordinal {ordinals[-1]} is not "
                                     f"below the gaussian count {n}")
         hierarchy = state.hierarchy
         if header.reconfigures_at(frame):
             # the encoder's rehierarchize builds exactly this; its legacy-anchor
             # maps only seed the encoder's fit
-            hierarchy = build_hierarchy(state.gaussians, config, finest_target)
+            hierarchy = build_hierarchy(state.gaussians, config)
         codec.verify_counts(payload, hierarchy)
         state.hierarchy = hierarchy
         try:
@@ -347,7 +330,7 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
         g = state.gaussians
         if not (np.isfinite(g.positions).all() and np.isfinite(g.orientations).all()):
             raise StreamFormatError(f"frame {frame}: deltas carry gaussians out of float32 range")
-        yield _frame_row(header, frame, payload.realized_counts, len(sources),
+        yield _frame_row(header, frame, payload.realized_counts, len(ordinals),
                          offset - start, state), state
         expected += 1
 

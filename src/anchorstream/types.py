@@ -128,8 +128,8 @@ class StreamConfig:
     steps refine the motion rather than learn it from rest. Of
     ``phase2_steps`` only zero versus positive matters: 0 turns densification
     off, and any positive value turns it on. ``densify_threshold`` is the
-    residual above which a target spawns a clone; it must be finite and
-    positive.
+    residual above which a gaussian is relocated to its observed target (a
+    16 B record in the frame); it must be finite and positive.
     """
 
     levels: int = 3

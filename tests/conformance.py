@@ -1,10 +1,11 @@
 """Conformance streams: small committed encodes that every later tree must reproduce.
 
-Each case is a scene spec plus a stream config, defined here. Its stream and
-its manifest entry live in ``tests/conformance/``: the stream's SHA-256, its
-frame, rebuild and clone-frame counts, and the state checksum after every
-frame. A change that moves any bit of the encoder or the decoder changes one
-of them, and ``tests/test_conformance.py`` fails.
+Each case is a scene spec plus a stream config, defined here, and, for a
+budget-planned case, its byte budget in :data:`BUDGETS`. Its stream and its
+manifest entry live in ``tests/conformance/``: the stream's SHA-256, its
+frame, rebuild and relocation-frame counts, and the state checksum after
+every frame. A change that moves any bit of the encoder or the decoder
+changes one of them, and ``tests/test_conformance.py`` fails.
 
 Rewrite the streams and the manifest, from the repository root, with:
 
@@ -35,12 +36,23 @@ HERE = Path(__file__).resolve().parent / "conformance"
 MANIFEST = HERE / "manifest.json"
 
 
-def _arm_pivot():
-    """The arm scene at a tenth of its points, pivot half16, rebuilt every third frame."""
+def _small_arm():
+    """The arm scene at a tenth of its points."""
     spec = two_body_arm_spec(frames=8, seed=3)
     for body in spec.bodies:
         body.point_count = max(1, round(body.point_count * 0.1))
-    return spec, StreamConfig(composition_mode=CompositionMode.pivot, reconfig_period=3)
+    return spec
+
+
+def _arm_pivot():
+    """The small arm, pivot half16, rebuilt every third frame."""
+    return _small_arm(), StreamConfig(composition_mode=CompositionMode.pivot, reconfig_period=3)
+
+
+def _arm_fixed16():
+    """The small arm, pivot fixed16, rebuilt every third frame, relocating on every frame."""
+    return _small_arm(), StreamConfig(composition_mode=CompositionMode.pivot, reconfig_period=3,
+                                      quantization=Quantization.fixed16, densify_threshold=0.003)
 
 
 def _pair_additive():
@@ -51,6 +63,15 @@ def _pair_additive():
     return spec, StreamConfig(quantization=Quantization.full32, densify_threshold=0.02)
 
 
+def _pair_budget():
+    """The drifting pair at 150 points a body, additive half16, rebuilt every third
+    frame, planned for 250 B a frame."""
+    spec = drifting_pair_spec(frames=8, seed=3)
+    for body in spec.bodies:
+        body.point_count = 150
+    return spec, StreamConfig(reconfig_period=3, densify_threshold=0.01)
+
+
 def _pair_fixed16():
     """The drifting pair at 150 points a body, additive fixed16, rebuilt every third frame."""
     spec = drifting_pair_spec(frames=8, seed=4)
@@ -59,8 +80,11 @@ def _pair_fixed16():
     return spec, StreamConfig(quantization=Quantization.fixed16, reconfig_period=3)
 
 
-CASES = {"pivot_half16": _arm_pivot, "additive_full32": _pair_additive,
-         "additive_fixed16": _pair_fixed16}
+CASES = {"pivot_half16": _arm_pivot, "pivot_fixed16": _arm_fixed16,
+         "additive_full32": _pair_additive, "additive_fixed16": _pair_fixed16,
+         "additive_half16_budget": _pair_budget}
+# bytes per frame handed to the budget planner; a case not named here has no budget
+BUDGETS = {"additive_half16_budget": 250}
 
 
 def case_source(name: str) -> tuple[SyntheticSource, StreamConfig]:
@@ -72,7 +96,8 @@ def case_source(name: str) -> tuple[SyntheticSource, StreamConfig]:
 def encode_case(name: str):
     """The :class:`anchorstream.SessionResult` of one case, encoded afresh."""
     source, config = case_source(name)
-    return encode_session(source.base_gaussians(), source, config)
+    return encode_session(source.base_gaussians(), source, config,
+                          budget_bytes=BUDGETS.get(name))
 
 
 def stream_path(name: str) -> Path:
@@ -92,7 +117,7 @@ def main() -> None:
         manifest[name] = {
             "sha256": hashlib.sha256(result.stream).hexdigest(),
             "frames": len(result.metrics),
-            "clone_frames": sum(row.clone_bytes > 0 for row in result.metrics),
+            "relocation_frames": sum(row.relocation_bytes > 0 for row in result.metrics),
             "rebuilds": sum(row.reconfig for row in result.metrics),
             "checksums": [row.checksum for row in result.metrics],
         }

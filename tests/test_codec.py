@@ -23,8 +23,8 @@ from anchorstream import (
 )
 from anchorstream import codec
 from anchorstream.codec import (
-    CLONE_BYTES,
     HEADER_BYTES,
+    RELOCATION_BYTES,
     StreamHeader,
     delta_block_bytes,
     frame_overhead_bytes,
@@ -50,8 +50,9 @@ def make_header(levels, quantization, count, mode=CompositionMode.pivot, den=10)
 
 
 def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
-    """Random deltas and ``added`` clones; additive deltas have zero rotations,
-    as the fit leaves them."""
+    """Random deltas and ``added`` relocation records of distinct gaussians, in
+    ascending ordinal order; additive deltas have zero rotations, as the fit
+    leaves them."""
     rot_scale = scale if mode == CompositionMode.pivot else 0.0
     per_level = [
         AnchorDeltaSet(
@@ -61,7 +62,7 @@ def random_deformation(h, rng, scale=0.5, added=0, mode=CompositionMode.pivot):
         for lvl in h.levels
     ]
     n = len(h.levels[0].assignment)
-    return FrameDeformation(per_level, rng.integers(0, n, added),
+    return FrameDeformation(per_level, np.sort(rng.choice(n, added, replace=False)),
                             rng.random((added, 3), dtype=np.float32))
 
 
@@ -88,14 +89,14 @@ def test_header_round_trip():
         assert len(raw) == HEADER_BYTES == 33
 
 
-def test_header_packs_to_the_v3_layout():
+def test_header_packs_to_the_v4_layout():
     config = StreamConfig(levels=2, finest_fraction=Fraction(3, 50), level_ratio=5,
                           reconfig_period=7, quantization=Quantization.fixed16,
                           composition_mode=CompositionMode.pivot, phase1_steps=9)
     assert StreamHeader(config, 123_456).pack() == struct.pack(
-        "<4sHBBBIIIIQ", b"RCGS", 3, 2, 2, 1, 5, 7, 3, 50, 123_456)
+        "<4sHBBBIIIIQ", b"RCGS", 4, 2, 2, 1, 5, 7, 3, 50, 123_456)
     assert StreamHeader(StreamConfig(), 1000).pack() == struct.pack(
-        "<4sHBBBIIIIQ", b"RCGS", 3, 3, 1, 0, 3, 10, 1, 24, 1000)
+        "<4sHBBBIIIIQ", b"RCGS", 4, 3, 1, 0, 3, 10, 1, 24, 1000)
 
 
 def test_header_bad_magic():
@@ -121,6 +122,9 @@ def test_version_1_header_is_rejected():
         # v2 had today's 33-byte header; its frames held 92 B clone records
         # and a reconfig flag
         2: struct.pack("<4sHBBBIIIIQ", b"RCGS", 2, 3, 1, 0, 3, 10, 1, 24, 1000),
+        # v3 had today's header and frames, but its 16 B records appended a
+        # copy of the named gaussian instead of moving it
+        3: struct.pack("<4sHBBBIIIIQ", b"RCGS", 3, 3, 1, 0, 3, 10, 1, 24, 1000),
     }
     for version, header in old_headers.items():
         with pytest.raises(StreamFormatError, match=f"unsupported stream version {version}"):
@@ -190,7 +194,7 @@ def test_zero_delta_block_sizes(rng):
     for mode in CompositionMode:
         header = make_header(1, Quantization.full32, 40, mode)
         payload = encode_frame(1, FrameDeformation.zeros(h), h, header)
-        # frame_index + counts + delta block + clone count
+        # frame_index + counts + delta block + relocation count
         assert len(payload) == 8 + 4 + 4 * values_per_anchor(mode) * 4 + 4
         decoded, end = decode_frame(payload, 0, header)
         assert end == len(payload)
@@ -211,11 +215,12 @@ def test_full32_round_trip_bit_exact(rng):
         for got, want in zip(decoded.deltas.per_level, deltas.per_level):
             assert np.array_equal(got.translations, want.translations)
             assert np.array_equal(got.rotations, want.rotations)
-        assert np.array_equal(decoded.deltas.clone_sources, deltas.clone_sources)
-        assert np.array_equal(decoded.deltas.clone_positions, deltas.clone_positions)
-        # the frame ends with the ordinals, then the positions: 16 B per clone
-        assert payload[-48:] == (deltas.clone_sources.astype("<u4").tobytes()
-                                 + deltas.clone_positions.astype("<f4").tobytes())
+        assert np.array_equal(decoded.deltas.relocation_ordinals, deltas.relocation_ordinals)
+        assert np.array_equal(decoded.deltas.relocation_positions,
+                              deltas.relocation_positions)
+        # the frame ends with the ordinals, then the positions: 16 B per record
+        assert payload[-48:] == (deltas.relocation_ordinals.astype("<u4").tobytes()
+                                 + deltas.relocation_positions.astype("<f4").tobytes())
 
 
 def test_half16_round_trip_matches_float16(rng):
@@ -300,9 +305,10 @@ def test_payload_length_pure_function(rng):
                 header = make_header(3, quant, 120, mode)
                 deltas = random_deformation(h, rng, added=added, mode=mode)
                 payload = encode_frame(3, deltas, h, header)
-                assert len(payload) == (
-                    delta_block_bytes(h.anchor_counts(), quant, mode)
-                    + frame_overhead_bytes(3) + added * CLONE_BYTES)
+                split = codec.frame_byte_split(h.anchor_counts(), added, header.config)
+                assert split == (delta_block_bytes(h.anchor_counts(), quant, mode),
+                                 added * RELOCATION_BYTES, frame_overhead_bytes(3))
+                assert len(payload) == sum(split)
 
 
 def test_additive_payload_carries_three_values_per_anchor(rng):
@@ -315,7 +321,7 @@ def test_additive_payload_carries_three_values_per_anchor(rng):
         ranges = 3 * 3 * 8 if quant == Quantization.fixed16 else 0  # per level and component
         assert len(payload) == (
             delta_block_bytes(counts, quant, CompositionMode.additive)
-            + frame_overhead_bytes(3) + CLONE_BYTES) == (
+            + frame_overhead_bytes(3) + RELOCATION_BYTES) == (
             frame_overhead_bytes(3) + sum(counts) * 3 * codec.VALUE_BYTES[quant] + ranges + 16)
         decoded, _ = decode_frame(payload, 0, header)
         for ds in decoded.deltas.per_level:
@@ -354,12 +360,12 @@ def test_nonfinite_added_record_is_a_stream_error(rng):
     pos, h = small_hierarchy(rng, anchors=6)
     header = make_header(1, Quantization.full32, 40)
     payload = bytearray(encode_frame(4, random_deformation(h, rng, added=2), h, header))
-    # the clone count, two source ordinals, then the first position
+    # the record count, two gaussian ordinals, then the first position
     c = header.config
     first_position = 8 + 4 * c.levels + delta_block_bytes(
         h.anchor_counts(), c.quantization, c.composition_mode) + 4 + 2 * 4
     payload[first_position:first_position + 4] = np.float32(np.inf).tobytes()
-    with pytest.raises(StreamFormatError, match="frame 4: clone positions must be finite"):
+    with pytest.raises(StreamFormatError, match="frame 4: relocation positions must be finite"):
         decode_frame(bytes(payload), 0, header)
 
 
@@ -377,10 +383,21 @@ def test_count_mismatch_names_level(rng):
 def test_nonfinite_delta_rejected():
     with pytest.raises(ValueError):
         AnchorDeltaSet(np.full((4, 3), np.nan, np.float32), np.zeros((4, 4), np.float32))
-    with pytest.raises(ValueError, match="clone positions must be finite"):
+    with pytest.raises(ValueError, match="relocation positions must be finite"):
         FrameDeformation([AnchorDeltaSet.zeros(4)], [0], np.float32([[np.inf, 0, 0]]))
-    with pytest.raises(ValueError, match="clone sources must be non-negative"):
+    with pytest.raises(ValueError, match="relocation ordinals must be non-negative"):
         FrameDeformation([AnchorDeltaSet.zeros(4)], [-1], np.zeros((1, 3), np.float32))
+
+
+@pytest.mark.parametrize("ordinals", [[3, 3], [5, 2], [0, 4, 4, 9]])
+def test_relocation_ordinals_must_strictly_increase(ordinals):
+    # an advanced assignment that names one gaussian twice keeps whichever
+    # write numpy makes last, which numpy does not specify
+    positions = np.zeros((len(ordinals), 3), np.float32)
+    with pytest.raises(ValueError, match="relocation ordinals must be strictly increasing"):
+        FrameDeformation([AnchorDeltaSet.zeros(4)], ordinals, positions)
+    FrameDeformation([AnchorDeltaSet.zeros(4)], sorted(set(ordinals)),
+                     positions[:len(set(ordinals))])
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +498,8 @@ def test_plan_budget_minimum_verified_brute_force():
 # ---------------------------------------------------------------------------
 
 
-def metrics_row(frame, payload_bytes, delta_bytes, clone_bytes, overhead_bytes, counts):
-    return FrameMetrics(frame, math.nan, math.nan, payload_bytes, delta_bytes, clone_bytes,
+def metrics_row(frame, payload_bytes, delta_bytes, relocation_bytes, overhead_bytes, counts):
+    return FrameMetrics(frame, math.nan, math.nan, payload_bytes, delta_bytes, relocation_bytes,
                         overhead_bytes, counts, False, "")
 
 
@@ -494,7 +511,7 @@ def test_storage_report_single_zero_frame(rng):
     assert delta == sum(counts) * 7 * 4
     report = storage_report([metrics_row(1, len(payload), delta, 0, frame_overhead_bytes(1),
                                          counts)])
-    assert report.delta_bytes == delta and report.added_bytes == 0
+    assert report.delta_bytes == delta and report.relocation_bytes == 0
     assert report.mean_bytes == len(payload) == delta + report.overhead_bytes
     assert f"deltas={delta}B" in report.decomposition()
 
@@ -502,7 +519,8 @@ def test_storage_report_single_zero_frame(rng):
 def test_storage_report_mean_is_total_over_frames():
     rows = [metrics_row(i, 100 + i, 50, 10, 29, (4,)) for i in range(1, 11)]
     report = storage_report(rows)
-    assert report.added_bytes == 100
+    assert report.relocation_bytes == 100
+    assert "relocations=100B" in report.decomposition()
     assert report.frames == 10
     assert report.mean_bytes == sum(100 + i for i in range(1, 11)) / 10
     assert report.max_bytes == 110

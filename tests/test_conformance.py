@@ -16,7 +16,7 @@ def test_committed_stream_decodes_to_every_recorded_checksum(name):
     decoded = decode_session(base, stream)
     assert [row.checksum for row in decoded.metrics] == want["checksums"]
     assert sum(row.reconfig for row in decoded.metrics) == want["rebuilds"]
-    assert sum(row.clone_bytes > 0 for row in decoded.metrics) == want["clone_frames"]
+    assert sum(row.relocation_bytes > 0 for row in decoded.metrics) == want["relocation_frames"]
 
 
 @pytest.mark.parametrize("name", list(conformance.CASES))

@@ -15,7 +15,7 @@ from anchorstream import (
     two_body_arm_spec,
     generate_scene,
 )
-from anchorstream import fitting, motion
+from anchorstream import codec, fitting, motion
 from anchorstream.fitting import _pack, _unpack
 
 import conformance
@@ -245,13 +245,19 @@ def test_gathered_rows_give_the_pivot_loss_and_gradient_bytewise(case, levels):
 
 
 def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
-    # a state grown by clones: its last rows were appended by densification
-    state = conformance.encode_case("additive_full32").state
-    g, h = state.gaussians, state.hierarchy
-    n0 = len(conformance.case_source("additive_full32")[0].base_gaussians())
+    # a state whose relocated rows were reassigned to their nearest anchors
+    # after the build, with no rebuild since
+    result = conformance.encode_case("additive_full32")
+    g, h = result.state.gaussians, result.state.hierarchy
+    header = result.header
+    assert not any(row.reconfig for row in result.metrics)
+    relocated, offset = [], codec.HEADER_BYTES
+    while offset < len(result.stream):
+        payload, offset = codec.decode_frame(result.stream, offset, header)
+        relocated.extend(payload.deltas.relocation_ordinals)
     rng = np.random.default_rng(5)
     idx = rng.permutation(len(g))[: len(g) - 9]
-    assert (idx >= n0).any()
+    assert np.isin(idx, relocated).any()
     targets = g.positions[idx] + rng.normal(0.0, 0.01, (len(idx), 3)).astype(np.float32)
     corr = Correspondences(idx, targets)
     deltas = random_deltas(h, rng, scale=0.02)
@@ -487,3 +493,18 @@ def test_densify_teleporting_points():
     sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.5)
     assert sorted(sources.tolist()) == sorted(moved.tolist())
     assert np.array_equal(positions, targets[sources])
+
+
+def test_densify_returns_its_picks_in_ascending_ordinal_order():
+    rng = np.random.default_rng(9)
+    pos = rng.random((200, 3), dtype=np.float32)
+    g = GaussianSet.from_positions(pos)
+    h = build_hierarchy(pos, StreamConfig())
+    targets = pos.copy()
+    moved = rng.choice(200, size=12, replace=False)
+    targets[moved] += np.float32([2.0, 0, 0])
+    order = rng.permutation(200)  # rows observed in no particular order
+    corr = Correspondences(order, targets[order])
+    ordinals, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.5)
+    assert ordinals.tolist() == sorted(moved.tolist())
+    assert np.array_equal(positions, targets[ordinals])

@@ -84,7 +84,7 @@ def _shape_cases(unit):
     offset = unit(1500) + np.float32(1e4)
     field = unit(2000)
     return {
-        "few_points_many_anchors": (unit(300), unit(1000)),  # clone assignment
+        "few_points_many_anchors": (unit(300), unit(1000)),  # relocation assignment
         "offset_1e4": (offset, unit(200) + np.float32(1e4)),
         "points_on_a_line": (line, unit(200)),
         "grid_sampled_anchors": (field, field[hierarchy.sample_anchors(field, 216).anchor_indices]),

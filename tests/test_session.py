@@ -5,6 +5,7 @@ reaches the encoder's state checksum at every frame.
 """
 
 import ast
+import copy
 import csv
 import inspect
 import json
@@ -18,11 +19,15 @@ import pytest
 from anchorstream import (
     CompositionMode,
     ConfigError,
+    Correspondences,
     GaussianSet,
     PlyParseError,
     Quantization,
+    SceneState,
     StreamConfig,
     StreamFormatError,
+    apply_deformation,
+    build_hierarchy,
     codec,
     decode_session,
     drifting_pair_spec,
@@ -39,6 +44,8 @@ from anchorstream import (
 from anchorstream import cli, session
 from anchorstream.cli import main
 from anchorstream.session import StaticSource, SyntheticSource
+
+from oracles import exhaustive_l1_assign
 
 
 def small_arm(frames=7, point_scale=0.25, seed=11):
@@ -68,7 +75,7 @@ def csv_rows(path):
 
 
 def byte_split(row):
-    return row.payload_bytes, row.delta_bytes, row.clone_bytes, row.overhead_bytes
+    return row.payload_bytes, row.delta_bytes, row.relocation_bytes, row.overhead_bytes
 
 
 def assert_mirrored(enc, dec):
@@ -114,7 +121,7 @@ def test_budget_holds_at_every_frame_while_densification_grows_n(ratio, budget):
                           densify_threshold=0.01)
     enc = encode_session(base, source, config, budget_bytes=budget)
     assert sum(m.reconfig for m in enc.metrics) >= 2
-    assert len(enc.state.gaussians) > 1.3 * len(base)
+    assert any(m.relocation_bytes for m in enc.metrics)
     overhead = codec.frame_overhead_bytes(config.levels)
     for m in enc.metrics:
         cost = codec.delta_block_bytes(m.anchor_counts, config.quantization,
@@ -145,14 +152,14 @@ def test_rows_split_payload_bytes_alike_on_both_sides(mode, quantization):
     enc = encode_session(base, source, config)
     dec = decode_session(base, enc.stream)
     assert sum(m.reconfig for m in enc.metrics) >= 2
-    assert any(m.clone_bytes for m in enc.metrics)
+    assert any(m.relocation_bytes for m in enc.metrics)
     for rows in (enc.metrics, dec.metrics):
         for m in rows:
-            assert m.delta_bytes + m.clone_bytes + m.overhead_bytes == m.payload_bytes
-            assert m.clone_bytes % codec.CLONE_BYTES == 0
+            assert m.delta_bytes + m.relocation_bytes + m.overhead_bytes == m.payload_bytes
+            assert m.relocation_bytes % codec.RELOCATION_BYTES == 0
     assert [byte_split(m) for m in dec.metrics] == [byte_split(m) for m in enc.metrics]
     report = enc.report
-    assert (report.delta_bytes, report.added_bytes, report.overhead_bytes) == tuple(
+    assert (report.delta_bytes, report.relocation_bytes, report.overhead_bytes) == tuple(
         sum(column) for column in zip(*(byte_split(m)[1:] for m in enc.metrics)))
     assert report.total_bytes == len(enc.stream) - codec.HEADER_BYTES
 
@@ -278,31 +285,46 @@ def test_decode_names_the_frame_whose_deltas_break_the_state():
         decode_session(base, bytes(degenerate))
 
 
-def clone_stream():
-    """A full32 session with clones, and (frame, payload end, clone count) per frame."""
+def relocation_stream():
+    """A full32 session with relocation records, and (frame, payload end, record count)
+    per frame."""
     base, source = session_inputs(small_arm(point_scale=0.5))
     config = StreamConfig(reconfig_period=3, quantization=Quantization.full32,
                           phase1_steps=10, densify_threshold=0.01)
     enc = encode_session(base, source, config)
-    frames = [(payload.frame_index, end, len(payload.deltas.clone_sources))
+    frames = [(payload.frame_index, end, len(payload.deltas.relocation_ordinals))
               for payload, end in stream_payloads(enc.stream)]
     return base, enc, frames
 
 
-def test_clones_copy_their_source_row_from_before_the_frame():
-    base, enc, _ = clone_stream()
-    previous = base.copy()
-    cloned = 0
+def test_relocations_overwrite_positions_and_reassign_their_clusters():
+    base, enc, _ = relocation_stream()
+    config = enc.header.config
+    previous = SceneState(base.copy(), build_hierarchy(base, config), 0)
+    moved = 0
     for (payload, _), (_, state) in zip(stream_payloads(enc.stream),
                                          iter_decode_metrics(base, enc.stream), strict=True):
-        src = payload.deltas.clone_sources
-        new = state.gaussians.attribute_arrays()
-        assert np.array_equal(new[0][len(previous):], payload.deltas.clone_positions)
-        for got, col in zip(new[1:], previous.attribute_arrays()[1:]):
-            assert np.array_equal(got[len(previous):], col[src])
-        cloned += len(src)
-        previous = state.gaussians.copy()
-    assert cloned > 0 and len(previous) == len(base) + cloned
+        hierarchy = previous.hierarchy
+        if enc.header.reconfigures_at(payload.frame_index):
+            hierarchy = build_hierarchy(previous.gaussians, config)
+        deformed = apply_deformation(previous.gaussians, hierarchy, payload.deltas,
+                                     config.composition_mode)
+        ordinals, targets = payload.deltas.relocation_ordinals, payload.deltas.relocation_positions
+        positions = deformed.positions.copy()
+        positions[ordinals] = targets
+        got = state.gaussians
+        assert len(got) == len(base)
+        assert got.positions.tobytes() == positions.tobytes()
+        for col, want in zip(got.attribute_arrays()[1:], deformed.attribute_arrays()[1:]):
+            assert col.tobytes() == want.tobytes()
+        for lvl, before in zip(state.hierarchy.levels, hierarchy.levels):
+            assert np.array_equal(lvl.anchor_indices, before.anchor_indices)
+            want = before.assignment.copy()  # only the relocated rows change cluster
+            want[ordinals] = exhaustive_l1_assign(targets, positions[lvl.anchor_indices])
+            assert np.array_equal(lvl.assignment, want), payload.frame_index
+        moved += len(ordinals)
+        previous = copy.deepcopy(state)
+    assert moved > 0
 
 
 @pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
@@ -318,46 +340,71 @@ def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantizati
                           densify_threshold=0.01)
     enc = encode_session(base, source, config)
     appearance = base.attribute_arrays()[1:]  # scales, orientations, opacities, sh
-    cloned = 0
-    for (payload, _), (_, state), m in zip(stream_payloads(enc.stream),
-                                           iter_decode_metrics(base, enc.stream), enc.metrics,
-                                           strict=True):
-        src = payload.deltas.clone_sources
-        appearance = [np.concatenate([col, col[src]]) for col in appearance]
+    for (_, state), m in zip(iter_decode_metrics(base, enc.stream), enc.metrics, strict=True):
         for got, want in zip(state.gaussians.attribute_arrays()[1:], appearance):
             assert got.tobytes() == want.tobytes(), f"frame {m.frame_index}"
         assert state_checksum(state) == m.checksum
-        cloned += len(src)
-    assert cloned > 0
+    assert any(m.relocation_bytes for m in enc.metrics)
 
 
-def test_bad_clone_record_fails_naming_the_frame_before_the_state_changes():
-    base, enc, frames = clone_stream()
-    frame, end, count = frames[2]  # frame 3 clones, and its schedule rebuilds the hierarchy
-    assert frame == 3 and count > 0
-    sources_at, positions_at = end - 16 * count, end - 12 * count
-    n_before = len(base) + sum(f[2] for f in frames if f[0] < frame)
-    for value in (n_before, 2**32 - 1):
+def test_bad_relocation_record_fails_naming_the_frame_before_the_state_changes():
+    base, enc, frames = relocation_stream()
+    frame, end, count = frames[2]  # frame 3 relocates, and its schedule rebuilds the hierarchy
+    assert frame == 3 and count >= 2
+    n = len(base)
+    last_at, positions_at = end - 12 * count - 4, end - 12 * count
+    for value in (n, 2**32 - 1):
         bad = bytearray(enc.stream)
-        bad[sources_at:sources_at + 4] = np.uint32(value).tobytes()
-        with pytest.raises(StreamFormatError, match=f"frame {frame}: clone source {value} is "
-                                                    f"not below the gaussian count {n_before}"):
+        bad[last_at:last_at + 4] = np.uint32(value).tobytes()
+        with pytest.raises(StreamFormatError, match=f"frame {frame}: relocation ordinal {value} "
+                                                    f"is not below the gaussian count {n}"):
             decode_session(base, bytes(bad))
     # the state after frame 2 stays as it was, hierarchy included
     decoded = iter_decode_metrics(base, bytes(bad))
     for _ in range(frame - 1):
         _, state = next(decoded)
     checksum, hierarchy = state_checksum(state), state.hierarchy
-    with pytest.raises(StreamFormatError, match=f"frame {frame}: clone source "):
+    assignments = [lvl.assignment.copy() for lvl in hierarchy.levels]
+    with pytest.raises(StreamFormatError, match=f"frame {frame}: relocation ordinal "):
         next(decoded)
     assert state_checksum(state) == checksum and state.hierarchy is hierarchy
-    assert all(len(lvl.assignment) == n_before for lvl in hierarchy.levels)
+    for lvl, assignment in zip(hierarchy.levels, assignments):
+        assert np.array_equal(lvl.assignment, assignment)
+    # an ordinal named twice: numpy leaves unspecified which of its writes wins
+    twice = bytearray(enc.stream)
+    twice[last_at:last_at + 4] = twice[last_at - 4:last_at]
+    with pytest.raises(StreamFormatError, match=f"frame {frame}: relocation ordinals must be "
+                                                f"strictly increasing"):
+        decode_session(base, bytes(twice))
     for value in (np.nan, np.inf):
         bad = bytearray(enc.stream)
         bad[positions_at:positions_at + 4] = np.float32(value).tobytes()
-        with pytest.raises(StreamFormatError, match=f"frame {frame}: clone positions must be "
-                                                    f"finite"):
+        with pytest.raises(StreamFormatError, match=f"frame {frame}: relocation positions must "
+                                                    f"be finite"):
             decode_session(base, bytes(bad))
+
+
+class ShuffledSource:
+    """Another source's observations, each frame's rows in a random order."""
+
+    def __init__(self, source, seed):
+        self.source, self.frame_count = source, source.frame_count
+        self.rng = np.random.default_rng(seed)
+
+    def correspondences(self, frame):
+        corr = self.source.correspondences(frame)
+        order = self.rng.permutation(len(corr))
+        return Correspondences(corr.indices[order], corr.targets[order])
+
+
+def test_a_source_with_shuffled_indices_writes_ascending_records_and_mirrors():
+    base, source = session_inputs(small_arm(point_scale=0.5))
+    config = StreamConfig(reconfig_period=3, phase1_steps=10, densify_threshold=0.01)
+    enc = encode_session(base, ShuffledSource(source, 8), config)
+    records = [p.deltas.relocation_ordinals for p, _ in stream_payloads(enc.stream)]
+    assert sum(len(r) > 1 for r in records) >= 2
+    assert all((np.diff(r) > 0).all() for r in records)
+    assert_mirrored(enc, decode_session(base, enc.stream))
 
 
 def test_huge_level_ratio_in_the_header_sizes_every_grid_for_n():
@@ -439,11 +486,11 @@ def test_cli_decode_metrics_repeat_the_encoders_bytes_and_checksums(tmp_path, ca
                 assert d[column] == "nan" and math.isfinite(float(e[column]))
             else:
                 assert d[column] == e[column], column
-    assert len({row["bytes"] for row in dec_rows}) > 1  # clone frames differ in size
+    assert len({row["bytes"] for row in dec_rows}) > 1  # relocating frames differ in size
     for row in dec_rows:
         assert int(row["bytes"]) == sum(
-            int(row[column]) for column in ("delta_bytes", "clone_bytes", "overhead_bytes"))
-    assert any(int(row["clone_bytes"]) for row in dec_rows)
+            int(row[column]) for column in ("delta_bytes", "relocation_bytes", "overhead_bytes"))
+    assert any(int(row["relocation_bytes"]) for row in dec_rows)
     assert sum(int(row["bytes"]) for row in dec_rows) == (
         len(stream_path.read_bytes()) - codec.HEADER_BYTES)
     assert f"final checksum: {dec_rows[-1]['checksum']}" in capsys.readouterr().out
@@ -483,6 +530,22 @@ def test_cli_rejects_a_bad_header_field_with_exit_1(tmp_path, capsys):
     stream_path.write_bytes(bytes(stream))
     assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path)]) == 1
     assert "bad stream header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "inspect"])
+def test_cli_rejects_a_v3_stream_with_exit_1(tmp_path, capsys, command):
+    # v3 frames have today's layout, but a v3 record appends a gaussian
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "v3.rcgs"
+    spec = small_arm(frames=3)
+    write_spec(spec_path, spec)
+    base, source = session_inputs(spec)
+    stream = bytearray(encode_session(base, source, StreamConfig(phase1_steps=5)).stream)
+    stream[4:6] = struct.pack("<H", 3)
+    stream_path.write_bytes(bytes(stream))
+    args = ["--stream", str(stream_path)] + (["--frame0", str(spec_path)]
+                                             if command == "decode" else [])
+    assert main([command, *args]) == 1
+    assert "unsupported stream version 3, expected 4" in capsys.readouterr().err
 
 
 def test_cli_encode_of_one_frame_is_a_config_error(tmp_path, capsys):
@@ -558,7 +621,7 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     assert main(["inspect", "--stream", str(stream_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "mode=additive level_ratio=3" in lines[0]
-    assert lines[2].split()[:5] == ["frame", "bytes", "delta_bytes", "clone_bytes",
+    assert lines[2].split()[:5] == ["frame", "bytes", "delta_bytes", "relocation_bytes",
                                     "overhead_bytes"]
     rows = lines[3:]  # two header lines, then column names
     byte_column = [int(row.split()[1]) for row in rows]
@@ -567,17 +630,19 @@ def test_cli_inspect_byte_column_accounts_for_the_stream(tmp_path, capsys):
     base = session_inputs(spec)[0]
     dec = decode_session(base, stream)
     assert byte_column == [m.payload_bytes for m in dec.metrics]
-    assert len(set(byte_column)) > 1  # clone frames differ in size
+    assert len(set(byte_column)) > 1  # relocating frames differ in size
     # the split sums to the bytes column and repeats the decoder's metrics CSV
     split = [[int(v) for v in row.split()[1:5]] for row in rows]
-    assert all(total == delta + clone + overhead for total, delta, clone, overhead in split)
-    assert any(clone for _, _, clone, _ in split)
+    assert all(total == delta + moved + overhead for total, delta, moved, overhead in split)
+    assert any(moved for _, _, moved, _ in split)
     assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
                  "--metrics", str(dec_csv)]) == 0
-    columns = ("bytes", "delta_bytes", "clone_bytes", "overhead_bytes")
+    columns = ("bytes", "delta_bytes", "relocation_bytes", "overhead_bytes")
     assert split == [[int(row[c]) for c in columns] for row in csv_rows(dec_csv)]
-    # the clone column counts the ordinals; the reconfig column is the header's schedule
-    assert sum(int(row.split()[-2]) for row in rows) == len(dec.state.gaussians) - len(base) > 0
+    # the relocations column counts the records; the reconfig column is the header's schedule
+    assert [int(row.split()[-2]) for row in rows] == [
+        m.relocation_bytes // codec.RELOCATION_BYTES for m in dec.metrics]
+    assert len(dec.state.gaussians) == len(base)
     assert [int(row.split()[-1]) for row in rows] == [
         int(m.frame_index % 3 == 0) for m in dec.metrics] == [0, 0, 1, 0, 0, 1]
 
