@@ -14,6 +14,7 @@ import numpy as np
 
 from . import codec
 from .errors import BudgetError, ConfigError, NumericalError, PlyParseError, StreamFormatError
+from .hierarchy import level_caps
 from .ply_io import read_gaussian_ply, write_gaussian_ply
 from .session import (
     FrameMetrics,
@@ -136,8 +137,9 @@ def cmd_encode(args) -> int:
     output.write_bytes(result.stream)
     if args.metrics:
         _write_metrics(Path(args.metrics), result.metrics)
-    if result.planned_caps is not None:
-        print(f"planned per-level anchor caps (coarse->fine): {result.planned_caps}")
+    if args.budget is not None:
+        caps = level_caps(result.header.gaussian_count_initial, result.header.config)
+        print(f"planned per-level anchor caps (coarse->fine): {caps}")
     print(result.report.decomposition())
     print(f"stream: {output} ({len(result.stream)} bytes)")
     print(f"final checksum: {result.metrics[-1].checksum}")
@@ -228,15 +230,12 @@ def cmd_inspect(args) -> int:
           f"level_ratio={config.level_ratio} reconfig_period={config.reconfig_period}")
     print(f"finest_fraction={finest.numerator}/{finest.denominator} "
           f"initial_gaussians={header.gaussian_count_initial}")
-    offset = codec.HEADER_BYTES
     print(f"{'frame':>6} {'bytes':>8} {'delta_bytes':>11} {'relocation_bytes':>16} "
           f"{'overhead_bytes':>14} {'anchors':>18} {'relocations':>11} {'reconfig':>8}")
-    while offset < len(stream):
-        start = offset
-        payload, offset = codec.decode_frame(stream, offset, header)
+    for payload, size in codec.iter_frames(stream, header):
         counts, moved = payload.realized_counts, len(payload.deltas.relocation_ordinals)
         delta, relocation, overhead = codec.frame_byte_split(counts, moved, config)
-        print(f"{payload.frame_index:>6} {offset - start:>8} {delta:>11} "
+        print(f"{payload.frame_index:>6} {size:>8} {delta:>11} "
               f"{relocation:>16} {overhead:>14} {str(counts):>18} "
               f"{moved:>11} {int(header.reconfigures_at(payload.frame_index)):>8}")
     return EXIT_OK

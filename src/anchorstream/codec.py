@@ -59,6 +59,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -312,6 +313,21 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     return FramePayload(frame_index, deltas), offset
 
 
+def iter_frames(stream: bytes, header: StreamHeader) -> Iterator[tuple[FramePayload, int]]:
+    """Each frame after the header, in order: its payload and its length in bytes.
+
+    A frame index other than the next in sequence is a :class:`StreamFormatError`.
+    """
+    offset, expected = HEADER_BYTES, 1
+    while offset < len(stream):
+        payload, end = decode_frame(stream, offset, header)
+        if payload.frame_index != expected:
+            raise StreamFormatError(
+                f"frame index {payload.frame_index} out of order, expected {expected}")
+        yield payload, end - offset
+        offset, expected = end, expected + 1
+
+
 def verify_counts(payload: FramePayload, hierarchy: AnchorHierarchy) -> None:
     """Hard error naming the level if stream counts disagree with local state."""
     local = hierarchy.anchor_counts()
@@ -356,25 +372,25 @@ def frame_byte_split(counts, relocations: int, config: StreamConfig) -> tuple[in
             relocations * RELOCATION_BYTES, frame_overhead_bytes(config.levels))
 
 
-def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig) -> int:
-    """Largest finest-level anchor target whose deformation payload fits a budget.
+def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig) -> StreamConfig:
+    """The config whose deltas plus frame overhead fit a budget with the most anchors.
 
-    The budget covers anchor deltas plus frame overhead only. Each candidate
-    is priced by :func:`delta_block_bytes` plus :func:`frame_overhead_bytes`
-    at the anchor caps the hierarchy can fill with it
-    (:func:`hierarchy.level_caps`), not at its nominal targets, so deltas
-    plus overhead stay within the budget at every frame of a session whose
-    rebuilds all use the returned target. The relocation records (16 B
-    each: a gaussian ordinal and a position) are outside the budget, so a
-    frame that densifies can exceed it, and a tighter budget means coarser
-    anchors, larger residuals and often more records. The target is capped
-    at ceil(n_gaussians * finest_fraction). An infeasible budget raises with
-    the minimum feasible one, the cost at a finest target of one anchor.
+    A candidate k is ``config`` with finest_fraction k / n_gaussians, priced by
+    :func:`delta_block_bytes` plus :func:`frame_overhead_bytes` at the anchor
+    caps it lets the hierarchy fill (:func:`hierarchy.level_caps`), so every
+    frame of a session run with the plan stays within the budget. k is at
+    most ceil(n_gaussians * finest_fraction), the plan when the budget does
+    not bind. Relocation records (16 B each) are outside the budget, so a
+    densifying frame can exceed it. An infeasible budget is a
+    :class:`BudgetError` carrying the minimum feasible one, the cost at k = 1;
+    fewer than one gaussian is a :class:`ConfigError`.
     """
+    if n_gaussians < 1:
+        raise ConfigError(f"a budget plan needs at least one gaussian, got {n_gaussians}")
     overhead = frame_overhead_bytes(config.levels)
 
-    def cost(finest: int) -> int:
-        caps = level_caps(n_gaussians, config, finest)
+    def cost(k: int) -> int:
+        caps = level_caps(n_gaussians, replace(config, finest_fraction=Fraction(k, n_gaussians)))
         return delta_block_bytes(caps, config.quantization, config.composition_mode) + overhead
 
     minimum = cost(1)
@@ -383,11 +399,11 @@ def plan_budget(n_gaussians: int, bytes_per_frame: int, config: StreamConfig) ->
             f"budget {bytes_per_frame} B/frame below minimum feasible {minimum} B/frame",
             minimum_bytes=minimum,
         )
-    lo, hi = 1, max(1, math.ceil(n_gaussians * config.finest_fraction))
+    lo, hi = 1, math.ceil(n_gaussians * config.finest_fraction)
     while lo < hi:  # cost is monotone in the finest target
         mid = (lo + hi + 1) // 2
         if cost(mid) <= bytes_per_frame:
             lo = mid
         else:
             hi = mid - 1
-    return lo
+    return replace(config, finest_fraction=Fraction(lo, n_gaussians))

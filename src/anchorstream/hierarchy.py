@@ -143,54 +143,45 @@ def assign_clusters(positions, level: LevelStructure) -> np.ndarray:
     return kernels.l1_nearest(pos, anchors)
 
 
-def _nominal_targets(n_gaussians: int, config: StreamConfig,
-                     finest_target: int | None) -> list[int]:
+def _nominal_targets(n_gaussians: int, config: StreamConfig) -> list[int]:
     """base * level_ratio^(l-1) per level, coarsest first, before the clamp to N."""
-    if finest_target is None:
-        finest_target = math.ceil(n_gaussians * config.finest_fraction)
-    finest = max(1, min(finest_target, n_gaussians))
+    finest = math.ceil(n_gaussians * config.finest_fraction)
     base = math.ceil(Fraction(finest, config.level_ratio ** (config.levels - 1)))
     return [base * config.level_ratio**l for l in range(config.levels)]
 
 
-def level_targets(n_gaussians: int, config: StreamConfig, finest_target: int | None = None) -> tuple[int, ...]:
+def level_targets(n_gaussians: int, config: StreamConfig) -> tuple[int, ...]:
     """Per-level target anchor counts, coarsest first: base * level_ratio^(l-1).
 
-    The finest level aims at ceil(N * finest_fraction), or at an explicit
-    override (a candidate of the budget planner), clamped to [1, N]. The
-    base is that count divided by level_ratio^(L-1), rounded up, so the
-    finest target is never below the requested one. No level aims above N:
-    there are no more points to pick as anchors, and a huge ratio would
-    otherwise overflow the grid's cell codes.
+    The finest level aims at ceil(N * finest_fraction), which is in [1, N]
+    for N >= 1, and the base is that over level_ratio^(L-1), rounded up. No
+    level aims above N: there are no more points to pick as anchors, and a
+    huge ratio would otherwise overflow the grid's cell codes.
     """
-    n = max(1, n_gaussians)
-    return tuple(min(t, n) for t in _nominal_targets(n_gaussians, config, finest_target))
+    return tuple(min(t, n_gaussians) for t in _nominal_targets(n_gaussians, config))
 
 
-def level_caps(n_gaussians: int, config: StreamConfig,
-               finest_target: int | None = None) -> tuple[int, ...]:
+def level_caps(n_gaussians: int, config: StreamConfig) -> tuple[int, ...]:
     """Most anchors each level can realize, coarsest first: one per grid cell.
 
-    Arguments are as for :func:`level_targets`. The grids are sized for the
-    targets before their clamp to N, so a hierarchy built over any N
-    positions with the same finest target holds at most these counts.
+    The grids are sized for the :func:`level_targets` before their clamp to N,
+    so no hierarchy built over N positions with this config holds more.
     """
-    return tuple(grid_resolution(t) ** 3 for t in _nominal_targets(n_gaussians, config, finest_target))
+    return tuple(grid_resolution(t) ** 3 for t in _nominal_targets(n_gaussians, config))
 
 
-def build_hierarchy(gaussians, config: StreamConfig,
-                    finest_target: int | None = None) -> AnchorHierarchy:
+def build_hierarchy(gaussians, config: StreamConfig) -> AnchorHierarchy:
     """Build all levels over the same positions.
 
     Level l samples a grid sized for its own target from :func:`level_targets`,
-    so the anchor density grows by level_ratio per level, up to rounding to
-    whole grid edges.
+    which the config alone decides, so the anchor density grows by
+    level_ratio per level, up to rounding to whole grid edges.
     """
     pos = _as_positions(gaussians)
     if pos.shape[0] < 1:
         raise ValueError("need at least one gaussian")
     levels = []
-    for l, target in enumerate(level_targets(pos.shape[0], config, finest_target), start=1):
+    for l, target in enumerate(level_targets(pos.shape[0], config), start=1):
         lvl = sample_anchors(pos, target, l)
         lvl.assignment = assign_clusters(pos, lvl)
         levels.append(lvl)

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol
 
 import numpy as np
@@ -31,7 +30,7 @@ from . import codec
 from .codec import StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
 from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
-from .hierarchy import build_hierarchy, level_caps, rehierarchize
+from .hierarchy import build_hierarchy, rehierarchize
 from .kernels import l1_nearest
 from .motion import FrameDeformation, apply_deformation, inherit_deformation
 from .synth import GeneratedScene
@@ -156,12 +155,13 @@ def storage_report(rows: list[FrameMetrics]) -> StorageReport:
 
 @dataclass
 class SessionResult:
+    """An encoded session; ``header.config`` is the config it ran with, under a budget the plan."""
+
     stream: bytes
     metrics: list[FrameMetrics]
     state: SceneState
     report: StorageReport
     header: StreamHeader
-    planned_caps: Optional[tuple[int, ...]] = None
 
 
 def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
@@ -204,31 +204,24 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     starts from zero deltas, a rebuild frame from the previous deltas
     inherited onto the new anchors, and every other frame from the previous
     frame's applied (quantized) deltas, on the same anchors. The fit itself
-    falls back to zero deltas when they fit better. With a byte budget,
-    the finest anchor target is planned first and written to the header as
-    the effective finest fraction, so the decoder builds the same grids
-    without ever seeing the budget. ``planned_caps`` then holds the per-level
-    anchor caps that keep every frame's anchor deltas plus overhead within
-    the budget. Relocation records (16 B each) come on top of it: see
-    :func:`codec.plan_budget`. Each encoded frame gets one
-    :class:`FrameMetrics` row, the one the decoder builds for it apart from
-    the fit's loss and error, and ``report`` sums the rows' byte split. The
-    source needs at least two frames: frame 0 and one encoded frame.
+    falls back to zero deltas when they fit better. With a byte budget, the
+    session runs with :func:`codec.plan_budget`'s config in place of
+    ``config``, and the header carries its finest fraction to the decoder.
+    Each encoded frame gets one :class:`FrameMetrics` row, the one the
+    decoder builds for it apart from the fit's loss and error, and
+    ``report`` sums the rows' byte split. A source of fewer than two frames
+    (frame 0 and one to encode) or an empty frame 0 is a :class:`ConfigError`.
     """
-    if source.frame_count < 2:
+    if source.frame_count < 2 or len(base) < 1:
         raise ConfigError(
-            f"a session needs at least 2 frames (frame 0 and one to encode), "
-            f"source has {source.frame_count}"
+            f"a session needs at least 2 frames (frame 0 and one to encode) and one gaussian, "
+            f"source has {source.frame_count} frames and {len(base)} gaussians at frame 0"
         )
-    n0 = len(base)
-    fraction = config.finest_fraction
     if budget_bytes is not None:
-        fraction = Fraction(codec.plan_budget(n0, budget_bytes, config), n0)
-    eff_config = replace(config, finest_fraction=fraction)
-    header = StreamHeader(eff_config, n0)
-    planned = None if budget_bytes is None else level_caps(n0, eff_config)
+        config = codec.plan_budget(len(base), budget_bytes, config)
+    header = StreamHeader(config, len(base))
 
-    state = SceneState(base.copy(), build_hierarchy(base, eff_config), 0)
+    state = SceneState(base.copy(), build_hierarchy(base, config), 0)
     chunks = [header.pack()]
     metrics: list[FrameMetrics] = []
     prev_deltas: Optional[FrameDeformation] = None
@@ -236,7 +229,7 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     for t in range(1, source.frame_count):
         init = prev_deltas
         if header.reconfigures_at(t):
-            state.hierarchy, neighbor_maps = rehierarchize(state, eff_config)
+            state.hierarchy, neighbor_maps = rehierarchize(state, config)
             if init is not None:
                 init = FrameDeformation([inherit_deformation(legacy, nbr)
                                          for legacy, nbr in zip(init.per_level, neighbor_maps)])
@@ -245,30 +238,29 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
 
         corr = source.correspondences(t)
         fitted = fit_frame(state.gaussians, state.hierarchy, corr, init,
-                           eff_config.phase1_steps, eff_config.composition_mode)
+                           config.phase1_steps, config.composition_mode)
         frame_def = fitted
-        if eff_config.phase2_steps > 0:
+        if config.phase2_steps > 0:
             ordinals, positions = densify_residuals(
                 state.gaussians, state.hierarchy, fitted, corr,
-                eff_config.densify_threshold, eff_config.composition_mode,
+                config.densify_threshold, config.composition_mode,
             )
             frame_def = FrameDeformation(fitted.per_level, ordinals, positions)
 
         loss, _ = loss_and_gradient(state.gaussians, state.hierarchy, fitted, corr,
-                                    eff_config.composition_mode)
+                                    config.composition_mode)
         payload = codec.encode_frame(t, frame_def, state.hierarchy, header)
         chunks.append(payload)
 
         applied = codec.quantize_roundtrip(frame_def, header)
-        state = _advance_state(state, applied, eff_config.composition_mode, t)
+        state = _advance_state(state, applied, config.composition_mode, t)
         prev_deltas = FrameDeformation(applied.per_level)
 
         metrics.append(_frame_row(header, t, state.hierarchy.anchor_counts(),
                                   len(applied.relocation_ordinals), len(payload), state,
                                   loss, _mean_position_error(state, corr)))
 
-    return SessionResult(b"".join(chunks), metrics, state, storage_report(metrics),
-                         header, planned)
+    return SessionResult(b"".join(chunks), metrics, state, storage_report(metrics), header)
 
 
 @dataclass
@@ -302,14 +294,8 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
     naming the frame.
     """
     config = header.config
-    offset = codec.HEADER_BYTES
-    expected = 1
-    while offset < len(stream):
-        start = offset
-        payload, offset = codec.decode_frame(stream, offset, header)
+    for payload, size in codec.iter_frames(stream, header):
         frame = payload.frame_index
-        if frame != expected:
-            raise StreamFormatError(f"frame index {frame} out of order, expected {expected}")
         n = len(state.gaussians)
         ordinals = payload.deltas.relocation_ordinals
         if ordinals.size and ordinals[-1] >= n:
@@ -331,8 +317,7 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
         if not (np.isfinite(g.positions).all() and np.isfinite(g.orientations).all()):
             raise StreamFormatError(f"frame {frame}: deltas carry gaussians out of float32 range")
         yield _frame_row(header, frame, payload.realized_counts, len(ordinals),
-                         offset - start, state), state
-        expected += 1
+                         size, state), state
 
 
 def iter_decode_metrics(base: GaussianSet, stream: bytes

@@ -245,11 +245,19 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
 
 
 # ---------------------------------------------------------------------------
-# Scene spec files (plain JSON; key set documented in the README)
+# Scene spec files (plain JSON; scene_spec_from_dict lists the keys)
 # ---------------------------------------------------------------------------
 
 
 def scene_spec_from_dict(data: dict) -> SceneSpec:
+    """A scene spec from its JSON object; a missing or bad key is a :class:`ConfigError`.
+
+    Keys, defaults in brackets: ``bodies``, ``frames`` and ``seed`` (all
+    required), ``noise_sigma`` [0]. Each body: ``point_count`` and
+    ``extent`` (required), ``center`` [0, 0, 0], ``velocity`` [0, 0, 0],
+    ``axis`` [0, 0, 1], ``angle_rate`` [0], ``pivot`` [the center] and
+    ``parent`` [none], as :class:`BodySpec` describes them.
+    """
     try:
         bodies = [
             BodySpec(

@@ -55,6 +55,12 @@ def _arm_fixed16():
                                       quantization=Quantization.fixed16, densify_threshold=0.003)
 
 
+def _arm_full32():
+    """The small arm, pivot full32, rebuilt every third frame, relocating on every frame."""
+    return _small_arm(), StreamConfig(composition_mode=CompositionMode.pivot, reconfig_period=3,
+                                      quantization=Quantization.full32, densify_threshold=0.003)
+
+
 def _pair_additive():
     """The drifting pair at 150 points a body, additive full32, densifying."""
     spec = drifting_pair_spec(frames=8, seed=3)
@@ -82,7 +88,7 @@ def _pair_fixed16():
 
 CASES = {"pivot_half16": _arm_pivot, "pivot_fixed16": _arm_fixed16,
          "additive_full32": _pair_additive, "additive_fixed16": _pair_fixed16,
-         "additive_half16_budget": _pair_budget}
+         "additive_half16_budget": _pair_budget, "pivot_full32": _arm_full32}
 # bytes per frame handed to the budget planner; a case not named here has no budget
 BUDGETS = {"additive_half16_budget": 250}
 

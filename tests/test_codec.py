@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from anchorstream import (
     AnchorDeltaSet,
     BudgetError,
     CompositionMode,
+    ConfigError,
     FrameDeformation,
     Quantization,
     StreamConfig,
@@ -37,9 +39,14 @@ from anchorstream.session import FrameMetrics
 from oracles import cube_root_ceil
 
 
+def with_finest(cfg, finest, n):
+    """``cfg`` aiming its finest level at ``finest`` anchors over ``n`` gaussians."""
+    return replace(cfg, finest_fraction=Fraction(finest, n))
+
+
 def small_hierarchy(rng, n=40, levels=1, anchors=4):
     pos = rng.random((n, 3), dtype=np.float32)
-    h = build_hierarchy(pos, StreamConfig(levels=levels), finest_target=anchors)
+    h = build_hierarchy(pos, with_finest(StreamConfig(levels=levels), anchors, n))
     return pos, h
 
 
@@ -183,7 +190,7 @@ def test_zero_delta_block_sizes(rng):
     corners = np.float32([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     pos = np.repeat(corners, 10, axis=0)
     pos[:, :2] += rng.random((40, 2), dtype=np.float32) * 0.05
-    h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=4)
+    h = build_hierarchy(pos, with_finest(StreamConfig(levels=1), 4, 40))
     assert h.anchor_counts() == (4,)
     pivot, additive = CompositionMode.pivot, CompositionMode.additive
     assert delta_block_bytes(h.anchor_counts(), Quantization.full32, pivot) == 112
@@ -374,7 +381,7 @@ def test_count_mismatch_names_level(rng):
     header = make_header(2, Quantization.full32, 100)
     payload = encode_frame(1, random_deformation(h, rng), h, header)
     decoded, _ = decode_frame(payload, 0, header)
-    other = build_hierarchy(pos * 2 + 5, StreamConfig(levels=2), finest_target=4)
+    other = build_hierarchy(pos * 2 + 5, with_finest(StreamConfig(levels=2), 4, 100))
     if other.anchor_counts() != h.anchor_counts():
         with pytest.raises(StreamFormatError, match="level"):
             verify_counts(decoded, other)
@@ -405,9 +412,32 @@ def test_relocation_ordinals_must_strictly_increase(ordinals):
 # ---------------------------------------------------------------------------
 
 
+def planned_finest(n, budget, cfg):
+    """The finest-level anchor target k of the plan, whose fraction is k / n."""
+    k = plan_budget(n, budget, cfg).finest_fraction * n
+    assert k.denominator == 1
+    return int(k)
+
+
 def test_plan_budget_cap_binds():
     cfg = StreamConfig(levels=3, quantization=Quantization.half16)
-    assert plan_budget(216, 10_000_000, cfg) == 9  # ceil(216 / 24)
+    assert planned_finest(216, 10_000_000, cfg) == 9  # ceil(216 / 24)
+
+
+def test_plan_budget_returns_the_config_with_the_planned_fraction():
+    cfg = StreamConfig(levels=3, quantization=Quantization.half16, reconfig_period=5,
+                       densify_threshold=0.01)
+    plan = plan_budget(100, 10_000_000, cfg)
+    # a budget that does not bind still plans ceil(100 / 24) = 5 anchors over 100
+    assert plan == replace(cfg, finest_fraction=Fraction(1, 20))
+    tight = plan_budget(100_000, 240, replace(cfg, composition_mode=CompositionMode.additive))
+    assert tight.finest_fraction == Fraction(9, 100_000)
+    assert level_caps(100_000, tight) == (1, 8, 27)
+
+
+def test_plan_budget_rejects_an_empty_scene():
+    with pytest.raises(ConfigError, match="at least one gaussian"):
+        plan_budget(0, 10_000, StreamConfig())
 
 
 def test_plan_budget_worked_example():
@@ -420,13 +450,13 @@ def test_plan_budget_worked_example():
         assert values_per_anchor(mode) == v
         cfg = StreamConfig(levels=3, level_ratio=3, quantization=Quantization.half16,
                            composition_mode=mode)
-        assert level_caps(100_000, cfg, 9) == (1, 8, 27)
-        assert plan_budget(100_000, 36 * v * 2 + overhead, cfg) == 9
+        assert level_caps(100_000, with_finest(cfg, 9, 100_000)) == (1, 8, 27)
+        assert planned_finest(100_000, 36 * v * 2 + overhead, cfg) == 9
         # finest 10 needs base 2, targets (2, 6, 18) and caps (8, 8, 27); base 2
         # serves every finest count up to 18
-        assert level_caps(100_000, cfg, 10) == (8, 8, 27)
-        assert plan_budget(100_000, 43 * v * 2 + overhead - 1, cfg) == 9
-        assert plan_budget(100_000, 43 * v * 2 + overhead, cfg) == 18
+        assert level_caps(100_000, with_finest(cfg, 10, 100_000)) == (8, 8, 27)
+        assert planned_finest(100_000, 43 * v * 2 + overhead - 1, cfg) == 9
+        assert planned_finest(100_000, 43 * v * 2 + overhead, cfg) == 18
 
 
 def test_plan_budget_infeasible():
@@ -440,7 +470,7 @@ def test_plan_budget_infeasible():
         with pytest.raises(BudgetError) as exc_info:
             plan_budget(1000, minimum - 1, cfg)
         assert exc_info.value.minimum_bytes == minimum == 36 * v * 2 + frame_overhead_bytes(3)
-        assert plan_budget(1000, minimum, cfg) == 9
+        assert planned_finest(1000, minimum, cfg) == 9
 
 
 def test_plan_budget_exact_bound_and_monotone():
@@ -454,12 +484,12 @@ def test_plan_budget_exact_bound_and_monotone():
         cap = math.ceil(100_000 * cfg.finest_fraction)
 
         def cost(finest):
-            return sum(level_caps(100_000, cfg, finest)) * v * w + overhead
+            return sum(level_caps(100_000, with_finest(cfg, finest, 100_000))) * v * w + overhead
 
         prev = None
         for budget in range(150, 40_000, 1385):
             try:
-                finest = plan_budget(100_000, budget, cfg)
+                finest = planned_finest(100_000, budget, cfg)
             except BudgetError:
                 continue
             assert cost(finest) <= budget
@@ -486,9 +516,9 @@ def test_plan_budget_minimum_verified_brute_force():
         with pytest.raises(BudgetError) as exc_info:
             plan_budget(1000, brute_min - 1, cfg)
         assert exc_info.value.minimum_bytes == brute_min
-        assert plan_budget(1000, brute_min, cfg) == 3  # base 1 serves finest 1..3
+        assert planned_finest(1000, brute_min, cfg) == 3  # base 1 serves finest 1..3
         for budget in range(brute_min, 20_000, 997):
-            finest = plan_budget(1000, budget, cfg)
+            finest = planned_finest(1000, budget, cfg)
             assert cost(finest) <= budget
             assert budget < cost(finest + 1) or finest == 42  # ceil(1000 / 24)
 

@@ -25,3 +25,10 @@ def test_encoding_afresh_reproduces_the_committed_stream(name):
     result = conformance.encode_case(name)
     assert [row.checksum for row in result.metrics] == want["checksums"]
     assert hashlib.sha256(result.stream).hexdigest() == want["sha256"]
+
+
+def test_the_manifest_and_the_directory_hold_exactly_the_cases():
+    # an unregistered or orphaned vector would otherwise pass unchecked
+    cases = set(conformance.CASES)
+    assert set(conformance.load_manifest()) == cases
+    assert {path.stem for path in conformance.HERE.glob("*.rcgs")} == cases

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -249,11 +251,9 @@ def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
     # after the build, with no rebuild since
     result = conformance.encode_case("additive_full32")
     g, h = result.state.gaussians, result.state.hierarchy
-    header = result.header
     assert not any(row.reconfig for row in result.metrics)
-    relocated, offset = [], codec.HEADER_BYTES
-    while offset < len(result.stream):
-        payload, offset = codec.decode_frame(result.stream, offset, header)
+    relocated = []
+    for payload, _ in codec.iter_frames(result.stream, result.header):
         relocated.extend(payload.deltas.relocation_ordinals)
     rng = np.random.default_rng(5)
     idx = rng.permutation(len(g))[: len(g) - 9]
@@ -306,7 +306,7 @@ def test_fit_recovers_global_translation():
     rng = np.random.default_rng(4)
     pos = rng.random((150, 3), dtype=np.float32)
     g = GaussianSet.from_positions(pos)
-    h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=1)
+    h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=Fraction(1, 150)))
     assert h.anchor_counts() == (1,)
     corr = Correspondences(np.arange(150), pos + np.float32([0.1, 0, 0]))
     out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 100)

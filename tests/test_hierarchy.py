@@ -223,14 +223,6 @@ def test_build_hierarchy_single_gaussian():
         assert lvl.assignment[0] == 0
 
 
-def test_build_hierarchy_finest_target_override(rng):
-    pos = rng.random((5000, 3), dtype=np.float32)
-    h_small = build_hierarchy(pos, StreamConfig(), finest_target=9)
-    h_default = build_hierarchy(pos, StreamConfig())  # finest target 209, base 24
-    assert h_small.levels[-1].grid_resolution < h_default.levels[-1].grid_resolution
-    assert h_small.anchor_counts() <= h_default.anchor_counts()
-
-
 # ---------------------------------------------------------------------------
 # rehierarchize
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -254,7 +256,7 @@ def random_appearance(pos, rng):
 def test_apply_additive_pure_translation(rng):
     pos = rng.random((25, 3), dtype=np.float32)
     g = GaussianSet.from_positions(pos)
-    h = build_hierarchy(pos, StreamConfig(levels=1), finest_target=1)
+    h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=Fraction(1, 25)))
     assert h.anchor_counts() == (1,)
     out = apply_deformation(g, h, translations_only([[0, 0, 1]]))
     assert np.array_equal(out.positions, pos + np.float32([0, 0, 1]))

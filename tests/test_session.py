@@ -43,6 +43,7 @@ from anchorstream import (
 )
 from anchorstream import cli, session
 from anchorstream.cli import main
+from anchorstream.hierarchy import level_caps
 from anchorstream.session import StaticSource, SyntheticSource
 
 from oracles import exhaustive_l1_assign
@@ -62,11 +63,10 @@ def session_inputs(spec):
 
 def stream_payloads(stream):
     """Each frame's payload and the offset just past it, read without decoding."""
-    header = codec.StreamHeader.unpack(stream)
-    offset = codec.HEADER_BYTES
-    while offset < len(stream):
-        payload, offset = codec.decode_frame(stream, offset, header)
-        yield payload, offset
+    end = codec.HEADER_BYTES
+    for payload, size in codec.iter_frames(stream, codec.StreamHeader.unpack(stream)):
+        end += size
+        yield payload, end
 
 
 def csv_rows(path):
@@ -108,14 +108,14 @@ def test_decoder_mirrors_encoder_on_budget_path():
     enc = encode_session(base, source, config, budget_bytes=600)
     # it binds: finest 9 of a possible 13, whose caps (8, 8, 27) cost 627 B
     assert enc.header.config.finest_fraction * len(base) == 9
-    assert enc.planned_caps == (1, 8, 27)
+    assert level_caps(len(base), enc.header.config) == (1, 8, 27)
     dec = decode_session(base, enc.stream, config.level_ratio, config.composition_mode)
     assert_mirrored(enc, dec)
 
 
 @pytest.mark.parametrize("budget", [600, 1200])
 @pytest.mark.parametrize("ratio", [2, 3, 4])
-def test_budget_holds_at_every_frame_while_densification_grows_n(ratio, budget):
+def test_budget_holds_at_every_frame_of_a_relocating_session(ratio, budget):
     base, source = session_inputs(small_arm(point_scale=0.5))
     config = StreamConfig(level_ratio=ratio, reconfig_period=3, phase1_steps=20,
                           densify_threshold=0.01)
@@ -123,11 +123,12 @@ def test_budget_holds_at_every_frame_while_densification_grows_n(ratio, budget):
     assert sum(m.reconfig for m in enc.metrics) >= 2
     assert any(m.relocation_bytes for m in enc.metrics)
     overhead = codec.frame_overhead_bytes(config.levels)
+    caps = level_caps(len(base), enc.header.config)
     for m in enc.metrics:
         cost = codec.delta_block_bytes(m.anchor_counts, config.quantization,
                                        config.composition_mode) + overhead
         assert cost <= budget, (m.frame_index, m.anchor_counts)
-        assert all(c <= cap for c, cap in zip(m.anchor_counts, enc.planned_caps))
+        assert all(c <= cap for c, cap in zip(m.anchor_counts, caps))
     dec = decode_session(base, enc.stream, ratio, config.composition_mode)
     assert_mirrored(enc, dec)
 
@@ -555,6 +556,46 @@ def test_cli_encode_of_one_frame_is_a_config_error(tmp_path, capsys):
                  "--frames", "1"]) == 2
     assert "at least 2 frames" in capsys.readouterr().err
     assert not stream_path.exists()
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "600"]], ids=["unplanned", "budget"])
+def test_cli_encode_of_an_empty_ply_is_a_config_error(tmp_path, capsys, budget):
+    ply_path, stream_path = tmp_path / "empty.ply", tmp_path / "out.rcgs"
+    ply_path.write_bytes(write_gaussian_ply(GaussianSet.from_positions(np.zeros((0, 3)))))
+    assert main(["encode", "--input", str(ply_path), "--output", str(stream_path),
+                 *budget]) == 2
+    assert "source has 10 frames and 0 gaussians at frame 0" in capsys.readouterr().err
+    assert not stream_path.exists()
+
+
+def test_cli_encode_prints_the_caps_of_the_planned_header(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    spec = small_arm(frames=2)
+    write_spec(spec_path, spec)
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--mode", "pivot", "--phase1-steps", "5", "--budget", "600"]) == 0
+    header = codec.StreamHeader.unpack(stream_path.read_bytes())
+    # the budget binds: finest 9 of a possible 13 (see the budget-path mirror test)
+    assert header.config.finest_fraction * header.gaussian_count_initial == 9
+    assert ("planned per-level anchor caps (coarse->fine): (1, 8, 27)"
+            in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("command", ["decode", "inspect"])
+def test_cli_rejects_frames_out_of_order_with_exit_1(tmp_path, capsys, command):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "swapped.rcgs"
+    spec = small_arm(frames=4)
+    write_spec(spec_path, spec)
+    base, source = session_inputs(spec)
+    stream = encode_session(base, source, StreamConfig(phase1_steps=5)).stream
+    starts = [codec.HEADER_BYTES] + [end for _, end in stream_payloads(stream)]
+    frames = [stream[a:b] for a, b in zip(starts, starts[1:])]
+    # frames 2, 1, 3
+    stream_path.write_bytes(stream[:codec.HEADER_BYTES] + frames[1] + frames[0] + frames[2])
+    args = ["--stream", str(stream_path)] + (["--frame0", str(spec_path)]
+                                             if command == "decode" else [])
+    assert main([command, *args]) == 1
+    assert "frame index 2 out of order, expected 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["encode", "decode"])
