@@ -66,7 +66,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=[m.name for m in CompositionMode],
                    default=d.composition_mode.name, help="deformation composition mode")
     p.add_argument("--phase1-steps", type=int, default=d.phase1_steps,
-                   help="fit steps per frame")
+                   help="fit sweeps per frame")
     p.add_argument("--phase2-steps", type=int, default=d.phase2_steps,
                    help="densification switch: only zero versus positive matters, "
                         "and 0 turns densification off")

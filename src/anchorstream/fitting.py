@@ -1,41 +1,67 @@
-"""Two-phase frame optimization against positional correspondences.
+"""Two-phase frame fitting against positional correspondences.
 
-Phase 1 fits all per-level anchor deltas jointly by momentum gradient descent
-on a mean squared position error; appearance and scale never change. The
-optimizer's settings are fixed: a learning rate of 1e-2 and momentum 0.9,
-with each anchor's step preconditioned by its cluster size. Phase 2
-densifies: each gaussian whose residual stays above a threshold gets a
-relocation record that moves it to its observed target position.
+Phase 1 fits the per-level anchor deltas to the observed positions by
+block coordinate descent (Gauss-Seidel): a sweep solves each level
+exactly, coarse to fine, with the other levels held at their current
+deltas. The loss is the mean squared position error; appearance and scale
+never change. Phase 2 densifies: each gaussian whose residual stays above
+a threshold gets a relocation record that moves it to its observed target
+position.
+
+- **Additive mode** is linear least squares. A level's solve moves each
+  anchor by minus its cluster's mean residual. The sweep works in anchor
+  space: the evaluated translation gradients are the clusters' residual
+  sums, and a coarser level's update reaches a finer level's sums through
+  co-membership counts, built once per fit. Positions do not depend on the
+  rotation increments, so the fit leaves those as they start.
+- **Pivot mode** maps the targets back through the finer levels, with the
+  conjugate rotations the backward pass uses. Each anchor's rotation and
+  translation about its pivot then solve an absolute-orientation problem
+  in closed form: the dominant eigenvector of a 4x4 symmetric matrix
+  (B. K. P. Horn, "Closed-form solution of absolute orientation using unit
+  quaternions", JOSA A 4(4), 1987), one batched ``eigh`` per level. An
+  anchor with fewer than 3 observed members keeps its rotation and solves
+  its translation only.
+
+The fit has no learning rate or other setting; the sweep count is
+``StreamConfig.phase1_steps``. Each sweep's result is rounded to float32,
+the precision of a delta, and evaluated once: it is kept if the loss does
+not rise, and otherwise dropped, which ends the fit. In exact arithmetic no
+exact block solve raises the loss, so the guard only catches rounding and
+degenerate clusters. The evaluation is :func:`loss_and_gradient`; the next
+additive sweep starts from its gradients, while the pivot sweeps read only
+its loss.
 
 The fit is warm-started. The session passes the previous frame's applied
 deltas as ``init`` (inherited ones at a rebuild), so motion carries from
-frame to frame and a few steps refine it. The descent starts from whichever
+frame to frame and a few sweeps refine it. The sweeps start from whichever
 of ``init`` and zero has the lower loss, ``init`` on a tie, so a start that
 points the wrong way (a reversal of motion, an inheritance that blurs it)
 can never leave a frame worse than a fit from rest.
 
 Supervision here is geometric (observed target positions per gaussian), which
 stands in for photometric rendering losses; rendering is out of scope for
-this package. In additive mode positions do not depend on the rotation
-increments, so their gradient is exactly zero and the fit leaves them at
-their zero start.
+this package.
 
 The loss and the densify residuals move gaussians through
 :func:`anchorstream.motion.deform_rows`, the same float64 forward that
-advances the mirrored state; this module holds no forward of its own, only
-the backward pass. Gradients are exact analytic derivatives, computed in
-float64 and verified against central finite differences in the test suite.
+advances the mirrored state, and the pivot sweep moves its rows through
+each solved level with :func:`anchorstream.motion.pivot_level`, that
+forward's own step; this module holds no forward of its own, only the
+backward pass and the sweeps. Gradients are exact analytic derivatives,
+computed in float64 and verified against central finite differences in
+the test suite.
 
 Each :func:`fit_frame` call plans its evaluations once. It checks ``init``
 and the anchor ordinals against the hierarchy, gathers the observed rows
 (:func:`anchorstream.motion.gather_rows`: their positions, anchor ordinals
-and pivot centers) and counts each anchor's members for the
-preconditioner. Every candidate it then evaluates is rounded to float32,
-the precision of a delta, and checked finite once, and goes to
-:func:`loss_and_gradient` as per-level array pairs with the gathered rows,
-with no delta objects built. The plan is local to the call and is freed
-when the fit returns. The loss, the gradients and so the fitted deltas are
-the bits that gathering afresh for each evaluation gives.
+and pivot centers), counts each anchor's members and, in additive mode,
+the co-membership counts. Every candidate it then evaluates is rounded to
+float32 and checked finite once, and goes to :func:`loss_and_gradient` as
+per-level array pairs with the gathered rows, with no delta objects built.
+The plan is local to the call and is freed when the fit returns. The loss,
+the gradients and so the fitted deltas are the bits that gathering afresh
+for each evaluation gives.
 
 The pivot backward is axis-major like the forward: it transposes the
 upstream gradient once per call to (3, R) and peels the levels' (4, R)
@@ -68,13 +94,15 @@ from .motion import (
     _cross,
     _dot,
     _rotate,
+    _rotation_terms,
     deform_rows,
+    dominant_eigenvectors,
     gather_rows,
+    level_unit_quats,
+    member_rotations,
+    pivot_level,
 )
 from .types import CompositionMode, GaussianSet
-
-_LEARNING_RATE = 1e-2
-_MOMENTUM = 0.9
 
 
 @dataclass
@@ -183,61 +211,165 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
 
 
 # ---------------------------------------------------------------------------
-# Momentum descent with a monotone safeguard
+# Exact per-level block solves, swept coarse to fine
 # ---------------------------------------------------------------------------
 
 
-def _pack(grads_or_deltas: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return np.concatenate([np.concatenate([t.ravel(), q.ravel()]) for t, q in grads_or_deltas])
+def _rounded(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-level (translations, rotations) rounded to float32, the precision of a delta.
 
-
-def _split(vec: np.ndarray, counts: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-level (A, 3) translations and (A, 4) rotations of a packed vector.
-
-    The vector is rounded to float32, the precision of a delta, and must be
-    finite there; the pairs are float64 views of the rounded values.
+    The pairs come back as float64 copies of the rounded values. A value
+    that is not finite in float32 raises ``ValueError``.
     """
-    rounded = vec.astype(np.float32)
-    if not np.isfinite(rounded).all():
-        raise ValueError("anchor deltas must be finite")
-    rounded = rounded.astype(np.float64)
     out = []
-    off = 0
-    for a in counts:
-        t = rounded[off:off + 3 * a].reshape(a, 3)
-        off += 3 * a
-        q = rounded[off:off + 4 * a].reshape(a, 4)
-        off += 4 * a
-        out.append((t, q))
+    for t, q in pairs:
+        t, q = t.astype(np.float32), q.astype(np.float32)
+        if not (np.isfinite(t).all() and np.isfinite(q).all()):
+            raise ValueError("anchor deltas must be finite")
+        out.append((t.astype(np.float64), q.astype(np.float64)))
     return out
 
 
-def _unpack(vec: np.ndarray, counts: Sequence[int]) -> FrameDeformation:
-    """The float32 deltas of a packed vector."""
-    return FrameDeformation([AnchorDeltaSet(t, q) for t, q in _split(vec, counts)])
+def _additive_sweep(hierarchy: AnchorHierarchy, members: Sequence[np.ndarray], c: int):
+    """Plan the additive sweep for ``c`` rows with each level's anchor ordinals ``members``.
+
+    A level's exact update, the other levels held, moves each anchor by
+    minus its cluster's mean residual: its translation gradient times the
+    inverse Hessian c / (2 n), with n the cluster's row count. The sweep
+    starts from the gradients evaluated at its start. An update of a
+    coarser level changes a finer anchor's gradient by 2/c times the
+    update of each coarser anchor it shares rows with, times the number of
+    rows they share. These co-membership counts, one per distinct (finer
+    anchor, coarser anchor) pair, are built here once per fit, as flat
+    per-component indices into the sweep's updates of all levels, so each
+    level gathers its coarser levels' share with one ``np.bincount``.
+    Rotation increments do not move additive rows, and the sweep leaves
+    them as they are.
+    """
+    sizes = [lvl.anchor_count for lvl in hierarchy.levels]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    axes = np.arange(3)
+    # an anchor that no row observes has a zero gradient; the 1 keeps its step zero
+    inverse_hessians = [c / (2.0 * np.maximum(np.bincount(al, minlength=a), 1))[:, None]
+                        for al, a in zip(members, sizes)]
+    links = [None]
+    for fine in range(1, len(sizes)):
+        fine_anchor, coarse_anchor, shared = [], [], []
+        for coarse in range(fine):
+            pairs, count = np.unique(members[fine] * sizes[coarse] + members[coarse],
+                                     return_counts=True)
+            fine_anchor.append(pairs // sizes[coarse])
+            coarse_anchor.append(pairs % sizes[coarse] + starts[coarse])
+            shared.append(count)
+        links.append(((3 * np.concatenate(fine_anchor)[:, None] + axes).ravel(),
+                      (3 * np.concatenate(coarse_anchor)[:, None] + axes).ravel(),
+                      np.repeat((2.0 / c) * np.concatenate(shared), 3)))
+
+    def sweep(x, grads):
+        updates = np.empty((starts[-1], 3))
+        out = []
+        for (t, q), (g, _), inverse_hessian, a, start, link in zip(
+                x, grads, inverse_hessians, sizes, starts, links):
+            if link is not None:
+                fine_index, coarse_index, weight = link
+                g = g + np.bincount(fine_index, weight * np.take(updates, coarse_index),
+                                    minlength=3 * a).reshape(a, 3)
+            update = updates[start:start + a]
+            np.multiply(-inverse_hessian, g, out=update)
+            out.append((t + update, q))
+        return out
+
+    return sweep
+
+
+def _horn_solve(u: np.ndarray, v: np.ndarray, members: np.ndarray, count: np.ndarray,
+                t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each anchor's rotation and translation that best map its rows' offsets ``u`` onto ``v``.
+
+    ``u`` and ``v`` are axis-major (3, R) offsets from the rows' pivots:
+    where the rows stand before the level, and where the finer levels need
+    them after it. ``count`` is each anchor's row count. The rotation is
+    Horn's closed form: the dominant eigenvector of the 4x4 symmetric
+    matrix of the centered cross-covariance (B. K. P. Horn, "Closed-form
+    solution of absolute orientation using unit quaternions", JOSA A 4(4),
+    1987). An anchor with fewer than 3 rows keeps its rotation increment in
+    ``q``. The rotations are rounded to float32 before the translations
+    solve against them, as the mean of v minus the rotated mean of u; an
+    anchor with no rows keeps its translation in ``t``.
+    """
+    a = count.shape[0]
+    means = sum_by_index(np.concatenate([u, v]).T, members, a) / np.maximum(count, 1)[:, None]
+    u = u - np.take(means[:, :3].T, members, axis=1)
+    v = v - np.take(means[:, 3:].T, members, axis=1)
+    s = sum_by_index((u[:, None] * v[None]).reshape(9, -1).T, members, a).T.reshape(3, 3, a)
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = s
+    horn = np.array([
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
+    ]).transpose(2, 0, 1)
+    solved = count >= 3
+    q = q.copy()
+    q[solved] = dominant_eigenvectors(horn[solved])
+    q[solved, 0] -= 1.0
+    q = q.astype(np.float32).astype(np.float64)
+    unit = np.ascontiguousarray(level_unit_quats(q)[0].T)
+    turned, _, _ = _rotate(unit[1:], np.ascontiguousarray(means[:, :3].T), *_rotation_terms(unit))
+    return np.where((count > 0)[:, None], means[:, 3:] - turned.T, t), q
+
+
+def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.ndarray):
+    """Plan the pivot sweep for gathered ``rows`` observed at ``targets`` (R, 3).
+
+    The finer levels, held at their deltas, move each row by a rigid map
+    y -> Ay + b, so the sweep first maps the targets back through them,
+    finest level first: y <- R(q)^T (y - pivot - t) + pivot, the conjugate
+    rotation of the backward. Then it solves the levels coarse to fine
+    (:func:`_horn_solve`), moving the rows through each solved level with
+    :func:`anchorstream.motion.pivot_level`, the forward's own step.
+    """
+    targets = np.ascontiguousarray(targets.T, dtype=np.float64)
+    counts = [np.bincount(al, minlength=lvl.anchor_count)
+              for al, lvl in zip(rows.members, hierarchy.levels)]
+
+    def sweep(x, grads):
+        mapped = [targets]
+        for (t, q), al, centers in zip(x[:0:-1], rows.members[:0:-1], rows.centers[:0:-1]):
+            _, _, member_q, scale, two_w = member_rotations(q, al)
+            y = mapped[-1] - centers
+            y -= np.take(t.T, al, axis=1)
+            y, _, _ = _rotate(-member_q[1:], y, scale, two_w)
+            y += centers
+            mapped.append(y)
+        mapped.reverse()
+        pos = rows.positions
+        out = []
+        for (t, q), al, centers, count, y in zip(x, rows.members, rows.centers, counts, mapped):
+            t, q = _horn_solve(pos - centers, y - centers, al, count, t, q)
+            out.append((t, q))
+            if len(out) < len(x):
+                pos, _ = pivot_level(pos, t, q, al, centers)
+        return out
+
+    return sweep
 
 
 def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspondences,
-              init: FrameDeformation, steps: int,
+              init: FrameDeformation, sweeps: int,
               mode: CompositionMode = CompositionMode.additive) -> FrameDeformation:
-    """Fit all per-level deltas jointly; loss <= min(loss(init), loss(zero deltas)).
+    """Fit all per-level deltas by ``sweeps`` sweeps; loss <= min(loss(init), loss(zero deltas)).
 
-    The descent starts from ``init`` or from zero deltas, whichever has the
+    The sweeps start from ``init`` or from zero deltas, whichever has the
     lower loss; a tie keeps ``init``. Checking zero costs one extra loss
     evaluation, made only when ``init`` is nonzero, and the chosen start's
-    gradient feeds the first step. Momentum gradient descent then runs over
-    ``steps`` steps (zero returns the chosen start), with a monotone
-    safeguard: a step that would raise the loss restarts momentum (velocity
-    reset) and retries as a plain gradient step; if that still raises the
-    loss, the step is skipped. The loss therefore never rises above its
-    start, so the fit cannot diverge and needs no guard; a NaN candidate
-    loss fails both comparisons and is skipped too. The state itself is
-    never touched - only the returned deltas.
-
-    Each anchor's gradient block is scaled by the inverse of its cluster's
-    correspondence count, i.e. the inverse diagonal of the translation
-    Hessian. Without it, anchors with few members take steps proportional to
-    their share of the mean loss and effectively stall.
+    gradient feeds the first additive sweep. Each sweep solves every level
+    exactly with the other levels held, coarse to fine, and rounds the
+    result to float32. Its candidate is evaluated once and kept if the loss
+    does not rise; a sweep that raises the loss, or makes it NaN, is dropped
+    and ends the fit. Zero sweeps return the chosen start. The loss
+    therefore never rises above its start. The state itself is never
+    touched - only the returned deltas.
 
     ``init`` must hold as many deltas per level as the hierarchy has
     anchors, and every gaussian's anchor ordinal must lie among its level's
@@ -250,57 +382,31 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
         if al.size and (al.min() < 0 or al.max() >= lvl.anchor_count):
             raise ValueError(f"level {lvl.level}: an anchor ordinal is outside "
                              f"[0, {lvl.anchor_count})")
-    counts = hierarchy.anchor_counts()
     rows = gather_rows(gaussians, hierarchy, mode, corr.indices)
+    if mode == CompositionMode.additive:
+        sweep = _additive_sweep(hierarchy, rows.members, len(corr))
+    else:
+        sweep = _pivot_sweep(hierarchy, rows, corr.targets)
 
-    def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grads = loss_and_gradient(gaussians, hierarchy, _split(vec, counts), corr, mode,
-                                        rows=rows)
-        return loss, _pack(grads)
+    def evaluate(pairs):
+        return loss_and_gradient(gaussians, hierarchy, pairs, corr, mode, rows=rows)
 
-    x = _pack([(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
-               for ds in init.per_level])
-    scale = _precondition_scale(hierarchy, rows.members, len(corr))
-    loss0, grad = evaluate(x)
-    if x.any():
-        zero = np.zeros_like(x)
-        loss_zero, grad_zero = evaluate(zero)
-        if loss_zero < loss0:
-            x, loss0, grad = zero, loss_zero, grad_zero
-    loss_cur = loss0
-    velocity = np.zeros_like(x)
+    x = [(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
+         for ds in init.per_level]
+    loss, grads = evaluate(x)
+    if any(t.any() or q.any() for t, q in x):
+        zero = [(np.zeros_like(t), np.zeros_like(q)) for t, q in x]
+        loss_zero, grads_zero = evaluate(zero)
+        if loss_zero < loss:
+            x, loss, grads = zero, loss_zero, grads_zero
 
-    for _ in range(steps):
-        eff_grad = grad * scale
-        velocity = _MOMENTUM * velocity - _LEARNING_RATE * eff_grad
-        cand = x + velocity
-        loss_cand, grad_cand = evaluate(cand)
-        if loss_cand <= loss_cur:
-            x, loss_cur, grad = cand, loss_cand, grad_cand
-        else:
-            velocity = -_LEARNING_RATE * eff_grad
-            cand = x + velocity
-            loss_cand, grad_cand = evaluate(cand)
-            if loss_cand <= loss_cur:
-                x, loss_cur, grad = cand, loss_cand, grad_cand
-            else:
-                velocity[:] = 0.0
-    return _unpack(x, counts)
-
-
-def _precondition_scale(hierarchy: AnchorHierarchy, members: Sequence[np.ndarray],
-                        c: int) -> np.ndarray:
-    """Inverse diagonal translation Hessian per anchor, broadcast to all entries.
-
-    ``members`` holds each level's anchor ordinals of the ``c`` observed rows.
-    """
-    parts = []
-    for lvl, al in zip(hierarchy.levels, members):
-        count = np.bincount(al, minlength=lvl.anchor_count).astype(np.float64)
-        s = c / (2.0 * np.maximum(count, 1.0))
-        parts.append(np.repeat(s[:, None], 3, axis=1).ravel())
-        parts.append(np.repeat(s[:, None], 4, axis=1).ravel())
-    return np.concatenate(parts)
+    for _ in range(sweeps):
+        candidate = _rounded(sweep(x, grads))
+        loss_candidate, grads_candidate = evaluate(candidate)
+        if not loss_candidate <= loss:
+            break
+        x, loss, grads = candidate, loss_candidate, grads_candidate
+    return FrameDeformation([AnchorDeltaSet(t, q) for t, q in x])
 
 
 def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,

@@ -11,7 +11,9 @@ and its rotation increments must be zero. :func:`apply_deformation` runs the
 forward over every gaussian to advance the mirrored state; the fit's loss
 and the densify residuals in :mod:`anchorstream.fitting` run it over the
 observed gaussians. The rotation kernels ``_rotate``, ``_rotation_terms``,
-``_cross`` and ``_dot`` live here for both.
+``_cross`` and ``_dot`` live here for both, and so does
+:func:`pivot_level`, one level of the pivot walk, which the fit's pivot
+sweep also moves its rows with.
 
 The forward is split in two. :func:`gather_rows` reads what does not depend
 on the deltas: the rows' positions, each level's anchor ordinals
@@ -38,7 +40,9 @@ Inheritance transfers deltas from a retiring hierarchy to a freshly built one,
 increments in and increments out: translations average arithmetically over
 the three matched legacy anchors, and rotations average as the dominant
 eigenvector of the summed outer products of their unit quaternions, which is
-the standard chordal quaternion mean.
+the standard chordal quaternion mean. The eigenvectors come from
+:func:`dominant_eigenvectors`, one batched ``eigh``, which the fit's
+per-anchor rotation solve shares.
 """
 
 from __future__ import annotations
@@ -109,6 +113,18 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, np.float64)
     first = np.take_along_axis(v, np.argmax(v != 0.0, axis=-1)[..., None], axis=-1)
     return np.where(first < 0.0, -v, v)
+
+
+def dominant_eigenvectors(matrices: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of each symmetric matrix's largest eigenvalue.
+
+    One batched ``eigh`` over a (..., k, k) stack, each vector in
+    :func:`canonical_sign`, as a (..., k) float64 array. Rotation averaging
+    in :func:`inherit_deformation` and the fit's per-anchor rotation solve
+    (:mod:`anchorstream.fitting`) both take their unit quaternions here.
+    """
+    _, vectors = np.linalg.eigh(matrices)
+    return canonical_sign(vectors[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +366,42 @@ def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     pos = rows.positions
     levels = []
     for (t, q), al, centers in zip(deltas, rows.members, rows.centers):
-        unit, norms = level_unit_quats(q)
-        unit = np.ascontiguousarray(unit.T)
-        member_q = np.take(unit, al, axis=1)
-        scale, two_w = _rotation_terms(member_q)
-        u = pos - centers
-        pos, cross, two_dot = _rotate(member_q[1:], u, scale, two_w)
-        pos += centers
-        pos += np.take(t.T.astype(np.float64), al, axis=1)
-        levels.append(LevelMotion(al, unit, norms, member_q, u, cross, two_dot, two_w, scale))
+        pos, level = pivot_level(pos, t, q, al, centers)
+        levels.append(level)
     return np.ascontiguousarray(pos.T), levels
+
+
+def member_rotations(q: np.ndarray, members: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One level's pivot rotations, per anchor and per row, with the rows' rotation terms.
+
+    ``q`` is the level's (A, 4) rotation increments and ``members`` the
+    rows' anchor ordinals. Returns the anchors' axis-major (4, A) unit
+    quaternions and their norms (:func:`level_unit_quats`), the rows' (4, R)
+    unit quaternions, and their :func:`_rotation_terms`.
+    """
+    unit, norms = level_unit_quats(q)
+    unit = np.ascontiguousarray(unit.T)
+    member_q = np.take(unit, members, axis=1)
+    scale, two_w = _rotation_terms(member_q)
+    return unit, norms, member_q, scale, two_w
+
+
+def pivot_level(pos: np.ndarray, t: np.ndarray, q: np.ndarray, members: np.ndarray,
+                centers: np.ndarray) -> tuple[np.ndarray, LevelMotion]:
+    """One level of the pivot forward on axis-major (3, R) rows.
+
+    Rotates each row about its anchor's pivot ``centers`` (3, R) by the
+    anchor's rotation increment in ``q`` (A, 4), then translates it by its
+    row of ``t`` (A, 3). Returns the moved rows, a new (3, R) float64 array,
+    and the level's :class:`LevelMotion`.
+    """
+    unit, norms, member_q, scale, two_w = member_rotations(q, members)
+    u = pos - centers
+    pos, cross, two_dot = _rotate(member_q[1:], u, scale, two_w)
+    pos += centers
+    pos += np.take(t.T.astype(np.float64), members, axis=1)
+    return pos, LevelMotion(members, unit, norms, member_q, u, cross, two_dot, two_w, scale)
 
 
 def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
@@ -404,9 +446,10 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     Rotations are averaged as the unit quaternions q = normalize((1,0,0,0) + d)
     the increments stand for; q and -q give the same q q^T, so their signs
     do not matter. The mean is the dominant eigenvector of sum(q q^T) with
-    canonical sign (so w >= 0), one batched ``eigh`` over all anchors, and it
-    goes back as the increment mean - (1,0,0,0). Both the unit quaternions
-    and their mean are rounded to float32, the precision of a delta row.
+    canonical sign (so w >= 0), one batched ``eigh`` over all anchors
+    (:func:`dominant_eigenvectors`), and it goes back as the increment
+    mean - (1,0,0,0). Both the unit quaternions and their mean are rounded
+    to float32, the precision of a delta row.
     Exactly-zero legacy rows ("no rotation observed") are left out of the
     average; if all three are zero the inherited row is zero as well, since
     the eigenvector of a zero matrix is undefined.
@@ -428,8 +471,7 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     # a zero row adds a zero outer product, which is the skip rule
     picks = unit.astype(np.float32).astype(np.float64)[nbr]  # (A, 3, 4)
     outer = np.einsum("akp,akq->apq", picks, picks)
-    _, vectors = np.linalg.eigh(outer)
-    new_rot = canonical_sign(vectors[:, :, -1]).astype(np.float32).astype(np.float64)
+    new_rot = dominant_eigenvectors(outer).astype(np.float32).astype(np.float64)
     observed = moved[nbr].any(axis=1)
     new_rot[observed, 0] -= 1.0
     new_rot[~observed] = 0.0

@@ -197,16 +197,17 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
                    budget_bytes: Optional[int] = None) -> SessionResult:
     """Run the full encoder pipeline over all frames of a source.
 
-    Every setting comes from ``config``: the fit's step count, whether to
+    Every setting comes from ``config``: the fit's sweep count, whether to
     densify and at what threshold, and what the header records for the
-    decoder. The fit's own optimizer settings are fixed (see
-    :mod:`anchorstream.fitting`). Each frame's fit is warm-started: frame 1
-    starts from zero deltas, a rebuild frame from the previous deltas
-    inherited onto the new anchors, and every other frame from the previous
-    frame's applied (quantized) deltas, on the same anchors. The fit itself
-    falls back to zero deltas when they fit better. With a byte budget, the
-    session runs with :func:`codec.plan_budget`'s config in place of
-    ``config``, and the header carries its finest fraction to the decoder.
+    decoder. The fit has no other settings: each sweep solves the levels
+    exactly (see :mod:`anchorstream.fitting`). Each frame's fit is
+    warm-started: frame 1 starts from zero deltas, a rebuild frame from the
+    previous deltas inherited onto the new anchors, and every other frame
+    from the previous frame's applied (quantized) deltas, on the same
+    anchors. The fit itself falls back to zero deltas when they fit better.
+    With a byte budget, the session runs with :func:`codec.plan_budget`'s
+    config in place of ``config``, and the header carries its finest
+    fraction to the decoder.
     Each encoded frame gets one :class:`FrameMetrics` row, the one the
     decoder builds for it apart from the fit's loss and error, and
     ``report`` sums the rows' byte split. A source of fewer than two frames

@@ -122,14 +122,16 @@ class StreamConfig:
     ``densify_threshold`` are encoder-only: they never travel, and a decoded
     header holds their defaults.
 
-    ``phase1_steps`` is the fit's step count per frame. Each frame's fit
-    starts from the previous frame's deltas, or from zero where that fits
-    better (see :func:`anchorstream.session.encode_session`), so a few dozen
-    steps refine the motion rather than learn it from rest. Of
-    ``phase2_steps`` only zero versus positive matters: 0 turns densification
-    off, and any positive value turns it on. ``densify_threshold`` is the
-    residual above which a gaussian is relocated to its observed target (a
-    16 B record in the frame); it must be finite and positive.
+    ``phase1_steps`` is the fit's sweep count per frame: each sweep solves
+    every level's deltas exactly with the other levels held, coarse to fine
+    (:func:`anchorstream.fitting.fit_frame`). Each frame's fit starts from
+    the previous frame's deltas, or from zero where that fits better (see
+    :func:`anchorstream.session.encode_session`), so a few sweeps refine the
+    motion rather than learn it from rest. Of ``phase2_steps`` only zero
+    versus positive matters: 0 turns densification off, and any positive
+    value turns it on. ``densify_threshold`` is the residual above which a
+    gaussian is relocated to its observed target (a 16 B record in the
+    frame); it must be finite and positive.
     """
 
     levels: int = 3
@@ -137,7 +139,7 @@ class StreamConfig:
     level_ratio: int = 3
     reconfig_period: int = 10
     quantization: Quantization = Quantization.half16
-    phase1_steps: int = 40
+    phase1_steps: int = 3
     phase2_steps: int = 100
     densify_threshold: float = 0.05
     composition_mode: CompositionMode = CompositionMode.additive

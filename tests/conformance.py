@@ -52,13 +52,13 @@ def _arm_pivot():
 def _arm_fixed16():
     """The small arm, pivot fixed16, rebuilt every third frame, relocating on every frame."""
     return _small_arm(), StreamConfig(composition_mode=CompositionMode.pivot, reconfig_period=3,
-                                      quantization=Quantization.fixed16, densify_threshold=0.003)
+                                      quantization=Quantization.fixed16, densify_threshold=0.002)
 
 
 def _arm_full32():
     """The small arm, pivot full32, rebuilt every third frame, relocating on every frame."""
     return _small_arm(), StreamConfig(composition_mode=CompositionMode.pivot, reconfig_period=3,
-                                      quantization=Quantization.full32, densify_threshold=0.003)
+                                      quantization=Quantization.full32, densify_threshold=0.002)
 
 
 def _pair_additive():

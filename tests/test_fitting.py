@@ -18,7 +18,7 @@ from anchorstream import (
     generate_scene,
 )
 from anchorstream import codec, fitting, motion
-from anchorstream.fitting import _pack, _unpack
+from anchorstream.motion import quat_from_axis_angle, quat_to_matrix
 
 import conformance
 from oracles import (
@@ -84,6 +84,22 @@ def test_additive_rotation_gradient_is_zero(rng):
         assert not gq.any()
 
 
+def pack(pairs):
+    """One flat vector of per-level (translation, rotation) arrays, level by level."""
+    return np.concatenate([np.concatenate([t.ravel(), q.ravel()]) for t, q in pairs])
+
+
+def unpack(vec, counts):
+    """The deltas of a :func:`pack` vector, for levels of ``counts`` anchors."""
+    out, off = [], 0
+    for a in counts:
+        t = vec[off:off + 3 * a].reshape(a, 3)
+        q = vec[off + 3 * a:off + 7 * a].reshape(a, 4)
+        out.append(AnchorDeltaSet(t, q))
+        off += 7 * a
+    return FrameDeformation(out)
+
+
 def _rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return (np.abs(a - b) / denom).max()
@@ -104,13 +120,13 @@ def test_gradients_match_finite_differences(mode):
         counts = [lvl.anchor_count for lvl in h.levels]
 
         loss, grads = loss_and_gradient(g, h, deltas, corr, mode)
-        analytic = _pack([(gt, gq) for gt, gq in grads])
+        analytic = pack(grads)
 
         def loss_at(vec):
-            return loss_and_gradient(g, h, _unpack(vec, counts), corr, mode)[0]
+            return loss_and_gradient(g, h, unpack(vec, counts), corr, mode)[0]
 
-        x0 = _pack([(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
-                    for ds in deltas.per_level])
+        x0 = pack([(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
+                   for ds in deltas.per_level])
         numeric = central_difference(loss_at, x0, h=1e-4)
         assert _rel_err(analytic, numeric) < 1e-4
 
@@ -324,7 +340,7 @@ def test_fit_loss_monotone_and_never_touches_state():
 
     losses = []
     current = FrameDeformation.zeros(h)
-    # re-run the optimizer one step at a time to observe the loss sequence
+    # re-run the fit one sweep at a time to observe the loss sequence
     for _ in range(40):
         current = fit_frame(g, h, corr, current, 1)
         losses.append(loss_and_gradient(g, h, current, corr)[0])
@@ -369,13 +385,13 @@ def test_fit_depth_monotone_loss():
     assert losses[3] <= losses[2] + 1e-9
 
 
-def reversed_start(mode, steps=20):
+def reversed_start(mode, sweeps=20):
     """Arm frame 1, and a warm start that runs a fit of its motion backwards."""
     scene = generate_scene(two_body_arm_spec(seed=3))
     g = GaussianSet.from_positions(scene.positions[0].astype(np.float32))
     h = build_hierarchy(g, StreamConfig())
     corr = Correspondences(np.arange(scene.point_count), scene.targets[1].astype(np.float32))
-    forward = fit_frame(g, h, corr, FrameDeformation.zeros(h), steps, mode)
+    forward = fit_frame(g, h, corr, FrameDeformation.zeros(h), sweeps, mode)
     return g, h, corr, negated(forward)
 
 
@@ -399,7 +415,7 @@ def test_fit_from_a_reversed_start_ends_below_both_starts(mode):
     assert loss(backward) > loss(zero)  # the warm start points the wrong way
     out = fit_frame(g, h, corr, backward, 20, mode)
     assert loss(out) <= min(loss(backward), loss(zero))
-    # the zero start wins, so the descent is the cold one, byte for byte
+    # the zero start wins, so the sweeps are the cold ones, byte for byte
     assert_same_deltas(out, fit_frame(g, h, corr, zero, 20, mode))
 
 
@@ -448,15 +464,101 @@ def test_a_nonzero_start_costs_exactly_one_extra_evaluation(mode, monkeypatch):
     monkeypatch.setattr(fitting, "loss_and_gradient",
                         lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs))
 
-    def evaluations(init, steps):
+    def evaluations(init, sweeps):
         calls.clear()
-        fit_frame(g, h, corr, init, steps, mode)
+        fit_frame(g, h, corr, init, sweeps, mode)
         return len(calls)
 
     assert evaluations(zero, 0) == 1
     assert evaluations(backward, 0) == 2
-    # zero wins the start, so the steps retrace the cold fit's evaluations
+    # zero wins the start, so the sweeps retrace the cold fit's evaluations
     assert evaluations(backward, 10) == evaluations(zero, 10) + 1
+
+
+# ---------------------------------------------------------------------------
+# the block solves
+# ---------------------------------------------------------------------------
+
+
+def one_level_problem(n=240, anchors=8, seed=30):
+    rng = np.random.default_rng(seed)
+    pos = rng.random((n, 3), dtype=np.float32)
+    g = GaussianSet.from_positions(pos)
+    h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=Fraction(anchors, n)))
+    assert h.level_count == 1
+    return g, h, rng
+
+
+def test_one_additive_sweep_gives_each_cluster_its_mean_residual():
+    g, h, rng = one_level_problem()
+    targets = g.positions + (rng.standard_normal((len(g), 3)) * 0.05).astype(np.float32)
+    corr = Correspondences(np.arange(len(g)), targets)
+    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 1)
+    al = h.levels[0].assignment
+    residual = targets.astype(np.float64) - g.positions.astype(np.float64)
+    want = np.stack([residual[al == a].mean(axis=0) for a in range(h.levels[0].anchor_count)])
+    # the least-squares optimum in float64, rounded once to float32
+    np.testing.assert_array_max_ulp(out.per_level[0].translations, want.astype(np.float32), 1)
+    assert not out.per_level[0].rotations.any()
+
+
+def test_a_rigid_scene_translation_lands_on_the_coarsest_level():
+    g, h, corr, _ = make_problem(n=300, levels=3, seed=31)
+    shift = np.float32([0.05, -0.02, 0.03])
+    corr = Correspondences(np.arange(len(g)), g.positions + shift)
+    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 3)
+    rms = [np.sqrt((ds.translations.astype(np.float64) ** 2).mean()) for ds in out.per_level]
+    assert np.abs(out.per_level[0].translations - shift).max() < 1e-6
+    assert max(rms[1:]) < 1e-3 * rms[0]
+
+
+def rigid_targets(g, h, rng, angle=0.3):
+    """Targets that move each cluster of a one-level hierarchy rigidly about its anchor."""
+    lvl = h.levels[0]
+    quats = motion.canonical_sign(np.array([
+        quat_from_axis_angle(rng.standard_normal(3), rng.uniform(-angle, angle))
+        for _ in range(lvl.anchor_count)]))
+    shifts = rng.standard_normal((lvl.anchor_count, 3)) * 0.05
+    pos = g.positions.astype(np.float64)
+    pivots = pos[lvl.anchor_indices][lvl.assignment]
+    turned = np.einsum("rij,rj->ri", quat_to_matrix(quats)[lvl.assignment], pos - pivots)
+    return quats, shifts, turned + pivots + shifts[lvl.assignment]
+
+
+def test_one_pivot_sweep_recovers_a_rigid_motion_per_cluster():
+    g, h, rng = one_level_problem(seed=32)
+    assert (np.bincount(h.levels[0].assignment) >= 3).all()
+    quats, shifts, targets = rigid_targets(g, h, rng)
+    corr = Correspondences(np.arange(len(g)), targets.astype(np.float32))
+    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 1, CompositionMode.pivot)
+    got_q, _ = motion.level_unit_quats(out.per_level[0].rotations)
+    assert np.abs(got_q - quats).max() < 1e-6
+    assert np.abs(out.per_level[0].translations - shifts).max() < 1e-6
+
+
+def test_a_cluster_of_one_or_two_observed_members_keeps_its_rotation():
+    g, h, rng = one_level_problem(seed=33)
+    lvl = h.levels[0]
+    al = lvl.assignment
+    init = random_deltas(h, rng, scale=0.05)
+    moved, _ = motion.deform_rows(g, h, init, CompositionMode.pivot)
+    targets = moved + rng.standard_normal(moved.shape) * 0.002
+    # anchor 0 keeps two observed members, anchor 1 one, anchor 2 none
+    keep = np.ones(len(g), bool)
+    for anchor, observed in ((0, 2), (1, 1), (2, 0)):
+        keep[np.flatnonzero(al == anchor)[observed:]] = False
+    idx = np.flatnonzero(keep)
+    corr = Correspondences(idx, targets[idx].astype(np.float32))
+    mode = CompositionMode.pivot
+    zero = FrameDeformation.zeros(h)
+    assert loss_and_gradient(g, h, init, corr, mode)[0] < loss_and_gradient(g, h, zero, corr, mode)[0]
+    out = fit_frame(g, h, corr, init, 3, mode)
+    got, start = out.per_level[0], init.per_level[0]
+    assert got.rotations[:3].tobytes() == start.rotations[:3].tobytes()
+    assert got.translations[2].tobytes() == start.translations[2].tobytes()
+    assert not np.array_equal(got.translations[:2], start.translations[:2])
+    solved = np.bincount(al[idx], minlength=lvl.anchor_count) >= 3
+    assert not (got.rotations == start.rotations).all(axis=1)[solved].any()
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ def encoded(mode, quantization):
         body.point_count //= 4
     source = SyntheticSource(generate_scene(spec))
     base = source.base_gaussians()
+    # the exact pivot fit leaves few residuals above 0.002 on this scene
+    threshold = 0.001 if mode == CompositionMode.pivot else 0.01
     config = StreamConfig(reconfig_period=3, quantization=quantization, composition_mode=mode,
-                          phase1_steps=10, densify_threshold=0.01)
+                          phase1_steps=10, densify_threshold=threshold)
     return base, encode_session(base, source, config)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from anchorstream import (
 from anchorstream.motion import (
     canonical_sign,
     deform_rows,
+    dominant_eigenvectors,
     gather_rows,
     quat_from_axis_angle,
     quat_multiply,
@@ -394,6 +396,15 @@ def assert_same_rotation(got, want, tol=1e-6):
     assert min(np.abs(got - want).max(), np.abs(got + want).max()) < tol
 
 
+def test_dominant_eigenvectors_match_the_jacobi_oracle(rng):
+    a = rng.standard_normal((50, 4, 4))
+    sym = a + a.transpose(0, 2, 1)
+    got = dominant_eigenvectors(sym)
+    for m, v in zip(sym, got):
+        assert v[np.flatnonzero(v)[0]] > 0  # canonical sign
+        assert_same_rotation(v, dominant_eigenvector(m)[1], tol=1e-9)
+
+
 def test_average_identical_quaternions(rng):
     q = unit(rng.standard_normal(4)).astype(np.float32)
     avg = inherited_rotations([q, q, q])[0]
@@ -458,6 +469,21 @@ def test_inherit_takes_and_returns_increments():
     assert want[0] > 0
     out = inherit_triples([d, d, d])[0].astype(np.float64)
     assert np.abs(out - (want - E0)).max() < 1e-6
+
+
+def test_inherit_output_bytes_are_pinned():
+    # the bytes of the shared dominant-eigenvector helper's first user, as they
+    # were when inheritance ran its own eigh
+    rng = np.random.default_rng(19)
+    rotations = (rng.standard_normal((40, 4)) * 0.1).astype(np.float32)
+    rotations[::5] = 0.0
+    legacy = AnchorDeltaSet((rng.standard_normal((40, 3)) * 0.05).astype(np.float32), rotations)
+    nbr = rng.integers(0, 40, (25, 3))
+    nbr[3] = [0, 5, 10]  # three unrotated legacy anchors
+    out = inherit_deformation(legacy, nbr)
+    assert not out.rotations[3].any()
+    digest = hashlib.sha256(out.translations.tobytes() + out.rotations.tobytes()).hexdigest()
+    assert digest == "5fdee23d8c30f976d3f99bf1b3a16bf83022a9cd5f8ba65a46911e99d1ffb8d8"
 
 
 def test_inherit_rejects_empty_legacy():
