@@ -23,7 +23,7 @@ Header (33 bytes, format version 4):
     reconfig_period u32  (>= 1)
     finest_num      u32  \\ effective finest-level anchor fraction, in (0, 1]
     finest_den      u32  /
-    gaussian_count_initial u64
+    gaussian_count_initial u64  (>= 1)
 
 Frame payload:
     frame_index     u64
@@ -50,7 +50,7 @@ Hierarchy rebuilds follow the header's schedule
 Streams of versions 1 to 3 are rejected.
 
 fixed16 maps x to round((x - min) / (max - min) * 65535); max == min encodes
-a constant block.
+a constant block, and min and max are finite.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ class StreamHeader:
          count) = _HEADER.unpack_from(buf, 0)
         if den == 0:
             raise StreamFormatError("bad stream header: finest fraction denominator is zero")
+        if count == 0:  # no encoder writes it: a session needs a gaussian at frame 0
+            raise StreamFormatError("bad stream header: frame-0 gaussian count is zero")
         try:  # the config checks every field's range
             config = StreamConfig(levels=levels, finest_fraction=Fraction(num, den),
                                   level_ratio=ratio, reconfig_period=period,
@@ -197,6 +199,8 @@ def _decode_block(buf: bytes, offset: int, count: int, width: int,
     for _ in range(width):
         _need(buf, offset, 8)
         mn, mx = struct.unpack_from("<ff", buf, offset)
+        if not (math.isfinite(mn) and math.isfinite(mx)):
+            raise StreamFormatError(f"fixed16 range ({mn}, {mx}) is not finite")
         offset += 8
         _need(buf, offset, count * 2)
         q = np.frombuffer(buf, "<u2", count, offset).astype(np.float64)

@@ -15,22 +15,22 @@ position.
   co-membership counts, built once per fit. Positions do not depend on the
   rotation increments, so the fit leaves those as they start.
 - **Pivot mode** maps the targets back through the finer levels, with the
-  conjugate rotations the backward pass uses. Each anchor's rotation and
-  translation about its pivot then solve an absolute-orientation problem
-  in closed form: the dominant eigenvector of a 4x4 symmetric matrix
-  (B. K. P. Horn, "Closed-form solution of absolute orientation using unit
-  quaternions", JOSA A 4(4), 1987), one batched ``eigh`` per level. An
-  anchor with fewer than 3 observed members keeps its rotation and solves
-  its translation only.
+  conjugates of their rotations. Each anchor's rotation and translation
+  about its pivot then solve an absolute-orientation problem in closed
+  form: the dominant eigenvector of a 4x4 symmetric matrix (B. K. P. Horn,
+  "Closed-form solution of absolute orientation using unit quaternions",
+  JOSA A 4(4), 1987), one batched ``eigh`` per level. An anchor with fewer
+  than 3 observed members keeps its rotation and solves its translation
+  only.
 
 The fit has no learning rate or other setting; the sweep count is
 ``StreamConfig.phase1_steps``. Each sweep's result is rounded to float32,
 the precision of a delta, and evaluated once: it is kept if the loss does
 not rise, and otherwise dropped, which ends the fit. In exact arithmetic no
 exact block solve raises the loss, so the guard only catches rounding and
-degenerate clusters. The evaluation is :func:`loss_and_gradient`; the next
-additive sweep starts from its gradients, while the pivot sweeps read only
-its loss.
+degenerate clusters. The evaluation is :func:`loss_and_gradient`, which
+computes only what the sweeps read: the loss, plus the translation
+gradients that the next additive sweep starts from.
 
 The fit is warm-started. The session passes the previous frame's applied
 deltas as ``init`` (inherited ones at a rebuild), so motion carries from
@@ -48,33 +48,20 @@ The loss and the densify residuals move gaussians through
 advances the mirrored state, and the pivot sweep moves its rows through
 each solved level with :func:`anchorstream.motion.pivot_level`, that
 forward's own step; this module holds no forward of its own, only the
-backward pass and the sweeps. Gradients are exact analytic derivatives,
-computed in float64 and verified against central finite differences in
-the test suite.
+loss, its additive gradients and the sweeps. The additive gradients are
+exact, computed in float64 and verified against central finite
+differences in the test suite.
 
-Each :func:`fit_frame` call plans its evaluations once. It checks ``init``
-and the anchor ordinals against the hierarchy, gathers the observed rows
-(:func:`anchorstream.motion.gather_rows`: their positions, anchor ordinals
-and pivot centers), counts each anchor's members and, in additive mode,
-the co-membership counts. Every candidate it then evaluates is rounded to
-float32 and checked finite once, and goes to :func:`loss_and_gradient` as
-per-level array pairs with the gathered rows, with no delta objects built.
-The plan is local to the call and is freed when the fit returns. The loss,
-the gradients and so the fitted deltas are the bits that gathering afresh
-for each evaluation gives.
-
-The pivot backward is axis-major like the forward: it transposes the
-upstream gradient once per call to (3, R) and peels the levels' (4, R)
-rotations off it with the same kernels. It reuses the terms the forward
-kept in each level's :class:`anchorstream.motion.LevelMotion`: v x u,
-2 v.u and 2w in the quaternion gradient, and w*w - v.v and 2w in
-R(q)^T g, since the conjugate quaternion that undoes a rotation shares
-them. R(q)^T g is skipped after the coarsest level, where nothing reads
-it. Every element keeps the row-major form's operation order, and each
-bucket sum is still one ``np.bincount`` per component in ascending row
-order, so the loss and the gradients are the same bits (``tests/oracles.py``
-keeps the row-major form as a reference). The gradients come back
-row-major, shaped like the deltas.
+Each :func:`fit_frame` call plans its evaluations once. It checks the
+correspondences, ``init`` and the anchor ordinals against the state,
+gathers the observed rows (:func:`anchorstream.motion.gather_rows`: their
+positions, anchor ordinals and pivot centers), counts each anchor's
+members and, in additive mode, the co-membership counts. Every candidate
+it then evaluates is rounded to float32 and checked finite once, and goes
+to :func:`loss_and_gradient` as per-level array pairs with the gathered
+rows, with no delta objects built. The plan is local to the call and is
+freed when the fit returns. The loss, the gradients and so the fitted
+deltas are the bits that gathering afresh for each evaluation gives.
 """
 
 from __future__ import annotations
@@ -91,8 +78,6 @@ from .motion import (
     FrameDeformation,
     GatheredRows,
     _check_consistent,
-    _cross,
-    _dot,
     _rotate,
     _rotation_terms,
     deform_rows,
@@ -131,29 +116,8 @@ class Correspondences:
 
 
 # ---------------------------------------------------------------------------
-# Loss and its backward pass (the forward is motion.deform_rows)
+# The loss the sweeps are guarded by (the forward is motion.deform_rows)
 # ---------------------------------------------------------------------------
-
-
-def _rotation_grad(g: np.ndarray, v: np.ndarray, u: np.ndarray, cross: np.ndarray,
-                   two_dot: np.ndarray, two_w: np.ndarray) -> np.ndarray:
-    """d(loss)/d(unit quaternion) given upstream gradient g on R(q) u.
-
-    Axis-major: (3, n) g, u and q's vector part v, (4, n) out. ``cross``,
-    ``two_dot`` and ``two_w`` are the forward's v x u, 2 v.u and 2w
-    (:class:`anchorstream.motion.LevelMotion`).
-    """
-    out = np.empty((4, g.shape[1]))
-    dw = two_w * u
-    dw += 2.0 * cross
-    out[0] = _dot(g, dw)
-    # d(Ru)/dv = 2(-u v^T + v u^T + (v.u) I - w [u]_x); contract with g
-    gv = out[1:]
-    np.multiply(-2.0 * _dot(g, u), v, out=gv)
-    gv += (2.0 * _dot(g, v)) * u
-    gv += two_dot * g
-    gv -= two_w * _cross(g, u)
-    return out
 
 
 def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
@@ -161,53 +125,36 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                       corr: Correspondences,
                       mode: CompositionMode = CompositionMode.additive, *,
                       rows: Optional[GatheredRows] = None,
-                      ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean squared position error and its exact per-delta gradients.
+                      ) -> tuple[float, Optional[list[np.ndarray]]]:
+    """Mean squared position error and, in additive mode, its translation gradients.
 
-    Returns float64 gradients shaped like the deltas: one (A, 3) translation
-    and one (A, 4) rotation gradient per level. ``rows``, when given, is
-    :func:`anchorstream.motion.gather_rows` of ``corr.indices`` in ``mode``,
-    and ``deltas`` may then be checked per-level (translations, rotations)
-    pairs, as :func:`anchorstream.motion.deform_rows` takes them: this is
-    how :func:`fit_frame` evaluates its candidates.
+    Additive mode returns the loss and one float64 (A, 3) translation
+    gradient per level, the exact derivative the next additive sweep starts
+    from; rotation increments do not move additive rows. Pivot mode returns
+    ``(loss, None)``: its sweeps solve each anchor in closed form and read
+    only the loss. :func:`fit_frame` calls this once per start it weighs and
+    once per sweep, and the benchmark harness counts the fit's evaluations
+    by this name, so it keeps the name in both modes.
+
+    ``rows``, when given, is :func:`anchorstream.motion.gather_rows` of
+    ``corr.indices`` in ``mode``, and ``deltas`` may then be checked
+    per-level (translations, rotations) pairs, as
+    :func:`anchorstream.motion.deform_rows` takes them: this is how
+    :func:`fit_frame` evaluates its candidates.
     """
     if len(corr) == 0:
         raise ValueError("correspondences must be non-empty")
-    pos, levels = deform_rows(gaussians, hierarchy, deltas, mode,
-                              corr.indices if rows is None else rows)
+    if rows is None:
+        rows = gather_rows(gaussians, hierarchy, mode, corr.indices)
+    pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, rows)
     r = pos - corr.targets.astype(np.float64)
     c = len(corr)
     loss = float((r * r).sum() / c)
+    if mode == CompositionMode.pivot:
+        return loss, None
     g = (2.0 / c) * r
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * hierarchy.level_count
-    if mode == CompositionMode.additive:
-        for li, (lvl, level) in enumerate(zip(hierarchy.levels, levels)):
-            gt = sum_by_index(g, level.members, lvl.anchor_count)
-            grads[li] = (gt, np.zeros((lvl.anchor_count, 4)))
-        return loss, grads
-
-    # pivot: walk levels fine-to-coarse, peeling one rotation at a time, with
-    # g axis-major (3, R) like the forward's rotations and offsets
-    g = np.ascontiguousarray(g.T)
-    for li in range(hierarchy.level_count - 1, -1, -1):
-        lvl = hierarchy.levels[li]
-        level = levels[li]
-        al, v = level.members, level.rotations[1:]
-        gt = sum_by_index(g.T, al, lvl.anchor_count)
-        gq_member = _rotation_grad(g, v, level.offsets, level.cross, level.two_dot, level.two_w)
-        gq_anchor = sum_by_index(gq_member.T, al, lvl.anchor_count)
-        # chain through q_hat = y / |y| with y = (1,0,0,0) + delta
-        # row-major (A, 4) like gq_anchor, so each row sums in the same order
-        unit = np.ascontiguousarray(level.anchor_rotations.T)
-        proj = (gq_anchor * unit).sum(axis=1, keepdims=True)
-        gq = (gq_anchor - unit * proj) / level.anchor_norms[:, None]
-        grads[li] = (gt, gq)
-        if li:
-            # upstream gradient through the rotation: g <- R(q)^T g = R(q*) g;
-            # the conjugate q* flips v and shares w*w - v.v and 2w with q
-            g, _, _ = _rotate(-v, g, level.scale, level.two_w)
-    return loss, grads
+    return loss, [sum_by_index(g, al, lvl.anchor_count)
+                  for al, lvl in zip(rows.members, hierarchy.levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +183,8 @@ def _additive_sweep(hierarchy: AnchorHierarchy, members: Sequence[np.ndarray], c
     A level's exact update, the other levels held, moves each anchor by
     minus its cluster's mean residual: its translation gradient times the
     inverse Hessian c / (2 n), with n the cluster's row count. The sweep
-    starts from the gradients evaluated at its start. An update of a
-    coarser level changes a finer anchor's gradient by 2/c times the
+    starts from the translation gradients evaluated at its start. An update
+    of a coarser level changes a finer anchor's gradient by 2/c times the
     update of each coarser anchor it shares rows with, times the number of
     rows they share. These co-membership counts, one per distinct (finer
     anchor, coarser anchor) pair, are built here once per fit, as flat
@@ -268,7 +215,7 @@ def _additive_sweep(hierarchy: AnchorHierarchy, members: Sequence[np.ndarray], c
     def sweep(x, grads):
         updates = np.empty((starts[-1], 3))
         out = []
-        for (t, q), (g, _), inverse_hessian, a, start, link in zip(
+        for (t, q), g, inverse_hessian, a, start, link in zip(
                 x, grads, inverse_hessians, sizes, starts, links):
             if link is not None:
                 fine_index, coarse_index, weight = link
@@ -314,8 +261,8 @@ def _horn_solve(u: np.ndarray, v: np.ndarray, members: np.ndarray, count: np.nda
     q[solved] = dominant_eigenvectors(horn[solved])
     q[solved, 0] -= 1.0
     q = q.astype(np.float32).astype(np.float64)
-    unit = np.ascontiguousarray(level_unit_quats(q)[0].T)
-    turned, _, _ = _rotate(unit[1:], np.ascontiguousarray(means[:, :3].T), *_rotation_terms(unit))
+    unit = np.ascontiguousarray(level_unit_quats(q).T)
+    turned = _rotate(unit[1:], np.ascontiguousarray(means[:, :3].T), *_rotation_terms(unit))
     return np.where((count > 0)[:, None], means[:, 3:] - turned.T, t), q
 
 
@@ -324,8 +271,8 @@ def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.nda
 
     The finer levels, held at their deltas, move each row by a rigid map
     y -> Ay + b, so the sweep first maps the targets back through them,
-    finest level first: y <- R(q)^T (y - pivot - t) + pivot, the conjugate
-    rotation of the backward. Then it solves the levels coarse to fine
+    finest level first: y <- R(q)^T (y - pivot - t) + pivot, with the
+    conjugate rotation. Then it solves the levels coarse to fine
     (:func:`_horn_solve`), moving the rows through each solved level with
     :func:`anchorstream.motion.pivot_level`, the forward's own step.
     """
@@ -333,13 +280,13 @@ def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.nda
     counts = [np.bincount(al, minlength=lvl.anchor_count)
               for al, lvl in zip(rows.members, hierarchy.levels)]
 
-    def sweep(x, grads):
+    def sweep(x, _):
         mapped = [targets]
         for (t, q), al, centers in zip(x[:0:-1], rows.members[:0:-1], rows.centers[:0:-1]):
-            _, _, member_q, scale, two_w = member_rotations(q, al)
+            member_q, scale, two_w = member_rotations(q, al)
             y = mapped[-1] - centers
             y -= np.take(t.T, al, axis=1)
-            y, _, _ = _rotate(-member_q[1:], y, scale, two_w)
+            y = _rotate(-member_q[1:], y, scale, two_w)
             y += centers
             mapped.append(y)
         mapped.reverse()
@@ -363,19 +310,27 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     The sweeps start from ``init`` or from zero deltas, whichever has the
     lower loss; a tie keeps ``init``. Checking zero costs one extra loss
     evaluation, made only when ``init`` is nonzero, and the chosen start's
-    gradient feeds the first additive sweep. Each sweep solves every level
-    exactly with the other levels held, coarse to fine, and rounds the
-    result to float32. Its candidate is evaluated once and kept if the loss
-    does not rise; a sweep that raises the loss, or makes it NaN, is dropped
-    and ends the fit. Zero sweeps return the chosen start. The loss
+    translation gradients feed the first additive sweep. Each sweep solves
+    every level exactly with the other levels held, coarse to fine, and
+    rounds the result to float32. Its candidate is evaluated once and kept
+    if the loss does not rise; a sweep that raises the loss, or makes it
+    NaN, is dropped and ends the fit. Zero sweeps return the chosen start. The loss
     therefore never rises above its start. The state itself is never
     touched - only the returned deltas.
 
-    ``init`` must hold as many deltas per level as the hierarchy has
+    ``corr`` must observe at least one gaussian, each below the gaussian
+    count; otherwise ``ValueError`` says so, naming the first index past the
+    count. ``init`` must hold as many deltas per level as the hierarchy has
     anchors, and every gaussian's anchor ordinal must lie among its level's
     anchors; otherwise ``ValueError`` names the first level that fails. A
     candidate that is not finite in float32 raises ``ValueError``.
     """
+    if len(corr) == 0:
+        raise ValueError("correspondences must be non-empty")
+    past = corr.indices[corr.indices >= len(gaussians)]
+    if past.size:
+        raise ValueError(f"correspondence index {past[0]} is past the last of "
+                         f"{len(gaussians)} gaussians")
     _check_consistent(hierarchy, init)
     for lvl in hierarchy.levels:
         al = lvl.assignment

@@ -30,11 +30,11 @@ kernel term is one 1-D ufunc over contiguous memory instead of a strided
 each element still sees the same operations in the same order: the kernels
 spell out every product, sum and difference that the row-major expressions
 made, and the 3-term dot product adds left to right onto +0.0 as numpy's
-row reduction did. Only the memory layout changed. Each level keeps the
-rotation's terms, w*w - v.v, 2w, v x u and 2 v.u, in its
-:class:`LevelMotion` for the fit's backward pass. The positions it
+row reduction did. Only the memory layout changed. The positions it
 returns are C-contiguous (R, 3) in both modes, so the loss and the densify
-residuals reduce exactly the array they reduced before.
+residuals reduce exactly the array they reduced before. Beside them, pivot
+mode returns each level's (4, R) row rotations, which
+:func:`apply_deformation` composes into the orientations.
 
 Inheritance transfers deltas from a retiring hierarchy to a freshly built one,
 increments in and increments out: translations average arithmetically over
@@ -236,61 +236,30 @@ def _rotation_terms(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w * w - _dot(q[1:], q[1:]), 2.0 * w
 
 
-def _rotate(v: np.ndarray, u: np.ndarray, scale: np.ndarray, two_w: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rotate(v: np.ndarray, u: np.ndarray, scale: np.ndarray, two_w: np.ndarray) -> np.ndarray:
     """R(q) u for axis-major (3, n) vectors, given q's vector part v and its terms.
 
     ``scale`` and ``two_w`` are :func:`_rotation_terms` of q. The vector form
     of the rotation, ((w*w - v.v) u + (2 v.u) v) + (2w) (v x u), with each
-    term's operation order fixed. Returns R(q) u, v x u and 2 v.u, the last
-    two for the fit's backward pass.
+    term's operation order fixed. Passing -v rotates by the conjugate, R(q)^T,
+    which shares q's terms.
     """
     cross = _cross(v, u)
-    two_dot = 2.0 * _dot(v, u)
     out = scale * u
-    out += two_dot * v
+    out += (2.0 * _dot(v, u)) * v
     out += two_w * cross
-    return out, cross, two_dot
+    return out
 
 
-def level_unit_quats(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot rotation per anchor: normalize((1,0,0,0) + delta), and the norms.
-
-    Float64 results; the norms are what the fit's backward pass divides by.
-    """
+def level_unit_quats(rotations: np.ndarray) -> np.ndarray:
+    """Pivot rotation per anchor: normalize((1,0,0,0) + delta), float64 (A, 4)."""
     q = rotations.astype(np.float64)  # always a copy
     q[:, 0] += 1.0
     norms = np.linalg.norm(q, axis=1)
     if (norms < _DEGENERATE_NORM).any():
         bad = int(np.argmax(norms < _DEGENERATE_NORM))
         raise DegenerateQuaternionError(f"pivot increment for anchor {bad} has norm {norms[bad]:.3g}")
-    return q / norms[:, None], norms
-
-
-class LevelMotion(NamedTuple):
-    """How :func:`deform_rows` moved its rows at one level.
-
-    ``members`` is each row's anchor ordinal at the level. The other fields
-    are None in additive mode. In pivot mode they hold each anchor's unit
-    rotation and the norm of (1,0,0,0) + delta it was normalized from, each
-    row's unit rotation, each row's offset u from its pivot just before the
-    level rotated it, and the rotation's terms for that row: v x u and 2 v.u
-    of the quaternion's vector part v, 2w, and w*w - v.v. That is what the
-    fit's backward pass and the orientation update need. The rotations,
-    offsets and cross products are axis-major, one contiguous row per
-    component, as the rotation kernels take them; ``rotations.T`` is the
-    row-major (R, 4) view.
-    """
-
-    members: np.ndarray  # (R,) int64
-    anchor_rotations: Optional[np.ndarray] = None  # (4, A) float64
-    anchor_norms: Optional[np.ndarray] = None  # (A,) float64
-    rotations: Optional[np.ndarray] = None  # (4, R) float64
-    offsets: Optional[np.ndarray] = None  # (3, R) float64
-    cross: Optional[np.ndarray] = None  # (3, R) float64, v x u
-    two_dot: Optional[np.ndarray] = None  # (R,) float64, 2 v.u
-    two_w: Optional[np.ndarray] = None  # (R,) float64
-    scale: Optional[np.ndarray] = None  # (R,) float64, w*w - v.v
+    return q / norms[:, None]
 
 
 class GatheredRows(NamedTuple):
@@ -332,15 +301,16 @@ def gather_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, mode: Compos
 def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
                 deltas: FrameDeformation | Sequence[tuple[np.ndarray, np.ndarray]],
                 mode: CompositionMode, rows: np.ndarray | GatheredRows | None = None,
-                ) -> tuple[np.ndarray, list[LevelMotion]]:
+                ) -> tuple[np.ndarray, Optional[list[np.ndarray]]]:
     """The deformation forward: float64 deformed positions of ``rows`` (default all).
 
     Levels apply coarse to fine. At each level, pivot mode rotates every row
     about its anchor's frame-start position, then translates it; additive
     mode only translates, so a row moves by the sum of its anchors'
     translations. Rotation increments are ignored in additive mode. Returns
-    the positions, C-contiguous (R, 3) in both modes, and one
-    :class:`LevelMotion` per level; nothing is modified. Pivot mode works
+    the positions, C-contiguous (R, 3) in both modes, and in pivot mode each
+    level's axis-major (4, R) float64 row rotations, unit quaternions
+    (None in additive mode); nothing is modified. Pivot mode works
     axis-major in between.
 
     The forward is two steps: gather the rows (:func:`gather_rows`), then
@@ -361,47 +331,45 @@ def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
         pos = rows.positions.astype(np.float64)  # always a copy: the walk adds onto it
         for (t, _), al in zip(deltas, rows.members):
             pos += np.take(t.astype(np.float64, copy=False), al, axis=0)
-        return pos, [LevelMotion(al) for al in rows.members]
+        return pos, None
 
     pos = rows.positions
-    levels = []
+    rotations = []
     for (t, q), al, centers in zip(deltas, rows.members, rows.centers):
-        pos, level = pivot_level(pos, t, q, al, centers)
-        levels.append(level)
-    return np.ascontiguousarray(pos.T), levels
+        pos, member_q = pivot_level(pos, t, q, al, centers)
+        rotations.append(member_q)
+    return np.ascontiguousarray(pos.T), rotations
 
 
 def member_rotations(q: np.ndarray, members: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One level's pivot rotations, per anchor and per row, with the rows' rotation terms.
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level's pivot rotations per row, with their rotation terms.
 
     ``q`` is the level's (A, 4) rotation increments and ``members`` the
-    rows' anchor ordinals. Returns the anchors' axis-major (4, A) unit
-    quaternions and their norms (:func:`level_unit_quats`), the rows' (4, R)
-    unit quaternions, and their :func:`_rotation_terms`.
+    rows' anchor ordinals. Returns the rows' axis-major (4, R) unit
+    quaternions (:func:`level_unit_quats` of their anchors) and their
+    :func:`_rotation_terms`.
     """
-    unit, norms = level_unit_quats(q)
-    unit = np.ascontiguousarray(unit.T)
+    unit = np.ascontiguousarray(level_unit_quats(q).T)
     member_q = np.take(unit, members, axis=1)
     scale, two_w = _rotation_terms(member_q)
-    return unit, norms, member_q, scale, two_w
+    return member_q, scale, two_w
 
 
 def pivot_level(pos: np.ndarray, t: np.ndarray, q: np.ndarray, members: np.ndarray,
-                centers: np.ndarray) -> tuple[np.ndarray, LevelMotion]:
+                centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One level of the pivot forward on axis-major (3, R) rows.
 
     Rotates each row about its anchor's pivot ``centers`` (3, R) by the
     anchor's rotation increment in ``q`` (A, 4), then translates it by its
     row of ``t`` (A, 3). Returns the moved rows, a new (3, R) float64 array,
-    and the level's :class:`LevelMotion`.
+    and the rows' (4, R) unit quaternions.
     """
-    unit, norms, member_q, scale, two_w = member_rotations(q, members)
-    u = pos - centers
-    pos, cross, two_dot = _rotate(member_q[1:], u, scale, two_w)
+    member_q, scale, two_w = member_rotations(q, members)
+    pos = _rotate(member_q[1:], pos - centers, scale, two_w)
     pos += centers
     pos += np.take(t.T.astype(np.float64), members, axis=1)
-    return pos, LevelMotion(members, unit, norms, member_q, u, cross, two_dot, two_w, scale)
+    return pos, member_q
 
 
 def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
@@ -417,11 +385,11 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     """
     if mode == CompositionMode.additive and any(ds.rotations.any() for ds in deltas.per_level):
         raise ValueError("additive deformations carry no rotations, but one is nonzero")
-    pos, levels = deform_rows(gaussians, hierarchy, deltas, mode)
+    pos, rotations = deform_rows(gaussians, hierarchy, deltas, mode)
     if mode == CompositionMode.pivot:
         orient = gaussians.orientations.astype(np.float64)
-        for level in levels:
-            orient = quat_multiply(level.rotations.T, orient)
+        for member_q in rotations:
+            orient = quat_multiply(member_q.T, orient)
         orientations = quat_normalize(orient).astype(np.float32)
     else:
         orientations = gaussians.orientations.copy()
@@ -466,7 +434,7 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     new_trans = (trans64[nbr[:, 0]] + trans64[nbr[:, 1]] + trans64[nbr[:, 2]]) / 3.0
 
     moved = legacy.rotations.any(axis=1)
-    unit, _ = level_unit_quats(legacy.rotations)
+    unit = level_unit_quats(legacy.rotations)
     unit[~moved] = 0.0
     # a zero row adds a zero outer product, which is the skip rule
     picks = unit.astype(np.float32).astype(np.float64)[nbr]  # (A, 3, 4)

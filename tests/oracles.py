@@ -111,66 +111,33 @@ def cross_rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (w * w - vdotv) * u + 2.0 * vdotu * v + 2.0 * w * vxu
 
 
-def cross_rotation_grad(g: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """d(loss)/d(unit quaternion) given upstream gradient g on R(q) u."""
-    w = q[:, :1]
-    v = q[:, 1:]
-    vxu = np.cross(v, u)
-    dw = (g * (2.0 * w * u + 2.0 * vxu)).sum(axis=1)
-    vdotu = (v * u).sum(axis=1, keepdims=True)
-    # d(Ru)/dv = 2(-u v^T + v u^T + (v.u) I - w [u]_x); contract with g
-    gv = (
-        -2.0 * (g * u).sum(axis=1, keepdims=True) * v
-        + 2.0 * (g * v).sum(axis=1, keepdims=True) * u
-        + 2.0 * vdotu * g
-        - 2.0 * w * np.cross(g, u)
-    )
-    return np.concatenate([dw[:, None], gv], axis=1)
+def rowmajor_pivot_loss(gaussians, hierarchy, deltas, corr):
+    """The pivot loss, row-major, with ``np.cross`` kernels.
 
-
-def rowmajor_pivot_loss_and_gradient(gaussians, hierarchy, deltas, corr):
-    """The pivot loss and its gradients, row-major, with ``np.cross`` kernels.
-
-    The former forward and backward of the pivot fit on (R, 3) offsets and
-    (R, 4) quaternions: per level, rotate each row about its anchor's
-    frame-start position, then translate it; the backward walks the levels
-    fine to coarse. Returns (loss, [(A, 3) and (A, 4) gradients per level]).
+    The former forward of the pivot fit on (R, 3) offsets and (R, 4)
+    quaternions: per level, rotate each row about its anchor's frame-start
+    position, then translate it.
     """
     rows = corr.indices
     pos = gaussians.positions[rows].astype(np.float64)
-    saved = []
     for lvl, ds in zip(hierarchy.levels, deltas.per_level):
         members = lvl.assignment[rows]
         y = ds.rotations.astype(np.float64)
         y[:, 0] += 1.0
-        norms = np.linalg.norm(y, axis=1)
-        unit = y / norms[:, None]
-        q = unit[members]
+        q = (y / np.linalg.norm(y, axis=1)[:, None])[members]
         centers = gaussians.positions[lvl.anchor_indices].astype(np.float64)[members]
-        u = pos - centers
-        pos = cross_rotate(q, u) + centers + ds.translations.astype(np.float64)[members]
-        saved.append((members, unit, norms, q, u))
+        t = ds.translations.astype(np.float64)[members]
+        pos = cross_rotate(q, pos - centers) + centers + t
     r = pos - corr.targets.astype(np.float64)
-    c = len(rows)
-    loss = float((r * r).sum() / c)
-    g = (2.0 / c) * r
-    grads = []
-    for lvl, (members, unit, norms, q, u) in reversed(list(zip(hierarchy.levels, saved))):
-        gt = add_at_sum_by_index(g, members, lvl.anchor_count)
-        gq = add_at_sum_by_index(cross_rotation_grad(g, q, u), members, lvl.anchor_count)
-        proj = (gq * unit).sum(axis=1, keepdims=True)
-        grads.append((gt, (gq - unit * proj) / norms[:, None]))
-        g = cross_rotate(np.concatenate([q[:, :1], -q[:, 1:]], axis=1), g)
-    return loss, grads[::-1]
+    return float((r * r).sum() / len(rows))
 
 
 def additive_loss_and_gradient(gaussians, hierarchy, deltas, corr):
     """The additive loss and its gradients, row-major, with ``np.add.at`` bucket sums.
 
     Each row moves by the sum of its anchors' translations, coarse level
-    first; the translation gradient is the bucket sum of 2 r / C, the
-    rotation gradient zero. Returns (loss, [(A, 3) and (A, 4) gradients per
-    level]).
+    first; the translation gradient is the bucket sum of 2 r / C. Returns
+    (loss, [(A, 3) translation gradient per level]).
     """
     rows = corr.indices
     pos = gaussians.positions[rows].astype(np.float64)
@@ -180,9 +147,7 @@ def additive_loss_and_gradient(gaussians, hierarchy, deltas, corr):
     c = len(rows)
     g = (2.0 / c) * r
     return float((r * r).sum() / c), [
-        (add_at_sum_by_index(g, lvl.assignment[rows], lvl.anchor_count),
-         np.zeros((lvl.anchor_count, 4)))
-        for lvl in hierarchy.levels
+        add_at_sum_by_index(g, lvl.assignment[rows], lvl.anchor_count) for lvl in hierarchy.levels
     ]
 
 

@@ -363,6 +363,20 @@ def test_infinite_half16_delta_is_a_stream_error(rng):
         decode_frame(bytes(payload), 0, header)
 
 
+@pytest.mark.parametrize("bound, value", [(0, np.inf), (1, np.inf), (0, -np.inf),
+                                          (1, np.nan)])
+def test_a_fixed16_range_that_is_not_finite_is_a_stream_error(rng, bound, value):
+    # a max of +inf would make the dequantization multiply 0 by inf
+    pos, h = small_hierarchy(rng, anchors=6)
+    header = make_header(1, Quantization.fixed16, 40)
+    payload = bytearray(encode_frame(5, random_deformation(h, rng), h, header))
+    first_range = 8 + 4 * header.config.levels  # after the frame index and the counts
+    at = first_range + 4 * bound
+    payload[at:at + 4] = np.float32(value).tobytes()
+    with pytest.raises(StreamFormatError, match=r"fixed16 range \(.*\) is not finite"):
+        decode_frame(bytes(payload), 0, header)
+
+
 def test_nonfinite_added_record_is_a_stream_error(rng):
     pos, h = small_hierarchy(rng, anchors=6)
     header = make_header(1, Quantization.full32, 40)

@@ -2,7 +2,8 @@
 
 Importing ``scipy.spatial`` alone adds about 36 MiB to the process, so a
 session that pulls scipy in is a regression even where scipy is installed.
-No module of the package imports a name it never uses.
+No module of the package imports a name it never uses, and no module-level
+private function or class outlives its last reader in the package.
 """
 
 import ast
@@ -100,3 +101,31 @@ def test_src_modules_have_no_unused_imports():
         if found:
             unused[path.name] = found
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private functions and classes, by name, with their lines."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_definition_is_read_by_a_src_module():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((SRC / "anchorstream").glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {name: [f"line {line}: {d}" for d, line in _private_definitions(tree).items()
+                     if d not in read]
+              for name, tree in trees.items()}
+    assert {name: found for name, found in unread.items() if found} == {}

@@ -150,11 +150,14 @@ def test_forward_of_some_rows_equals_those_rows_of_the_full_forward(mode):
     h = hierarchy_for(pos)
     deltas = frame_deltas(h, rng, mode)
     rows = rng.choice(400, size=57, replace=False)
-    full, full_levels = deform_rows(g, h, deltas, mode)
-    some, some_levels = deform_rows(g, h, deltas, mode, rows)
+    full, full_rotations = deform_rows(g, h, deltas, mode)
+    some, some_rotations = deform_rows(g, h, deltas, mode, rows)
     assert some.tobytes() == full[rows].tobytes()
-    for a, b in zip(full_levels, some_levels):
-        assert np.array_equal(a.members[rows], b.members)
+    if mode == CompositionMode.additive:
+        assert full_rotations is None and some_rotations is None
+        return
+    for a, b in zip(full_rotations, some_rotations, strict=True):
+        assert a[:, rows].tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
@@ -165,29 +168,31 @@ def test_forward_layout_contract(mode):
     h = hierarchy_for(pos)
     deltas = frame_deltas(h, rng, mode)
     rows = rng.choice(500, size=71, replace=False)
+    units = []
+    for lvl, ds in zip(h.levels, deltas.per_level):
+        y = ds.rotations.astype(np.float64)
+        y[:, 0] += 1.0
+        units.append((y / np.linalg.norm(y, axis=1, keepdims=True))[lvl.assignment])
     for picked, r in ((None, 500), (rows, 71)):
-        out, levels = deform_rows(g, h, deltas, mode, picked)
+        out, rotations = deform_rows(g, h, deltas, mode, picked)
         # row-major positions in both modes: the loss and the residuals reduce them as such
         assert out.shape == (r, 3) and out.dtype == np.float64 and out.flags.c_contiguous
-        for lvl, level in zip(h.levels, levels):
-            assert level.members.shape == (r,)
-            if mode == CompositionMode.additive:
-                assert all(term is None for term in level[1:])
-                continue
-            a = lvl.anchor_count
-            assert level.anchor_rotations.shape == (4, a) and level.anchor_norms.shape == (a,)
-            assert level.rotations.shape == (4, r) and level.offsets.shape == (3, r)
-            assert level.cross.shape == (3, r)
-            assert level.two_dot.shape == level.two_w.shape == level.scale.shape == (r,)
+        if mode == CompositionMode.additive:
+            assert rotations is None
+            continue
+        # axis-major row rotations, one per level: each row's anchor's unit quaternion
+        assert len(rotations) == h.level_count
+        for unit, member_q in zip(units, rotations):
+            assert member_q.shape == (4, r) and member_q.dtype == np.float64
+            assert member_q.flags.c_contiguous
+            want = unit if picked is None else unit[picked]
+            assert member_q.T.tobytes() == want.tobytes()
     if mode == CompositionMode.additive:
         return
     # pivot orientations: each level's row-major unit quaternions, composed coarse first
     orient = g.orientations.astype(np.float64)
-    for lvl, ds in zip(h.levels, deltas.per_level):
-        y = ds.rotations.astype(np.float64)
-        y[:, 0] += 1.0
-        unit = y / np.linalg.norm(y, axis=1, keepdims=True)
-        orient = quat_multiply(unit[lvl.assignment], orient)
+    for unit in units:
+        orient = quat_multiply(unit, orient)
     want = quat_normalize(orient).astype(np.float32)
     assert apply_deformation(g, h, deltas, mode).orientations.tobytes() == want.tobytes()
 
@@ -201,14 +206,16 @@ def test_forward_of_gathered_rows_equals_the_forward_of_their_indices(mode):
     deltas = frame_deltas(h, rng, mode)
     rows = rng.choice(400, size=90, replace=False)
     gathered = gather_rows(g, h, mode, rows)
-    want, want_levels = deform_rows(g, h, deltas, mode, rows)
+    want, want_rotations = deform_rows(g, h, deltas, mode, rows)
     before = [a.copy() for a in [gathered.positions, *gathered.members, *(gathered.centers or [])]]
     for _ in range(2):  # a walk leaves the gathered arrays as it found them
-        got, got_levels = deform_rows(g, h, deltas, mode, gathered)
+        got, got_rotations = deform_rows(g, h, deltas, mode, gathered)
         assert got.tobytes() == want.tobytes()
-        for a, b in zip(got_levels, want_levels):
-            for x, y in zip(a, b):
-                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        if mode == CompositionMode.additive:
+            assert got_rotations is None and want_rotations is None
+            continue
+        for a, b in zip(got_rotations, want_rotations, strict=True):
+            assert a.tobytes() == b.tobytes()
     after = [gathered.positions, *gathered.members, *(gathered.centers or [])]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 

@@ -521,6 +521,25 @@ def test_cli_rejects_a_header_only_stream(tmp_path, capsys):
     assert "no frames" in capsys.readouterr().err
 
 
+def empty_frame0_stream():
+    """A header that counts no gaussian at frame 0, which no encoder writes."""
+    return codec.StreamHeader(StreamConfig(), 0).pack()
+
+
+def test_a_header_with_no_frame0_gaussian_is_a_stream_error():
+    empty = GaussianSet.from_positions(np.zeros((0, 3), np.float32))
+    with pytest.raises(StreamFormatError, match="frame-0 gaussian count is zero"):
+        decode_session(empty, empty_frame0_stream())
+
+
+def test_cli_decode_of_a_header_with_no_frame0_gaussian_exits_1(tmp_path, capsys):
+    ply_path, stream_path = tmp_path / "empty.ply", tmp_path / "empty.rcgs"
+    ply_path.write_bytes(write_gaussian_ply(GaussianSet.from_positions(np.zeros((0, 3)))))
+    stream_path.write_bytes(empty_frame0_stream())
+    assert main(["decode", "--stream", str(stream_path), "--frame0", str(ply_path)]) == 1
+    assert "frame-0 gaussian count is zero" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_bad_header_field_with_exit_1(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "bad.rcgs"
     spec = small_arm(frames=2)
