@@ -19,7 +19,6 @@ from .codec import (
     decode_frame,
     encode_frame,
     plan_budget,
-    quantize_roundtrip,
 )
 from .errors import (
     AnchorStreamError,

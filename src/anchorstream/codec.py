@@ -50,7 +50,9 @@ Hierarchy rebuilds follow the header's schedule
 Streams of versions 1 to 3 are rejected.
 
 fixed16 maps x to round((x - min) / (max - min) * 65535); max == min encodes
-a constant block, and min and max are finite.
+a constant block, and min <= max are finite. :func:`decode_frame` is the
+only code that dequantizes a frame: the encoder too applies what it parses
+from its own bytes (:func:`quantize_roundtrip`).
 """
 
 from __future__ import annotations
@@ -170,10 +172,16 @@ class FramePayload:
 # ---------------------------------------------------------------------------
 
 
-def _encode_block(values: np.ndarray, quantization: Quantization) -> bytes:
+def _encode_block(values: np.ndarray, quantization: Quantization, where: str) -> bytes:
     arr = np.ascontiguousarray(values, np.float32)
     if quantization in _FLOAT_WIRE:
-        return arr.astype(_FLOAT_WIRE[quantization]).tobytes()
+        with np.errstate(over="ignore"):  # checked just below
+            wire = arr.astype(_FLOAT_WIRE[quantization])
+        if not np.isfinite(wire).all():
+            raise ConfigError(f"{where} holds the delta {arr.flat[np.argmin(np.isfinite(wire))]:g}"
+                              f", which {quantization.name} rounds to infinity; encode with "
+                              "full32 or fixed16")
+        return wire.tobytes()
     parts = []
     for j in range(arr.shape[1]):
         col = arr[:, j]
@@ -201,6 +209,8 @@ def _decode_block(buf: bytes, offset: int, count: int, width: int,
         mn, mx = struct.unpack_from("<ff", buf, offset)
         if not (math.isfinite(mn) and math.isfinite(mx)):
             raise StreamFormatError(f"fixed16 range ({mn}, {mx}) is not finite")
+        if mn > mx:
+            raise StreamFormatError(f"fixed16 range ({mn}, {mx}) is reversed")
         offset += 8
         _need(buf, offset, count * 2)
         q = np.frombuffer(buf, "<u2", count, offset).astype(np.float64)
@@ -211,31 +221,6 @@ def _decode_block(buf: bytes, offset: int, count: int, width: int,
             col = np.full(count, mn, np.float64)
         cols.append(col.astype(np.float32))
     return np.stack(cols, axis=1), offset
-
-
-def quantize_roundtrip(deltas: FrameDeformation, header: StreamHeader) -> FrameDeformation:
-    """Deltas as the decoder will reconstruct them.
-
-    The encoder advances its own state with these values (quantize-then-apply
-    on both ends), so encoder and decoder replicas never drift, whatever the
-    quantization mode. Every mode goes through the same block encoder and
-    decoder as a frame; for full32 that round trip through ``<f4`` returns
-    every float32 bit for bit, signed zeros and subnormals included. As in
-    :func:`decode_frame`, rotations round-trip only in pivot mode; additive
-    rotations come back as fresh zeros, whatever zeros were sent.
-    """
-    quant = header.config.quantization
-    pivot = header.config.composition_mode == CompositionMode.pivot
-
-    def roundtrip(values: np.ndarray) -> np.ndarray:
-        block = _encode_block(values, quant)
-        return _decode_block(block, 0, values.shape[0], values.shape[1], quant)[0]
-
-    out = []
-    for ds in deltas.per_level:
-        rot = roundtrip(ds.rotations) if pivot else np.zeros((len(ds), 4), np.float32)
-        out.append(AnchorDeltaSet(roundtrip(ds.translations), rot))
-    return replace(deltas, per_level=out)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +240,8 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
     """Serialize one frame. Delta blocks follow the canonical anchor order.
 
     Raises ``ValueError`` for a nonzero rotation in additive mode, which the
-    decoder could not restore.
+    decoder could not restore, and :class:`ConfigError` naming the frame and
+    the level for a delta that half16 rounds to infinity.
     """
     counts = hierarchy.anchor_counts()
     if len(deltas.per_level) != len(counts):
@@ -264,14 +250,15 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
     pivot = header.config.composition_mode == CompositionMode.pivot
     parts = [struct.pack("<Q", frame_index)]
     parts.append(struct.pack(f"<{len(counts)}I", *counts))
-    for ds, count in zip(deltas.per_level, counts):
+    for level, (ds, count) in enumerate(zip(deltas.per_level, counts), start=1):
         if len(ds) != count:
             raise ValueError(f"delta block has {len(ds)} anchors, hierarchy has {count}")
-        parts.append(_encode_block(ds.translations, quant))
-        if pivot:
-            parts.append(_encode_block(ds.rotations, quant))
-        elif ds.rotations.any():
+        if not pivot and ds.rotations.any():
             raise ValueError("additive frames carry no rotations, but a rotation is nonzero")
+        where = f"frame {frame_index}: level {level}"
+        parts.append(_encode_block(ds.translations, quant, where))
+        if pivot:
+            parts.append(_encode_block(ds.rotations, quant, where))
     parts.append(struct.pack("<I", len(deltas.relocation_ordinals)))
     parts.append(deltas.relocation_ordinals.astype("<u4").tobytes())
     parts.append(deltas.relocation_positions.astype("<f4").tobytes())
@@ -281,10 +268,10 @@ def encode_frame(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHi
 def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePayload, int]:
     """Parse one frame payload starting at ``offset``.
 
-    The payload is self-describing given the header; consistency with the
-    decoder's state (realized counts, relocation ordinals below the gaussian
-    count) is checked by the decode loop. In additive mode the rotations
-    come back as zeros.
+    The payload is self-describing given the header; consistency with a
+    replica's state (realized counts, relocation ordinals below the gaussian
+    count) is checked where the payload is applied, on either side. In
+    additive mode the rotations come back as zeros.
     """
     _need(buf, offset, 8)
     (frame_index,) = struct.unpack_from("<Q", buf, offset)
@@ -315,6 +302,16 @@ def decode_frame(buf: bytes, offset: int, header: StreamHeader) -> tuple[FramePa
     except ValueError as exc:
         raise StreamFormatError(f"frame {frame_index}: {exc}") from exc
     return FramePayload(frame_index, deltas), offset
+
+
+def quantize_roundtrip(frame_index: int, deltas: FrameDeformation, hierarchy: AnchorHierarchy,
+                       header: StreamHeader) -> tuple[bytes, FramePayload]:
+    """One frame's bytes (:func:`encode_frame`) and the payload :func:`decode_frame` parses.
+
+    It adds nothing to the pair; it stays only because the benchmark's tracer binds it.
+    """
+    data = encode_frame(frame_index, deltas, hierarchy, header)
+    return data, decode_frame(data, 0, header)[0]
 
 
 def iter_frames(stream: bytes, header: StreamHeader) -> Iterator[tuple[FramePayload, int]]:

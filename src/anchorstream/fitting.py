@@ -115,6 +115,16 @@ class Correspondences:
         return self.indices.shape[0]
 
 
+def _check_correspondences(corr: Correspondences, gaussians: GaussianSet) -> None:
+    """``ValueError`` unless ``corr`` observes at least one gaussian, each below the count."""
+    if len(corr) == 0:
+        raise ValueError("correspondences must be non-empty")
+    past = corr.indices[corr.indices >= len(gaussians)]
+    if past.size:
+        raise ValueError(f"correspondence index {past[0]} is past the last of "
+                         f"{len(gaussians)} gaussians")
+
+
 # ---------------------------------------------------------------------------
 # The loss the sweeps are guarded by (the forward is motion.deform_rows)
 # ---------------------------------------------------------------------------
@@ -137,14 +147,13 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     by this name, so it keeps the name in both modes.
 
     ``rows``, when given, is :func:`anchorstream.motion.gather_rows` of
-    ``corr.indices`` in ``mode``, and ``deltas`` may then be checked
-    per-level (translations, rotations) pairs, as
-    :func:`anchorstream.motion.deform_rows` takes them: this is how
-    :func:`fit_frame` evaluates its candidates.
+    ``corr.indices`` in ``mode``, checked as :func:`fit_frame` checks them,
+    and ``deltas`` may then be checked per-level (translations, rotations)
+    pairs, as :func:`anchorstream.motion.deform_rows` takes them: this is
+    how :func:`fit_frame` evaluates its candidates.
     """
-    if len(corr) == 0:
-        raise ValueError("correspondences must be non-empty")
     if rows is None:
+        _check_correspondences(corr, gaussians)
         rows = gather_rows(gaussians, hierarchy, mode, corr.indices)
     pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, rows)
     r = pos - corr.targets.astype(np.float64)
@@ -325,12 +334,7 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     anchors; otherwise ``ValueError`` names the first level that fails. A
     candidate that is not finite in float32 raises ``ValueError``.
     """
-    if len(corr) == 0:
-        raise ValueError("correspondences must be non-empty")
-    past = corr.indices[corr.indices >= len(gaussians)]
-    if past.size:
-        raise ValueError(f"correspondence index {past[0]} is past the last of "
-                         f"{len(gaussians)} gaussians")
+    _check_correspondences(corr, gaussians)
     _check_consistent(hierarchy, init)
     for lvl in hierarchy.levels:
         al = lvl.assignment
@@ -376,7 +380,9 @@ def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     scale, orientation, opacity and SH. Nothing is ever pruned or added:
     opacity never changes without photometric training, so there is no
     signal to prune on, and every observed point already has a gaussian.
+    ``corr`` is checked as :func:`fit_frame` checks it.
     """
+    _check_correspondences(corr, gaussians)
     pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, corr.indices)
     residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
     picked = np.nonzero(residual > threshold)[0]

@@ -1,13 +1,13 @@
 """Encoder and decoder sessions: the mirrored per-frame pipeline.
 
-The encoder fits deformations against observed targets, serializes them, and
-then advances its own state with the *dequantized* deltas - exactly what the
-decoder will apply - so both replicas stay bit-identical at any quantization
-mode. Hierarchy rebuilds happen on a fixed schedule (every ``reconfig_period``
-frames) on both sides; each side reads it from the stream header
-(:meth:`codec.StreamHeader.reconfigures_at`), so no frame carries a flag.
-The stream header carries every session setting the decoder needs, so a
-decode takes nothing but the frame-0 input and the stream.
+The encoder fits deformations against observed targets, serializes them,
+parses the frame back from its own bytes with the decoder's parser and
+applies it with the decoder's apply step, :func:`_advance_state`, checks
+included. The mirror holds by construction, as in any closed-loop predictive
+coder. Hierarchy rebuilds happen on a fixed schedule (every
+``reconfig_period`` frames) on both sides, read from the stream header
+(:meth:`codec.StreamHeader.reconfigures_at`), which carries every setting a
+decode needs besides the frame-0 input.
 
 Densification relocates: a gaussian whose residual stays above the
 threshold moves to its observed target after the frame's deformation, and
@@ -30,7 +30,7 @@ from . import codec
 from .codec import StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
 from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
-from .hierarchy import build_hierarchy, rehierarchize
+from .hierarchy import AnchorHierarchy, build_hierarchy, rehierarchize
 from .kernels import l1_nearest
 from .motion import FrameDeformation, apply_deformation, inherit_deformation
 from .synth import GeneratedScene
@@ -107,15 +107,14 @@ class FrameMetrics:
     checksum: str
 
 
-def _frame_row(header: StreamHeader, frame: int, counts: tuple[int, ...], relocations: int,
-               payload_bytes: int, state: SceneState, loss: float = math.nan,
-               mean_error: float = math.nan) -> FrameMetrics:
-    """The metrics row of one frame, built alike by encoder and decoder."""
+def _frame_row(header: StreamHeader, payload: codec.FramePayload, size: int, state: SceneState,
+               loss: float = math.nan, mean_error: float = math.nan) -> FrameMetrics:
+    """The metrics row of a parsed frame of ``size`` bytes, built alike by encoder and decoder."""
+    frame, counts = payload.frame_index, payload.realized_counts
     return FrameMetrics(
-        frame, loss, mean_error, payload_bytes,
-        *codec.frame_byte_split(counts, relocations, header.config),
-        counts, header.reconfigures_at(frame), state_checksum(state),
-    )
+        frame, loss, mean_error, size,
+        *codec.frame_byte_split(counts, len(payload.deltas.relocation_ordinals), header.config),
+        counts, header.reconfigures_at(frame), state_checksum(state))
 
 
 @dataclass
@@ -164,27 +163,39 @@ class SessionResult:
     header: StreamHeader
 
 
-def _advance_state(state: SceneState, payload_deltas: FrameDeformation,
-                   mode: CompositionMode, frame_index: int) -> SceneState:
-    """Apply one frame to a state: deform, relocate, reassign the relocated rows.
+def _advance_state(state: SceneState, payload: codec.FramePayload, hierarchy: AnchorHierarchy,
+                   mode: CompositionMode) -> SceneState:
+    """The apply step of both replicas: deform on ``hierarchy``, relocate, reassign.
 
-    Shared verbatim by encoder and decoder - this is the mirror contract.
-    Each record overwrites its gaussian's deformed position; every other
-    column keeps the deformation's values. Per level, each relocated row
-    then joins the cluster of its L1-nearest anchor, with anchor positions
-    read after the relocation, in a fresh assignment array.
+    A relocation ordinal not below the gaussian count or anchor counts other
+    than the hierarchy's are a :class:`StreamFormatError`; a degenerate pivot
+    rotation or deltas that carry a gaussian out of float32 range a
+    :class:`NumericalError`; each names the frame and leaves ``state`` as it
+    was. Each record overwrites its gaussian's deformed position, and per
+    level the relocated rows join their L1-nearest anchor's cluster.
     """
-    gaussians = apply_deformation(state.gaussians, state.hierarchy, payload_deltas, mode)
-    ordinals = payload_deltas.relocation_ordinals
+    frame, deltas = payload.frame_index, payload.deltas
+    ordinals = deltas.relocation_ordinals
+    n = len(state.gaussians)
+    if ordinals.size and ordinals[-1] >= n:
+        raise StreamFormatError(f"frame {frame}: relocation ordinal {ordinals[-1]} is not "
+                                f"below the gaussian count {n}")
+    codec.verify_counts(payload, hierarchy)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            gaussians = apply_deformation(state.gaussians, hierarchy, deltas, mode)
+    except NumericalError as exc:
+        raise type(exc)(f"frame {frame}: {exc}") from exc
+    if not (np.isfinite(gaussians.positions).all() and np.isfinite(gaussians.orientations).all()):
+        raise NumericalError(f"frame {frame}: deltas carry gaussians out of float32 range")
     if ordinals.size:
-        moved = payload_deltas.relocation_positions
+        moved = deltas.relocation_positions
         gaussians.positions[ordinals] = moved
-        for lvl in state.hierarchy.levels:
+        for lvl in hierarchy.levels:
             assignment = lvl.assignment.copy()
             assignment[ordinals] = l1_nearest(moved, gaussians.positions[lvl.anchor_indices])
             lvl.assignment = assignment
-    state.gaussians = gaussians
-    state.frame_index = frame_index
+    state.hierarchy, state.gaussians, state.frame_index = hierarchy, gaussians, frame
     return state
 
 
@@ -205,6 +216,9 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
     previous deltas inherited onto the new anchors, and every other frame
     from the previous frame's applied (quantized) deltas, on the same
     anchors. The fit itself falls back to zero deltas when they fit better.
+    The state advances by each frame as parsed back from the stream, through
+    the decoder's apply step (:func:`_advance_state`), so a frame the decoder
+    would reject stops the encode with an error naming the frame.
     With a byte budget, the session runs with :func:`codec.plan_budget`'s
     config in place of ``config``, and the header carries its finest
     fraction to the decoder.
@@ -229,37 +243,34 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
 
     for t in range(1, source.frame_count):
         init = prev_deltas
+        hierarchy = state.hierarchy
         if header.reconfigures_at(t):
-            state.hierarchy, neighbor_maps = rehierarchize(state, config)
+            hierarchy, neighbor_maps = rehierarchize(state, config)
             if init is not None:
                 init = FrameDeformation([inherit_deformation(legacy, nbr)
                                          for legacy, nbr in zip(init.per_level, neighbor_maps)])
         if init is None:
-            init = FrameDeformation.zeros(state.hierarchy)
+            init = FrameDeformation.zeros(hierarchy)
 
         corr = source.correspondences(t)
-        fitted = fit_frame(state.gaussians, state.hierarchy, corr, init,
+        fitted = fit_frame(state.gaussians, hierarchy, corr, init,
                            config.phase1_steps, config.composition_mode)
         frame_def = fitted
         if config.phase2_steps > 0:
             ordinals, positions = densify_residuals(
-                state.gaussians, state.hierarchy, fitted, corr,
+                state.gaussians, hierarchy, fitted, corr,
                 config.densify_threshold, config.composition_mode,
             )
             frame_def = FrameDeformation(fitted.per_level, ordinals, positions)
 
-        loss, _ = loss_and_gradient(state.gaussians, state.hierarchy, fitted, corr,
+        loss, _ = loss_and_gradient(state.gaussians, hierarchy, fitted, corr,
                                     config.composition_mode)
-        payload = codec.encode_frame(t, frame_def, state.hierarchy, header)
-        chunks.append(payload)
-
-        applied = codec.quantize_roundtrip(frame_def, header)
-        state = _advance_state(state, applied, config.composition_mode, t)
-        prev_deltas = FrameDeformation(applied.per_level)
-
-        metrics.append(_frame_row(header, t, state.hierarchy.anchor_counts(),
-                                  len(applied.relocation_ordinals), len(payload), state,
-                                  loss, _mean_position_error(state, corr)))
+        data, payload = codec.quantize_roundtrip(t, frame_def, hierarchy, header)
+        state = _advance_state(state, payload, hierarchy, config.composition_mode)
+        chunks.append(data)
+        prev_deltas = FrameDeformation(payload.deltas.per_level)
+        metrics.append(_frame_row(header, payload, len(data), state, loss,
+                                  _mean_position_error(state, corr)))
 
     return SessionResult(b"".join(chunks), metrics, state, storage_report(metrics), header)
 
@@ -287,38 +298,22 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
                    ) -> Iterator[tuple[FrameMetrics, SceneState]]:
     """The decode loop: advance ``state`` frame by frame, yielding each frame's row.
 
-    A payload that disagrees with the mirrored state (a relocation ordinal
-    past the gaussian count, anchor counts other than the rebuilt hierarchy's)
-    fails before the state changes. Whatever a well-framed payload makes go
-    wrong while it is applied (a degenerate pivot rotation, deltas that
-    carry positions out of float32 range) is a :class:`StreamFormatError`
-    naming the frame.
+    Each frame goes through the encoder's apply step, :func:`_advance_state`.
+    A :class:`NumericalError` it raises, which no encoder writes, is a
+    :class:`StreamFormatError` here.
     """
     config = header.config
     for payload, size in codec.iter_frames(stream, header):
-        frame = payload.frame_index
-        n = len(state.gaussians)
-        ordinals = payload.deltas.relocation_ordinals
-        if ordinals.size and ordinals[-1] >= n:
-            raise StreamFormatError(f"frame {frame}: relocation ordinal {ordinals[-1]} is not "
-                                    f"below the gaussian count {n}")
         hierarchy = state.hierarchy
-        if header.reconfigures_at(frame):
+        if header.reconfigures_at(payload.frame_index):
             # the encoder's rehierarchize builds exactly this; its legacy-anchor
             # maps only seed the encoder's fit
             hierarchy = build_hierarchy(state.gaussians, config)
-        codec.verify_counts(payload, hierarchy)
-        state.hierarchy = hierarchy
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                state = _advance_state(state, payload.deltas, config.composition_mode, frame)
+            state = _advance_state(state, payload, hierarchy, config.composition_mode)
         except NumericalError as exc:
-            raise StreamFormatError(f"frame {frame}: {exc}") from exc
-        g = state.gaussians
-        if not (np.isfinite(g.positions).all() and np.isfinite(g.orientations).all()):
-            raise StreamFormatError(f"frame {frame}: deltas carry gaussians out of float32 range")
-        yield _frame_row(header, frame, payload.realized_counts, len(ordinals),
-                         size, state), state
+            raise StreamFormatError(str(exc)) from exc
+        yield _frame_row(header, payload, size, state), state
 
 
 def iter_decode_metrics(base: GaussianSet, stream: bytes

@@ -20,7 +20,6 @@ from anchorstream import (
     decode_frame,
     encode_frame,
     plan_budget,
-    quantize_roundtrip,
     storage_report,
 )
 from anchorstream import codec
@@ -230,10 +229,15 @@ def test_full32_round_trip_bit_exact(rng):
                                  + deltas.relocation_positions.astype("<f4").tobytes())
 
 
+def round_trip(deltas, h, header):
+    """The deltas a decoder parses from the frame's bytes."""
+    return decode_frame(encode_frame(1, deltas, h, header), 0, header)[0].deltas
+
+
 def test_half16_round_trip_matches_float16(rng):
     pos, h = small_hierarchy(rng, anchors=8)
     deltas = random_deformation(h, rng)
-    rt = quantize_roundtrip(deltas, make_header(1, Quantization.half16, 40))
+    rt = round_trip(deltas, h, make_header(1, Quantization.half16, 40))
     for got, want in zip(rt.per_level, deltas.per_level):
         assert np.array_equal(got.translations,
                               want.translations.astype(np.float16).astype(np.float32))
@@ -268,7 +272,7 @@ def test_fixed16_constant_block():
         [AnchorDeltaSet(np.full((h.anchor_counts()[0], 3), 0.75, np.float32),
                         np.full((h.anchor_counts()[0], 4), -1.25, np.float32))]
     )
-    rt = quantize_roundtrip(const, make_header(1, Quantization.fixed16, 40))
+    rt = round_trip(const, h, make_header(1, Quantization.fixed16, 40))
     assert np.array_equal(rt.per_level[0].translations, const.per_level[0].translations)
     assert np.array_equal(rt.per_level[0].rotations, const.per_level[0].rotations)
 
@@ -294,14 +298,19 @@ def test_quantize_roundtrip_matches_decode(rng):
                 deltas.per_level[0].rotations[0, 0] = -0.0
             payload = encode_frame(1, deltas, h, header)
             decoded, _ = decode_frame(payload, 0, header)
-            rt = quantize_roundtrip(deltas, header)
-            for a, b, sent in zip(decoded.deltas.per_level, rt.per_level, deltas.per_level):
-                assert a.translations.tobytes() == b.translations.tobytes()
-                assert a.rotations.tobytes() == b.rotations.tobytes()
+            # the encoder's pair is exactly these bytes and their parse
+            data, parsed = codec.quantize_roundtrip(1, deltas, h, header)
+            assert data == payload and parsed.frame_index == decoded.frame_index
+            for got, again, sent in zip(decoded.deltas.per_level, parsed.deltas.per_level,
+                                        deltas.per_level):
+                assert got.translations.tobytes() == again.translations.tobytes()
+                assert got.rotations.tobytes() == again.rotations.tobytes()
                 if quant == Quantization.full32:  # full32 is the identity, bit for bit
-                    assert b.translations.tobytes() == sent.translations.tobytes()
+                    assert got.translations.tobytes() == sent.translations.tobytes()
                     if mode == CompositionMode.pivot:
-                        assert b.rotations.tobytes() == sent.rotations.tobytes()
+                        assert got.rotations.tobytes() == sent.rotations.tobytes()
+                if mode == CompositionMode.additive:  # fresh +0.0, whatever zeros were sent
+                    assert got.rotations.tobytes() == bytes(got.rotations.nbytes)
 
 
 def test_payload_length_pure_function(rng):
@@ -364,16 +373,22 @@ def test_infinite_half16_delta_is_a_stream_error(rng):
 
 
 @pytest.mark.parametrize("bound, value", [(0, np.inf), (1, np.inf), (0, -np.inf),
-                                          (1, np.nan)])
+                                          (1, np.nan), (0, "swapped")])
 def test_a_fixed16_range_that_is_not_finite_is_a_stream_error(rng, bound, value):
-    # a max of +inf would make the dequantization multiply 0 by inf
+    # a max of +inf would make the dequantization multiply 0 by inf, and a
+    # (max, min) range would decode as a constant block of its min
     pos, h = small_hierarchy(rng, anchors=6)
     header = make_header(1, Quantization.fixed16, 40)
     payload = bytearray(encode_frame(5, random_deformation(h, rng), h, header))
     first_range = 8 + 4 * header.config.levels  # after the frame index and the counts
     at = first_range + 4 * bound
-    payload[at:at + 4] = np.float32(value).tobytes()
-    with pytest.raises(StreamFormatError, match=r"fixed16 range \(.*\) is not finite"):
+    if value == "swapped":
+        payload[at:at + 8] = payload[at + 4:at + 8] + payload[at:at + 4]
+        problem = "is reversed"
+    else:
+        payload[at:at + 4] = np.float32(value).tobytes()
+        problem = "is not finite"
+    with pytest.raises(StreamFormatError, match=rf"fixed16 range \(.*\) {problem}"):
         decode_frame(bytes(payload), 0, header)
 
 

@@ -272,13 +272,6 @@ def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
     assert_same_loss_and_gradient(additive_loss_and_gradient(g, h, deltas, corr), want)
 
 
-def test_loss_rejects_empty_correspondences():
-    g, h, _, _ = make_problem()
-    with pytest.raises(ValueError):
-        loss_and_gradient(g, h, FrameDeformation.zeros(h),
-                          Correspondences(np.empty(0, np.int64), np.empty((0, 3), np.float32)))
-
-
 def test_correspondences_reject_a_negative_index():
     # numpy would wrap -1 onto gaussian 49 of 50, observing it twice
     with pytest.raises(ValueError, match="index -1 is negative"):
@@ -443,16 +436,26 @@ def test_fit_rejects_an_anchor_ordinal_outside_its_level(bad):
         fit_frame(g, h, corr, FrameDeformation.zeros(h), 3, CompositionMode.pivot)
 
 
+CORRESPONDENCE_CHECKERS = {
+    "fit_frame": lambda g, h, corr, zero, mode: fit_frame(g, h, corr, zero, 3, mode),
+    "loss_and_gradient": lambda g, h, corr, zero, mode: loss_and_gradient(g, h, zero, corr, mode),
+    "densify_residuals": lambda g, h, corr, zero, mode: densify_residuals(g, h, zero, corr,
+                                                                          0.05, mode),
+}
+
+
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
-def test_fit_rejects_empty_correspondences_and_an_index_past_the_gaussians(mode):
+@pytest.mark.parametrize("function", list(CORRESPONDENCE_CHECKERS))
+def test_fit_rejects_empty_correspondences_and_an_index_past_the_gaussians(function, mode):
+    call = CORRESPONDENCE_CHECKERS[function]
     g, h, _, _ = make_problem(n=50)
     zero = FrameDeformation.zeros(h)
     empty = Correspondences(np.empty(0, np.int64), np.empty((0, 3), np.float32))
     with pytest.raises(ValueError, match="correspondences must be non-empty"):
-        fit_frame(g, h, empty, zero, 3, mode)
+        call(g, h, empty, zero, mode)
     past = Correspondences([4, 50, 7, 61], g.positions[[4, 0, 7, 1]])
     with pytest.raises(ValueError, match="correspondence index 50 is past the last of 50"):
-        fit_frame(g, h, past, zero, 3, mode)
+        call(g, h, past, zero, mode)
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode))

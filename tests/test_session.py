@@ -21,6 +21,7 @@ from anchorstream import (
     ConfigError,
     Correspondences,
     GaussianSet,
+    NumericalError,
     PlyParseError,
     Quantization,
     SceneState,
@@ -69,6 +70,14 @@ def stream_payloads(stream):
         yield payload, end
 
 
+def payload_fields(payload):
+    """A parsed frame as bytes: its index, every delta block and its records."""
+    deltas = payload.deltas
+    return (payload.frame_index,
+            *(ds.translations.tobytes() + ds.rotations.tobytes() for ds in deltas.per_level),
+            deltas.relocation_ordinals.tobytes(), deltas.relocation_positions.tobytes())
+
+
 def csv_rows(path):
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
@@ -91,12 +100,22 @@ def assert_mirrored(enc, dec):
 
 @pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
-def test_decoder_mirrors_encoder_every_frame(mode, quantization):
+def test_decoder_mirrors_encoder_every_frame(mode, quantization, monkeypatch):
+    applied = []
+    advance = session._advance_state
+
+    def recording(state, payload, *rest):
+        applied.append(payload_fields(payload))
+        return advance(state, payload, *rest)
+
+    monkeypatch.setattr(session, "_advance_state", recording)
     base, source = session_inputs(small_arm())
     config = StreamConfig(reconfig_period=3, quantization=quantization,
                           composition_mode=mode, phase1_steps=20)
     enc = encode_session(base, source, config)
     assert sum(m.reconfig for m in enc.metrics) >= 2
+    # the encoder applied, frame by frame, exactly what a decoder parses from its stream
+    assert applied == [payload_fields(p) for p, _ in stream_payloads(enc.stream)]
     dec = decode_session(base, enc.stream, config.level_ratio, mode)
     assert_mirrored(enc, dec)
 
@@ -284,6 +303,57 @@ def test_decode_names_the_frame_whose_deltas_break_the_state():
     degenerate[rot:rot + 16] = np.float32([-1, 0, 0, 0]).tobytes()
     with pytest.raises(StreamFormatError, match="frame 1: pivot increment for anchor 0"):
         decode_session(base, bytes(degenerate))
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_encode_stops_at_the_frame_whose_deltas_break_the_state(mode, monkeypatch):
+    fit = session.fit_frame
+
+    def far_fit(*args):
+        # every translation of the two coarsest levels moves x by 3e38: the
+        # sum leaves float32 range
+        fitted = fit(*args)
+        for ds in fitted.per_level[:2]:
+            ds.translations[:, 0] = 3e38
+        return fitted
+
+    monkeypatch.setattr(session, "fit_frame", far_fit)
+    base, source = session_inputs(small_arm(frames=3))
+    config = StreamConfig(quantization=Quantization.full32, composition_mode=mode,
+                          phase1_steps=5)
+    with pytest.raises(NumericalError, match="frame 1: deltas carry gaussians out of float32"):
+        encode_session(base, source, config)
+
+
+def far_arm():
+    """A small two-body arm whose parent moves 1e5 per frame, past what half16 holds."""
+    spec = two_body_arm_spec()
+    for body in spec.bodies:
+        body.point_count = 60
+    spec.bodies[0].velocity = np.array([1e5, 0.0, 0.0])
+    return spec
+
+
+HALF16_OVERFLOW = ("frame 1: level 1 holds the delta 100000, which half16 rounds to infinity; "
+                   "encode with full32 or fixed16")
+
+
+def test_a_delta_that_half16_cannot_hold_is_a_config_error_naming_frame_and_level():
+    base, source = session_inputs(far_arm())
+    with pytest.raises(ConfigError, match=HALF16_OVERFLOW):
+        encode_session(base, source, StreamConfig())
+    for quantization in (Quantization.full32, Quantization.fixed16):
+        config = StreamConfig(quantization=quantization)
+        enc = encode_session(base, source, config)
+        assert_mirrored(enc, decode_session(base, enc.stream))
+
+
+def test_cli_encode_of_a_delta_that_half16_cannot_hold_exits_2(tmp_path, capsys):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    write_spec(spec_path, far_arm())
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path)]) == 2
+    assert HALF16_OVERFLOW in capsys.readouterr().err
+    assert not stream_path.exists()
 
 
 def relocation_stream():
