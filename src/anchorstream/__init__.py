@@ -47,6 +47,7 @@ from .motion import (
 )
 from .ply_io import read_gaussian_ply, write_gaussian_ply
 from .session import (
+    Encoder,
     SessionResult,
     StaticSource,
     StorageReport,

@@ -89,16 +89,15 @@ def _config_from_args(args) -> StreamConfig:
     )
 
 
-def _load_input(path: Path, frames: Optional[int] = None, seed: Optional[int] = None):
+def _load_input(path: Path, frames: Optional[int] = None):
     """Base gaussians + motion source from a scene spec (.json) or PLY file.
 
-    ``frames`` and ``seed`` override a spec's own values when given; a PLY
-    input becomes a static source of ``frames`` frames, 10 by default.
+    ``frames`` overrides a spec's own count when given; a PLY input becomes a
+    static source of ``frames`` frames, 10 by default. A spec's seed is its
+    own, so the decoder's ``--frame0`` draws the encoder's frame 0.
     """
     if path.suffix.lower() == ".json":
         spec = load_scene_spec(path)
-        if seed is not None:
-            spec.seed = seed
         if frames is not None:
             spec = replace(spec, frames=frames)  # re-validates the count
         scene = generate_scene(spec)
@@ -132,7 +131,7 @@ def _write_metrics(path: Path, metrics: list[FrameMetrics]) -> None:
 def cmd_encode(args) -> int:
     config = _config_from_args(args)
     output = Path(args.output)
-    base, source = _load_input(Path(args.input), args.frames, args.seed)
+    base, source = _load_input(Path(args.input), args.frames)
     result = encode_session(base, source, config, budget_bytes=args.budget)
     output.write_bytes(result.stream)
     if args.metrics:
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bytes/frame cap on anchor deltas plus frame overhead; plans "
                           "per-level anchor caps that hold at every frame (relocation "
                           "records, 16 B each, extra)")
-    enc.add_argument("--seed", type=int, help="override the scene spec seed")
     enc.add_argument("--frames", type=int,
                      help="override the scene spec frame count; for a PLY (static) "
                           "input, the frame count (default 10)")

@@ -98,8 +98,20 @@ class Correspondences:
     targets: np.ndarray  # (C, 3) float32
 
     def __post_init__(self):
-        self.indices = np.ascontiguousarray(self.indices, np.int64)
-        self.targets = np.ascontiguousarray(self.targets, np.float32)
+        indices, targets = np.asarray(self.indices), np.asarray(self.targets)
+        if indices.ndim != 1:
+            raise ValueError(f"correspondence indices must be 1-D, got shape {indices.shape}")
+        if targets.ndim != 2 or targets.shape[1] != 3:
+            raise ValueError(f"correspondence targets must have shape (C, 3), got {targets.shape}")
+        if indices.dtype.kind not in "iu":  # numpy would truncate 0.7 onto gaussian 0
+            as_float = indices.astype(np.float64)
+            whole = (np.trunc(as_float) == as_float) & (np.abs(as_float) < 2.0 ** 63)
+            bad = np.flatnonzero(~whole)
+            if bad.size:
+                raise ValueError(f"correspondence index {indices[bad[0]]} is not a whole "
+                                 f"number in int64 range")
+        self.indices = np.ascontiguousarray(indices, np.int64)
+        self.targets = np.ascontiguousarray(targets, np.float32)
         if self.indices.shape[0] != self.targets.shape[0]:
             raise ValueError("indices and targets must have equal length")
         if np.unique(self.indices).shape[0] != self.indices.shape[0]:

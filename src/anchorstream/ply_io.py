@@ -81,7 +81,9 @@ def read_gaussian_ply(data: bytes) -> GaussianSet:
             try:
                 count = int(parts[2])
             except ValueError:
-                raise PlyParseError(f"bad vertex count in {line!r}", at) from None
+                count = -1  # reported just below, as a negative count is
+            if count < 0:
+                raise PlyParseError(f"bad vertex count in {line!r}", at)
             continue
         if line.startswith("property "):
             parts = line.split()

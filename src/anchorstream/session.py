@@ -1,13 +1,14 @@
 """Encoder and decoder sessions: the mirrored per-frame pipeline.
 
-The encoder fits deformations against observed targets, serializes them,
-parses the frame back from its own bytes with the decoder's parser and
-applies it with the decoder's apply step, :func:`_advance_state`, checks
-included. The mirror holds by construction, as in any closed-loop predictive
-coder. Hierarchy rebuilds happen on a fixed schedule (every
-``reconfig_period`` frames) on both sides, read from the stream header
-(:meth:`codec.StreamHeader.reconfigures_at`), which carries every setting a
-decode needs besides the frame-0 input.
+The one encode step is :meth:`Encoder.step`, which :func:`encode_session`
+drives over a :class:`MotionSource`. It fits deformations against one
+frame's targets, serializes them, parses the frame back from its own bytes
+with the decoder's parser and applies it with the decoder's apply step,
+:func:`_advance_state`, checks included. The mirror holds by construction,
+as in any closed-loop predictive coder. Hierarchy rebuilds happen on a fixed
+schedule (every ``reconfig_period`` frames) on both sides, read from the
+stream header (:meth:`codec.StreamHeader.reconfigures_at`), which carries
+every setting a decode needs besides the frame-0 input.
 
 Densification relocates: a gaussian whose residual stays above the
 threshold moves to its observed target after the frame's deformation, and
@@ -204,46 +205,36 @@ def _mean_position_error(state: SceneState, corr: Correspondences) -> float:
     return float(np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1).mean())
 
 
-def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig, *,
-                   budget_bytes: Optional[int] = None) -> SessionResult:
-    """Run the full encoder pipeline over all frames of a source.
+class Encoder:
+    """The encoder between frames: ``header``, ``state`` and the last applied deltas.
 
-    Every setting comes from ``config``: the fit's sweep count, whether to
-    densify and at what threshold, and what the header records for the
-    decoder. The fit has no other settings: each sweep solves the levels
-    exactly (see :mod:`anchorstream.fitting`). Each frame's fit is
-    warm-started: frame 1 starts from zero deltas, a rebuild frame from the
-    previous deltas inherited onto the new anchors, and every other frame
-    from the previous frame's applied (quantized) deltas, on the same
-    anchors. The fit itself falls back to zero deltas when they fit better.
-    The state advances by each frame as parsed back from the stream, through
-    the decoder's apply step (:func:`_advance_state`), so a frame the decoder
-    would reject stops the encode with an error naming the frame.
-    With a byte budget, the session runs with :func:`codec.plan_budget`'s
-    config in place of ``config``, and the header carries its finest
-    fraction to the decoder.
-    Each encoded frame gets one :class:`FrameMetrics` row, the one the
-    decoder builds for it apart from the fit's loss and error, and
-    ``report`` sums the rows' byte split. A source of fewer than two frames
-    (frame 0 and one to encode) or an empty frame 0 is a :class:`ConfigError`.
+    A byte budget replaces ``config`` with :func:`codec.plan_budget`'s. An
+    empty frame 0 is a :class:`ConfigError`. Each step advances ``state`` in place.
     """
-    if source.frame_count < 2 or len(base) < 1:
-        raise ConfigError(
-            f"a session needs at least 2 frames (frame 0 and one to encode) and one gaussian, "
-            f"source has {source.frame_count} frames and {len(base)} gaussians at frame 0"
-        )
-    if budget_bytes is not None:
-        config = codec.plan_budget(len(base), budget_bytes, config)
-    header = StreamHeader(config, len(base))
 
-    state = SceneState(base.copy(), build_hierarchy(base, config), 0)
-    chunks = [header.pack()]
-    metrics: list[FrameMetrics] = []
-    prev_deltas: Optional[FrameDeformation] = None
+    def __init__(self, base: GaussianSet, config: StreamConfig, *,
+                 budget_bytes: Optional[int] = None):
+        if len(base) < 1:
+            raise ConfigError("an encoder needs at least one gaussian at frame 0")
+        if budget_bytes is not None:
+            config = codec.plan_budget(len(base), budget_bytes, config)
+        self.header = StreamHeader(config, len(base))
+        self.state = SceneState(base.copy(), build_hierarchy(base, config), 0)
+        self.prev_deltas: Optional[FrameDeformation] = None
 
-    for t in range(1, source.frame_count):
-        init = prev_deltas
-        hierarchy = state.hierarchy
+    def step(self, corr: Correspondences) -> tuple[bytes, FrameMetrics]:
+        """Encode frame ``state.frame_index + 1`` against ``corr``: its bytes and its row.
+
+        The fit starts from zero deltas on frame 1, from the previous deltas
+        inherited onto the new anchors on a rebuild frame, and otherwise from
+        the previous frame's applied (quantized) deltas; it falls back to zero
+        deltas when they fit better. The state advances by the frame as parsed
+        back from its bytes, through the decoder's apply step
+        (:func:`_advance_state`), so a frame the decoder would reject raises an
+        error naming the frame. A step that raises changes nothing.
+        """
+        header, state, init = self.header, self.state, self.prev_deltas
+        config, t, hierarchy = header.config, state.frame_index + 1, state.hierarchy
         if header.reconfigures_at(t):
             hierarchy, neighbor_maps = rehierarchize(state, config)
             if init is not None:
@@ -252,7 +243,6 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         if init is None:
             init = FrameDeformation.zeros(hierarchy)
 
-        corr = source.correspondences(t)
         fitted = fit_frame(state.gaussians, hierarchy, corr, init,
                            config.phase1_steps, config.composition_mode)
         frame_def = fitted
@@ -266,13 +256,38 @@ def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig
         loss, _ = loss_and_gradient(state.gaussians, hierarchy, fitted, corr,
                                     config.composition_mode)
         data, payload = codec.quantize_roundtrip(t, frame_def, hierarchy, header)
-        state = _advance_state(state, payload, hierarchy, config.composition_mode)
-        chunks.append(data)
-        prev_deltas = FrameDeformation(payload.deltas.per_level)
-        metrics.append(_frame_row(header, payload, len(data), state, loss,
-                                  _mean_position_error(state, corr)))
+        self.state = _advance_state(state, payload, hierarchy, config.composition_mode)
+        self.prev_deltas = FrameDeformation(payload.deltas.per_level)
+        return data, _frame_row(header, payload, len(data), self.state, loss,
+                                _mean_position_error(self.state, corr))
 
-    return SessionResult(b"".join(chunks), metrics, state, storage_report(metrics), header)
+
+def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig, *,
+                   budget_bytes: Optional[int] = None) -> SessionResult:
+    """Run an :class:`Encoder` over all frames of a source.
+
+    Every setting comes from ``config``: the fit's sweep count, whether to
+    densify and at what threshold, and what the header records for the
+    decoder. The fit has no other settings: each sweep solves the levels
+    exactly (see :mod:`anchorstream.fitting`). A byte budget runs the session
+    on :func:`codec.plan_budget`'s config. Each encoded frame gets its step's
+    :class:`FrameMetrics` row, and ``report`` sums the rows' byte split. A
+    source of fewer than two frames (frame 0 and one to encode) or an empty
+    frame 0 is a :class:`ConfigError`.
+    """
+    if source.frame_count < 2 or len(base) < 1:
+        raise ConfigError(
+            f"a session needs at least 2 frames (frame 0 and one to encode) and one gaussian, "
+            f"source has {source.frame_count} frames and {len(base)} gaussians at frame 0"
+        )
+    encoder = Encoder(base, config, budget_bytes=budget_bytes)
+    chunks, metrics = [encoder.header.pack()], []
+    for t in range(1, source.frame_count):
+        data, row = encoder.step(source.correspondences(t))
+        chunks.append(data)
+        metrics.append(row)
+    return SessionResult(b"".join(chunks), metrics, encoder.state, storage_report(metrics),
+                         encoder.header)
 
 
 @dataclass

@@ -9,6 +9,7 @@ payloads refer to primitives purely by position, never by explicit index.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -126,7 +127,7 @@ class StreamConfig:
     every level's deltas exactly with the other levels held, coarse to fine
     (:func:`anchorstream.fitting.fit_frame`). Each frame's fit starts from
     the previous frame's deltas, or from zero where that fits better (see
-    :func:`anchorstream.session.encode_session`), so a few sweeps refine the
+    :meth:`anchorstream.session.Encoder.step`), so a few sweeps refine the
     motion rather than learn it from rest. Of ``phase2_steps`` only zero
     versus positive matters: 0 turns densification off, and any positive
     value turns it on. ``densify_threshold`` is the residual above which a
@@ -145,8 +146,18 @@ class StreamConfig:
     composition_mode: CompositionMode = CompositionMode.additive
 
     def __post_init__(self):
+        for name in ("levels", "level_ratio", "reconfig_period", "phase1_steps", "phase2_steps"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}"
+                                  ) from None
         if not isinstance(self.finest_fraction, Fraction):
-            self.finest_fraction = Fraction(self.finest_fraction)
+            try:
+                self.finest_fraction = Fraction(self.finest_fraction)
+            except (ValueError, OverflowError):  # nan, an infinity
+                raise ConfigError(f"finest_fraction must be a finite number, got "
+                                  f"{self.finest_fraction!r}") from None
         if not 1 <= self.levels <= 4:
             raise ConfigError(f"levels must be in [1, 4], got {self.levels}")
         if not 0 < self.finest_fraction <= 1:

@@ -286,6 +286,18 @@ def test_correspondences_reject_a_non_finite_target(bad):
         Correspondences(np.arange(5), targets)
 
 
+@pytest.mark.parametrize("indices, targets, message", [
+    ([0, 1, 2], np.zeros((3, 2)), r"targets must have shape \(C, 3\), got \(3, 2\)"),
+    ([0, 1, 2], np.zeros((3, 4)), r"targets must have shape \(C, 3\), got \(3, 4\)"),
+    ([0.7, 1.2, 2.9], np.zeros((3, 3)), "index 0.7 is not a whole number"),
+    ([1.0, 1e30], np.zeros((2, 3)), "index 1e[+]30 is not a whole number in int64 range"),
+    ([[0, 1], [2, 3]], np.zeros((2, 3)), r"indices must be 1-D, got shape \(2, 2\)"),
+], ids=["targets_c2", "targets_c4", "fractional_index", "index_past_int64", "indices_2d"])
+def test_correspondences_reject_a_bad_shape_or_a_fractional_index(indices, targets, message):
+    with pytest.raises(ValueError, match=message):
+        Correspondences(indices, targets)
+
+
 # ---------------------------------------------------------------------------
 # fit_frame
 # ---------------------------------------------------------------------------

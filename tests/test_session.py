@@ -20,6 +20,7 @@ from anchorstream import (
     CompositionMode,
     ConfigError,
     Correspondences,
+    Encoder,
     GaussianSet,
     NumericalError,
     PlyParseError,
@@ -98,6 +99,18 @@ def assert_mirrored(enc, dec):
         assert np.array_equal(le.assignment, ld.assignment)
 
 
+def far_fit(fit):
+    """``fit``, but every translation of the two coarsest levels moves x by 3e38:
+    the sum leaves float32 range."""
+    def fitting(*args):
+        fitted = fit(*args)
+        for ds in fitted.per_level[:2]:
+            ds.translations[:, 0] = 3e38
+        return fitted
+
+    return fitting
+
+
 @pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
 def test_decoder_mirrors_encoder_every_frame(mode, quantization, monkeypatch):
@@ -150,6 +163,72 @@ def test_budget_holds_at_every_frame_of_a_relocating_session(ratio, budget):
         assert all(c <= cap for c, cap in zip(m.anchor_counts, caps))
     dec = decode_session(base, enc.stream, ratio, config.composition_mode)
     assert_mirrored(enc, dec)
+
+
+ENCODER_CASES = [(mode, quantization, None) for mode in CompositionMode
+                 for quantization in Quantization]
+ENCODER_CASES.append((CompositionMode.pivot, Quantization.half16, 600))
+
+
+@pytest.mark.parametrize("mode, quantization, budget", ENCODER_CASES,
+                         ids=lambda v: getattr(v, "name", f"budget{v}"))
+def test_encoder_steps_write_the_sessions_stream_and_rows(mode, quantization, budget):
+    base, source = session_inputs(small_arm(frames=6))
+    config = StreamConfig(reconfig_period=2, quantization=quantization, composition_mode=mode,
+                          phase1_steps=5, densify_threshold=0.003)
+    enc = encode_session(base, source, config, budget_bytes=budget)
+    encoder = Encoder(base, config, budget_bytes=budget)
+    chunks, rows = [encoder.header.pack()], []
+    for t in range(1, source.frame_count):
+        data, row = encoder.step(source.correspondences(t))
+        chunks.append(data)
+        rows.append(row)
+    assert b"".join(chunks) == enc.stream
+    assert rows == enc.metrics
+    assert encoder.header == enc.header and state_checksum(encoder.state) == rows[-1].checksum
+    assert sum(m.reconfig for m in rows) == 2 and any(m.relocation_bytes for m in rows)
+
+
+def test_an_online_caller_observing_a_changing_subset_is_mirrored():
+    scene = generate_scene(small_arm(frames=7))
+    base = GaussianSet.from_positions(scene.positions[0].astype(np.float32))
+    encoder = Encoder(base, StreamConfig(reconfig_period=3, phase1_steps=5))
+    rng = np.random.default_rng(5)
+    chunks, rows = [encoder.header.pack()], []
+    for t in range(1, 7):  # a different two thirds of the gaussians each frame, in any order
+        seen = rng.permutation(len(base))[:2 * len(base) // 3]
+        data, row = encoder.step(Correspondences(seen, scene.targets[t][seen]))
+        chunks.append(data)
+        rows.append(row)
+    dec = decode_session(base, b"".join(chunks))
+    assert [m.frame_index for m in rows] == list(range(1, 7))
+    assert [m.checksum for m in dec.metrics] == [m.checksum for m in rows]
+    assert [byte_split(m) for m in dec.metrics] == [byte_split(m) for m in rows]
+
+
+@pytest.mark.parametrize("frame", [1, 2], ids=["index_past_n", "deltas_out_of_range"])
+def test_a_step_that_raises_leaves_the_encoder_ready_to_encode_that_frame(frame, monkeypatch):
+    base, source = session_inputs(small_arm(frames=5))
+    config = StreamConfig(reconfig_period=2, quantization=Quantization.full32, phase1_steps=5)
+    fresh, encoder = Encoder(base, config), Encoder(base, config)
+    steps = [fresh.step(source.correspondences(t)) for t in range(1, 5)]
+    for t in range(1, frame):
+        assert encoder.step(source.correspondences(t)) == steps[t - 1]
+    before = state_checksum(encoder.state)
+    corr = source.correspondences(frame)
+    if frame == 1:
+        with pytest.raises(ValueError, match=f"index {len(base)} is past the last"):
+            encoder.step(Correspondences(np.append(corr.indices, len(base)),
+                                         np.vstack([corr.targets, corr.targets[:1]])))
+    else:  # a rebuild frame whose deltas leave float32 range fails in the apply step
+        monkeypatch.setattr(session, "fit_frame", far_fit(session.fit_frame))
+        with pytest.raises(NumericalError, match=f"frame {frame}: deltas carry gaussians out"):
+            encoder.step(corr)
+        monkeypatch.undo()
+    assert encoder.state.frame_index == frame - 1
+    assert state_checksum(encoder.state) == before
+    for t in range(frame, 5):
+        assert encoder.step(source.correspondences(t)) == steps[t - 1]
 
 
 def test_decoder_reports_the_encoders_payload_bytes():
@@ -307,17 +386,7 @@ def test_decode_names_the_frame_whose_deltas_break_the_state():
 
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
 def test_encode_stops_at_the_frame_whose_deltas_break_the_state(mode, monkeypatch):
-    fit = session.fit_frame
-
-    def far_fit(*args):
-        # every translation of the two coarsest levels moves x by 3e38: the
-        # sum leaves float32 range
-        fitted = fit(*args)
-        for ds in fitted.per_level[:2]:
-            ds.translations[:, 0] = 3e38
-        return fitted
-
-    monkeypatch.setattr(session, "fit_frame", far_fit)
+    monkeypatch.setattr(session, "fit_frame", far_fit(session.fit_frame))
     base, source = session_inputs(small_arm(frames=3))
     config = StreamConfig(quantization=Quantization.full32, composition_mode=mode,
                           phase1_steps=5)
@@ -728,6 +797,17 @@ def test_cli_rejects_a_scene_spec_that_leaves_float32_range_with_exit_2(tmp_path
     assert not stream_path.exists()
 
 
+def test_cli_encode_has_no_seed_flag(tmp_path, capsys):
+    # a seed the decoder's --frame0 cannot name would draw another frame 0
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    write_spec(spec_path, small_arm(frames=3))
+    with pytest.raises(SystemExit) as done:
+        main(["encode", "--input", str(spec_path), "--output", str(stream_path), "--seed", "5"])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not stream_path.exists()
+
+
 def test_cli_encode_frames_overrides_the_spec_frame_count(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
     write_spec(spec_path, small_arm(frames=4))
@@ -827,6 +907,15 @@ def test_ply_rejects_a_scale_outside_float32_range(log_scale):
     with pytest.raises(PlyParseError, match=f"record 2 has a log-scale outside float32 range "
                                             rf"\(byte offset {body + 2 * 23 * 4}\)"):
         read_gaussian_ply(bytes(data))
+
+
+@pytest.mark.parametrize("count", [-5, -2, -1])
+def test_ply_rejects_a_negative_vertex_count(count):
+    data = write_gaussian_ply(GaussianSet.from_positions(np.zeros((3, 3), np.float32)))
+    bad = data.replace(b"element vertex 3\n", f"element vertex {count}\n".encode())
+    with pytest.raises(PlyParseError, match=f"bad vertex count in 'element vertex {count}' "
+                                            r"\(byte offset 36\)"):
+        read_gaussian_ply(bad)
 
 
 def test_ply_round_trip(rng):

@@ -91,3 +91,9 @@ def test_config_rejects_bad_values():
     for threshold in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
         with pytest.raises(ConfigError, match="densify_threshold"):
             StreamConfig(densify_threshold=threshold)
+    for name in ("levels", "level_ratio", "reconfig_period", "phase1_steps", "phase2_steps"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got 2.5"):
+            StreamConfig(**{name: 2.5})
+    for fraction in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finest_fraction must be a finite number"):
+            StreamConfig(finest_fraction=fraction)
