@@ -146,9 +146,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.export_every < 0:
+        raise ConfigError(f"--export-every must be >= 0, got {args.export_every}")
+    if bool(args.output_dir) != (args.export_every > 0):
+        alone = "--output-dir" if args.output_dir else f"--export-every {args.export_every}"
+        raise ConfigError(f"{alone} alone exports nothing: give both --output-dir and "
+                          f"--export-every k > 0")
     stream = Path(args.stream).read_bytes()
     base, _ = _load_input(Path(args.frame0))
-    out_dir = Path(args.output_dir) if args.output_dir and args.export_every > 0 else None
+    out_dir = Path(args.output_dir) if args.output_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     metrics = []
@@ -265,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
                                          "every session setting comes from its header")
     dec.add_argument("--stream", required=True)
     dec.add_argument("--frame0", required=True, help="identical input the encoder used")
-    dec.add_argument("--output-dir", help="export decoded frames as PLY here")
+    dec.add_argument("--output-dir", help="export decoded frames as PLY here; needs --export-every")
     dec.add_argument("--export-every", type=int, default=0,
-                     help="export every k-th frame (0 = none)")
+                     help="export every k-th frame into --output-dir (0 = none); needs "
+                          "--output-dir")
     dec.add_argument("--metrics", help="per-frame metrics CSV path: the encoder's columns, "
                                        "with loss and mean_error nan")
     dec.set_defaults(func=cmd_decode)

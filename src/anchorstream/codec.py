@@ -149,7 +149,7 @@ class StreamHeader:
             config = StreamConfig(levels=levels, finest_fraction=Fraction(num, den),
                                   level_ratio=ratio, reconfig_period=period,
                                   quantization=quant, composition_mode=mode)
-        except (ValueError, ConfigError) as exc:
+        except ConfigError as exc:
             raise StreamFormatError(f"bad stream header: {exc}") from exc
         return cls(config, count)
 

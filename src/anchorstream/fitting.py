@@ -24,11 +24,11 @@ position.
   only.
 
 The fit has no learning rate or other setting; the sweep count is
-``StreamConfig.phase1_steps``. Each sweep's result is rounded to float32,
-the precision of a delta, and evaluated once: it is kept if the loss does
-not rise, and otherwise dropped, which ends the fit. In exact arithmetic no
-exact block solve raises the loss, so the guard only catches rounding and
-degenerate clusters. The evaluation is :func:`loss_and_gradient`, which
+``StreamConfig.phase1_steps``. Each sweep's float32 result is evaluated
+once: it is kept if the loss does not rise, and otherwise dropped, which
+ends the fit. In exact arithmetic no exact block solve raises the loss, so
+the guard only catches rounding, degenerate clusters and a solve past
+float32 range. The evaluation is :func:`loss_and_gradient`, which
 computes only what the sweeps read: the loss, plus the translation
 gradients that the next additive sweep starts from.
 
@@ -53,15 +53,15 @@ exact, computed in float64 and verified against central finite
 differences in the test suite.
 
 Each :func:`fit_frame` call plans its evaluations once. It checks the
-correspondences, ``init`` and the anchor ordinals against the state,
-gathers the observed rows (:func:`anchorstream.motion.gather_rows`: their
-positions, anchor ordinals and pivot centers), counts each anchor's
-members and, in additive mode, the co-membership counts. Every candidate
-it then evaluates is rounded to float32 and checked finite once, and goes
-to :func:`loss_and_gradient` as per-level array pairs with the gathered
-rows, with no delta objects built. The plan is local to the call and is
-freed when the fit returns. The loss, the gradients and so the fitted
-deltas are the bits that gathering afresh for each evaluation gives.
+correspondences and the anchor ordinals against the state, gathers the
+observed rows (:func:`anchorstream.motion.gather_rows`: their positions,
+anchor ordinals and pivot centers), counts each anchor's members and, in
+additive mode, the co-membership counts. The starts and the candidates
+are :class:`anchorstream.motion.FrameDeformation` objects, evaluated with
+the gathered rows: a sweep solves in float64, and its ``AnchorDeltaSet``
+per level rounds each delta to float32 and checks it finite. The plan is
+local to the call. The loss, the gradients and so the fitted deltas are
+the bits that gathering afresh for each evaluation gives.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .motion import (
     AnchorDeltaSet,
     FrameDeformation,
     GatheredRows,
-    _check_consistent,
     _rotate,
     _rotation_terms,
     deform_rows,
@@ -103,9 +102,14 @@ class Correspondences:
             raise ValueError(f"correspondence indices must be 1-D, got shape {indices.shape}")
         if targets.ndim != 2 or targets.shape[1] != 3:
             raise ValueError(f"correspondence targets must have shape (C, 3), got {targets.shape}")
-        if indices.dtype.kind not in "iu":  # numpy would truncate 0.7 onto gaussian 0
-            as_float = indices.astype(np.float64)
-            whole = (np.trunc(as_float) == as_float) & (np.abs(as_float) < 2.0 ** 63)
+        if indices.dtype.kind == "b":  # numpy would read [True, False] as gaussians 1, 0
+            raise ValueError("correspondence indices are a boolean mask; pass np.flatnonzero(mask)")
+        if indices.dtype.kind != "i":
+            if indices.dtype.kind == "u":  # compared as integers: 2**63 - 1 is no float64
+                whole = indices <= np.uint64(np.iinfo(np.int64).max)
+            else:  # numpy would truncate 0.7 onto gaussian 0
+                as_float = indices.astype(np.float64)
+                whole = (np.trunc(as_float) == as_float) & (np.abs(as_float) < 2.0 ** 63)
             bad = np.flatnonzero(~whole)
             if bad.size:
                 raise ValueError(f"correspondence index {indices[bad[0]]} is not a whole "
@@ -143,8 +147,7 @@ def _check_correspondences(corr: Correspondences, gaussians: GaussianSet) -> Non
 
 
 def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                      deltas: FrameDeformation | Sequence[tuple[np.ndarray, np.ndarray]],
-                      corr: Correspondences,
+                      deltas: FrameDeformation, corr: Correspondences,
                       mode: CompositionMode = CompositionMode.additive, *,
                       rows: Optional[GatheredRows] = None,
                       ) -> tuple[float, Optional[list[np.ndarray]]]:
@@ -159,10 +162,8 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     by this name, so it keeps the name in both modes.
 
     ``rows``, when given, is :func:`anchorstream.motion.gather_rows` of
-    ``corr.indices`` in ``mode``, checked as :func:`fit_frame` checks them,
-    and ``deltas`` may then be checked per-level (translations, rotations)
-    pairs, as :func:`anchorstream.motion.deform_rows` takes them: this is
-    how :func:`fit_frame` evaluates its candidates.
+    ``corr.indices`` in ``mode``, checked as :func:`fit_frame` checks them:
+    this is how :func:`fit_frame` evaluates its candidates.
     """
     if rows is None:
         _check_correspondences(corr, gaussians)
@@ -181,21 +182,6 @@ def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
 # ---------------------------------------------------------------------------
 # Exact per-level block solves, swept coarse to fine
 # ---------------------------------------------------------------------------
-
-
-def _rounded(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-level (translations, rotations) rounded to float32, the precision of a delta.
-
-    The pairs come back as float64 copies of the rounded values. A value
-    that is not finite in float32 raises ``ValueError``.
-    """
-    out = []
-    for t, q in pairs:
-        t, q = t.astype(np.float32), q.astype(np.float32)
-        if not (np.isfinite(t).all() and np.isfinite(q).all()):
-            raise ValueError("anchor deltas must be finite")
-        out.append((t.astype(np.float64), q.astype(np.float64)))
-    return out
 
 
 def _additive_sweep(hierarchy: AnchorHierarchy, members: Sequence[np.ndarray], c: int):
@@ -233,19 +219,19 @@ def _additive_sweep(hierarchy: AnchorHierarchy, members: Sequence[np.ndarray], c
                       (3 * np.concatenate(coarse_anchor)[:, None] + axes).ravel(),
                       np.repeat((2.0 / c) * np.concatenate(shared), 3)))
 
-    def sweep(x, grads):
+    def sweep(x: FrameDeformation, grads) -> FrameDeformation:
         updates = np.empty((starts[-1], 3))
         out = []
-        for (t, q), g, inverse_hessian, a, start, link in zip(
-                x, grads, inverse_hessians, sizes, starts, links):
+        for ds, g, inverse_hessian, a, start, link in zip(
+                x.per_level, grads, inverse_hessians, sizes, starts, links):
             if link is not None:
                 fine_index, coarse_index, weight = link
                 g = g + np.bincount(fine_index, weight * np.take(updates, coarse_index),
                                     minlength=3 * a).reshape(a, 3)
             update = updates[start:start + a]
             np.multiply(-inverse_hessian, g, out=update)
-            out.append((t + update, q))
-        return out
+            out.append(AnchorDeltaSet(ds.translations + update, ds.rotations))
+        return FrameDeformation(out)
 
     return sweep
 
@@ -278,7 +264,7 @@ def _horn_solve(u: np.ndarray, v: np.ndarray, members: np.ndarray, count: np.nda
         [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
     ]).transpose(2, 0, 1)
     solved = count >= 3
-    q = q.copy()
+    q = q.astype(np.float64)
     q[solved] = dominant_eigenvectors(horn[solved])
     q[solved, 0] -= 1.0
     q = q.astype(np.float32).astype(np.float64)
@@ -295,30 +281,31 @@ def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.nda
     finest level first: y <- R(q)^T (y - pivot - t) + pivot, with the
     conjugate rotation. Then it solves the levels coarse to fine
     (:func:`_horn_solve`), moving the rows through each solved level with
-    :func:`anchorstream.motion.pivot_level`, the forward's own step.
+    :func:`anchorstream.motion.pivot_level`, the forward's own step, with
+    the translations as solved; only the returned deltas are rounded.
     """
     targets = np.ascontiguousarray(targets.T, dtype=np.float64)
     counts = [np.bincount(al, minlength=lvl.anchor_count)
               for al, lvl in zip(rows.members, hierarchy.levels)]
 
-    def sweep(x, _):
-        mapped = [targets]
-        for (t, q), al, centers in zip(x[:0:-1], rows.members[:0:-1], rows.centers[:0:-1]):
-            member_q, scale, two_w = member_rotations(q, al)
+    def sweep(x: FrameDeformation, _) -> FrameDeformation:
+        levels, mapped = x.per_level, [targets]
+        for ds, al, centers in zip(levels[:0:-1], rows.members[:0:-1], rows.centers[:0:-1]):
+            member_q, scale, two_w = member_rotations(ds.rotations, al)
             y = mapped[-1] - centers
-            y -= np.take(t.T, al, axis=1)
+            y -= np.take(ds.translations.T, al, axis=1)
             y = _rotate(-member_q[1:], y, scale, two_w)
             y += centers
             mapped.append(y)
         mapped.reverse()
         pos = rows.positions
         out = []
-        for (t, q), al, centers, count, y in zip(x, rows.members, rows.centers, counts, mapped):
-            t, q = _horn_solve(pos - centers, y - centers, al, count, t, q)
-            out.append((t, q))
-            if len(out) < len(x):
+        for ds, al, centers, count, y in zip(levels, rows.members, rows.centers, counts, mapped):
+            t, q = _horn_solve(pos - centers, y - centers, al, count, ds.translations, ds.rotations)
+            out.append(AnchorDeltaSet(t, q))
+            if len(out) < len(levels):
                 pos, _ = pivot_level(pos, t, q, al, centers)
-        return out
+        return FrameDeformation(out)
 
     return sweep
 
@@ -334,20 +321,19 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     translation gradients feed the first additive sweep. Each sweep solves
     every level exactly with the other levels held, coarse to fine, and
     rounds the result to float32. Its candidate is evaluated once and kept
-    if the loss does not rise; a sweep that raises the loss, or makes it
-    NaN, is dropped and ends the fit. Zero sweeps return the chosen start. The loss
-    therefore never rises above its start. The state itself is never
-    touched - only the returned deltas.
+    if the loss does not rise; a sweep that raises the loss, makes it NaN,
+    or solves a delta that is not finite in float32 is dropped and ends the
+    fit. Zero sweeps return the chosen start. The loss therefore never rises
+    above its start. Returns the kept deltas, with no relocation records;
+    the state itself is never touched.
 
     ``corr`` must observe at least one gaussian, each below the gaussian
     count; otherwise ``ValueError`` says so, naming the first index past the
     count. ``init`` must hold as many deltas per level as the hierarchy has
     anchors, and every gaussian's anchor ordinal must lie among its level's
-    anchors; otherwise ``ValueError`` names the first level that fails. A
-    candidate that is not finite in float32 raises ``ValueError``.
+    anchors; otherwise ``ValueError`` names the first level that fails.
     """
     _check_correspondences(corr, gaussians)
-    _check_consistent(hierarchy, init)
     for lvl in hierarchy.levels:
         al = lvl.assignment
         if al.size and (al.min() < 0 or al.max() >= lvl.anchor_count):
@@ -359,25 +345,28 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     else:
         sweep = _pivot_sweep(hierarchy, rows, corr.targets)
 
-    def evaluate(pairs):
-        return loss_and_gradient(gaussians, hierarchy, pairs, corr, mode, rows=rows)
+    def evaluate(deltas):
+        return loss_and_gradient(gaussians, hierarchy, deltas, corr, mode, rows=rows)
 
-    x = [(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
-         for ds in init.per_level]
+    x = FrameDeformation(init.per_level)
     loss, grads = evaluate(x)
-    if any(t.any() or q.any() for t, q in x):
-        zero = [(np.zeros_like(t), np.zeros_like(q)) for t, q in x]
+    if any(ds.translations.any() or ds.rotations.any() for ds in x.per_level):
+        zero = FrameDeformation.zeros(hierarchy)
         loss_zero, grads_zero = evaluate(zero)
         if loss_zero < loss:
             x, loss, grads = zero, loss_zero, grads_zero
 
     for _ in range(sweeps):
-        candidate = _rounded(sweep(x, grads))
+        try:  # AnchorDeltaSet rejects a delta that is not finite in float32
+            with np.errstate(over="ignore"):
+                candidate = sweep(x, grads)
+        except ValueError:
+            break
         loss_candidate, grads_candidate = evaluate(candidate)
         if not loss_candidate <= loss:
             break
         x, loss, grads = candidate, loss_candidate, grads_candidate
-    return FrameDeformation([AnchorDeltaSet(t, q) for t, q in x])
+    return x
 
 
 def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,

@@ -48,7 +48,7 @@ per-anchor rotation solve shares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -299,8 +299,8 @@ def gather_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, mode: Compos
 
 
 def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                deltas: FrameDeformation | Sequence[tuple[np.ndarray, np.ndarray]],
-                mode: CompositionMode, rows: np.ndarray | GatheredRows | None = None,
+                deltas: FrameDeformation, mode: CompositionMode,
+                rows: np.ndarray | GatheredRows | None = None,
                 ) -> tuple[np.ndarray, Optional[list[np.ndarray]]]:
     """The deformation forward: float64 deformed positions of ``rows`` (default all).
 
@@ -316,27 +316,23 @@ def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     The forward is two steps: gather the rows (:func:`gather_rows`), then
     walk the levels with the deltas. ``rows`` may be rows gathered already
     in ``mode``, so a caller that moves the same rows by many deltas
-    gathers once. ``deltas`` may also be per-level (translations,
-    rotations) pairs of any float dtype, whose counts the caller has
-    checked against the hierarchy; the walk casts them to float64, so pairs
-    holding a :class:`FrameDeformation`'s float32 values move rows to the
-    same bits.
+    gathers once. ``deltas`` must hold as many entries per level as the
+    hierarchy has anchors; otherwise ``ValueError`` names the first level
+    that fails.
     """
-    if isinstance(deltas, FrameDeformation):
-        _check_consistent(hierarchy, deltas)
-        deltas = [(ds.translations, ds.rotations) for ds in deltas.per_level]
+    _check_consistent(hierarchy, deltas)
     if not isinstance(rows, GatheredRows):
         rows = gather_rows(gaussians, hierarchy, mode, rows)
     if mode == CompositionMode.additive:
         pos = rows.positions.astype(np.float64)  # always a copy: the walk adds onto it
-        for (t, _), al in zip(deltas, rows.members):
-            pos += np.take(t.astype(np.float64, copy=False), al, axis=0)
+        for ds, al in zip(deltas.per_level, rows.members):
+            pos += np.take(ds.translations.astype(np.float64), al, axis=0)
         return pos, None
 
     pos = rows.positions
     rotations = []
-    for (t, q), al, centers in zip(deltas, rows.members, rows.centers):
-        pos, member_q = pivot_level(pos, t, q, al, centers)
+    for ds, al, centers in zip(deltas.per_level, rows.members, rows.centers):
+        pos, member_q = pivot_level(pos, ds.translations, ds.rotations, al, centers)
         rotations.append(member_q)
     return np.ascontiguousarray(pos.T), rotations
 
@@ -414,10 +410,11 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     Rotations are averaged as the unit quaternions q = normalize((1,0,0,0) + d)
     the increments stand for; q and -q give the same q q^T, so their signs
     do not matter. The mean is the dominant eigenvector of sum(q q^T) with
-    canonical sign (so w >= 0), one batched ``eigh`` over all anchors
-    (:func:`dominant_eigenvectors`), and it goes back as the increment
-    mean - (1,0,0,0). Both the unit quaternions and their mean are rounded
-    to float32, the precision of a delta row.
+    canonical sign (so w >= 0), one batched ``eigh`` over the anchors that
+    have a rotation to average (:func:`dominant_eigenvectors`; none in an
+    additive session), and it goes back as the increment mean - (1,0,0,0).
+    Both the unit quaternions and their mean are rounded to float32, the
+    precision of a delta row.
     Exactly-zero legacy rows ("no rotation observed") are left out of the
     average; if all three are zero the inherited row is zero as well, since
     the eigenvector of a zero matrix is undefined.
@@ -439,8 +436,8 @@ def inherit_deformation(legacy: AnchorDeltaSet, neighbor_map: np.ndarray) -> Anc
     # a zero row adds a zero outer product, which is the skip rule
     picks = unit.astype(np.float32).astype(np.float64)[nbr]  # (A, 3, 4)
     outer = np.einsum("akp,akq->apq", picks, picks)
-    new_rot = dominant_eigenvectors(outer).astype(np.float32).astype(np.float64)
     observed = moved[nbr].any(axis=1)
+    new_rot = np.zeros((nbr.shape[0], 4))
+    new_rot[observed] = dominant_eigenvectors(outer[observed]).astype(np.float32)
     new_rot[observed, 0] -= 1.0
-    new_rot[~observed] = 0.0
     return AnchorDeltaSet(new_trans.astype(np.float32), new_rot)

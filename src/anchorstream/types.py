@@ -9,6 +9,7 @@ payloads refer to primitives purely by position, never by explicit index.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
@@ -168,12 +169,15 @@ class StreamConfig:
             raise ConfigError(f"reconfig_period must be >= 1, got {self.reconfig_period}")
         if self.phase1_steps < 0 or self.phase2_steps < 0:
             raise ConfigError("step counts must be >= 0")
-        if not (math.isfinite(self.densify_threshold) and self.densify_threshold > 0):
-            raise ConfigError(
-                f"densify_threshold must be finite and > 0, got {self.densify_threshold}"
-            )
-        self.quantization = Quantization(self.quantization)
-        self.composition_mode = CompositionMode(self.composition_mode)
+        threshold = self.densify_threshold
+        if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold > 0):
+            raise ConfigError(f"densify_threshold must be finite and > 0, got {threshold!r}")
+        for name, kind in (("quantization", Quantization), ("composition_mode", CompositionMode)):
+            try:
+                setattr(self, name, kind(getattr(self, name)))
+            except (ValueError, TypeError):
+                raise ConfigError(f"{name} must be one of {[m.value for m in kind]}, "
+                                  f"got {getattr(self, name)!r}") from None
 
 
 @dataclass

@@ -243,11 +243,8 @@ def test_gathered_rows_give_the_pivot_loss_and_gradient_bytewise(case, levels):
     g, h, deltas, corr = pivot_problem(case, levels, seed=40 + levels)
     mode = CompositionMode.pivot
     rows = motion.gather_rows(g, h, mode, corr.indices)
-    pairs = [(ds.translations.astype(np.float64), ds.rotations.astype(np.float64))
-             for ds in deltas.per_level]
     want = loss_and_gradient(g, h, deltas, corr, mode)
     assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, mode, rows=rows), want)
-    assert_same_loss_and_gradient(loss_and_gradient(g, h, pairs, corr, mode, rows=rows), want)
 
 
 def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
@@ -292,7 +289,11 @@ def test_correspondences_reject_a_non_finite_target(bad):
     ([0.7, 1.2, 2.9], np.zeros((3, 3)), "index 0.7 is not a whole number"),
     ([1.0, 1e30], np.zeros((2, 3)), "index 1e[+]30 is not a whole number in int64 range"),
     ([[0, 1], [2, 3]], np.zeros((2, 3)), r"indices must be 1-D, got shape \(2, 2\)"),
-], ids=["targets_c2", "targets_c4", "fractional_index", "index_past_int64", "indices_2d"])
+    (np.array([True, False]), np.zeros((2, 3)), r"boolean mask; .* np\.flatnonzero\(mask\)"),
+    (np.array([1, 2 ** 63], np.uint64), np.zeros((2, 3)),
+     "index 9223372036854775808 is not a whole number in int64 range"),
+], ids=["targets_c2", "targets_c4", "fractional_index", "index_past_int64", "indices_2d",
+        "bool_mask", "uint64_past_int64"])
 def test_correspondences_reject_a_bad_shape_or_a_fractional_index(indices, targets, message):
     with pytest.raises(ValueError, match=message):
         Correspondences(indices, targets)

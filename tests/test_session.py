@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from anchorstream import (
+    BodySpec,
     CompositionMode,
     ConfigError,
     Correspondences,
@@ -25,6 +26,7 @@ from anchorstream import (
     NumericalError,
     PlyParseError,
     Quantization,
+    SceneSpec,
     SceneState,
     StreamConfig,
     StreamFormatError,
@@ -608,6 +610,24 @@ def test_cli_round_trip_exports_the_decoded_states(tmp_path, monkeypatch, capsys
     assert "decoded 6 frames" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--output-dir", "ply"], "--output-dir alone exports nothing"),
+    (["--export-every", "2"], "--export-every 2 alone exports nothing"),
+    (["--output-dir", "ply", "--export-every", "-2"], "--export-every must be >= 0, got -2"),
+], ids=["output_dir_only", "export_every_only", "negative_export_every"])
+def test_cli_decode_export_flags_need_each_other(tmp_path, capsys, flags, message):
+    spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
+    write_spec(spec_path, small_arm(frames=3))
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--phase1-steps", "1"]) == 0
+    capsys.readouterr()
+    flags = [str(tmp_path / f) if f == "ply" else f for f in flags]
+    assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
+                 *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ply").exists()
+
+
 def test_cli_decode_metrics_repeat_the_encoders_bytes_and_checksums(tmp_path, capsys):
     spec_path, stream_path = tmp_path / "arm.json", tmp_path / "arm.rcgs"
     enc_csv, dec_csv = tmp_path / "enc.csv", tmp_path / "dec.csv"
@@ -795,6 +815,26 @@ def test_cli_rejects_a_scene_spec_that_leaves_float32_range_with_exit_2(tmp_path
     assert main(["encode", "--input", str(spec_path), "--output", str(stream_path)]) == 2
     assert f"frame {frame} positions leave the float32 range" in capsys.readouterr().err
     assert not stream_path.exists()
+
+
+@pytest.mark.parametrize("mode", ["additive", "pivot"])
+def test_cli_encodes_a_frame_whose_fit_would_leave_float32_range(tmp_path, capsys, mode):
+    # every frame is finite in float32, but the frame-1 motion of -6e38 is not:
+    # the fit drops that sweep and densification relocates the gaussians
+    spec_path, stream_path = tmp_path / "far.json", tmp_path / "far.rcgs"
+    enc_csv, dec_csv = tmp_path / "enc.csv", tmp_path / "dec.csv"
+    body = BodySpec(point_count=50, extent=np.ones(3), center=np.array([3e38, 0.0, 0.0]),
+                    velocity=np.array([-6e38, 0.0, 0.0]))
+    write_spec(spec_path, SceneSpec(bodies=[body], frames=2, seed=1))
+    assert main(["encode", "--input", str(spec_path), "--output", str(stream_path),
+                 "--mode", mode, "--metrics", str(enc_csv)]) == 0
+    assert main(["decode", "--stream", str(stream_path), "--frame0", str(spec_path),
+                 "--metrics", str(dec_csv)]) == 0
+    capsys.readouterr()
+    (enc,), (dec,) = csv_rows(enc_csv), csv_rows(dec_csv)
+    assert float(enc["mean_error"]) == 0.0
+    assert int(enc["relocation_bytes"]) == 50 * codec.RELOCATION_BYTES
+    assert dec["checksum"] == enc["checksum"]
 
 
 def test_cli_encode_has_no_seed_flag(tmp_path, capsys):

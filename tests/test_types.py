@@ -97,3 +97,10 @@ def test_config_rejects_bad_values():
     for fraction in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="finest_fraction must be a finite number"):
             StreamConfig(finest_fraction=fraction)
+    for threshold in ("0.1", None):
+        with pytest.raises(ConfigError, match="densify_threshold must be finite"):
+            StreamConfig(densify_threshold=threshold)
+    with pytest.raises(ConfigError, match=r"quantization must be one of \[0, 1, 2\], got 7"):
+        StreamConfig(quantization=7)
+    with pytest.raises(ConfigError, match=r"composition_mode must be one of \[0, 1\], got 5"):
+        StreamConfig(composition_mode=5)
