@@ -178,6 +178,8 @@ class FrameDeformation:
         k = ordinals.shape[0]
         if ordinals.shape != (k,) or self.relocation_positions.shape != (k, 3):
             raise ValueError("relocation ordinals must be (K,) and relocation positions (K, 3)")
+        if k == 0:  # no records, as on every fit candidate: nothing left to check
+            return
         if (ordinals < 0).any():
             raise ValueError("relocation ordinals must be non-negative")
         if (ordinals[1:] <= ordinals[:-1]).any():

@@ -425,6 +425,16 @@ def test_nonfinite_delta_rejected():
         FrameDeformation([AnchorDeltaSet.zeros(4)], [-1], np.zeros((1, 3), np.float32))
 
 
+@pytest.mark.parametrize("ordinals, positions", [
+    (np.empty(0, np.int64), np.empty((0, 2), np.float32)),
+    (np.empty((0, 1), np.int64), np.empty((0, 3), np.float32)),
+    (np.empty(0, np.int64), np.zeros((1, 3), np.float32)),
+])
+def test_empty_relocations_still_check_their_shapes(ordinals, positions):
+    with pytest.raises(ValueError, match=r"must be \(K,\) and relocation positions \(K, 3\)"):
+        FrameDeformation([AnchorDeltaSet.zeros(4)], ordinals, positions)
+
+
 @pytest.mark.parametrize("ordinals", [[3, 3], [5, 2], [0, 4, 4, 9]])
 def test_relocation_ordinals_must_strictly_increase(ordinals):
     # an advanced assignment that names one gaussian twice keeps whichever

@@ -28,13 +28,13 @@ for body in spec.bodies:
     body.point_count = 300
 source = SyntheticSource(generate_scene(spec))
 base = source.base_gaussians()
-# a finest level above the L1 anchor crossover, pruned at any point count,
-# and one reconfiguration
-anchorstream.kernels.PRUNE_MIN_POINTS = 0
+# every L1 assignment through the cell search, a finest level of g >= 4 cells
+# per axis, so its neighbourhoods leave cells out, and one reconfiguration
+anchorstream.kernels.SCAN_MAX_PAIRS = 0
 config = StreamConfig(finest_fraction=Fraction(1, 5), reconfig_period=2,
                       phase1_steps=3, phase2_steps=1)
 enc = encode_session(base, source, config)
-assert max(enc.state.hierarchy.anchor_counts()) > anchorstream.kernels.SCAN_MAX_ANCHORS
+assert max(enc.state.hierarchy.anchor_counts()) >= 64
 dec = decode_session(base, enc.stream)
 assert [m.checksum for m in dec.metrics] == [m.checksum for m in enc.metrics]
 print(sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "numba")))

@@ -42,19 +42,19 @@ def test_l1_nearest_matches_oracle(cloud, rng):
                           exhaustive_l1_assign(points, anchors))
 
 
-# The pruned-path tests pin the crossovers, so every case below prunes above
-# this many anchors, at any point count, however the constants are tuned.
-TOP = 64
+# g = round(A^(1/3)) cells per axis: TOP anchors is the most that give g = 4,
+# and TOP + 1 the fewest that give g = 5.
+TOP = 91
 
 
 @pytest.fixture
-def pruning(monkeypatch):
-    monkeypatch.setattr(kernels, "SCAN_MAX_ANCHORS", TOP)
-    monkeypatch.setattr(kernels, "PRUNE_MIN_POINTS", 0)
+def cell_search(monkeypatch):
+    """Send every call, however small, through the cell search."""
+    monkeypatch.setattr(kernels, "SCAN_MAX_PAIRS", 0)
 
 
 def _pruned_cases():
-    """Inputs above the pinned crossover, N * A <= 1e6 each, so the oracle stays fast."""
+    """Inputs of every shape the cell search meets, N * A <= 1e6 each, so the oracle stays fast."""
     rng = np.random.default_rng(77)
     unit = lambda n: rng.random((n, 3), dtype=np.float32)
     cloud = unit(1500)
@@ -72,7 +72,7 @@ def _pruned_cases():
         "one_point": (unit(1), unit(300)),
         "at_crossover": (unit(3000), unit(TOP)),
         "above_crossover": (unit(3000), unit(TOP + 1)),
-    } | _shape_cases(unit)
+    } | _shape_cases(unit) | _degenerate_cases(unit)
 
 
 def _shape_cases(unit):
@@ -91,17 +91,32 @@ def _shape_cases(unit):
     }
 
 
+def _degenerate_cases(unit):
+    """Boxes of zero extent, and coordinates far from the origin."""
+    here = np.full((1500, 3), 0.375, np.float32)
+    return {
+        "identical_points": (here, unit(200)),
+        # points and anchors at one position: every axis has zero extent
+        "one_position": (here, here[:150]),
+        # float32 spacing near 1e6 is 1/16: a 16-step lattice per unit, all ties
+        "offset_1e6": (unit(1500) + np.float32(1e6), unit(200) + np.float32(1e6)),
+        # a float64 box so thin that g / extent would overflow: searched as flat
+        "subnormal_extent": (np.arange(4500.0).reshape(1500, 3) % 7 * 5e-324,
+                             np.arange(600.0).reshape(200, 3) % 5 * 5e-324),
+    }
+
+
 PRUNED_CASES = _pruned_cases()
 
 
 @pytest.mark.parametrize("case", PRUNED_CASES)
-def test_l1_nearest_pruned_matches_oracle(case, pruning):
+def test_l1_nearest_pruned_matches_oracle(case, cell_search):
     points, anchors = PRUNED_CASES[case]
     assert np.array_equal(kernels.l1_nearest(points, anchors),
                           exhaustive_l1_assign(points, anchors))
 
 
-def test_l1_nearest_pruned_keeps_every_tie(rng, pruning):
+def test_l1_nearest_pruned_keeps_every_tie(rng, cell_search):
     points, anchors = grid_snapped(rng, 2500), grid_snapped(rng, 250)
     assert anchors.shape[0] > TOP
     assert l1_ties(points, anchors) > 100  # tied minimizers, duplicate anchors among them
@@ -110,37 +125,101 @@ def test_l1_nearest_pruned_keeps_every_tie(rng, pruning):
                           exhaustive_l1_assign(points, anchors))
 
 
+def test_l1_nearest_keeps_every_tie_above_the_scan_threshold(rng, monkeypatch):
+    """Unforced, just past the threshold: the cell search takes the lattice's ties."""
+    scanned = record_scans(monkeypatch)
+    anchors = grid_snapped(rng, 256)
+    points = grid_snapped(rng, kernels.SCAN_MAX_PAIRS // 256 + 1)
+    assert l1_ties(points, anchors) > 100
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
+    assert all(n < points.shape[0] for n, _ in scanned)
+
+
 def record_scans(monkeypatch):
-    """The anchor count of every ``_scan`` call; anchors come in axis-major, (3, A)."""
+    """The (points, anchors) counts of every ``_scan`` call; inputs come in axis-major, (3, n)."""
     scanned = []
     scan = kernels._scan
-    monkeypatch.setattr(kernels, "_scan",
-                        lambda pts, anc: scanned.append(anc.shape[1]) or scan(pts, anc))
+    monkeypatch.setattr(kernels, "_scan", lambda pts, anc: scanned.append(
+        (pts.shape[1], anc.shape[1])) or scan(pts, anc))
     return scanned
 
 
-def test_l1_nearest_switches_to_pruning_above_the_crossover(rng, monkeypatch):
-    """At the crossover one scan sees every anchor; one above, blocks see fewer."""
+def test_l1_nearest_scans_up_to_the_pair_threshold(rng, monkeypatch):
+    """At most ``SCAN_MAX_PAIRS`` point-anchor pairs get one scan over every anchor."""
     scanned = record_scans(monkeypatch)
-    points = rng.random((kernels.PRUNE_MIN_POINTS, 3), dtype=np.float32)
-    top = kernels.SCAN_MAX_ANCHORS
-    kernels.l1_nearest(points, rng.random((top, 3), dtype=np.float32))
-    assert scanned == [top]
-    scanned.clear()
-    kernels.l1_nearest(points, rng.random((top + 1, 3), dtype=np.float32))
-    assert len(scanned) > 1 and max(scanned) < top + 1
+    anchors = rng.random((500, 3), dtype=np.float32)
+    points = rng.random((kernels.SCAN_MAX_PAIRS // 500, 3), dtype=np.float32)
+    kernels.l1_nearest(points, anchors)
+    assert scanned == [(points.shape[0], 500)]
 
 
-def test_l1_nearest_scans_below_the_point_crossover(rng, monkeypatch):
-    """Fewer points than the crossover scan all anchors however many there are."""
+def test_l1_nearest_searches_cells_above_the_pair_threshold(rng, monkeypatch):
+    """One point more and the cell search runs; the scan sees at most its leftovers."""
     scanned = record_scans(monkeypatch)
-    anchors = rng.random((1000, 3), dtype=np.float32)
-    few = rng.random((kernels.PRUNE_MIN_POINTS - 1, 3), dtype=np.float32)
-    kernels.l1_nearest(few, anchors)
-    assert scanned == [1000]
-    scanned.clear()
-    kernels.l1_nearest(np.concatenate([few, few[:1]]), anchors)
-    assert len(scanned) > 1 and max(scanned) < 1000
+    anchors = rng.random((500, 3), dtype=np.float32)
+    points = rng.random((kernels.SCAN_MAX_PAIRS // 500 + 1, 3), dtype=np.float32)
+    got = kernels.l1_nearest(points, anchors)
+    assert all(n < points.shape[0] for n, _ in scanned)
+    assert np.array_equal(got, exhaustive_l1_assign(points, anchors))
+
+
+def test_l1_nearest_scans_what_the_cells_cannot_certify(rng, monkeypatch, cell_search):
+    """Anchors packed in one corner leave far points with no anchor within two cells."""
+    scanned = record_scans(monkeypatch)
+    points = rng.random((2000, 3), dtype=np.float32) * 10
+    anchors = rng.random((300, 3), dtype=np.float32) * 0.05
+    assert np.array_equal(kernels.l1_nearest(points, anchors),
+                          exhaustive_l1_assign(points, anchors))
+    assert len(scanned) == 1 and scanned[0][1] == 300 and 0 < scanned[0][0] <= 2000
+
+
+def test_l1_nearest_certifies_nearly_every_point_on_a_field(rng, monkeypatch):
+    """A field_large level: fewer than 1% of the points fall back to the full scan.
+
+    A correct kernel that quietly decays into scanning every anchor fails here.
+    """
+    scanned = record_scans(monkeypatch)
+    points = rng.random((20000, 3), dtype=np.float32)
+    anchors = points[hierarchy.sample_anchors(points, 1000).anchor_indices]
+    got = kernels.l1_nearest(points, anchors)
+    assert sum(n for n, _ in scanned) < 200
+    axis_major = (np.ascontiguousarray(x.T, dtype=np.float64) for x in (points, anchors))
+    assert np.array_equal(got, kernels._scan(*axis_major))
+
+
+def test_l1_nearest_chunks_bound_every_table(rng, monkeypatch, cell_search):
+    """Anchors crowded into one cell make rows of ~900; no chunk holds over _SCAN_CELLS entries."""
+    widths, entries = [], []
+    table, nearest = kernels._CellGrid._table, kernels._CellGrid._nearest
+
+    def recorded_table(self, cells, offsets, width):
+        entries.extend([cells.shape[0] * width, cells.shape[0] * offsets.shape[0]])
+        return table(self, cells, offsets, width)
+
+    def recorded_nearest(self, pts, rows, tab, buffers):
+        widths.append(tab.shape[1])
+        entries.append(rows.shape[0] * tab.shape[1])
+        return nearest(self, pts, rows, tab, buffers)
+
+    monkeypatch.setattr(kernels._CellGrid, "_table", recorded_table)
+    monkeypatch.setattr(kernels._CellGrid, "_nearest", recorded_nearest)
+    points = rng.random((6000, 3), dtype=np.float32)
+    anchors = np.concatenate([rng.random((100, 3), dtype=np.float32),
+                              0.5 + 0.01 * rng.random((900, 3), dtype=np.float32)])
+    axis_major = (np.ascontiguousarray(x.T, dtype=np.float64) for x in (points, anchors))
+    assert np.array_equal(kernels.l1_nearest(points, anchors), kernels._scan(*axis_major))
+    assert max(widths) >= 900
+    assert max(entries) <= kernels._SCAN_CELLS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l1_nearest_leaves_non_finite_coordinates_to_the_scan(rng, bad, cell_search):
+    points = rng.random((500, 3))
+    anchors = rng.random((200, 3))
+    points[7, 1] = bad
+    axis_major = (np.ascontiguousarray(x.T) for x in (points, anchors))
+    assert np.array_equal(kernels.l1_nearest(points, anchors), kernels._scan(*axis_major))
 
 
 def test_l1_nearest_tie_break_lowest_ordinal():
