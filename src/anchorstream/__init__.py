@@ -29,7 +29,7 @@ from .errors import (
     PlyParseError,
     StreamFormatError,
 )
-from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
+from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient, observed_rows
 from .hierarchy import (
     AnchorHierarchy,
     LevelStructure,

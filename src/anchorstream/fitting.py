@@ -46,22 +46,21 @@ this package.
 The loss and the densify residuals move gaussians through
 :func:`anchorstream.motion.deform_rows`, the same float64 forward that
 advances the mirrored state, and the pivot sweep moves its rows through
-each solved level with :func:`anchorstream.motion.pivot_level`, that
+each solved level with :func:`anchorstream.motion.level_step`, that
 forward's own step; this module holds no forward of its own, only the
 loss, its additive gradients and the sweeps. The additive gradients are
 exact, computed in float64 and verified against central finite
 differences in the test suite.
 
-Each :func:`fit_frame` call plans its evaluations once. It checks the
-correspondences and the anchor ordinals against the state, gathers the
-observed rows (:func:`anchorstream.motion.gather_rows`: their positions,
-anchor ordinals and pivot centers), counts each anchor's members and, in
-additive mode, the co-membership counts. The starts and the candidates
-are :class:`anchorstream.motion.FrameDeformation` objects, evaluated with
-the gathered rows: a sweep solves in float64, and its ``AnchorDeltaSet``
-per level rounds each delta to float32 and checks it finite. The plan is
-local to the call. The loss, the gradients and so the fitted deltas are
-the bits that gathering afresh for each evaluation gives.
+Each encoded frame plans its evaluations once: :func:`observed_rows`
+checks the correspondences and the anchor ordinals against the state and
+gathers the observed rows (:func:`anchorstream.motion.gather_rows`).
+:func:`fit_frame`, :func:`densify_residuals` and :func:`loss_and_gradient`
+take that plan and neither check nor gather; the composition mode reaches
+them only through it, as pivot centers held or not. A fit adds each
+anchor's member counts and, in additive mode, the co-membership counts.
+A sweep solves in float64, and its ``AnchorDeltaSet`` per level rounds
+each delta to float32 and checks it finite.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ from .motion import (
     deform_rows,
     dominant_eigenvectors,
     gather_rows,
+    level_step,
     level_unit_quats,
     member_rotations,
-    pivot_level,
 )
 from .types import CompositionMode, GaussianSet
 
@@ -118,8 +117,10 @@ class Correspondences:
         self.targets = np.ascontiguousarray(targets, np.float32)
         if self.indices.shape[0] != self.targets.shape[0]:
             raise ValueError("indices and targets must have equal length")
-        if np.unique(self.indices).shape[0] != self.indices.shape[0]:
-            raise ValueError("correspondence indices must be unique")
+        ordered = np.sort(self.indices)
+        repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if repeated.size:
+            raise ValueError(f"correspondence index {ordered[repeated[0]]} appears twice or more")
         negative = self.indices[self.indices < 0]
         if negative.size:  # numpy would wrap it onto a gaussian counted from the end
             raise ValueError(f"correspondence index {negative[0]} is negative")
@@ -131,14 +132,27 @@ class Correspondences:
         return self.indices.shape[0]
 
 
-def _check_correspondences(corr: Correspondences, gaussians: GaussianSet) -> None:
-    """``ValueError`` unless ``corr`` observes at least one gaussian, each below the count."""
+def observed_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspondences,
+                  mode: CompositionMode) -> GatheredRows:
+    """One frame's plan: :func:`anchorstream.motion.gather_rows` of ``corr.indices``, checked.
+
+    ``corr`` must observe at least one gaussian, each below the gaussian
+    count; otherwise ``ValueError`` says so, naming the first index past the
+    count. Every gaussian's anchor ordinal must lie among its level's
+    anchors; otherwise ``ValueError`` names the first level that fails.
+    """
     if len(corr) == 0:
         raise ValueError("correspondences must be non-empty")
     past = corr.indices[corr.indices >= len(gaussians)]
     if past.size:
         raise ValueError(f"correspondence index {past[0]} is past the last of "
                          f"{len(gaussians)} gaussians")
+    for lvl in hierarchy.levels:
+        al = lvl.assignment
+        if al.size and (al.min() < 0 or al.max() >= lvl.anchor_count):
+            raise ValueError(f"level {lvl.level}: an anchor ordinal is outside "
+                             f"[0, {lvl.anchor_count})")
+    return gather_rows(gaussians, hierarchy, mode, corr.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +160,25 @@ def _check_correspondences(corr: Correspondences, gaussians: GaussianSet) -> Non
 # ---------------------------------------------------------------------------
 
 
-def loss_and_gradient(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                      deltas: FrameDeformation, corr: Correspondences,
-                      mode: CompositionMode = CompositionMode.additive, *,
-                      rows: Optional[GatheredRows] = None,
+def loss_and_gradient(hierarchy: AnchorHierarchy, deltas: FrameDeformation,
+                      corr: Correspondences, rows: GatheredRows,
                       ) -> tuple[float, Optional[list[np.ndarray]]]:
     """Mean squared position error and, in additive mode, its translation gradients.
 
-    Additive mode returns the loss and one float64 (A, 3) translation
-    gradient per level, the exact derivative the next additive sweep starts
-    from; rotation increments do not move additive rows. Pivot mode returns
-    ``(loss, None)``: its sweeps solve each anchor in closed form and read
-    only the loss. :func:`fit_frame` calls this once per start it weighs and
-    once per sweep, and the benchmark harness counts the fit's evaluations
-    by this name, so it keeps the name in both modes.
-
-    ``rows``, when given, is :func:`anchorstream.motion.gather_rows` of
-    ``corr.indices`` in ``mode``, checked as :func:`fit_frame` checks them:
-    this is how :func:`fit_frame` evaluates its candidates.
+    ``rows`` is :func:`observed_rows` of ``corr``. Additive mode returns the
+    loss and one float64 (A, 3) translation gradient per level, the exact
+    derivative the next additive sweep starts from; rotation increments do
+    not move additive rows. Pivot mode (``rows`` hold pivot centers)
+    returns ``(loss, None)``: its sweeps solve each anchor in closed form
+    and read only the loss. :func:`fit_frame` calls this once per start it
+    weighs and once per sweep, and the benchmark harness counts the fit's
+    evaluations by this name, so it keeps the name in both modes.
     """
-    if rows is None:
-        _check_correspondences(corr, gaussians)
-        rows = gather_rows(gaussians, hierarchy, mode, corr.indices)
-    pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, rows)
+    pos, _ = deform_rows(hierarchy, deltas, rows)
     r = pos - corr.targets.astype(np.float64)
     c = len(corr)
     loss = float((r * r).sum() / c)
-    if mode == CompositionMode.pivot:
+    if rows.centers is not None:
         return loss, None
     g = (2.0 / c) * r
     return loss, [sum_by_index(g, al, lvl.anchor_count)
@@ -281,7 +287,7 @@ def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.nda
     finest level first: y <- R(q)^T (y - pivot - t) + pivot, with the
     conjugate rotation. Then it solves the levels coarse to fine
     (:func:`_horn_solve`), moving the rows through each solved level with
-    :func:`anchorstream.motion.pivot_level`, the forward's own step, with
+    :func:`anchorstream.motion.level_step`, the forward's own step, with
     the translations as solved; only the returned deltas are rounded.
     """
     targets = np.ascontiguousarray(targets.T, dtype=np.float64)
@@ -304,19 +310,20 @@ def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.nda
             t, q = _horn_solve(pos - centers, y - centers, al, count, ds.translations, ds.rotations)
             out.append(AnchorDeltaSet(t, q))
             if len(out) < len(levels):
-                pos, _ = pivot_level(pos, t, q, al, centers)
+                pos, _ = level_step(pos, t, q, al, centers)
         return FrameDeformation(out)
 
     return sweep
 
 
-def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspondences,
-              init: FrameDeformation, sweeps: int,
-              mode: CompositionMode = CompositionMode.additive) -> FrameDeformation:
+def fit_frame(hierarchy: AnchorHierarchy, corr: Correspondences, init: FrameDeformation,
+              sweeps: int, rows: GatheredRows) -> FrameDeformation:
     """Fit all per-level deltas by ``sweeps`` sweeps; loss <= min(loss(init), loss(zero deltas)).
 
-    The sweeps start from ``init`` or from zero deltas, whichever has the
-    lower loss; a tie keeps ``init``. Checking zero costs one extra loss
+    ``rows`` is :func:`observed_rows` of ``corr``; the sweeps are pivot
+    sweeps where they hold pivot centers and additive sweeps otherwise. The
+    sweeps start from ``init`` or from zero deltas, whichever has the lower
+    loss; a tie keeps ``init``. Checking zero costs one extra loss
     evaluation, made only when ``init`` is nonzero, and the chosen start's
     translation gradients feed the first additive sweep. Each sweep solves
     every level exactly with the other levels held, coarse to fine, and
@@ -327,26 +334,16 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     above its start. Returns the kept deltas, with no relocation records;
     the state itself is never touched.
 
-    ``corr`` must observe at least one gaussian, each below the gaussian
-    count; otherwise ``ValueError`` says so, naming the first index past the
-    count. ``init`` must hold as many deltas per level as the hierarchy has
-    anchors, and every gaussian's anchor ordinal must lie among its level's
+    ``init`` must hold as many deltas per level as the hierarchy has
     anchors; otherwise ``ValueError`` names the first level that fails.
     """
-    _check_correspondences(corr, gaussians)
-    for lvl in hierarchy.levels:
-        al = lvl.assignment
-        if al.size and (al.min() < 0 or al.max() >= lvl.anchor_count):
-            raise ValueError(f"level {lvl.level}: an anchor ordinal is outside "
-                             f"[0, {lvl.anchor_count})")
-    rows = gather_rows(gaussians, hierarchy, mode, corr.indices)
-    if mode == CompositionMode.additive:
+    if rows.centers is None:
         sweep = _additive_sweep(hierarchy, rows.members, len(corr))
     else:
         sweep = _pivot_sweep(hierarchy, rows, corr.targets)
 
     def evaluate(deltas):
-        return loss_and_gradient(gaussians, hierarchy, deltas, corr, mode, rows=rows)
+        return loss_and_gradient(hierarchy, deltas, corr, rows)
 
     x = FrameDeformation(init.per_level)
     loss, grads = evaluate(x)
@@ -369,22 +366,19 @@ def fit_frame(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Correspo
     return x
 
 
-def densify_residuals(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                      deltas: FrameDeformation, corr: Correspondences,
-                      threshold: float,
-                      mode: CompositionMode = CompositionMode.additive,
+def densify_residuals(hierarchy: AnchorHierarchy, deltas: FrameDeformation,
+                      corr: Correspondences, threshold: float, rows: GatheredRows,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Pick the relocation records for targets whose residual exceeds the threshold.
 
-    Returns, in ascending ordinal order, the index of each gaussian to move
-    (K,) and the observed target it moves to (K, 3). The gaussian keeps its
-    scale, orientation, opacity and SH. Nothing is ever pruned or added:
-    opacity never changes without photometric training, so there is no
-    signal to prune on, and every observed point already has a gaussian.
-    ``corr`` is checked as :func:`fit_frame` checks it.
+    ``rows`` is :func:`observed_rows` of ``corr``. Returns, in ascending
+    ordinal order, the index of each gaussian to move (K,) and the observed
+    target it moves to (K, 3). The gaussian keeps its scale, orientation,
+    opacity and SH. Nothing is ever pruned or added: opacity never changes
+    without photometric training, so there is no signal to prune on, and
+    every observed point already has a gaussian.
     """
-    _check_correspondences(corr, gaussians)
-    pos, _ = deform_rows(gaussians, hierarchy, deltas, mode, corr.indices)
+    pos, _ = deform_rows(hierarchy, deltas, rows)
     residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
     picked = np.nonzero(residual > threshold)[0]
     picked = picked[np.argsort(corr.indices[picked])]  # indices are unique

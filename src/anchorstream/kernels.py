@@ -22,9 +22,11 @@ is the scan's own, bit for bit.
 which walks the rows in ascending order and accumulates each bucket in
 float64. ``np.add.at`` gives the same bits, but its generic unbuffered
 loop took 290-430 us where the bincounts take 40-50 us (6000 x 3 rows into
-729 buckets, 2-core x86 host), and it wraps negative indices in silence.
-The bincounts themselves reveal an index outside the buckets, so the kernel
-makes no range scan of its own unless one is there.
+729 buckets, 2-core x86 host). The bincounts themselves reveal an index
+outside the buckets, so the kernel makes no range scan of its own unless
+one is there. :func:`cell_winners` scatters with ``np.minimum.at``, whose
+order does not matter to a minimum; like every ``ufunc.at`` it wraps
+a negative index in silence, so the kernel rejects a negative code first.
 """
 
 from __future__ import annotations
@@ -322,21 +324,28 @@ def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 
 
 def cell_winners(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell argmin of ``d2`` keyed by ``codes``; cells returned in code order.
+    """Per-cell argmin of ``d2`` (no NaN) keyed by ``codes``; cells returned in code order.
 
-    Returns (sorted codes of the non-empty cells, winning point indices); on an
-    exact tie the lowest point index wins. ``np.lexsort`` is a stable sort, so
-    points with equal (code, d2) keep their ascending index order without an
-    index key.
+    Returns (codes of the non-empty cells, their winning point indices); on
+    an exact tie the lowest point index wins. One ``np.minimum.at`` takes
+    each cell's least ``d2``, a second the lowest index reaching it, over
+    arrays of max(codes) + 1 entries (``sample_anchors`` codes are below
+    m^3 <= 8N). A negative code raises ``ValueError`` naming it.
     """
     codes = np.ascontiguousarray(codes, np.int64)
     d2 = np.ascontiguousarray(d2, np.float64)
     n = codes.shape[0]
-    order = np.lexsort((d2, codes))
-    sorted_codes = codes[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-    return sorted_codes[first], order[first]
+    negative = np.flatnonzero(codes < 0)
+    if negative.size:  # np.minimum.at would wrap it onto a cell counted from the end
+        raise ValueError(f"cell code {codes[negative[0]]} at row {negative[0]} is negative")
+    size = int(codes.max()) + 1 if n else 0
+    best = np.full(size, np.inf)
+    np.minimum.at(best, codes, d2)
+    reached = np.flatnonzero(d2 == best[codes])
+    winner = np.full(size, n, dtype=np.int64)
+    np.minimum.at(winner, codes[reached], reached)
+    cells = np.flatnonzero(winner < n)
+    return cells, winner[cells]
 
 
 def _reject_outside(index: np.ndarray, n_out: int) -> None:

@@ -11,19 +11,20 @@ and its rotation increments must be zero. :func:`apply_deformation` runs the
 forward over every gaussian to advance the mirrored state; the fit's loss
 and the densify residuals in :mod:`anchorstream.fitting` run it over the
 observed gaussians. The rotation kernels ``_rotate``, ``_rotation_terms``,
-``_cross`` and ``_dot`` live here for both, and so does
-:func:`pivot_level`, one level of the pivot walk, which the fit's pivot
-sweep also moves its rows with.
+``_cross`` and ``_dot`` live here for both, and so does :func:`level_step`,
+one level of the walk, which the fit's pivot sweep also moves its rows with.
 
 The forward is split in two. :func:`gather_rows` reads what does not depend
-on the deltas: the rows' positions, each level's anchor ordinals
-and, in pivot mode, each level's pivot centers. :func:`deform_rows` then
-walks the levels with the deltas. It gathers for itself unless it is handed
-a :class:`GatheredRows`, which the fit builds once and reuses for every
-candidate it evaluates; either way the walk sees the same arrays and gives
-the same bits.
+on the deltas into a :class:`GatheredRows`: the rows' positions, each
+level's anchor ordinals and, in pivot mode, each level's pivot centers.
+:func:`deform_rows` then walks the levels with the deltas, one
+:func:`level_step` per level. The mode reaches the walk only through the
+gathered rows: a level whose pivot centers they hold rotates about them
+and translates, any other level only translates. The fit gathers its
+observed rows once per frame and walks them for every candidate it
+evaluates.
 
-The pivot forward works axis-major: offsets and positions as (3, R)
+The walk works axis-major in both modes: positions and offsets as (3, R)
 arrays, quaternions as (4, R), one contiguous row per component, so each
 kernel term is one 1-D ufunc over contiguous memory instead of a strided
 (R, 1) column slice. It keeps every bit of the row-major form, because
@@ -31,10 +32,10 @@ each element still sees the same operations in the same order: the kernels
 spell out every product, sum and difference that the row-major expressions
 made, and the 3-term dot product adds left to right onto +0.0 as numpy's
 row reduction did. Only the memory layout changed. The positions it
-returns are C-contiguous (R, 3) in both modes, so the loss and the densify
-residuals reduce exactly the array they reduced before. Beside them, pivot
-mode returns each level's (4, R) row rotations, which
-:func:`apply_deformation` composes into the orientations.
+returns are C-contiguous (R, 3), so the loss and the densify residuals
+reduce exactly the array they reduced before. Beside them, pivot mode
+returns each level's (4, R) row rotations, which :func:`apply_deformation`
+composes into the orientations.
 
 Inheritance transfers deltas from a retiring hierarchy to a freshly built one,
 increments in and increments out: translations average arithmetically over
@@ -267,14 +268,13 @@ def level_unit_quats(rotations: np.ndarray) -> np.ndarray:
 class GatheredRows(NamedTuple):
     """What :func:`deform_rows` reads of the state for a set of rows, whatever the deltas.
 
-    Built by :func:`gather_rows` for one composition mode. ``positions`` are
-    the rows' frame-start positions: float32 (R, 3) in additive mode, which
-    the walk casts into its float64 working copy, and float64 axis-major
-    (3, R) in pivot mode. ``members`` holds each level's
-    ``assignment[rows]``, and ``centers`` in pivot mode each level's (3, R)
-    float64 pivot positions, the frame-start positions of the rows' anchors.
-    Nothing here is ever written to, so one gather serves any number of
-    walks.
+    Built by :func:`gather_rows`. ``positions`` are the rows' frame-start
+    positions as an axis-major float64 (3, R) array, in both modes.
+    ``members`` holds each level's ``assignment[rows]``. ``centers`` holds,
+    in pivot mode only, each level's (3, R) float64 pivot positions, the
+    frame-start positions of the rows' anchors; it is None in additive mode,
+    and that is how the walk knows the mode. Nothing here is ever written
+    to, so one gather serves any number of walks.
     """
 
     positions: np.ndarray
@@ -291,52 +291,38 @@ def gather_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, mode: Compos
     else:
         pos = np.take(gaussians.positions, rows, axis=0)
         members = [lvl.assignment[rows] for lvl in hierarchy.levels]
-    if mode == CompositionMode.additive:
-        return GatheredRows(pos, members, None)
-    centers = []
-    for lvl, al in zip(hierarchy.levels, members):
-        pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).T.astype(np.float64)
-        centers.append(np.take(pivots, al, axis=1))
-    return GatheredRows(np.ascontiguousarray(pos.astype(np.float64).T), members, centers)
+    centers = None
+    if mode == CompositionMode.pivot:
+        centers = []
+        for lvl, al in zip(hierarchy.levels, members):
+            pivots = np.take(gaussians.positions, lvl.anchor_indices, axis=0).T.astype(np.float64)
+            centers.append(np.take(pivots, al, axis=1))
+    return GatheredRows(pos.T.astype(np.float64, order="C"), members, centers)
 
 
-def deform_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                deltas: FrameDeformation, mode: CompositionMode,
-                rows: np.ndarray | GatheredRows | None = None,
+def deform_rows(hierarchy: AnchorHierarchy, deltas: FrameDeformation, rows: GatheredRows,
                 ) -> tuple[np.ndarray, Optional[list[np.ndarray]]]:
-    """The deformation forward: float64 deformed positions of ``rows`` (default all).
+    """The deformation forward: float64 deformed positions of the gathered ``rows``.
 
-    Levels apply coarse to fine. At each level, pivot mode rotates every row
-    about its anchor's frame-start position, then translates it; additive
-    mode only translates, so a row moves by the sum of its anchors'
-    translations. Rotation increments are ignored in additive mode. Returns
-    the positions, C-contiguous (R, 3) in both modes, and in pivot mode each
-    level's axis-major (4, R) float64 row rotations, unit quaternions
-    (None in additive mode); nothing is modified. Pivot mode works
-    axis-major in between.
-
-    The forward is two steps: gather the rows (:func:`gather_rows`), then
-    walk the levels with the deltas. ``rows`` may be rows gathered already
-    in ``mode``, so a caller that moves the same rows by many deltas
-    gathers once. ``deltas`` must hold as many entries per level as the
+    Levels apply coarse to fine, one :func:`level_step` each: where ``rows``
+    hold pivot centers (pivot mode), every row rotates about its anchor's
+    frame-start position and then translates; otherwise it only translates,
+    so a row moves by the sum of its anchors' translations and rotation
+    increments are ignored. Returns the positions, C-contiguous (R, 3), and
+    in pivot mode each level's axis-major (4, R) float64 row rotations, unit
+    quaternions (None in additive mode); nothing is modified, ``rows``
+    included. ``deltas`` must hold as many entries per level as the
     hierarchy has anchors; otherwise ``ValueError`` names the first level
     that fails.
     """
     _check_consistent(hierarchy, deltas)
-    if not isinstance(rows, GatheredRows):
-        rows = gather_rows(gaussians, hierarchy, mode, rows)
-    if mode == CompositionMode.additive:
-        pos = rows.positions.astype(np.float64)  # always a copy: the walk adds onto it
-        for ds, al in zip(deltas.per_level, rows.members):
-            pos += np.take(ds.translations.astype(np.float64), al, axis=0)
-        return pos, None
-
-    pos = rows.positions
-    rotations = []
-    for ds, al, centers in zip(deltas.per_level, rows.members, rows.centers):
-        pos, member_q = pivot_level(pos, ds.translations, ds.rotations, al, centers)
+    pos, rotations = rows.positions, []
+    for ds, al, centers in zip(deltas.per_level, rows.members,
+                               rows.centers or [None] * len(rows.members)):
+        pos, member_q = level_step(pos, ds.translations, ds.rotations, al, centers)
         rotations.append(member_q)
-    return np.ascontiguousarray(pos.T), rotations
+    # C-contiguous (R, 3): np.stack interleaves the axes faster than a transposed copy
+    return np.stack(pos, axis=1), None if rows.centers is None else rotations
 
 
 def member_rotations(q: np.ndarray, members: np.ndarray
@@ -354,36 +340,42 @@ def member_rotations(q: np.ndarray, members: np.ndarray
     return member_q, scale, two_w
 
 
-def pivot_level(pos: np.ndarray, t: np.ndarray, q: np.ndarray, members: np.ndarray,
-                centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level of the pivot forward on axis-major (3, R) rows.
+def level_step(pos: np.ndarray, t: np.ndarray, q: np.ndarray, members: np.ndarray,
+               centers: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One level of the forward on axis-major (3, R) rows.
 
-    Rotates each row about its anchor's pivot ``centers`` (3, R) by the
-    anchor's rotation increment in ``q`` (A, 4), then translates it by its
-    row of ``t`` (A, 3). Returns the moved rows, a new (3, R) float64 array,
-    and the rows' (4, R) unit quaternions.
+    Given pivot ``centers`` (3, R), rotates each row about its anchor's
+    pivot by the anchor's rotation increment in ``q`` (A, 4), then
+    translates it by its row of ``t`` (A, 3). Given None, only translates:
+    it never runs the pivot arithmetic there, since (p - c) + c need not be
+    p in floating point. Returns the moved rows, a new (3, R) float64
+    array, and the rows' (4, R) unit quaternions (None without centers).
     """
+    shift = np.take(t.T.astype(np.float64), members, axis=1)
+    if centers is None:
+        shift += pos  # a new array, and t + p is p + t bit for bit
+        return shift, None
     member_q, scale, two_w = member_rotations(q, members)
     pos = _rotate(member_q[1:], pos - centers, scale, two_w)
     pos += centers
-    pos += np.take(t.T.astype(np.float64), members, axis=1)
+    pos += shift
     return pos, member_q
 
 
 def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
-                      deltas: FrameDeformation,
-                      mode: CompositionMode = CompositionMode.additive) -> GaussianSet:
+                      deltas: FrameDeformation, mode: CompositionMode) -> GaussianSet:
     """Deform all gaussians by one frame's deltas; appearance stays frozen.
 
-    Positions are :func:`deform_rows` of every row, cast to float32. Additive
-    mode copies every other column unchanged; a nonzero rotation increment
-    raises ``ValueError``, since additive frames carry none. Pivot mode also
-    composes each orientation with the row's rotation at every level, coarse
-    level first, by quaternion multiplication.
+    Positions are :func:`deform_rows` of every row, gathered here in
+    ``mode``, cast to float32. Additive mode copies every other column
+    unchanged; a nonzero rotation increment raises ``ValueError``, since
+    additive frames carry none. Pivot mode also composes each orientation
+    with the row's rotation at every level, coarse level first, by
+    quaternion multiplication.
     """
     if mode == CompositionMode.additive and any(ds.rotations.any() for ds in deltas.per_level):
         raise ValueError("additive deformations carry no rotations, but one is nonzero")
-    pos, rotations = deform_rows(gaussians, hierarchy, deltas, mode)
+    pos, rotations = deform_rows(hierarchy, deltas, gather_rows(gaussians, hierarchy, mode))
     if mode == CompositionMode.pivot:
         orient = gaussians.orientations.astype(np.float64)
         for member_q in rotations:

@@ -30,7 +30,7 @@ import numpy as np
 from . import codec
 from .codec import StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
-from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient
+from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient, observed_rows
 from .hierarchy import AnchorHierarchy, build_hierarchy, rehierarchize
 from .kernels import l1_nearest
 from .motion import FrameDeformation, apply_deformation, inherit_deformation
@@ -228,7 +228,9 @@ class Encoder:
         The fit starts from zero deltas on frame 1, from the previous deltas
         inherited onto the new anchors on a rebuild frame, and otherwise from
         the previous frame's applied (quantized) deltas; it falls back to zero
-        deltas when they fit better. The state advances by the frame as parsed
+        deltas when they fit better. The observed rows are checked and gathered
+        once (:func:`fitting.observed_rows`) for the fit, the densify residuals
+        and the frame's loss. The state advances by the frame as parsed
         back from its bytes, through the decoder's apply step
         (:func:`_advance_state`), so a frame the decoder would reject raises an
         error naming the frame. A step that raises changes nothing.
@@ -243,18 +245,15 @@ class Encoder:
         if init is None:
             init = FrameDeformation.zeros(hierarchy)
 
-        fitted = fit_frame(state.gaussians, hierarchy, corr, init,
-                           config.phase1_steps, config.composition_mode)
+        rows = observed_rows(state.gaussians, hierarchy, corr, config.composition_mode)
+        fitted = fit_frame(hierarchy, corr, init, config.phase1_steps, rows)
         frame_def = fitted
         if config.phase2_steps > 0:
-            ordinals, positions = densify_residuals(
-                state.gaussians, hierarchy, fitted, corr,
-                config.densify_threshold, config.composition_mode,
-            )
+            ordinals, positions = densify_residuals(hierarchy, fitted, corr,
+                                                    config.densify_threshold, rows)
             frame_def = FrameDeformation(fitted.per_level, ordinals, positions)
 
-        loss, _ = loss_and_gradient(state.gaussians, hierarchy, fitted, corr,
-                                    config.composition_mode)
+        loss, _ = loss_and_gradient(hierarchy, fitted, corr, rows)
         data, payload = codec.quantize_roundtrip(t, frame_def, hierarchy, header)
         self.state = _advance_state(state, payload, hierarchy, config.composition_mode)
         self.prev_deltas = FrameDeformation(payload.deltas.per_level)

@@ -14,6 +14,7 @@ from anchorstream import (
     densify_residuals,
     fit_frame,
     loss_and_gradient,
+    observed_rows,
     two_body_arm_spec,
     generate_scene,
 )
@@ -51,6 +52,24 @@ def random_deltas(h, rng, scale=0.1):
     )
 
 
+ADDITIVE = CompositionMode.additive
+
+
+def evaluate(g, h, deltas, corr, mode):
+    """``loss_and_gradient`` of ``deltas`` on a fresh plan of ``corr`` in ``mode``."""
+    return loss_and_gradient(h, deltas, corr, observed_rows(g, h, corr, mode))
+
+
+def fit(g, h, corr, init, sweeps, mode):
+    """``fit_frame`` on a fresh plan of ``corr`` in ``mode``."""
+    return fit_frame(h, corr, init, sweeps, observed_rows(g, h, corr, mode))
+
+
+def densify(g, h, deltas, corr, threshold, mode):
+    """``densify_residuals`` on a fresh plan of ``corr`` in ``mode``."""
+    return densify_residuals(h, deltas, corr, threshold, observed_rows(g, h, corr, mode))
+
+
 # ---------------------------------------------------------------------------
 # loss_and_gradient
 # ---------------------------------------------------------------------------
@@ -59,7 +78,7 @@ def random_deltas(h, rng, scale=0.1):
 def test_loss_zero_at_exact_fit():
     g, h, _, _ = make_problem()
     corr = Correspondences(np.arange(len(g)), g.positions.copy())
-    loss, grads = loss_and_gradient(g, h, FrameDeformation.zeros(h), corr)
+    loss, grads = evaluate(g, h, FrameDeformation.zeros(h), corr, ADDITIVE)
     assert loss == 0
     for gt in grads:
         assert not gt.any()
@@ -70,7 +89,7 @@ def test_single_gaussian_hand_gradient():
     g = GaussianSet.from_positions(pos)
     h = build_hierarchy(pos, StreamConfig(levels=1))
     corr = Correspondences(np.array([0]), pos + np.float32([1, 0, 0]))
-    loss, grads = loss_and_gradient(g, h, FrameDeformation.zeros(h), corr)
+    loss, grads = evaluate(g, h, FrameDeformation.zeros(h), corr, ADDITIVE)
     assert abs(loss - 1.0) < 1e-12
     assert np.abs(grads[0][0] - [-2, 0, 0]).max() < 1e-12
 
@@ -100,11 +119,11 @@ def test_gradients_match_finite_differences():
         deltas = random_deltas(h, rng, scale=0.15)
         counts = [lvl.anchor_count for lvl in h.levels]
 
-        _, grads = loss_and_gradient(g, h, deltas, corr)
+        _, grads = evaluate(g, h, deltas, corr, ADDITIVE)
         analytic = np.concatenate([gt.ravel() for gt in grads])
 
         def loss_at(vec):
-            return loss_and_gradient(g, h, unpack(vec, counts), corr)[0]
+            return evaluate(g, h, unpack(vec, counts), corr, ADDITIVE)[0]
 
         x0 = np.concatenate([ds.translations.astype(np.float64).ravel()
                              for ds in deltas.per_level])
@@ -169,18 +188,18 @@ def test_fit_frame_deltas_equal_the_oracle_kernels_bytewise(mode, monkeypatch):
     # the loss and, in additive mode, its gradients, bucket sums by np.add.at
     g, h, corr, rng = make_problem(n=120, seed=13)
     init = random_deltas(h, rng, scale=0.05)
-    got = fit_frame(g, h, corr, init, 12, mode)
+    got = fit(g, h, corr, init, 12, mode)
     calls = []
 
-    def reference(gaussians, hierarchy, deltas, corr, mode, **kwargs):
+    def reference(hierarchy, deltas, corr, rows):
         calls.append(1)
         deltas = as_deformation(deltas)
         if mode == CompositionMode.pivot:
-            return rowmajor_pivot_loss(gaussians, hierarchy, deltas, corr), None
-        return additive_loss_and_gradient(gaussians, hierarchy, deltas, corr)
+            return rowmajor_pivot_loss(g, hierarchy, deltas, corr), None
+        return additive_loss_and_gradient(g, hierarchy, deltas, corr)
 
     monkeypatch.setattr(fitting, "loss_and_gradient", reference)
-    want = fit_frame(g, h, corr, init, 12, mode)
+    want = fit(g, h, corr, init, 12, mode)
     assert len(calls) >= 13
     assert not np.array_equal(got.per_level[0].translations, init.per_level[0].translations)
     for a, b in zip(got.per_level, want.per_level):
@@ -228,7 +247,7 @@ def assert_same_loss_and_gradient(got, want):
 def test_pivot_loss_and_gradient_equal_the_rowmajor_reference_bytewise(case, levels):
     g, h, deltas, corr = pivot_problem(case, levels, seed=40 + levels)
     assert h.level_count == levels
-    assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, CompositionMode.pivot),
+    assert_same_loss_and_gradient(evaluate(g, h, deltas, corr, CompositionMode.pivot),
                                   (rowmajor_pivot_loss(g, h, deltas, corr), None))
     if case == "negative_zero_offsets":
         # the coarsest level's offsets, as the forward's first step takes them
@@ -241,10 +260,11 @@ def test_pivot_loss_and_gradient_equal_the_rowmajor_reference_bytewise(case, lev
 @pytest.mark.parametrize("case", ["random", "identity", "near_pi", "negative_zero_offsets"])
 def test_gathered_rows_give_the_pivot_loss_and_gradient_bytewise(case, levels):
     g, h, deltas, corr = pivot_problem(case, levels, seed=40 + levels)
-    mode = CompositionMode.pivot
-    rows = motion.gather_rows(g, h, mode, corr.indices)
-    want = loss_and_gradient(g, h, deltas, corr, mode)
-    assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, mode, rows=rows), want)
+    rows = observed_rows(g, h, corr, CompositionMode.pivot)
+    want = (rowmajor_pivot_loss(g, h, deltas, corr), None)
+    for other in (FrameDeformation.zeros(h), deltas):  # one plan serves every evaluation
+        loss_and_gradient(h, other, corr, rows)
+        assert_same_loss_and_gradient(loss_and_gradient(h, deltas, corr, rows), want)
 
 
 def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
@@ -262,17 +282,23 @@ def test_gathered_rows_give_the_additive_loss_and_gradient_bytewise():
     targets = g.positions[idx] + rng.normal(0.0, 0.01, (len(idx), 3)).astype(np.float32)
     corr = Correspondences(idx, targets)
     deltas = random_deltas(h, rng, scale=0.02)
-    mode = CompositionMode.additive
-    rows = motion.gather_rows(g, h, mode, corr.indices)
-    want = loss_and_gradient(g, h, deltas, corr, mode)
-    assert_same_loss_and_gradient(loss_and_gradient(g, h, deltas, corr, mode, rows=rows), want)
-    assert_same_loss_and_gradient(additive_loss_and_gradient(g, h, deltas, corr), want)
+    rows = observed_rows(g, h, corr, ADDITIVE)
+    want = additive_loss_and_gradient(g, h, deltas, corr)
+    for other in (FrameDeformation.zeros(h), deltas):  # one plan serves every evaluation
+        loss_and_gradient(h, other, corr, rows)
+        assert_same_loss_and_gradient(loss_and_gradient(h, deltas, corr, rows), want)
 
 
 def test_correspondences_reject_a_negative_index():
     # numpy would wrap -1 onto gaussian 49 of 50, observing it twice
     with pytest.raises(ValueError, match="index -1 is negative"):
         Correspondences([3, -1, 49, -2], np.zeros((4, 3), np.float32))
+
+
+def test_correspondences_reject_a_repeated_index_naming_it():
+    # sorted, the first repeat is 4, though 9 repeats first in row order
+    with pytest.raises(ValueError, match="correspondence index 4 appears twice or more"):
+        Correspondences([9, 4, 9, 7, 4, 0], np.zeros((6, 3), np.float32))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -307,8 +333,8 @@ def test_correspondences_reject_a_bad_shape_or_a_fractional_index(indices, targe
 def test_fit_already_optimal_stays_near_zero():
     g, h, _, _ = make_problem()
     corr = Correspondences(np.arange(len(g)), g.positions.copy())
-    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 20)
-    loss, _ = loss_and_gradient(g, h, out, corr)
+    out = fit(g, h, corr, FrameDeformation.zeros(h), 20, ADDITIVE)
+    loss, _ = evaluate(g, h, out, corr, ADDITIVE)
     assert loss < 1e-12
 
 
@@ -319,7 +345,7 @@ def test_fit_recovers_global_translation():
     h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=Fraction(1, 150)))
     assert h.anchor_counts() == (1,)
     corr = Correspondences(np.arange(150), pos + np.float32([0.1, 0, 0]))
-    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 100)
+    out = fit(g, h, corr, FrameDeformation.zeros(h), 100, ADDITIVE)
     fitted = out.per_level[0].translations[0].astype(np.float64)
     assert np.abs(fitted - [0.1, 0, 0]).max() < 1e-4
 
@@ -336,8 +362,8 @@ def test_fit_loss_monotone_and_never_touches_state():
     current = FrameDeformation.zeros(h)
     # re-run the fit one sweep at a time to observe the loss sequence
     for _ in range(40):
-        current = fit_frame(g, h, corr, current, 1)
-        losses.append(loss_and_gradient(g, h, current, corr)[0])
+        current = fit(g, h, corr, current, 1, ADDITIVE)
+        losses.append(evaluate(g, h, current, corr, ADDITIVE)[0])
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
     for old, new in zip(before, g.attribute_arrays()):
@@ -347,9 +373,9 @@ def test_fit_loss_monotone_and_never_touches_state():
 def test_fit_returns_loss_not_above_initial(rng):
     g, h, corr, rng = make_problem(seed=9)
     init = random_deltas(h, rng, scale=0.2)
-    loss0, _ = loss_and_gradient(g, h, init, corr)
-    out = fit_frame(g, h, corr, init, 30)
-    loss1, _ = loss_and_gradient(g, h, out, corr)
+    loss0, _ = evaluate(g, h, init, corr, ADDITIVE)
+    out = fit(g, h, corr, init, 30, ADDITIVE)
+    loss1, _ = evaluate(g, h, out, corr, ADDITIVE)
     assert loss1 <= loss0
 
 
@@ -360,8 +386,8 @@ def test_fit_two_body_scene_under_error_bound():
     h = build_hierarchy(g, StreamConfig(levels=3))
     idx = np.arange(scene.point_count)
     corr = Correspondences(idx, scene.targets[1].astype(np.float32))
-    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 100)
-    pos, _ = motion.deform_rows(g, h, out, CompositionMode.additive, idx)
+    out = fit(g, h, corr, FrameDeformation.zeros(h), 100, ADDITIVE)
+    pos, _ = motion.deform_rows(h, out, observed_rows(g, h, corr, ADDITIVE))
     err = np.linalg.norm(pos - scene.targets[1], axis=1).mean()
     assert err < 1e-3 * scene.diameter()
 
@@ -374,8 +400,8 @@ def test_fit_depth_monotone_loss():
     losses = {}
     for levels in (2, 3):
         h = build_hierarchy(g, StreamConfig(levels=levels))
-        out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 200)
-        losses[levels], _ = loss_and_gradient(g, h, out, corr)
+        out = fit(g, h, corr, FrameDeformation.zeros(h), 200, ADDITIVE)
+        losses[levels], _ = evaluate(g, h, out, corr, ADDITIVE)
     assert losses[3] <= losses[2] + 1e-9
 
 
@@ -385,7 +411,7 @@ def reversed_start(mode, sweeps=20):
     g = GaussianSet.from_positions(scene.positions[0].astype(np.float32))
     h = build_hierarchy(g, StreamConfig())
     corr = Correspondences(np.arange(scene.point_count), scene.targets[1].astype(np.float32))
-    forward = fit_frame(g, h, corr, FrameDeformation.zeros(h), sweeps, mode)
+    forward = fit(g, h, corr, FrameDeformation.zeros(h), sweeps, mode)
     return g, h, corr, negated(forward)
 
 
@@ -405,20 +431,20 @@ def assert_same_deltas(a, b):
 def test_fit_from_a_reversed_start_ends_below_both_starts(mode):
     g, h, corr, backward = reversed_start(mode)
     zero = FrameDeformation.zeros(h)
-    loss = lambda d: loss_and_gradient(g, h, d, corr, mode)[0]
+    loss = lambda d: evaluate(g, h, d, corr, mode)[0]
     assert loss(backward) > loss(zero)  # the warm start points the wrong way
-    out = fit_frame(g, h, corr, backward, 20, mode)
+    out = fit(g, h, corr, backward, 20, mode)
     assert loss(out) <= min(loss(backward), loss(zero))
     # the zero start wins, so the sweeps are the cold ones, byte for byte
-    assert_same_deltas(out, fit_frame(g, h, corr, zero, 20, mode))
+    assert_same_deltas(out, fit(g, h, corr, zero, 20, mode))
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode))
 def test_fit_without_steps_returns_the_better_start(mode):
     g, h, corr, backward = reversed_start(mode)
-    assert_same_deltas(fit_frame(g, h, corr, backward, 0, mode), FrameDeformation.zeros(h))
+    assert_same_deltas(fit(g, h, corr, backward, 0, mode), FrameDeformation.zeros(h))
     forward = negated(backward)
-    assert_same_deltas(fit_frame(g, h, corr, forward, 0, mode), forward)
+    assert_same_deltas(fit(g, h, corr, forward, 0, mode), forward)
 
 
 def test_fit_start_tie_keeps_init():
@@ -426,7 +452,7 @@ def test_fit_start_tie_keeps_init():
     g, h, corr, rng = make_problem(seed=6)
     init = FrameDeformation([AnchorDeltaSet(np.zeros_like(ds.translations), ds.rotations)
                              for ds in random_deltas(h, rng).per_level])
-    assert_same_deltas(fit_frame(g, h, corr, init, 0), init)
+    assert_same_deltas(fit(g, h, corr, init, 0, ADDITIVE), init)
 
 
 def test_fit_rejects_an_init_with_another_level_split():
@@ -436,39 +462,29 @@ def test_fit_rejects_an_init_with_another_level_split():
     assert counts[0] != counts[1]
     init = FrameDeformation([AnchorDeltaSet.zeros(a) for a in reversed(counts)])
     with pytest.raises(ValueError, match=f"level {h.levels[0].level}: {counts[1]} delta entries"):
-        fit_frame(g, h, corr, init, 3)
+        fit(g, h, corr, init, 3, ADDITIVE)
 
 
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
 @pytest.mark.parametrize("bad", [-1, 0])
-def test_fit_rejects_an_anchor_ordinal_outside_its_level(bad):
+def test_observed_rows_rejects_an_anchor_ordinal_outside_its_level(bad, mode):
     g, h, corr, _ = make_problem(levels=2)
     lvl = h.levels[1]
     lvl.assignment = lvl.assignment.copy()
     lvl.assignment[7] = bad if bad < 0 else lvl.anchor_count
     with pytest.raises(ValueError, match=rf"level {lvl.level}: an anchor ordinal is outside"):
-        fit_frame(g, h, corr, FrameDeformation.zeros(h), 3, CompositionMode.pivot)
-
-
-CORRESPONDENCE_CHECKERS = {
-    "fit_frame": lambda g, h, corr, zero, mode: fit_frame(g, h, corr, zero, 3, mode),
-    "loss_and_gradient": lambda g, h, corr, zero, mode: loss_and_gradient(g, h, zero, corr, mode),
-    "densify_residuals": lambda g, h, corr, zero, mode: densify_residuals(g, h, zero, corr,
-                                                                          0.05, mode),
-}
+        observed_rows(g, h, corr, mode)
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
-@pytest.mark.parametrize("function", list(CORRESPONDENCE_CHECKERS))
-def test_fit_rejects_empty_correspondences_and_an_index_past_the_gaussians(function, mode):
-    call = CORRESPONDENCE_CHECKERS[function]
+def test_observed_rows_rejects_empty_correspondences_and_an_index_past_the_gaussians(mode):
     g, h, _, _ = make_problem(n=50)
-    zero = FrameDeformation.zeros(h)
     empty = Correspondences(np.empty(0, np.int64), np.empty((0, 3), np.float32))
     with pytest.raises(ValueError, match="correspondences must be non-empty"):
-        call(g, h, empty, zero, mode)
+        observed_rows(g, h, empty, mode)
     past = Correspondences([4, 50, 7, 61], g.positions[[4, 0, 7, 1]])
     with pytest.raises(ValueError, match="correspondence index 50 is past the last of 50"):
-        call(g, h, past, zero, mode)
+        observed_rows(g, h, past, mode)
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode))
@@ -482,7 +498,7 @@ def test_a_nonzero_start_costs_exactly_one_extra_evaluation(mode, monkeypatch):
 
     def evaluations(init, sweeps):
         calls.clear()
-        fit_frame(g, h, corr, init, sweeps, mode)
+        fit(g, h, corr, init, sweeps, mode)
         return len(calls)
 
     assert evaluations(zero, 0) == 1
@@ -509,7 +525,7 @@ def test_one_additive_sweep_gives_each_cluster_its_mean_residual():
     g, h, rng = one_level_problem()
     targets = g.positions + (rng.standard_normal((len(g), 3)) * 0.05).astype(np.float32)
     corr = Correspondences(np.arange(len(g)), targets)
-    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 1)
+    out = fit(g, h, corr, FrameDeformation.zeros(h), 1, ADDITIVE)
     al = h.levels[0].assignment
     residual = targets.astype(np.float64) - g.positions.astype(np.float64)
     want = np.stack([residual[al == a].mean(axis=0) for a in range(h.levels[0].anchor_count)])
@@ -522,7 +538,7 @@ def test_a_rigid_scene_translation_lands_on_the_coarsest_level():
     g, h, corr, _ = make_problem(n=300, levels=3, seed=31)
     shift = np.float32([0.05, -0.02, 0.03])
     corr = Correspondences(np.arange(len(g)), g.positions + shift)
-    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 3)
+    out = fit(g, h, corr, FrameDeformation.zeros(h), 3, ADDITIVE)
     rms = [np.sqrt((ds.translations.astype(np.float64) ** 2).mean()) for ds in out.per_level]
     assert np.abs(out.per_level[0].translations - shift).max() < 1e-6
     assert max(rms[1:]) < 1e-3 * rms[0]
@@ -546,7 +562,7 @@ def test_one_pivot_sweep_recovers_a_rigid_motion_per_cluster():
     assert (np.bincount(h.levels[0].assignment) >= 3).all()
     quats, shifts, targets = rigid_targets(g, h, rng)
     corr = Correspondences(np.arange(len(g)), targets.astype(np.float32))
-    out = fit_frame(g, h, corr, FrameDeformation.zeros(h), 1, CompositionMode.pivot)
+    out = fit(g, h, corr, FrameDeformation.zeros(h), 1, CompositionMode.pivot)
     got_q = motion.level_unit_quats(out.per_level[0].rotations)
     assert np.abs(got_q - quats).max() < 1e-6
     assert np.abs(out.per_level[0].translations - shifts).max() < 1e-6
@@ -557,7 +573,7 @@ def test_a_cluster_of_one_or_two_observed_members_keeps_its_rotation():
     lvl = h.levels[0]
     al = lvl.assignment
     init = random_deltas(h, rng, scale=0.05)
-    moved, _ = motion.deform_rows(g, h, init, CompositionMode.pivot)
+    moved, _ = motion.deform_rows(h, init, motion.gather_rows(g, h, CompositionMode.pivot))
     targets = moved + rng.standard_normal(moved.shape) * 0.002
     # anchor 0 keeps two observed members, anchor 1 one, anchor 2 none
     keep = np.ones(len(g), bool)
@@ -567,8 +583,8 @@ def test_a_cluster_of_one_or_two_observed_members_keeps_its_rotation():
     corr = Correspondences(idx, targets[idx].astype(np.float32))
     mode = CompositionMode.pivot
     zero = FrameDeformation.zeros(h)
-    assert loss_and_gradient(g, h, init, corr, mode)[0] < loss_and_gradient(g, h, zero, corr, mode)[0]
-    out = fit_frame(g, h, corr, init, 3, mode)
+    assert evaluate(g, h, init, corr, mode)[0] < evaluate(g, h, zero, corr, mode)[0]
+    out = fit(g, h, corr, init, 3, mode)
     got, start = out.per_level[0], init.per_level[0]
     assert got.rotations[:3].tobytes() == start.rotations[:3].tobytes()
     assert got.translations[2].tobytes() == start.translations[2].tobytes()
@@ -585,7 +601,7 @@ def test_a_cluster_of_one_or_two_observed_members_keeps_its_rotation():
 def test_densify_nothing_when_converged():
     g, h, _, _ = make_problem()
     corr = Correspondences(np.arange(len(g)), g.positions.copy())
-    sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.05)
+    sources, positions = densify(g, h, FrameDeformation.zeros(h), corr, 0.05, ADDITIVE)
     assert sources.shape == (0,) and positions.shape == (0, 3)
 
 
@@ -594,7 +610,7 @@ def test_densify_single_outlier():
     targets = g.positions.copy()
     targets[7] += np.float32([0.25, 0, 0])  # 5x the threshold
     corr = Correspondences(np.arange(50), targets)
-    sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.05)
+    sources, positions = densify(g, h, FrameDeformation.zeros(h), corr, 0.05, ADDITIVE)
     assert sources.tolist() == [7]
     assert np.array_equal(positions, targets[7:8])
 
@@ -608,7 +624,7 @@ def test_densify_teleporting_points():
     moved = rng.choice(200, size=10, replace=False)
     targets[moved] += np.float32([2.0, 0, 0])
     corr = Correspondences(np.arange(200), targets)
-    sources, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.5)
+    sources, positions = densify(g, h, FrameDeformation.zeros(h), corr, 0.5, ADDITIVE)
     assert sorted(sources.tolist()) == sorted(moved.tolist())
     assert np.array_equal(positions, targets[sources])
 
@@ -623,6 +639,6 @@ def test_densify_returns_its_picks_in_ascending_ordinal_order():
     targets[moved] += np.float32([2.0, 0, 0])
     order = rng.permutation(200)  # rows observed in no particular order
     corr = Correspondences(order, targets[order])
-    ordinals, positions = densify_residuals(g, h, FrameDeformation.zeros(h), corr, 0.5)
+    ordinals, positions = densify(g, h, FrameDeformation.zeros(h), corr, 0.5, ADDITIVE)
     assert ordinals.tolist() == sorted(moved.tolist())
     assert np.array_equal(positions, targets[ordinals])

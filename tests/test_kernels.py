@@ -251,6 +251,14 @@ def test_cell_winners_tie_prefers_lower_index():
         assert list(out_idx) == [0]
 
 
+def test_cell_winners_rejects_a_negative_code():
+    # np.minimum.at would wrap -2 onto cell 3, which no other point holds, and let row 3 win it
+    codes = np.array([4, 0, 4, -2, 1], np.int64)
+    d2 = np.array([0.5, 0.25, 0.75, 0.0, 0.5])
+    with pytest.raises(ValueError, match="cell code -2 at row 3 is negative"):
+        kernels.cell_winners(codes, d2)
+
+
 def test_sum_by_index_matches_oracle_bit_exact(rng):
     values = rng.standard_normal((5000, 3))
     index = rng.integers(0, 37, size=5000).astype(np.int64)

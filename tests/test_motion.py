@@ -68,7 +68,8 @@ def frame_deltas(hierarchy, rng, mode):
 def test_compose_zero_deltas(rng):
     pos = rng.random((50, 3), dtype=np.float32)
     h = hierarchy_for(pos)
-    out = apply_deformation(GaussianSet.from_positions(pos), h, FrameDeformation.zeros(h))
+    out = apply_deformation(GaussianSet.from_positions(pos), h, FrameDeformation.zeros(h),
+                            CompositionMode.additive)
     assert out.positions.tobytes() == pos.tobytes()
 
 
@@ -77,7 +78,8 @@ def test_compose_single_anchor_broadcast(rng):
     h = hierarchy_for(pos, levels=1)
     assert h.anchor_counts() == (1,)
     ds = AnchorDeltaSet(np.float32([[1, 2, 3]]), np.zeros((1, 4), np.float32))
-    out = apply_deformation(GaussianSet.from_positions(pos), h, FrameDeformation([ds]))
+    out = apply_deformation(GaussianSet.from_positions(pos), h, FrameDeformation([ds]),
+                            CompositionMode.additive)
     # one float32 addition, rounded once either way
     assert np.array_equal(out.positions, pos + np.float32([1, 2, 3]))
 
@@ -87,7 +89,7 @@ def test_compose_matches_per_gaussian_loop(rng):
     pos = rng.random((100, 3), dtype=np.float32)
     h = hierarchy_for(pos)
     deltas = translations_per_level(h, rng)
-    out = apply_deformation(GaussianSet.from_positions(pos), h, deltas)
+    out = apply_deformation(GaussianSet.from_positions(pos), h, deltas, CompositionMode.additive)
     for g in range(100):
         want = pos[g].astype(np.float64)
         for lvl, ds in zip(h.levels, deltas.per_level):
@@ -112,7 +114,7 @@ def test_compose_linear_in_deltas(rng):
         [AnchorDeltaSet(2 * a.translations + 4 * b.translations, a.rotations)
          for a, b in zip(d1.per_level, d2.per_level)]
     )
-    moved = lambda d: apply_deformation(g, h, d).positions - pos
+    moved = lambda d: apply_deformation(g, h, d, CompositionMode.additive).positions - pos
     assert np.array_equal(moved(combo), 2 * moved(d1) + 4 * moved(d2))
 
 
@@ -121,7 +123,7 @@ def test_compose_rejects_mismatched_deltas(rng):
     h = hierarchy_for(pos)
     bad = FrameDeformation([AnchorDeltaSet.zeros(lvl.anchor_count + 1) for lvl in h.levels])
     with pytest.raises(ValueError):
-        apply_deformation(GaussianSet.from_positions(pos), h, bad)
+        apply_deformation(GaussianSet.from_positions(pos), h, bad, CompositionMode.additive)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,7 @@ def test_apply_positions_are_the_forward_cast_to_float32(mode):
     h = hierarchy_for(pos)
     assert h.level_count == 3 and min(h.anchor_counts()) > 1
     deltas = frame_deltas(h, rng, mode)
-    forward, _ = deform_rows(g, h, deltas, mode)
+    forward, _ = deform_rows(h, deltas, gather_rows(g, h, mode))
     out = apply_deformation(g, h, deltas, mode)
     assert out.positions.tobytes() == forward.astype(np.float32).tobytes()
 
@@ -150,14 +152,19 @@ def test_forward_of_some_rows_equals_those_rows_of_the_full_forward(mode):
     h = hierarchy_for(pos)
     deltas = frame_deltas(h, rng, mode)
     rows = rng.choice(400, size=57, replace=False)
-    full, full_rotations = deform_rows(g, h, deltas, mode)
-    some, some_rotations = deform_rows(g, h, deltas, mode, rows)
-    assert some.tobytes() == full[rows].tobytes()
-    if mode == CompositionMode.additive:
-        assert full_rotations is None and some_rotations is None
-        return
-    for a, b in zip(full_rotations, some_rotations, strict=True):
-        assert a[:, rows].tobytes() == b.tobytes()
+    full, full_rotations = deform_rows(h, deltas, gather_rows(g, h, mode))
+    gathered = gather_rows(g, h, mode, rows)
+    before = [a.copy() for a in [gathered.positions, *gathered.members, *(gathered.centers or [])]]
+    for _ in range(2):  # a walk leaves the gathered arrays as it found them
+        some, some_rotations = deform_rows(h, deltas, gathered)
+        assert some.tobytes() == full[rows].tobytes()
+        if mode == CompositionMode.additive:
+            assert full_rotations is None and some_rotations is None
+            continue
+        for a, b in zip(full_rotations, some_rotations, strict=True):
+            assert a[:, rows].tobytes() == b.tobytes()
+    after = [gathered.positions, *gathered.members, *(gathered.centers or [])]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after, strict=True))
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
@@ -174,7 +181,7 @@ def test_forward_layout_contract(mode):
         y[:, 0] += 1.0
         units.append((y / np.linalg.norm(y, axis=1, keepdims=True))[lvl.assignment])
     for picked, r in ((None, 500), (rows, 71)):
-        out, rotations = deform_rows(g, h, deltas, mode, picked)
+        out, rotations = deform_rows(h, deltas, gather_rows(g, h, mode, picked))
         # row-major positions in both modes: the loss and the residuals reduce them as such
         assert out.shape == (r, 3) and out.dtype == np.float64 and out.flags.c_contiguous
         if mode == CompositionMode.additive:
@@ -195,29 +202,6 @@ def test_forward_layout_contract(mode):
         orient = quat_multiply(unit, orient)
     want = quat_normalize(orient).astype(np.float32)
     assert apply_deformation(g, h, deltas, mode).orientations.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
-def test_forward_of_gathered_rows_equals_the_forward_of_their_indices(mode):
-    rng = np.random.default_rng(31)
-    pos = rng.random((400, 3), dtype=np.float32)
-    g = GaussianSet.from_positions(pos)
-    h = hierarchy_for(pos)
-    deltas = frame_deltas(h, rng, mode)
-    rows = rng.choice(400, size=90, replace=False)
-    gathered = gather_rows(g, h, mode, rows)
-    want, want_rotations = deform_rows(g, h, deltas, mode, rows)
-    before = [a.copy() for a in [gathered.positions, *gathered.members, *(gathered.centers or [])]]
-    for _ in range(2):  # a walk leaves the gathered arrays as it found them
-        got, got_rotations = deform_rows(g, h, deltas, mode, gathered)
-        assert got.tobytes() == want.tobytes()
-        if mode == CompositionMode.additive:
-            assert got_rotations is None and want_rotations is None
-            continue
-        for a, b in zip(got_rotations, want_rotations, strict=True):
-            assert a.tobytes() == b.tobytes()
-    after = [gathered.positions, *gathered.members, *(gathered.centers or [])]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +251,7 @@ def test_apply_additive_pure_translation(rng):
     g = GaussianSet.from_positions(pos)
     h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=Fraction(1, 25)))
     assert h.anchor_counts() == (1,)
-    out = apply_deformation(g, h, translations_only([[0, 0, 1]]))
+    out = apply_deformation(g, h, translations_only([[0, 0, 1]]), CompositionMode.additive)
     assert np.array_equal(out.positions, pos + np.float32([0, 0, 1]))
     assert np.array_equal(out.orientations, g.orientations)
 
@@ -296,8 +280,8 @@ def test_apply_additive_round_trip_within_ulp(rng):
     g = GaussianSet.from_positions(pos)
     h = own_anchor_hierarchy(pos)
     dmu = rng.standard_normal((50, 3)).astype(np.float32) * 0.2
-    there = apply_deformation(g, h, translations_only(dmu))
-    back = apply_deformation(there, h, translations_only(-dmu))
+    there = apply_deformation(g, h, translations_only(dmu), CompositionMode.additive)
+    back = apply_deformation(there, h, translations_only(-dmu), CompositionMode.additive)
     ulp = np.spacing(np.abs(pos) + np.abs(dmu))
     assert (np.abs(back.positions - pos) <= ulp).all()
 

@@ -45,7 +45,7 @@ from anchorstream import (
     validate_state,
     write_gaussian_ply,
 )
-from anchorstream import cli, session
+from anchorstream import cli, fitting, session
 from anchorstream.cli import main
 from anchorstream.hierarchy import level_caps
 from anchorstream.session import StaticSource, SyntheticSource
@@ -279,9 +279,9 @@ def test_each_fit_starts_from_the_previous_frames_deltas(mode, monkeypatch):
     starts, inherited = [], []
     fit, inherit = session.fit_frame, session.inherit_deformation
 
-    def recording_fit(gaussians, hierarchy, corr, init, *rest):
+    def recording_fit(hierarchy, corr, init, *rest):
         starts.append([(ds.translations.copy(), ds.rotations.copy()) for ds in init.per_level])
-        return fit(gaussians, hierarchy, corr, init, *rest)
+        return fit(hierarchy, corr, init, *rest)
 
     def recording_inherit(legacy, neighbor_map):
         inherited.append(inherit(legacy, neighbor_map))
@@ -309,6 +309,21 @@ def test_each_fit_starts_from_the_previous_frames_deltas(mode, monkeypatch):
             assert t.tobytes() == ds.translations.tobytes(), frame
             assert q.tobytes() == ds.rotations.tobytes(), frame
     assert any(t.any() for t, _ in starts[1])  # a warm start, not zeros
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_each_step_gathers_the_observed_rows_once(mode, monkeypatch):
+    gathers, gather = [], fitting.gather_rows
+    monkeypatch.setattr(fitting, "gather_rows", lambda *args: gathers.append(args) or gather(*args))
+    base, source = session_inputs(small_arm(frames=4))
+    config = StreamConfig(reconfig_period=2, composition_mode=mode, phase1_steps=5,
+                          phase2_steps=1)
+    encoder = Encoder(base, config)
+    for t in range(1, 4):  # frame 2 rebuilds the hierarchy
+        gathers.clear()
+        encoder.step(source.correspondences(t))
+        # the fit's evaluations, the densify residuals and the frame's loss share it
+        assert len(gathers) == 1, t
 
 
 def test_header_only_stream_decodes_to_frame_zero():
