@@ -124,8 +124,8 @@ class Correspondences:
         negative = self.indices[self.indices < 0]
         if negative.size:  # numpy would wrap it onto a gaussian counted from the end
             raise ValueError(f"correspondence index {negative[0]} is negative")
-        bad = np.flatnonzero(~np.isfinite(self.targets).all(axis=1))
-        if bad.size:
+        if not np.isfinite(self.targets).all():  # one flat pass; rows only to name the first
+            bad = np.flatnonzero(~np.isfinite(self.targets).all(axis=1))
             raise ValueError(f"correspondence target at row {bad[0]} is not finite")
 
     def __len__(self) -> int:

@@ -81,8 +81,15 @@ def _as_positions(gaussians) -> np.ndarray:
     return np.asarray(gaussians, dtype=np.float32)
 
 
-def _cell_geometry(positions64: np.ndarray, m: int):
+def _cell_geometry(axes64: np.ndarray, m: int):
     """Cell codes and squared center distances for every point.
+
+    ``axes64`` is axis-major, (3, N) float64 and C-ordered: numpy reduces an
+    (N, 3) array along axis 0 far slower than each contiguous row of its
+    (3, N) copy, and a column of the row-major layout is a strided view.
+    Bounds, codes and distances are those of the same points read
+    row-major, term for term, up to the sign of a zero bound when +0.0 and
+    -0.0 tie for an extreme; codes and distances never depend on that sign.
 
     Degenerate axes (zero extent) collapse to a single cell so no division by
     zero occurs; points then share index 0 on that axis, sit on its center
@@ -90,19 +97,19 @@ def _cell_geometry(positions64: np.ndarray, m: int):
     per-axis terms as ``(x + y) + z``, the order of numpy's ``.sum(axis=1)``
     over three columns.
     """
-    bmin = positions64.min(axis=0)
-    bmax = positions64.max(axis=0)
+    bmin = axes64.min(axis=1)
+    bmax = axes64.max(axis=1)
     delta = bmax - bmin
-    codes = np.zeros(positions64.shape[0], dtype=np.int64)
-    d2 = np.zeros(positions64.shape[0])
+    codes = np.zeros(axes64.shape[1], dtype=np.int64)
+    d2 = np.zeros(axes64.shape[1])
     for axis in range(3):
         codes *= m
         if delta[axis] > 0:
-            col = positions64[:, axis]
-            scaled = (col - bmin[axis]) * (m / delta[axis])
+            row = axes64[axis]
+            scaled = (row - bmin[axis]) * (m / delta[axis])
             idx = np.clip(np.floor(scaled).astype(np.int64), 0, m - 1)
             codes += idx
-            diff = col - (bmin[axis] + (idx + 0.5) * (delta[axis] / m))
+            diff = row - (bmin[axis] + (idx + 0.5) * (delta[axis] / m))
             d2 += diff * diff
     return bmin, bmax, codes, d2
 
@@ -122,8 +129,7 @@ def sample_anchors(positions, n_anchor: int, level: int = 1) -> LevelStructure:
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
     m = grid_resolution(n_anchor)
-    pos64 = pos.astype(np.float64)
-    bmin, bmax, codes, d2 = _cell_geometry(pos64, m)
+    bmin, bmax, codes, d2 = _cell_geometry(np.ascontiguousarray(pos.T, np.float64), m)
     _, winners = kernels.cell_winners(codes, d2)
     return LevelStructure(
         level=level,

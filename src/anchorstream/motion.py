@@ -367,11 +367,13 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     """Deform all gaussians by one frame's deltas; appearance stays frozen.
 
     Positions are :func:`deform_rows` of every row, gathered here in
-    ``mode``, cast to float32. Additive mode copies every other column
-    unchanged; a nonzero rotation increment raises ``ValueError``, since
-    additive frames carry none. Pivot mode also composes each orientation
-    with the row's rotation at every level, coarse level first, by
-    quaternion multiplication.
+    ``mode``, cast to float32. The frozen columns (scales, opacities, sh)
+    are not copied: the result shares the input's arrays, which a session
+    holds read-only, so no frame can change them. Additive mode copies the
+    orientations unchanged; a nonzero rotation increment raises
+    ``ValueError``, since additive frames carry none. Pivot mode composes
+    each orientation with the row's rotation at every level, coarse level
+    first, by quaternion multiplication.
     """
     if mode == CompositionMode.additive and any(ds.rotations.any() for ds in deltas.per_level):
         raise ValueError("additive deformations carry no rotations, but one is nonzero")
@@ -383,13 +385,8 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
         orientations = quat_normalize(orient).astype(np.float32)
     else:
         orientations = gaussians.orientations.copy()
-    return GaussianSet(
-        pos.astype(np.float32),
-        gaussians.scales.copy(),
-        orientations,
-        gaussians.opacities.copy(),
-        gaussians.sh.copy(),
-    )
+    return GaussianSet(pos.astype(np.float32), gaussians.scales, orientations,
+                       gaussians.opacities, gaussians.sh)
 
 
 # ---------------------------------------------------------------------------

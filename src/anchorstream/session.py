@@ -16,6 +16,15 @@ joins, per level, the cluster of its L1-nearest anchor by the same
 deterministic rule on both sides, so stream payloads never carry anchor
 indices. Nothing is appended, so the gaussian count stays the frame-0 count
 and every build of a session sizes its grids for the same finest target.
+
+No frame changes a gaussian's scales, opacities or SH coefficients: the
+frozen columns. Each session copies frame 0 once and marks its frozen
+columns read-only, and every later state shares those arrays
+(:func:`motion.apply_deformation`). The state checksum is SHA-256 over the
+raw C-order float32 bytes of scales ‖ opacities ‖ sh ‖ frame index (u64,
+little-endian) ‖ positions ‖ orientations. The frozen columns come first,
+so a session hashes them once and each frame copies that hasher and adds
+its 28 bytes per gaussian, not all 92. Every state byte is still hashed.
 """
 
 from __future__ import annotations
@@ -38,13 +47,39 @@ from .synth import GeneratedScene
 from .types import CompositionMode, GaussianSet, SceneState, StreamConfig
 
 
-def state_checksum(state: SceneState) -> str:
-    """SHA-256 over the raw float32 state columns plus the frame index."""
+def _frozen_prefix(gaussians: GaussianSet):
+    """A ``hashlib.sha256()`` fed scales ‖ opacities ‖ sh: every session checksum's prefix."""
     digest = hashlib.sha256()
+    for col in gaussians.frozen_columns():
+        digest.update(np.ascontiguousarray(col))
+    return digest
+
+
+def state_checksum(state: SceneState, frozen=None) -> str:
+    """SHA-256 over the state, frozen columns first.
+
+    The bytes are scales ‖ opacities ‖ sh ‖ frame index (u64, little-endian)
+    ‖ positions ‖ orientations, each column its raw C-order float32 bytes,
+    fed to the hasher without a copy. The frozen columns, which no frame
+    changes, come first, so their hash is a prefix a session computes once:
+    ``frozen`` is a hasher already fed this state's frozen columns
+    (:func:`_frozen_prefix`), copied here and never updated. Without it the
+    prefix is built from the state's own columns, to the same digest.
+    """
+    gaussians = state.gaussians
+    digest = _frozen_prefix(gaussians) if frozen is None else frozen.copy()
     digest.update(state.frame_index.to_bytes(8, "little"))
-    for arr in state.gaussians.attribute_arrays():
-        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(np.ascontiguousarray(gaussians.positions))
+    digest.update(np.ascontiguousarray(gaussians.orientations))
     return digest.hexdigest()
+
+
+def _session_copy(base: GaussianSet) -> GaussianSet:
+    """A session's own copy of frame 0, its frozen columns read-only."""
+    gaussians = base.copy()
+    for col in gaussians.frozen_columns():
+        col.flags.writeable = False
+    return gaussians
 
 
 class MotionSource(Protocol):
@@ -109,13 +144,16 @@ class FrameMetrics:
 
 
 def _frame_row(header: StreamHeader, payload: codec.FramePayload, size: int, state: SceneState,
-               loss: float = math.nan, mean_error: float = math.nan) -> FrameMetrics:
-    """The metrics row of a parsed frame of ``size`` bytes, built alike by encoder and decoder."""
+               frozen, loss: float = math.nan, mean_error: float = math.nan) -> FrameMetrics:
+    """The metrics row of a parsed frame of ``size`` bytes, built alike by encoder and decoder.
+
+    ``frozen`` is the session's :func:`_frozen_prefix`.
+    """
     frame, counts = payload.frame_index, payload.realized_counts
     return FrameMetrics(
         frame, loss, mean_error, size,
         *codec.frame_byte_split(counts, len(payload.deltas.relocation_ordinals), header.config),
-        counts, header.reconfigures_at(frame), state_checksum(state))
+        counts, header.reconfigures_at(frame), state_checksum(state, frozen))
 
 
 @dataclass
@@ -219,8 +257,9 @@ class Encoder:
         if budget_bytes is not None:
             config = codec.plan_budget(len(base), budget_bytes, config)
         self.header = StreamHeader(config, len(base))
-        self.state = SceneState(base.copy(), build_hierarchy(base, config), 0)
+        self.state = SceneState(_session_copy(base), build_hierarchy(base, config), 0)
         self.prev_deltas: Optional[FrameDeformation] = None
+        self._frozen = _frozen_prefix(self.state.gaussians)
 
     def step(self, corr: Correspondences) -> tuple[bytes, FrameMetrics]:
         """Encode frame ``state.frame_index + 1`` against ``corr``: its bytes and its row.
@@ -257,7 +296,7 @@ class Encoder:
         data, payload = codec.quantize_roundtrip(t, frame_def, hierarchy, header)
         self.state = _advance_state(state, payload, hierarchy, config.composition_mode)
         self.prev_deltas = FrameDeformation(payload.deltas.per_level)
-        return data, _frame_row(header, payload, len(data), self.state, loss,
+        return data, _frame_row(header, payload, len(data), self.state, self._frozen, loss,
                                 _mean_position_error(self.state, corr))
 
 
@@ -305,7 +344,7 @@ def _start_decode(base: GaussianSet, stream: bytes) -> tuple[StreamHeader, Scene
             f"{header.gaussian_count_initial}"
         )
     hierarchy = build_hierarchy(base, header.config)
-    return header, SceneState(base.copy(), hierarchy, 0)
+    return header, SceneState(_session_copy(base), hierarchy, 0)
 
 
 def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
@@ -314,9 +353,9 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
 
     Each frame goes through the encoder's apply step, :func:`_advance_state`.
     A :class:`NumericalError` it raises, which no encoder writes, is a
-    :class:`StreamFormatError` here.
+    :class:`StreamFormatError` here. The frozen columns are hashed once, here.
     """
-    config = header.config
+    config, frozen = header.config, _frozen_prefix(state.gaussians)
     for payload, size in codec.iter_frames(stream, header):
         hierarchy = state.hierarchy
         if header.reconfigures_at(payload.frame_index):
@@ -327,7 +366,7 @@ def _decode_frames(stream: bytes, header: StreamHeader, state: SceneState
             state = _advance_state(state, payload, hierarchy, config.composition_mode)
         except NumericalError as exc:
             raise StreamFormatError(str(exc)) from exc
-        yield _frame_row(header, payload, size, state), state
+        yield _frame_row(header, payload, size, state, frozen), state
 
 
 def iter_decode_metrics(base: GaussianSet, stream: bytes

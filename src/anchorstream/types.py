@@ -59,6 +59,11 @@ class GaussianSet:
     scaling matrix in linear units (not log-space); ``orientations`` (N, 4),
     unit quaternions (w, x, y, z); ``opacities`` (N,); and ``sh`` (N, 12),
     the degree-1 coefficients. The row order is the canonical stream order.
+
+    No frame changes ``scales``, ``opacities`` or ``sh``, the frozen
+    columns (:meth:`frozen_columns`). A session marks its frame-0 copies of
+    them read-only, and every state it advances shares those same arrays
+    rather than copying them (:func:`anchorstream.motion.apply_deformation`).
     """
 
     __slots__ = ("positions", "scales", "orientations", "opacities", "sh")
@@ -92,6 +97,10 @@ class GaussianSet:
             self.opacities.copy(),
             self.sh.copy(),
         )
+
+    def frozen_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``scales``, ``opacities`` and ``sh``, in the order a state checksum hashes them."""
+        return (self.scales, self.opacities, self.sh)
 
     def attribute_arrays(self) -> tuple[np.ndarray, ...]:
         """All column arrays in fixed order (used for digests and serialization)."""

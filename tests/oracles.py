@@ -101,6 +101,29 @@ def add_at_sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np
     return out
 
 
+def rowmajor_cell_geometry(positions64: np.ndarray, m: int):
+    """The former ``hierarchy._cell_geometry``, on (N, 3) row-major positions.
+
+    Bounds by ``min``/``max`` over axis 0; codes and squared center
+    distances from strided columns, added per axis as ``(x + y) + z``.
+    """
+    bmin = positions64.min(axis=0)
+    bmax = positions64.max(axis=0)
+    delta = bmax - bmin
+    codes = np.zeros(positions64.shape[0], dtype=np.int64)
+    d2 = np.zeros(positions64.shape[0])
+    for axis in range(3):
+        codes *= m
+        if delta[axis] > 0:
+            col = positions64[:, axis]
+            scaled = (col - bmin[axis]) * (m / delta[axis])
+            idx = np.clip(np.floor(scaled).astype(np.int64), 0, m - 1)
+            codes += idx
+            diff = col - (bmin[axis] + (idx + 0.5) * (delta[axis] / m))
+            d2 += diff * diff
+    return bmin, bmax, codes, d2
+
+
 def cross_rotate(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """R(q) u for unit quaternions, via the vector form of the rotation."""
     w = q[:, :1]

@@ -13,9 +13,15 @@ from anchorstream import (
     rehierarchize,
     sample_anchors,
 )
+from anchorstream import hierarchy
 from anchorstream.hierarchy import level_caps, level_targets, nearest_legacy_anchors
 
-from oracles import brute_force_sample_anchors, exhaustive_knn3, exhaustive_l1_assign
+from oracles import (
+    brute_force_sample_anchors,
+    exhaustive_knn3,
+    exhaustive_l1_assign,
+    rowmajor_cell_geometry,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +117,44 @@ def test_sample_anchors_permutation_invariant_points(rng):
     chosen = {tuple(pos[i]) for i in lvl.anchor_indices}
     chosen_p = {tuple(pos[perm][i]) for i in lvl_p.anchor_indices}
     assert chosen == chosen_p
+
+
+def cell_geometry_cases():
+    rng = np.random.default_rng(29)
+    uniform = rng.random((2000, 3), dtype=np.float32)
+    flat = uniform.copy()
+    flat[:, 1] = 0.25  # zero extent on y
+    far = (rng.random((2000, 3)) * 0.5 + 1e6).astype(np.float32)  # 1e6 offsets, coarse float32
+    wide = np.zeros((2000, 9), np.float32)
+    wide[:, ::3] = uniform  # a strided, non-contiguous (2000, 3) view
+    clustered = np.repeat(uniform[:50], 40, axis=0)  # exact ties on every center distance
+    return {"uniform": uniform, "zero_extent_axis": flat, "offset_1e6": far,
+            "strided_view": wide[:, ::3], "clustered": clustered}
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 40])
+@pytest.mark.parametrize("case", list(cell_geometry_cases()))
+def test_axis_major_cell_geometry_matches_the_row_major_one_bit_for_bit(case, m):
+    pos = cell_geometry_cases()[case]
+    if case == "strided_view":
+        assert not pos.flags.c_contiguous
+    want = rowmajor_cell_geometry(pos.astype(np.float64), m)
+    got = hierarchy._cell_geometry(np.ascontiguousarray(pos.T, np.float64), m)
+    for name, g, w in zip(("bmin", "bmax", "codes", "d2"), got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    lvl = sample_anchors(pos, m**3, 1)
+    assert lvl.bounds_min.tobytes() == want[0].astype(np.float32).tobytes()
+    assert np.array_equal(lvl.anchor_indices, brute_force_sample_anchors(pos, m**3))
+
+
+def test_a_signed_zero_tie_moves_no_cell_code_or_distance():
+    rng = np.random.default_rng(31)
+    pos = rng.choice(np.float32([-0.0, 0.0, 0.5, 1.0]), size=(500, 3))
+    pos[::7, 0] = -1.0  # x spans [-1, 1]; y and z have +0.0 and -0.0 tied at the minimum
+    want = rowmajor_cell_geometry(pos.astype(np.float64), 5)
+    got = hierarchy._cell_geometry(np.ascontiguousarray(pos.T, np.float64), 5)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2].tobytes() == want[2].tobytes() and got[3].tobytes() == want[3].tobytes()
 
 
 def test_sample_anchors_rejects_empty_and_nonfinite():

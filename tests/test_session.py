@@ -7,6 +7,7 @@ reaches the encoder's state checksum at every frame.
 import ast
 import copy
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -484,15 +485,21 @@ def test_relocations_overwrite_positions_and_reassign_their_clusters():
     assert moved > 0
 
 
-@pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
-def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantization):
-    _, source = session_inputs(small_arm(point_scale=0.5))
-    rng = np.random.default_rng(5)
+def ply_style_inputs(spec, seed):
+    """``spec``'s scene with random appearance, so every frozen column holds distinct values."""
+    _, source = session_inputs(spec)
+    rng = np.random.default_rng(seed)
     n = source.scene.point_count
     q = rng.standard_normal((n, 4))
     base = GaussianSet(source.scene.positions[0], rng.uniform(0.01, 0.2, (n, 3)),
                        q / np.linalg.norm(q, axis=1, keepdims=True),
                        rng.uniform(0.0, 1.0, n), rng.standard_normal((n, 12)))
+    return base, source
+
+
+@pytest.mark.parametrize("quantization", list(Quantization), ids=lambda q: q.name)
+def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantization):
+    base, source = ply_style_inputs(small_arm(point_scale=0.5), 5)
     config = StreamConfig(reconfig_period=3, quantization=quantization, phase1_steps=20,
                           densify_threshold=0.01)
     enc = encode_session(base, source, config)
@@ -502,6 +509,84 @@ def test_additive_session_keeps_the_appearance_of_ply_style_gaussians(quantizati
             assert got.tobytes() == want.tobytes(), f"frame {m.frame_index}"
         assert state_checksum(state) == m.checksum
     assert any(m.relocation_bytes for m in enc.metrics)
+
+
+def rebuilding_config(mode):
+    """Rebuilds on frames 2 and 4 of a 6-frame small arm, and relocates on frames 1 and 2."""
+    return StreamConfig(reconfig_period=2, quantization=Quantization.full32,
+                        composition_mode=mode, phase1_steps=5, densify_threshold=0.003)
+
+
+def documented_checksum(state):
+    """SHA-256 of scales, opacities, sh, the u64 LE frame index, positions, orientations."""
+    g = state.gaussians
+    digest = hashlib.sha256()
+    for col in (g.scales, g.opacities, g.sh):
+        digest.update(col.tobytes())
+    digest.update(struct.pack("<Q", state.frame_index))
+    for col in (g.positions, g.orientations):
+        digest.update(col.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_every_rows_checksum_hashes_the_documented_bytes_on_both_sides(mode):
+    base, source = ply_style_inputs(small_arm(frames=6), 7)
+    config = rebuilding_config(mode)
+    enc = encode_session(base, source, config)
+    assert sum(m.reconfig for m in enc.metrics) == 2
+    assert sum(m.relocation_bytes > 0 for m in enc.metrics) >= 2
+    encoder = Encoder(base, config)
+    for t, want in enumerate(enc.metrics, start=1):
+        _, row = encoder.step(source.correspondences(t))
+        assert row == want
+        assert row.checksum == documented_checksum(encoder.state), f"encoder frame {t}"
+    decoded = iter_decode_metrics(base, enc.stream)
+    for (row, state), want in zip(decoded, enc.metrics, strict=True):
+        assert row.checksum == want.checksum == documented_checksum(state), \
+            f"decoder frame {row.frame_index}"
+
+
+@pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
+def test_every_frame_shares_the_sessions_read_only_frozen_columns(mode):
+    base, source = ply_style_inputs(small_arm(frames=6), 7)
+    config = rebuilding_config(mode)
+    want = [col.copy() for col in base.frozen_columns()]
+    stream = encode_session(base, source, config).stream
+    encoder = Encoder(base, config)
+    header, dec_state = session._start_decode(base, stream)
+    enc_frozen = encoder.state.gaussians.frozen_columns()
+    dec_frozen = dec_state.gaussians.frozen_columns()
+    decoded = session._decode_frames(stream, header, dec_state)
+    for t in range(1, source.frame_count):
+        encoder.step(source.correspondences(t))
+        _, dec_state = next(decoded)
+        for side, g, frozen in (("encoder", encoder.state.gaussians, enc_frozen),
+                                ("decoder", dec_state.gaussians, dec_frozen)):
+            assert all(a is b for a, b in zip(g.frozen_columns(), frozen)), f"{side} frame {t}"
+    for enc_col, dec_col, col, before in zip(enc_frozen, dec_frozen, base.frozen_columns(), want):
+        assert enc_col.tobytes() == dec_col.tobytes() == before.tobytes()
+        for frozen_col in (enc_col, dec_col):
+            assert not frozen_col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frozen_col[0] = 1.0
+            assert not np.shares_memory(col, frozen_col)
+        col[0] = 1.0  # the caller's base stays writable
+    # and writing it leaves the session's copies as they were
+    assert [col.tobytes() for col in enc_frozen] == [col.tobytes() for col in want]
+
+
+def test_a_frame0_whose_scale_differs_in_one_gaussian_decodes_to_other_checksums():
+    base, source = ply_style_inputs(small_arm(frames=6), 7)
+    enc = encode_session(base, source, rebuilding_config(CompositionMode.additive))
+    other = base.copy()
+    other.scales[17, 1] = np.nextafter(other.scales[17, 1], np.float32(1))
+    decoded = iter_decode_metrics(other, enc.stream)
+    for (row, state), want in zip(decoded, enc.metrics, strict=True):
+        # the positions mirror the encoder's; only the frozen prefix of the checksum differs
+        assert row.checksum != want.checksum, f"frame {want.frame_index}"
+        assert row.checksum == documented_checksum(state)
+    assert state.gaussians.positions.tobytes() == enc.state.gaussians.positions.tobytes()
 
 
 def test_bad_relocation_record_fails_naming_the_frame_before_the_state_changes():
