@@ -54,13 +54,24 @@ differences in the test suite.
 
 Each encoded frame plans its evaluations once: :func:`observed_rows`
 checks the correspondences and the anchor ordinals against the state and
-gathers the observed rows (:func:`anchorstream.motion.gather_rows`).
+gathers the observed rows (:func:`anchorstream.motion.gather_rows`), with
+their targets cast once to axis-major float64.
 :func:`fit_frame`, :func:`densify_residuals` and :func:`loss_and_gradient`
 take that plan and neither check nor gather; the composition mode reaches
 them only through it, as pivot centers held or not. A fit adds each
 anchor's member counts and, in additive mode, the co-membership counts.
 A sweep solves in float64, and its ``AnchorDeltaSet`` per level rounds
 each delta to float32 and checks it finite.
+
+The evaluations work axis-major, as the walk does: residuals, their
+gradients and their norms are (3, R) arrays read one contiguous row per
+axis, and :func:`anchorstream.kernels.sum_by_index` adds each row into its
+buckets with one bincount. Each element sees the operations of the
+row-major form in the same order, so the bits are the same. The loss is a
+sum over all elements, whose order numpy fixes by the memory layout, so it
+alone interleaves the residual back into (R, 3) first. :func:`residual_norms`
+spells out the row norm ``np.linalg.norm(r, axis=1)`` as
+``sqrt((x * x + y * y) + z * z)``, the order of that row reduction.
 """
 
 from __future__ import annotations
@@ -140,6 +151,7 @@ def observed_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Corr
     count; otherwise ``ValueError`` says so, naming the first index past the
     count. Every gaussian's anchor ordinal must lie among its level's
     anchors; otherwise ``ValueError`` names the first level that fails.
+    The plan holds the targets as axis-major (3, C) float64.
     """
     if len(corr) == 0:
         raise ValueError("correspondences must be non-empty")
@@ -152,7 +164,22 @@ def observed_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, corr: Corr
         if al.size and (al.min() < 0 or al.max() >= lvl.anchor_count):
             raise ValueError(f"level {lvl.level}: an anchor ordinal is outside "
                              f"[0, {lvl.anchor_count})")
-    return gather_rows(gaussians, hierarchy, mode, corr.indices)
+    rows = gather_rows(gaussians, hierarchy, mode, corr.indices)
+    return rows._replace(targets=corr.targets.T.astype(np.float64, order="C"))
+
+
+def residual_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of axis-major (3, R) float64 ``r``.
+
+    ``sqrt((x * x + y * y) + z * z)``, bit for bit ``np.linalg.norm`` of the
+    (R, 3) rows: that adds the three squares left to right, and a square is
+    never -0.0, so starting from +0.0 changes nothing.
+    """
+    x, y, z = r
+    out = x * x
+    out += y * y
+    out += z * z
+    return np.sqrt(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +201,16 @@ def loss_and_gradient(hierarchy: AnchorHierarchy, deltas: FrameDeformation,
     weighs and once per sweep, and the benchmark harness counts the fit's
     evaluations by this name, so it keeps the name in both modes.
     """
-    pos, _ = deform_rows(hierarchy, deltas, rows)
-    r = pos - corr.targets.astype(np.float64)
+    r, _ = deform_rows(hierarchy, deltas, rows)
+    r -= rows.targets
     c = len(corr)
-    loss = float((r * r).sum() / c)
+    squares = np.stack(r, axis=1)  # the (R, 3) layout fixes the sum's order
+    squares *= squares
+    loss = float(squares.sum() / c)
     if rows.centers is not None:
         return loss, None
-    g = (2.0 / c) * r
-    return loss, [sum_by_index(g, al, lvl.anchor_count)
+    r *= 2.0 / c
+    return loss, [sum_by_index(r, al, lvl.anchor_count).T
                   for al, lvl in zip(rows.members, hierarchy.levels)]
 
 
@@ -258,10 +287,10 @@ def _horn_solve(u: np.ndarray, v: np.ndarray, members: np.ndarray, count: np.nda
     anchor with no rows keeps its translation in ``t``.
     """
     a = count.shape[0]
-    means = sum_by_index(np.concatenate([u, v]).T, members, a) / np.maximum(count, 1)[:, None]
-    u = u - np.take(means[:, :3].T, members, axis=1)
-    v = v - np.take(means[:, 3:].T, members, axis=1)
-    s = sum_by_index((u[:, None] * v[None]).reshape(9, -1).T, members, a).T.reshape(3, 3, a)
+    means = sum_by_index(np.concatenate([u, v]), members, a) / np.maximum(count, 1)
+    u = u - np.take(means[:3], members, axis=1)
+    v = v - np.take(means[3:], members, axis=1)
+    s = sum_by_index((u[:, None] * v[None]).reshape(9, -1), members, a).reshape(3, 3, a)
     (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = s
     horn = np.array([
         [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
@@ -275,12 +304,12 @@ def _horn_solve(u: np.ndarray, v: np.ndarray, members: np.ndarray, count: np.nda
     q[solved, 0] -= 1.0
     q = q.astype(np.float32).astype(np.float64)
     unit = np.ascontiguousarray(level_unit_quats(q).T)
-    turned = _rotate(unit[1:], np.ascontiguousarray(means[:, :3].T), *_rotation_terms(unit))
-    return np.where((count > 0)[:, None], means[:, 3:] - turned.T, t), q
+    turned = _rotate(unit[1:], means[:3], *_rotation_terms(unit))
+    return np.where((count > 0)[:, None], (means[3:] - turned).T, t), q
 
 
-def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.ndarray):
-    """Plan the pivot sweep for gathered ``rows`` observed at ``targets`` (R, 3).
+def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows):
+    """Plan the pivot sweep for ``rows`` planned by :func:`observed_rows`.
 
     The finer levels, held at their deltas, move each row by a rigid map
     y -> Ay + b, so the sweep first maps the targets back through them,
@@ -290,12 +319,11 @@ def _pivot_sweep(hierarchy: AnchorHierarchy, rows: GatheredRows, targets: np.nda
     :func:`anchorstream.motion.level_step`, the forward's own step, with
     the translations as solved; only the returned deltas are rounded.
     """
-    targets = np.ascontiguousarray(targets.T, dtype=np.float64)
     counts = [np.bincount(al, minlength=lvl.anchor_count)
               for al, lvl in zip(rows.members, hierarchy.levels)]
 
     def sweep(x: FrameDeformation, _) -> FrameDeformation:
-        levels, mapped = x.per_level, [targets]
+        levels, mapped = x.per_level, [rows.targets]
         for ds, al, centers in zip(levels[:0:-1], rows.members[:0:-1], rows.centers[:0:-1]):
             member_q, scale, two_w = member_rotations(ds.rotations, al)
             y = mapped[-1] - centers
@@ -340,7 +368,7 @@ def fit_frame(hierarchy: AnchorHierarchy, corr: Correspondences, init: FrameDefo
     if rows.centers is None:
         sweep = _additive_sweep(hierarchy, rows.members, len(corr))
     else:
-        sweep = _pivot_sweep(hierarchy, rows, corr.targets)
+        sweep = _pivot_sweep(hierarchy, rows)
 
     def evaluate(deltas):
         return loss_and_gradient(hierarchy, deltas, corr, rows)
@@ -379,7 +407,8 @@ def densify_residuals(hierarchy: AnchorHierarchy, deltas: FrameDeformation,
     every observed point already has a gaussian.
     """
     pos, _ = deform_rows(hierarchy, deltas, rows)
-    residual = np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1)
+    pos -= rows.targets
+    residual = residual_norms(pos)
     picked = np.nonzero(residual > threshold)[0]
     picked = picked[np.argsort(corr.indices[picked])]  # indices are unique
     return corr.indices[picked], corr.targets[picked]

@@ -194,25 +194,17 @@ def build_hierarchy(gaussians, config: StreamConfig) -> AnchorHierarchy:
     return AnchorHierarchy(levels=levels)
 
 
-def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarray) -> np.ndarray:
-    """Ordinals of the 3 nearest legacy anchors for each new anchor.
+def _dense_nearest_legacy(new_axes: np.ndarray, leg_axes: np.ndarray) -> np.ndarray:
+    """:func:`nearest_legacy_anchors` by measuring every pair, on axis-major float64 input.
 
-    Euclidean metric, ties broken by the lower ordinal. When fewer than three
-    legacy anchors exist, all are recorded and the nearest repeats to fill the
-    triple. Squared distances are taken in chunks of new anchors, and each
-    chunk makes k = min(3, A_legacy) rounds of ``argmin`` per row: ``argmin``
+    Squared distances are taken in chunks of new anchors, and each chunk
+    makes k = min(3, A_legacy) rounds of ``argmin`` per row: ``argmin``
     returns the first minimum, the lowest ordinal on a tie, and each pick's
     distance is set to inf before the next round.
     """
-    new64 = np.asarray(new_positions, np.float64)
-    leg64 = np.asarray(legacy_positions, np.float64)
-    a_new, a_leg = new64.shape[0], leg64.shape[0]
-    if a_leg == 0:
-        raise ValueError("legacy level has no anchors")
+    a_new, a_leg = new_axes.shape[1], leg_axes.shape[1]
     k = min(3, a_leg)
     out = np.empty((a_new, 3), dtype=np.int64)
-    new_axes = np.ascontiguousarray(new64.T)
-    leg_axes = np.ascontiguousarray(leg64.T)
     # chunk so each (chunk, A_legacy) temporary stays near 0.7 MB
     chunk = max(1, 250_000 // (3 * a_leg))
     for start in range(0, a_new, chunk):
@@ -228,6 +220,61 @@ def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarr
             out[start:stop, j] = pick
             d2[rows, pick] = np.inf
         out[start:stop, k:] = out[start:stop, :1]
+    return out
+
+
+def nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarray) -> np.ndarray:
+    """Ordinals of the 3 nearest legacy anchors for each new anchor.
+
+    Euclidean metric, ties broken by the lower ordinal: the picks are the
+    first three legacy anchors in (squared distance, ordinal) order, the
+    squared distance ``(dx * dx + dy * dy) + dz * dz`` in float64. When
+    fewer than three legacy anchors exist, all are recorded and the nearest
+    repeats to fill the triple. Up to :data:`kernels.SCAN_MAX_PAIRS` new x
+    legacy pairs, or with fewer than three legacy anchors, one dense pass
+    measures every pair. Above that, :func:`kernels.cell_search` finds the
+    same triples, bit for bit, on the cell grid of
+    :func:`kernels.l1_nearest`, built over the legacy anchors.
+
+    - **Rings.** Each new anchor measures the squared distance to every
+      legacy anchor of the 3 x 3 x 3 cells around its own, and keeps the
+      three least in (squared distance, ordinal) order: three rounds of
+      ``argmin`` over its table row, which ascends by ordinal and is padded
+      with a sentinel at +inf.
+    - **Certificate.** A legacy anchor outside those cells is, along one
+      axis alone, at least the gap from the new anchor (the gap of
+      :func:`kernels.l1_nearest`), so its Euclidean distance is too. The
+      picks are final when the third is below the square of
+      gap * (1 - 2^-20): every legacy anchor outside is then strictly
+      farther than all three, so none ties or beats a pick, and the triple
+      is the dense pass's. A neighbourhood of fewer than three anchors
+      offers the sentinel's +inf as its third and is never final.
+    - **Margin.** Up to the gap, the rounding is :func:`kernels.l1_nearest`'s:
+      an outside anchor is at least R + f - 10u * g exact cell widths away
+      along that axis, u = 2^-53, R + f >= 1. Its computed squared distance,
+      a subtraction and a square per axis and two additions of the
+      non-negative squares, each correctly rounded, is at least (1 - 5u)
+      times the exact one, and so at least (1 - 5u) (1 - 10u * g)^2 times the squared exact
+      gap. The computed gap is within a few u of that exact gap and its
+      square rounds once more. The margin, 2^-20 on the gap and so about
+      2^-19 on its square, covers all of it while g < 2^28 cells per axis.
+    - **Fallback.** New anchors left open are searched again with R = 2,
+      over 5 x 5 x 5 cells; those still open, and those with fewer than
+      three legacy anchors within reach, go to the dense pass. On 9261
+      uniform new and legacy anchors about 11% need R = 2, and on the
+      grid-sampled finest level of a 20k-point field about 4%; in neither
+      does any reach the dense pass.
+    """
+    new_axes = np.ascontiguousarray(np.asarray(new_positions).T, dtype=np.float64)
+    leg_axes = np.ascontiguousarray(np.asarray(legacy_positions).T, dtype=np.float64)
+    a_new, a_leg = new_axes.shape[1], leg_axes.shape[1]
+    if a_leg == 0:
+        raise ValueError("legacy level has no anchors")
+    if a_leg < 3 or a_new * a_leg <= kernels.SCAN_MAX_PAIRS:
+        return _dense_nearest_legacy(new_axes, leg_axes)
+    out, todo = kernels.cell_search(new_axes, leg_axes, k=3, metric="sqeuclidean")
+    if todo.size:
+        out[todo] = _dense_nearest_legacy(new_axes[:, todo], leg_axes)
     return out
 
 

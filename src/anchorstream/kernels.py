@@ -18,15 +18,23 @@ anchor outside them is as near; the points it cannot prove are searched
 over 5 x 5 x 5 cells, and the few left after that are scanned. Every answer
 is the scan's own, bit for bit.
 
-:func:`sum_by_index` scatter-adds one column at a time with ``np.bincount``,
-which walks the rows in ascending order and accumulates each bucket in
-float64. ``np.add.at`` gives the same bits, but its generic unbuffered
-loop took 290-430 us where the bincounts take 40-50 us (6000 x 3 rows into
-729 buckets, 2-core x86 host). The bincounts themselves reveal an index
-outside the buckets, so the kernel makes no range scan of its own unless
-one is there. :func:`cell_winners` scatters with ``np.minimum.at``, whose
-order does not matter to a minimum; like every ``ufunc.at`` it wraps
-a negative index in silence, so the kernel rejects a negative code first.
+One grid serves two searches (:func:`cell_search`): the L1 1-NN of
+:func:`l1_nearest`, and the Euclidean 3-NN with which
+:func:`anchorstream.hierarchy.nearest_legacy_anchors` matches a rebuilt
+level's anchors to its legacy ones. The second measures squared distances,
+keeps the three least, and certifies the third against the squared gap.
+
+:func:`sum_by_index` takes axis-major (k, R) values and scatter-adds each
+contiguous row with one ``np.bincount``, which walks the entries in
+ascending order and accumulates each bucket in float64. ``np.add.at`` gives
+the same bits, but its generic unbuffered loop took 290-430 us where the
+bincounts take 40-50 us (6000 x 3 rows into 729 buckets, 2-core x86 host);
+a bincount over a strided column of row-major values first copies it. The
+bincounts themselves reveal an index outside the buckets, so the kernel
+makes no range scan of its own unless one is there. :func:`cell_winners`
+scatters with ``np.minimum.at``, whose order does not matter to a minimum;
+like every ``ufunc.at`` it wraps a negative index in silence, so the kernel
+rejects a negative code first.
 """
 
 from __future__ import annotations
@@ -66,7 +74,9 @@ SCAN_MAX_PAIRS = 1 << 19
 _SCAN_CELLS = 1 << 16
 
 # Relative slack of the cell search's certificate; :func:`l1_nearest` argues
-# that it covers every rounding in the certificate and the distances.
+# that it covers every rounding in the certificate and the distances, and
+# :func:`anchorstream.hierarchy.nearest_legacy_anchors` that it does so for
+# squared Euclidean distances too.
 _MARGIN = 2.0 ** -20
 
 
@@ -98,10 +108,16 @@ class _CellGrid:
     along the others. Two empty cells pad it on every side, so the cells
     within reach 1 or 2 of any occupied cell have its code plus fixed
     offsets. ``pts`` and ``anc`` are axis-major float64, as in :func:`_scan`.
+    Its searches find each point's ``k`` nearest anchors under ``metric``:
+    ``"l1"``, ``(|dx| + |dy|) + |dz|``, or ``"sqeuclidean"``,
+    ``(dx * dx + dy * dy) + dz * dz``, both in float64.
     """
 
-    def __init__(self, pts: np.ndarray, anc: np.ndarray, lo: np.ndarray, extent: np.ndarray):
+    def __init__(self, pts: np.ndarray, anc: np.ndarray, lo: np.ndarray, extent: np.ndarray,
+                 k: int = 1, metric: str = "l1"):
         self.pts = pts
+        self.k = k
+        self.metric = metric
         self.n_anchor = anc.shape[1]
         g = max(1, round(self.n_anchor ** (1.0 / 3.0)))
         # an axis too thin for g / extent to be finite is treated as flat: one
@@ -151,9 +167,10 @@ class _CellGrid:
         return box.ravel()
 
     def search(self, idx: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nearest anchor within ``reach`` cells of each point ``idx``, and whether it is final.
+        """Each point ``idx``'s ``k`` nearest anchors within ``reach`` cells, and whether final.
 
-        Returns the points reordered, their anchors and their certificates.
+        Returns the points reordered, their anchors and their certificates:
+        the k-th pick's distance below the gap's bound in ``metric``.
         Points are taken in chunks of whole cells, sorted by how many anchors
         lie within reach of their cell, so each chunk pads its table rows to
         nearly their own length. A chunk's (points, candidates) arrays and its
@@ -180,14 +197,16 @@ class _CellGrid:
         row -= 1
         cells = code[new_cell]
         del code, new_cell
-        gap = self._gap(idx, reach)
-        gap *= 1.0 - _MARGIN
-        found = np.zeros(idx.shape[0], dtype=np.int64)
+        bound = self._gap(idx, reach)
+        bound *= 1.0 - _MARGIN
+        if self.metric == "sqeuclidean":
+            bound *= bound
+        found = np.zeros((idx.shape[0], self.k), dtype=np.int64)
         final = np.zeros(idx.shape[0], dtype=bool)
         buffers = np.empty((2, _SCAN_CELLS))
         # entries a chunk holds per point: its row, or its cell's neighbour list
         size = np.maximum(around, offsets.shape[0])
-        start = int(np.searchsorted(around, 1))  # no anchor in reach: left open
+        start = int(np.searchsorted(around, self.k))  # fewer than k anchors in reach: left open
         while start < idx.shape[0]:
             # the most points, at least one, that fit; sizes ascend, so the
             # last point's is the chunk's widest
@@ -197,9 +216,10 @@ class _CellGrid:
             first_row, width = int(row[start]), int(around[end - 1])
             rows = row[start:end] - first_row
             table = self._table(cells[first_row:int(row[end - 1]) + 1], offsets, width)
-            best, slot = self._nearest(self.pts[:, idx[start:end]], rows, table, buffers)
-            found[start:end] = table[rows, slot]
-            final[start:end] = best < gap[start:end]
+            last, picks = self._nearest(self.pts[:, idx[start:end]], rows, table, buffers)
+            for j, slot in enumerate(picks):
+                found[start:end, j] = table[rows, slot]
+            final[start:end] = last < bound[start:end]
             start = end
         return idx, found, final
 
@@ -216,10 +236,15 @@ class _CellGrid:
         return table
 
     def _nearest(self, pts: np.ndarray, rows: np.ndarray, table: np.ndarray,
-                 buffers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point, the first lowest-distance slot of its table row, and that distance.
+                 buffers: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per point, the k-th least distance in its table row, and the k picks' slots.
 
-        The distance is :func:`_scan`'s: ``(|dx| + |dy|) + |dz|`` in float64.
+        The distance is :func:`_scan`'s ``(|dx| + |dy|) + |dz|`` under
+        ``"l1"`` and ``(dx * dx + dy * dy) + dz * dz`` under ``"sqeuclidean"``,
+        in float64. The picks are k rounds of ``argmin``, each pick's
+        distance set to +inf before the next, so they come in (distance,
+        slot) order: a table row ascends, so that is (distance, ordinal)
+        order. Each pick is a (points,) array of slots.
         """
         coords = self.coords[:, table]  # (3, cells, width)
         shape = (rows.shape[0], table.shape[1])
@@ -229,11 +254,18 @@ class _CellGrid:
             # rows are in range; mode="clip" lets take write straight into out
             np.take(coords[axis], rows, axis=0, out=out, mode="clip")
             np.subtract(pts[axis][:, None], out, out=out)
-            np.abs(out, out=out)
+            if self.metric == "l1":
+                np.abs(out, out=out)
+            else:
+                np.multiply(out, out, out=out)
             if axis:
                 d += term
-        slot = d.argmin(axis=1)
-        return d[np.arange(shape[0]), slot], slot
+        at, picks = np.arange(shape[0]), []
+        for _ in range(self.k):
+            if picks:
+                d[at, picks[-1]] = np.inf
+            picks.append(d.argmin(axis=1))
+        return d[at, picks[-1]], picks
 
     def _gap(self, idx: np.ndarray, reach: int) -> np.ndarray:
         """Lower bound on each point ``idx``'s distance to any anchor beyond ``reach`` cells."""
@@ -307,20 +339,39 @@ def l1_nearest(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     anc = np.ascontiguousarray(np.asarray(anchors).T, dtype=np.float64)
     if pts.shape[1] * anc.shape[1] <= SCAN_MAX_PAIRS:
         return _scan(pts, anc)
+    out, todo = cell_search(pts, anc)
+    out = out.ravel()  # (n, 1): a view
+    if todo.size:
+        out[todo] = _scan(pts[:, todo], anc)
+    return out
+
+
+def cell_search(pts: np.ndarray, anc: np.ndarray, k: int = 1, metric: str = "l1",
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's ``k`` nearest anchors under ``metric``, where cells prove them.
+
+    ``pts`` (3, n) and ``anc`` (3, A) are axis-major float64, with A >= k.
+    The metric is ``"l1"`` or ``"sqeuclidean"`` (see :class:`_CellGrid`).
+    Returns the (n, k) anchor ordinals, each row in (distance, ordinal)
+    order, and the points left open, whose rows are not set: every point
+    when the bounding box is not finite (a NaN or infinite coordinate). A
+    proved row is the exhaustive answer bit for bit;
+    :func:`l1_nearest` argues the certificate, and
+    :func:`anchorstream.hierarchy.nearest_legacy_anchors` its Euclidean form.
+    """
+    n = pts.shape[1]
+    out = np.empty((n, k), dtype=np.int64)
+    todo = np.arange(n)
     lo = np.minimum(pts.min(axis=1), anc.min(axis=1))
     extent = np.maximum(pts.max(axis=1), anc.max(axis=1)) - lo
-    if not np.isfinite(extent).all():  # a NaN or infinite coordinate
-        return _scan(pts, anc)
-    grid = _CellGrid(pts, anc, lo, extent)
-    out = np.empty(pts.shape[1], dtype=np.int64)
-    todo = np.arange(pts.shape[1])
+    if not np.isfinite(extent).all():
+        return out, todo
+    grid = _CellGrid(pts, anc, lo, extent, k, metric)
     for reach in (1, 2):
         todo, found, final = grid.search(todo, reach)
         out[todo[final]] = found[final]
         todo = todo[~final]
-    if todo.size:
-        out[todo] = _scan(pts[:, todo], anc)
-    return out
+    return out, todo
 
 
 def cell_winners(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,29 +408,30 @@ def _reject_outside(index: np.ndarray, n_out: int) -> None:
 
 
 def sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
-    """Sum rows of ``values`` into ``n_out`` buckets given by ``index``.
+    """Sum the columns of axis-major ``values`` (k, R) into ``n_out`` buckets given by ``index``.
 
-    Each column is one ``np.bincount(index, column, minlength=n_out)``: every
-    bucket starts at +0.0 and adds its rows in float64, in ascending row
-    order, so the floating-point reduction order is fixed and the result
-    equals row-by-row accumulation bit for bit. An index outside
+    Returns (k, n_out) float64. Each row is one contiguous
+    ``np.bincount(index, row, minlength=n_out)``: every bucket starts at
+    +0.0 and adds its entries in float64, in ascending column order, so the
+    floating-point reduction order is fixed and the result equals
+    column-by-column accumulation bit for bit. An index outside
     ``[0, n_out)`` raises ``ValueError`` naming the first one. No pass over
     the index looks for one up front: an index at or past ``n_out`` shows
     as a bincount longer than ``n_out``, and ``np.bincount`` refuses a
-    negative one itself; only then is the index scanned for the row to name.
+    negative one itself; only then is the index scanned for the one to name.
     """
     values = np.asarray(values, np.float64)
     index = np.asarray(index, np.int64)
-    out = np.empty((n_out, values.shape[1]), dtype=np.float64)
-    for col in range(values.shape[1]):
+    out = np.empty((values.shape[0], n_out), dtype=np.float64)
+    for row, weights in zip(out, values):
         try:
-            sums = np.bincount(index, values[:, col], minlength=n_out)
+            sums = np.bincount(index, weights, minlength=n_out)
         except ValueError:
             _reject_outside(index, n_out)
             raise
         if sums.shape[0] > n_out:
             _reject_outside(index, n_out)
-        out[:, col] = sums
+        row[:] = sums
     return out
 
 

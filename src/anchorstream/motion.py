@@ -32,10 +32,11 @@ each element still sees the same operations in the same order: the kernels
 spell out every product, sum and difference that the row-major expressions
 made, and the 3-term dot product adds left to right onto +0.0 as numpy's
 row reduction did. Only the memory layout changed. The positions it
-returns are C-contiguous (R, 3), so the loss and the densify residuals
-reduce exactly the array they reduced before. Beside them, pivot mode
-returns each level's (4, R) row rotations, which :func:`apply_deformation`
-composes into the orientations.
+returns stay axis-major, (3, R): the fit's residuals, gradients and norms
+read them row by row, and only the loss's sum and
+:func:`apply_deformation`'s float32 positions interleave them into (R, 3).
+Beside them, pivot mode returns each level's (4, R) row rotations, which
+:func:`apply_deformation` composes into the orientations.
 
 Inheritance transfers deltas from a retiring hierarchy to a freshly built one,
 increments in and increments out: translations average arithmetically over
@@ -273,13 +274,17 @@ class GatheredRows(NamedTuple):
     ``members`` holds each level's ``assignment[rows]``. ``centers`` holds,
     in pivot mode only, each level's (3, R) float64 pivot positions, the
     frame-start positions of the rows' anchors; it is None in additive mode,
-    and that is how the walk knows the mode. Nothing here is ever written
-    to, so one gather serves any number of walks.
+    and that is how the walk knows the mode. ``targets`` holds the rows'
+    observed positions, axis-major (3, R) float64, where a fit planned them
+    (:func:`anchorstream.fitting.observed_rows`), and is None otherwise; the
+    walk does not read it. Nothing here is ever written to, so one gather
+    serves any number of walks.
     """
 
     positions: np.ndarray
     members: list[np.ndarray]
     centers: Optional[list[np.ndarray]]
+    targets: Optional[np.ndarray] = None
 
 
 def gather_rows(gaussians: GaussianSet, hierarchy: AnchorHierarchy, mode: CompositionMode,
@@ -308,10 +313,10 @@ def deform_rows(hierarchy: AnchorHierarchy, deltas: FrameDeformation, rows: Gath
     hold pivot centers (pivot mode), every row rotates about its anchor's
     frame-start position and then translates; otherwise it only translates,
     so a row moves by the sum of its anchors' translations and rotation
-    increments are ignored. Returns the positions, C-contiguous (R, 3), and
-    in pivot mode each level's axis-major (4, R) float64 row rotations, unit
-    quaternions (None in additive mode); nothing is modified, ``rows``
-    included. ``deltas`` must hold as many entries per level as the
+    increments are ignored. Returns the positions, a new axis-major (3, R)
+    array the caller may write to, and in pivot mode each level's
+    axis-major (4, R) float64 row rotations, unit quaternions (None in
+    additive mode); nothing is modified, ``rows`` included. ``deltas`` must hold as many entries per level as the
     hierarchy has anchors; otherwise ``ValueError`` names the first level
     that fails.
     """
@@ -321,8 +326,7 @@ def deform_rows(hierarchy: AnchorHierarchy, deltas: FrameDeformation, rows: Gath
                                rows.centers or [None] * len(rows.members)):
         pos, member_q = level_step(pos, ds.translations, ds.rotations, al, centers)
         rotations.append(member_q)
-    # C-contiguous (R, 3): np.stack interleaves the axes faster than a transposed copy
-    return np.stack(pos, axis=1), None if rows.centers is None else rotations
+    return pos, None if rows.centers is None else rotations
 
 
 def member_rotations(q: np.ndarray, members: np.ndarray
@@ -367,9 +371,10 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
     """Deform all gaussians by one frame's deltas; appearance stays frozen.
 
     Positions are :func:`deform_rows` of every row, gathered here in
-    ``mode``, cast to float32. The frozen columns (scales, opacities, sh)
-    are not copied: the result shares the input's arrays, which a session
-    holds read-only, so no frame can change them. Additive mode copies the
+    ``mode``, interleaved into (N, 3) and cast to float32. The frozen
+    columns (scales, opacities, sh) are not copied: the result shares the
+    input's arrays, which a session holds read-only, so no frame can change
+    them. Additive mode copies the
     orientations unchanged; a nonzero rotation increment raises
     ``ValueError``, since additive frames carry none. Pivot mode composes
     each orientation with the row's rotation at every level, coarse level
@@ -385,7 +390,8 @@ def apply_deformation(gaussians: GaussianSet, hierarchy: AnchorHierarchy,
         orientations = quat_normalize(orient).astype(np.float32)
     else:
         orientations = gaussians.orientations.copy()
-    return GaussianSet(pos.astype(np.float32), gaussians.scales, orientations,
+    # np.stack interleaves the axes faster than a transposed copy
+    return GaussianSet(np.stack(pos, axis=1).astype(np.float32), gaussians.scales, orientations,
                        gaussians.opacities, gaussians.sh)
 
 

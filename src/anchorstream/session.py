@@ -39,7 +39,8 @@ import numpy as np
 from . import codec
 from .codec import StreamHeader
 from .errors import ConfigError, NumericalError, StreamFormatError
-from .fitting import Correspondences, densify_residuals, fit_frame, loss_and_gradient, observed_rows
+from .fitting import (Correspondences, densify_residuals, fit_frame, loss_and_gradient,
+                      observed_rows, residual_norms)
 from .hierarchy import AnchorHierarchy, build_hierarchy, rehierarchize
 from .kernels import l1_nearest
 from .motion import FrameDeformation, apply_deformation, inherit_deformation
@@ -238,9 +239,11 @@ def _advance_state(state: SceneState, payload: codec.FramePayload, hierarchy: An
     return state
 
 
-def _mean_position_error(state: SceneState, corr: Correspondences) -> float:
-    pos = state.gaussians.positions.astype(np.float64)[corr.indices]
-    return float(np.linalg.norm(pos - corr.targets.astype(np.float64), axis=1).mean())
+def _mean_position_error(state: SceneState, indices: np.ndarray, targets: np.ndarray) -> float:
+    """Mean distance of gaussians ``indices`` from their axis-major (3, C) float64 ``targets``."""
+    pos = np.take(state.gaussians.positions, indices, axis=0).T.astype(np.float64, order="C")
+    pos -= targets
+    return float(residual_norms(pos).mean())
 
 
 class Encoder:
@@ -297,7 +300,7 @@ class Encoder:
         self.state = _advance_state(state, payload, hierarchy, config.composition_mode)
         self.prev_deltas = FrameDeformation(payload.deltas.per_level)
         return data, _frame_row(header, payload, len(data), self.state, self._frozen, loss,
-                                _mean_position_error(self.state, corr))
+                                _mean_position_error(self.state, corr.indices, rows.targets))
 
 
 def encode_session(base: GaussianSet, source: MotionSource, config: StreamConfig, *,

@@ -79,25 +79,32 @@ def per_cell_argmin(codes: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def ordered_sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
-    """Row-by-row accumulation in ascending row order, in Python floats."""
-    width = values.shape[1]
-    out = [[0.0] * width for _ in range(n_out)]
-    for row, j in zip(np.asarray(values, np.float64).tolist(), index.tolist()):
+    """Axis-major (k, R) values summed column by column in ascending order, in Python floats.
+
+    Returns (k, n_out).
+    """
+    width = values.shape[0]
+    out = [[0.0] * n_out for _ in range(width)]
+    for column, j in zip(np.asarray(values, np.float64).T.tolist(), index.tolist()):
         for k in range(width):
-            out[j][k] += row[k]
-    return np.array(out, np.float64).reshape(n_out, width)
+            out[k][j] += column[k]
+    return np.array(out, np.float64).reshape(width, n_out)
 
 
-# The fit kernels' former bodies, kept verbatim: their replacements must give
-# the same bits.
+# The fit kernels' former bodies, on today's array layouts: their replacements
+# must give the same bits.
 
 
 def add_at_sum_by_index(values: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
-    """The former kernel body: one unbuffered ``np.add.at`` scatter-add in float64."""
+    """An earlier kernel body: one unbuffered ``np.add.at`` scatter-add in float64.
+
+    Takes axis-major (k, R) values and returns (k, n_out), scattering their
+    (R, k) rows into the (n_out, k) transpose of the result.
+    """
     values = np.ascontiguousarray(values, np.float64)
     index = np.ascontiguousarray(index, np.int64)
-    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
-    np.add.at(out, index, values)
+    out = np.zeros((values.shape[0], n_out), dtype=np.float64)
+    np.add.at(out.T, index, values.T)
     return out
 
 
@@ -170,8 +177,43 @@ def additive_loss_and_gradient(gaussians, hierarchy, deltas, corr):
     c = len(rows)
     g = (2.0 / c) * r
     return float((r * r).sum() / c), [
-        add_at_sum_by_index(g, lvl.assignment[rows], lvl.anchor_count) for lvl in hierarchy.levels
+        add_at_sum_by_index(g.T, lvl.assignment[rows], lvl.anchor_count).T
+        for lvl in hierarchy.levels
     ]
+
+
+def dense_nearest_legacy_anchors(new_positions: np.ndarray, legacy_positions: np.ndarray
+                                 ) -> np.ndarray:
+    """An earlier ``hierarchy.nearest_legacy_anchors``: every new x legacy pair measured.
+
+    Squared distances, ``(dx * dx + dy * dy) + dz * dz`` in float64, are
+    taken in chunks of new anchors, and each chunk makes k = min(3, A_legacy)
+    rounds of ``argmin`` per row, each pick's distance set to inf before the
+    next round; fewer than three legacy anchors repeat the nearest.
+    """
+    new64 = np.asarray(new_positions, np.float64)
+    leg64 = np.asarray(legacy_positions, np.float64)
+    a_new, a_leg = new64.shape[0], leg64.shape[0]
+    if a_leg == 0:
+        raise ValueError("legacy level has no anchors")
+    k = min(3, a_leg)
+    out = np.empty((a_new, 3), dtype=np.int64)
+    new_axes = np.ascontiguousarray(new64.T)
+    leg_axes = np.ascontiguousarray(leg64.T)
+    chunk = max(1, 250_000 // (3 * a_leg))
+    for start in range(0, a_new, chunk):
+        stop = min(a_new, start + chunk)
+        d2 = np.zeros((stop - start, a_leg))
+        for axis in range(3):
+            diff = leg_axes[axis] - new_axes[axis, start:stop, None]
+            d2 += diff * diff
+        rows = np.arange(stop - start)
+        for j in range(k):
+            pick = d2.argmin(axis=1)
+            out[start:stop, j] = pick
+            d2[rows, pick] = np.inf
+        out[start:stop, k:] = out[start:stop, :1]
+    return out
 
 
 def exhaustive_knn3(queries: np.ndarray, references: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from anchorstream import (
     Correspondences,
     FrameDeformation,
     GaussianSet,
+    SceneState,
     StreamConfig,
     build_hierarchy,
     densify_residuals,
@@ -18,7 +19,7 @@ from anchorstream import (
     two_body_arm_spec,
     generate_scene,
 )
-from anchorstream import codec, fitting, motion
+from anchorstream import codec, fitting, motion, session
 from anchorstream.motion import quat_from_axis_angle, quat_to_matrix
 
 import conformance
@@ -388,7 +389,7 @@ def test_fit_two_body_scene_under_error_bound():
     corr = Correspondences(idx, scene.targets[1].astype(np.float32))
     out = fit(g, h, corr, FrameDeformation.zeros(h), 100, ADDITIVE)
     pos, _ = motion.deform_rows(h, out, observed_rows(g, h, corr, ADDITIVE))
-    err = np.linalg.norm(pos - scene.targets[1], axis=1).mean()
+    err = np.linalg.norm(pos.T - scene.targets[1], axis=1).mean()
     assert err < 1e-3 * scene.diameter()
 
 
@@ -573,7 +574,7 @@ def test_a_cluster_of_one_or_two_observed_members_keeps_its_rotation():
     lvl = h.levels[0]
     al = lvl.assignment
     init = random_deltas(h, rng, scale=0.05)
-    moved, _ = motion.deform_rows(h, init, motion.gather_rows(g, h, CompositionMode.pivot))
+    moved = motion.deform_rows(h, init, motion.gather_rows(g, h, CompositionMode.pivot))[0].T
     targets = moved + rng.standard_normal(moved.shape) * 0.002
     # anchor 0 keeps two observed members, anchor 1 one, anchor 2 none
     keep = np.ones(len(g), bool)
@@ -642,3 +643,70 @@ def test_densify_returns_its_picks_in_ascending_ordinal_order():
     ordinals, positions = densify(g, h, FrameDeformation.zeros(h), corr, 0.5, ADDITIVE)
     assert ordinals.tolist() == sorted(moved.tolist())
     assert np.array_equal(positions, targets[ordinals])
+
+
+# ---------------------------------------------------------------------------
+# Residual norms, axis-major
+# ---------------------------------------------------------------------------
+
+
+def special_rows(dtype) -> np.ndarray:
+    """Rows of signed zeros, huge and tiny entries, and sums that round by their order.
+
+    Three rows hold a 1 beside two entries whose squares are each just over
+    half its spacing: added to it one at a time they round up twice, added
+    to each other first they round up once.
+    """
+    info = np.finfo(dtype)
+    a = 1.5 * 2.0 ** -27
+    orders = np.float64([[1.0, a, a], [a, 1.0, a], [a, a, 1.0]])
+    return np.concatenate([
+        [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 3.0, -0.0], [3.0, -4.0, 12.0]],
+        [[info.max, info.max, -info.max], [info.max / 4, 0.0, -0.0]],
+        [[info.smallest_subnormal, -info.smallest_subnormal, 0.0],
+         [info.tiny, info.tiny, -info.tiny]],
+        orders, orders * 2.0 ** 40, orders * 2.0 ** -40,
+    ]).astype(dtype)
+
+
+def extreme_rows(rng, n, dtype):
+    """:func:`special_rows`, then n rows of random magnitudes and n of like ones."""
+    info = np.finfo(dtype)
+    exponents = rng.integers(info.minexp, info.maxexp - 4, (n, 3))  # |normal| < 8 stays in range
+    rows = rng.standard_normal((n, 3)) * np.exp2(exponents.astype(np.float64))
+    return np.concatenate([special_rows(dtype), rows.astype(dtype),
+                           rng.standard_normal((n, 3)).astype(dtype)])
+
+
+def test_residual_norms_equal_the_row_norm_bit_for_bit(rng):
+    rows = extreme_rows(rng, 5000, np.float64)
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(rows, axis=1)
+        got = fitting.residual_norms(np.ascontiguousarray(rows.T))
+    assert np.isinf(want).any() and (want == 0.0).any() and (want < 1e-300).any()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_densify_and_the_mean_error_take_the_row_norm_bit_for_bit(rng):
+    pos = extreme_rows(rng, 600, np.float32)
+    special = len(special_rows(np.float32))
+    targets = extreme_rows(rng, 600, np.float32)[::-1].copy()
+    targets[special::3] = pos[special::3]  # zero residuals, signed zeros among them
+    targets[:special] = 0.0  # residuals that are the special rows themselves
+    g = GaussianSet.from_positions(pos)
+    h = build_hierarchy(pos, StreamConfig(levels=1, finest_fraction=0.01))
+    idx = rng.permutation(len(pos))
+    corr = Correspondences(idx, targets[idx])
+    rows = observed_rows(g, h, corr, ADDITIVE)
+    zero = FrameDeformation.zeros(h)
+    moved, _ = motion.deform_rows(h, zero, rows)
+    want = np.linalg.norm(moved.T - corr.targets.astype(np.float64), axis=1)
+    # each special residual as the threshold: one that rounds otherwise crosses it
+    for threshold in (0.0, float(np.median(want)), *want[idx < special].tolist()):
+        ordinals, _ = densify_residuals(h, zero, corr, threshold, rows)
+        assert ordinals.tolist() == sorted(idx[want > threshold].tolist())
+    state = SceneState(g)
+    picks = [np.arange(len(idx))] + [[row] for row in np.flatnonzero(idx < special)]
+    for pick in picks:  # all rows, and each special row alone: a mean of many hides a last bit
+        got = session._mean_position_error(state, idx[pick], rows.targets[:, pick])
+        assert got == float(want[pick].mean())

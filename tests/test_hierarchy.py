@@ -13,11 +13,12 @@ from anchorstream import (
     rehierarchize,
     sample_anchors,
 )
-from anchorstream import hierarchy
+from anchorstream import hierarchy, kernels
 from anchorstream.hierarchy import level_caps, level_targets, nearest_legacy_anchors
 
 from oracles import (
     brute_force_sample_anchors,
+    dense_nearest_legacy_anchors,
     exhaustive_knn3,
     exhaustive_l1_assign,
     rowmajor_cell_geometry,
@@ -324,6 +325,89 @@ def test_nearest_legacy_anchors_matches_oracle_with_ties(rng, n_new, n_legacy):
     alike = nearest_legacy_anchors(new, np.repeat(legacy[:1], n_legacy, axis=0))
     picks = [0, 1, 2][:n_legacy] + [0] * max(0, 3 - n_legacy)
     assert np.array_equal(alike, np.tile(picks, (n_new, 1)))
+
+
+def _legacy_cases():
+    """(new, legacy) anchor positions of every layout the cell search meets."""
+    rng = np.random.default_rng(91)
+    unit = lambda n: rng.random((n, 3), dtype=np.float32)
+    legacy = unit(1000)
+    snap = lambda n: (rng.integers(0, 6, (n, 3)) * 0.5).astype(np.float32)
+    lattice = snap(400)
+    flat_new, flat_legacy = unit(1500), unit(800)
+    flat_new[:, 2] = flat_legacy[:, 2] = 0.25
+    return {
+        "uniform": (unit(1500), legacy),
+        "moved_by_sigma_0.01": (
+            legacy + (rng.standard_normal((1000, 3)) * 0.01).astype(np.float32), legacy),
+        # duplicate legacy anchors, and many at equal distances from a new one
+        "tie_lattice": (snap(1200), np.concatenate([lattice, lattice[::3]])),
+        "flat_axis": (flat_new, flat_legacy),
+        "disjoint_boxes": (unit(1200), unit(600) + np.float32(3.0)),
+        # tight clumps at the corners: most new anchors see fewer than three
+        "clumped_legacy": (unit(1200), unit(600) * np.float32(0.05) + np.repeat(
+            np.float32([[0, 0, 0], [1, 1, 1], [0, 1, 0]]), 200, axis=0)),
+        "exactly_three": (unit(2000), unit(3)),
+    }
+
+
+LEGACY_CASES = _legacy_cases()
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the first argument's column count on every call of ``module.name``."""
+    seen, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: seen.append(args[0].shape[1])
+                        or original(*args, **kwargs))
+    return seen
+
+
+@pytest.mark.parametrize("case", LEGACY_CASES)
+def test_the_cell_search_finds_the_dense_legacy_anchors(monkeypatch, case):
+    monkeypatch.setattr(kernels, "SCAN_MAX_PAIRS", 0)  # every level goes through the cells
+    searched = count_calls(monkeypatch, kernels, "cell_search")
+    dense = count_calls(monkeypatch, hierarchy, "_dense_nearest_legacy")
+    new, legacy = LEGACY_CASES[case]
+    got = nearest_legacy_anchors(new, legacy)
+    assert np.array_equal(got, dense_nearest_legacy_anchors(new, legacy))
+    assert searched == [new.shape[0]]
+    if case == "disjoint_boxes":  # no legacy anchor within reach of any new one
+        assert dense == [new.shape[0]]
+    if case == "clumped_legacy":  # the cells prove some triples and leave the rest open
+        assert 0 < sum(dense) < new.shape[0]
+    if case == "tie_lattice":
+        d2 = ((new[:, None, :].astype(np.float64) - legacy[None]) ** 2).sum(axis=2)
+        third = np.sort(d2, axis=1)[:, 2:4]
+        assert (third[:, 0] == third[:, 1]).sum() > new.shape[0] // 4  # the third pick is a tie
+
+
+@pytest.mark.parametrize("extra, searched", [(0, False), (1, True)])
+def test_nearest_legacy_anchors_searches_cells_only_above_the_pair_threshold(
+        monkeypatch, rng, extra, searched):
+    calls = count_calls(monkeypatch, kernels, "cell_search")
+    legacy = rng.random((729, 3), dtype=np.float32)
+    new = rng.random((kernels.SCAN_MAX_PAIRS // 729 + extra, 3), dtype=np.float32)
+    assert (new.shape[0] * 729 > kernels.SCAN_MAX_PAIRS) == searched
+    got = nearest_legacy_anchors(new, legacy)
+    assert np.array_equal(got, dense_nearest_legacy_anchors(new, legacy))
+    assert bool(calls) == searched
+
+
+def test_rehierarchize_leaves_few_anchors_to_the_dense_pass(monkeypatch):
+    """The 3-NN of a 20k field's large levels stays near-linear: few anchors fall back."""
+    rng = np.random.default_rng(5)
+    cfg = StreamConfig()
+    state = _state_for(rng.random((20_000, 3), dtype=np.float32), cfg)
+    state.gaussians.positions += (rng.standard_normal((20_000, 3)) * 0.01).astype(np.float32)
+    dense = count_calls(monkeypatch, hierarchy, "_dense_nearest_legacy")
+    new_hier, _ = rehierarchize(state, cfg)
+    pairs = [(new.anchor_count, old.anchor_count)
+             for new, old in zip(new_hier.levels, state.hierarchy.levels)]
+    small = [a_new for a_new, a_leg in pairs if a_new * a_leg <= kernels.SCAN_MAX_PAIRS]
+    large = [a_new for a_new, a_leg in pairs if a_new * a_leg > kernels.SCAN_MAX_PAIRS]
+    assert sum(large) >= 900  # the finest level, about 1000 anchors, is searched
+    assert sorted(dense[:len(small)]) == sorted(small)  # small levels take the dense pass whole
+    assert sum(dense[len(small):]) <= 0.01 * sum(large)
 
 
 def test_rehierarchize_requires_hierarchy(rng):

@@ -260,24 +260,26 @@ def test_cell_winners_rejects_a_negative_code():
 
 
 def test_sum_by_index_matches_oracle_bit_exact(rng):
-    values = rng.standard_normal((5000, 3))
+    values = rng.standard_normal((3, 5000))
     index = rng.integers(0, 37, size=5000).astype(np.int64)
-    wide = rng.standard_normal((5000, 9))
+    wide = rng.standard_normal((9, 10000))
     cases = {
         "width_3": (values, index, 37),
-        "width_4": (rng.standard_normal((5000, 4)), index, 37),  # quaternion gradients
+        "width_4": (rng.standard_normal((4, 5000)), index, 37),
+        "width_9": (rng.standard_normal((9, 5000)), index, 37),  # pivot cross-covariances
         "float32": (values.astype(np.float32), index, 37),
-        "column_slice": (wide[:, 2:8:2], index, 37),  # strided, not contiguous
-        "empty_index": (np.empty((0, 3)), np.empty(0, np.int64), 5),
-        "trailing_empty_buckets": (values, index, 50),  # buckets 37..49 get no row
+        "strided_rows": (wide[2:8:2, ::2], index, 37),  # no row contiguous
+        "transposed_rows": (rng.standard_normal((5000, 3)).T, index, 37),
+        "empty_index": (np.empty((3, 0)), np.empty(0, np.int64), 5),
+        "trailing_empty_buckets": (values, index, 50),  # buckets 37..49 get no entry
     }
     for name, (vals, idx, n_out) in cases.items():
         got = kernels.sum_by_index(vals, idx, n_out)
-        assert got.dtype == np.float64 and got.shape == (n_out, vals.shape[1]), name
+        assert got.dtype == np.float64 and got.shape == (vals.shape[0], n_out), name
         assert got.tobytes() == ordered_sum_by_index(vals, idx, n_out).tobytes(), name
         assert got.tobytes() == add_at_sum_by_index(vals, idx, n_out).tobytes(), name
-    assert not kernels.sum_by_index(values, index, 50)[37:].any()
-    assert not wide[:, 2:8:2].flags.c_contiguous
+    assert not kernels.sum_by_index(values, index, 50)[:, 37:].any()
+    assert not wide[2:8:2, ::2].flags.c_contiguous
 
 
 @pytest.mark.parametrize("bad", [-1, 37])
@@ -285,7 +287,7 @@ def test_sum_by_index_rejects_an_index_outside_the_buckets(rng, bad):
     index = rng.integers(0, 37, size=100).astype(np.int64)
     index[[40, 70]] = bad
     with pytest.raises(ValueError, match=rf"index {bad} at row 40 is outside \[0, 37\)"):
-        kernels.sum_by_index(np.ones((100, 3)), index, 37)
+        kernels.sum_by_index(np.ones((3, 100)), index, 37)
 
 
 def test_dispatchers_run(cloud):
@@ -295,6 +297,6 @@ def test_dispatchers_run(cloud):
     d2 = np.arange(10, dtype=np.float64)
     cs, idx = kernels.cell_winners(codes, d2)
     assert list(cs) == [0] and list(idx) == [0]
-    out = kernels.sum_by_index(np.ones((4, 2)), np.array([0, 0, 1, 1]), 2)
+    out = kernels.sum_by_index(np.ones((2, 4)), np.array([0, 0, 1, 1]), 2)
     assert np.array_equal(out, [[2, 2], [2, 2]])
     assert kernels.backend_name() == "numpy"

@@ -141,7 +141,7 @@ def test_apply_positions_are_the_forward_cast_to_float32(mode):
     deltas = frame_deltas(h, rng, mode)
     forward, _ = deform_rows(h, deltas, gather_rows(g, h, mode))
     out = apply_deformation(g, h, deltas, mode)
-    assert out.positions.tobytes() == forward.astype(np.float32).tobytes()
+    assert out.positions.tobytes() == forward.T.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("mode", list(CompositionMode), ids=lambda m: m.name)
@@ -157,7 +157,7 @@ def test_forward_of_some_rows_equals_those_rows_of_the_full_forward(mode):
     before = [a.copy() for a in [gathered.positions, *gathered.members, *(gathered.centers or [])]]
     for _ in range(2):  # a walk leaves the gathered arrays as it found them
         some, some_rotations = deform_rows(h, deltas, gathered)
-        assert some.tobytes() == full[rows].tobytes()
+        assert some.tobytes() == full[:, rows].tobytes()
         if mode == CompositionMode.additive:
             assert full_rotations is None and some_rotations is None
             continue
@@ -182,8 +182,8 @@ def test_forward_layout_contract(mode):
         units.append((y / np.linalg.norm(y, axis=1, keepdims=True))[lvl.assignment])
     for picked, r in ((None, 500), (rows, 71)):
         out, rotations = deform_rows(h, deltas, gather_rows(g, h, mode, picked))
-        # row-major positions in both modes: the loss and the residuals reduce them as such
-        assert out.shape == (r, 3) and out.dtype == np.float64 and out.flags.c_contiguous
+        # axis-major positions in both modes: the fit reads them one axis at a time
+        assert out.shape == (3, r) and out.dtype == np.float64 and out.flags.c_contiguous
         if mode == CompositionMode.additive:
             assert rotations is None
             continue
