@@ -16,6 +16,7 @@ from anchorstream import (
 from anchorstream import hierarchy, kernels
 from anchorstream.hierarchy import level_caps, level_targets, nearest_legacy_anchors
 
+from cell_scenes import L1_SCENES, SQEUCLIDEAN_SCENES, record_reach_two
 from oracles import (
     brute_force_sample_anchors,
     dense_nearest_legacy_anchors,
@@ -348,7 +349,12 @@ def _legacy_cases():
         "clumped_legacy": (unit(1200), unit(600) * np.float32(0.05) + np.repeat(
             np.float32([[0, 0, 0], [1, 1, 1], [0, 1, 0]]), 200, axis=0)),
         "exactly_three": (unit(2000), unit(3)),
-    }
+        # a pair_additive box: cells twice as long along x as along y and z
+        "box_2_1_1": (unit(1500) * np.float32([2, 1, 1]), unit(800) * np.float32([2, 1, 1])),
+        # most legacy anchors in one cell, the rest spread thin
+        "crowded_cell": (unit(1500), np.concatenate([
+            unit(200), np.float32(0.5) + np.float32(0.02) * unit(600)])),
+    } | {f"scene_{name}": scene[:2] for name, scene in L1_SCENES.items()}
 
 
 LEGACY_CASES = _legacy_cases()
@@ -379,6 +385,22 @@ def test_the_cell_search_finds_the_dense_legacy_anchors(monkeypatch, case):
         d2 = ((new[:, None, :].astype(np.float64) - legacy[None]) ** 2).sum(axis=2)
         third = np.sort(d2, axis=1)[:, 2:4]
         assert (third[:, 0] == third[:, 1]).sum() > new.shape[0] // 4  # the third pick is a tie
+
+
+@pytest.mark.parametrize("scene", SQEUCLIDEAN_SCENES)
+def test_the_cell_search_proves_a_triple_by_the_anchors_two_cells_out(monkeypatch, scene):
+    """The triple is the dense pass's, and proved in 3 x 3 x 3 cells only when right.
+
+    A face-set anchor exactly at the third pick's distance leaves the new
+    anchor open; one a rounding step farther proves it.
+    """
+    monkeypatch.setattr(kernels, "SCAN_MAX_PAIRS", 0)
+    reach_two = record_reach_two(monkeypatch, kernels)
+    new, legacy, triple, proved = SQEUCLIDEAN_SCENES[scene]
+    got = nearest_legacy_anchors(new, legacy)
+    assert np.array_equal(got, dense_nearest_legacy_anchors(new, legacy))
+    assert got[0].tolist() == triple
+    assert all(0 not in idx for idx in reach_two) == proved
 
 
 @pytest.mark.parametrize("extra, searched", [(0, False), (1, True)])

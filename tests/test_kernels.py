@@ -5,6 +5,7 @@ import pytest
 
 from anchorstream import hierarchy, kernels
 
+from cell_scenes import L1_SCENES, record_reach_two
 from oracles import (
     add_at_sum_by_index,
     exhaustive_l1_assign,
@@ -83,11 +84,17 @@ def _shape_cases(unit):
     # lattice and cell indices round right at their edges
     offset = unit(1500) + np.float32(1e4)
     field = unit(2000)
+    # a pair_additive box: cells twice as long along x as along y and z
+    long_box = unit(2000) * np.float32([2, 1, 1])
     return {
         "few_points_many_anchors": (unit(300), unit(1000)),  # relocation assignment
         "offset_1e4": (offset, unit(200) + np.float32(1e4)),
         "points_on_a_line": (line, unit(200)),
         "grid_sampled_anchors": (field, field[hierarchy.sample_anchors(field, 216).anchor_indices]),
+        "box_2_1_1": (long_box, long_box[hierarchy.sample_anchors(long_box, 216).anchor_indices]),
+        # most anchors in one cell, the rest spread thin: many face sets empty
+        "crowded_cell": (unit(1500), np.concatenate([
+            unit(100), np.float32(0.5) + np.float32(0.02) * unit(200)])),
     }
 
 
@@ -175,17 +182,35 @@ def test_l1_nearest_scans_what_the_cells_cannot_certify(rng, monkeypatch, cell_s
 
 
 def test_l1_nearest_certifies_nearly_every_point_on_a_field(rng, monkeypatch):
-    """A field_large level: fewer than 1% of the points fall back to the full scan.
+    """A field_large level: fewer than 1% of the points go on to the 5 x 5 x 5 search.
 
-    A correct kernel that quietly decays into scanning every anchor fails here.
+    Fewer still fall back to the full scan. A correct kernel that quietly
+    decays into searching or scanning more anchors fails here.
     """
     scanned = record_scans(monkeypatch)
+    reach_two = record_reach_two(monkeypatch, kernels)
     points = rng.random((20000, 3), dtype=np.float32)
     anchors = points[hierarchy.sample_anchors(points, 1000).anchor_indices]
     got = kernels.l1_nearest(points, anchors)
+    assert sum(idx.shape[0] for idx in reach_two) < 200
     assert sum(n for n, _ in scanned) < 200
     axis_major = (np.ascontiguousarray(x.T, dtype=np.float64) for x in (points, anchors))
     assert np.array_equal(got, kernels._scan(*axis_major))
+
+
+@pytest.mark.parametrize("scene", L1_SCENES)
+def test_l1_nearest_proves_a_pick_by_the_anchors_two_cells_out(scene, monkeypatch, cell_search):
+    """The scan's answer on every scene; p's pick proved within 3 x 3 x 3 cells only when right.
+
+    A face-set anchor exactly at the block's best distance leaves p open; one
+    a rounding step farther proves it.
+    """
+    points, anchors, pick, proved = L1_SCENES[scene]
+    reach_two = record_reach_two(monkeypatch, kernels)
+    got = kernels.l1_nearest(points, anchors)
+    assert np.array_equal(got, exhaustive_l1_assign(points, anchors))
+    assert got[0] == pick
+    assert all(0 not in idx for idx in reach_two) == proved
 
 
 def test_l1_nearest_chunks_bound_every_table(rng, monkeypatch, cell_search):
@@ -211,6 +236,16 @@ def test_l1_nearest_chunks_bound_every_table(rng, monkeypatch, cell_search):
     assert np.array_equal(kernels.l1_nearest(points, anchors), kernels._scan(*axis_major))
     assert max(widths) >= 900
     assert max(entries) <= kernels._SCAN_CELLS
+
+
+def test_l1_nearest_takes_more_anchors_in_reach_than_a_chunk_holds(rng):
+    """All but one anchor in one cell: each point alone holds over ``_SCAN_CELLS`` candidates."""
+    anchors = np.concatenate([
+        np.float32(1e-3) * rng.random((kernels._SCAN_CELLS + 100, 3), dtype=np.float32),
+        np.float32([[1, 1, 1]])])
+    points = np.float32(2e-3) * rng.random((20, 3), dtype=np.float32)
+    axis_major = (np.ascontiguousarray(x.T, dtype=np.float64) for x in (points, anchors))
+    assert np.array_equal(kernels.l1_nearest(points, anchors), kernels._scan(*axis_major))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
